@@ -5,6 +5,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: smoke lint lint-compile lint-repro lint-ruff typecheck \
 	test bench bench-engine bench-section4 bench-user-plane bench-all \
+	bench-e2e bench-e2e-test \
 	report trace-demo scenario-smoke scale-smoke planet-scale \
 	sanitize-smoke analyze-smoke
 
@@ -83,6 +84,17 @@ bench-user-plane:
 
 bench-all:
 	$(PYTEST) benchmarks/ --benchmark-only
+
+# The repo benchmark (BENCHMARK.json): every workload, 3 untraced runs
+# plus a traced one each, printing medians, quartiles and the per-layer
+# table (see benchmarks/e2e/README.md).
+bench-e2e:
+	python3 benchmarks/e2e/run.py --runs 3 --trace 1
+
+# The benchmark harness's own tests: smoke-size workloads, the digest
+# gate, and the traced per-layer run.
+bench-e2e-test:
+	$(PYTEST) benchmarks/e2e
 
 # Fig. 20x at CI scale: 10k servers x 100k users through the sharded
 # sweep path, with wall-clock and peak-RSS budgets asserted off the

@@ -922,6 +922,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "kinds: %s\n"
         % ", ".join("%s=%d" % (kind, counts[kind]) for kind in sorted(counts))
     )
+    fabric = deployment.fabric.counters.to_dict()
+    log.write(
+        "fabric: %s\n"
+        % ", ".join(
+            "%s=%s" % (key, "%.3f" % value if isinstance(value, float) else value)
+            for key, value in sorted(fabric.items())
+        )
+    )
     if args.attribution:
         for line in format_attribution_table({metrics.name: metrics}):
             log.write(line + "\n")
@@ -990,8 +998,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     paths = args.trajectories or _default_trajectories()
     if not paths:
-        print("analyze: no BENCH_*.json trajectories found", file=sys.stderr)
-        return 2
+        # A fresh checkout has no trajectories yet: nothing to analyze
+        # is not an error (the same rule as benchmarks/check_bench.py).
+        print(
+            "analyze: WARNING no BENCH_*.json trajectories found; skipping "
+            "(record one with `make bench`)",
+            file=sys.stderr,
+        )
+        return 0
     try:
         analysis = analyze_trajectories(
             paths,

@@ -43,7 +43,7 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
         "_Interruption": "allocated per interrupt",
     },
     "repro/sim/resources.py": {
-        "Request": "allocated per contended port claim",
+        "Request": "allocated per legacy port claim",
         "Release": "allocated per legacy release",
         "StorePut": "allocated per inbox delivery",
         "StoreGet": "allocated per inbox read",

@@ -19,9 +19,10 @@ Two transport implementations carry each message through those stages:
 - the **fast path** (default): a slotted, callback-driven state machine
   (:class:`_FastTransfer`) that chains raw kernel events directly --
   queue -> transmit -> propagate -> deliver -- reusing one hop event per
-  message and claiming an uncontended output port synchronously, with
-  no generator frame, no ``Process``, and no ``Request``/``Release``
-  round-trip;
+  message and keeping the sender's output-port FIFO itself: a free port
+  is claimed synchronously, and a released port is handed to the next
+  queued transfer synchronously, with no generator frame, no
+  ``Process``, and no ``Request``/grant event;
 - the **legacy path**: the original generator-backed process, kept
   behind the ``REPRO_LEGACY_TRANSPORT`` environment variable (or the
   ``legacy_transport`` constructor flag) for differential testing.
@@ -37,6 +38,7 @@ See ``docs/performance.md`` and ``tests/test_transport_equivalence.py``.
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -110,9 +112,7 @@ class _FastTransfer:
         "done",
         "hop",
         "entered_port",
-        "claim",
         "_cb_start",
-        "_cb_granted",
         "_cb_transmit",
         "_cb_deliver",
         "_overhead_s",
@@ -130,7 +130,6 @@ class _FastTransfer:
         self.fabric = fabric
         self.env = env
         self.entered_port = 0.0
-        self.claim: object = None
         # One reusable hop event; idle (processed) until a launch arms it.
         hop = Event(env)
         hop._ok = True
@@ -143,7 +142,6 @@ class _FastTransfer:
         # pooled transfer carries (one list allocation per transfer
         # instead of one per hop).
         self._cb_start: List[Callable[[Event], None]] = [self._start]
-        self._cb_granted: List[Callable[[Event], None]] = [self._granted]
         self._cb_transmit: List[Callable[[Event], None]] = [self._transmit_done]
         self._cb_deliver: List[Callable[[Event], None]] = [self._deliver]
         # Fabric collaborators and parameters are fixed for the fabric's
@@ -227,7 +225,6 @@ class _FastTransfer:
         # None-ing) the slots drops the references while pooled without
         # widening the attribute types to Optional.
         del self.message
-        self.claim = None
         del self.done
         self.fabric._transfer_pool.append(self)
 
@@ -259,23 +256,29 @@ class _FastTransfer:
         self._claim_port(src, message)
 
     def _claim_port(self, src: NetworkNode, message: Message) -> None:
-        """Stage 1 body: queue on / claim the sender's output port."""
-        self.entered_port = self.env.now
-        port = src.output_port
-        if port.try_claim(self):
-            # Uncontended: no Request/grant event, start transmitting now.
-            self.claim = self
-            self._next_hop(
-                self._cb_transmit,
-                self._overhead_s + message.size_kb / src.uplink_kbps,
-            )
-        else:
-            request = port.request()
-            self.claim = request
-            request.callbacks.append(self._granted)
+        """Stage 1 body: claim the sender's output port, or queue on it.
 
-    def _granted(self, _event: Event) -> None:
-        """Stage 1b (contended): the port's FIFO queue reached us."""
+        A busy port queues the transfer FIFO in ``src.port_waiters``
+        (built on first contention); the transfer holding the port hands
+        it over in :meth:`_transmit_done`.
+        """
+        self.entered_port = self.env._now
+        if src.port_busy:
+            waiters = src.port_waiters
+            if waiters is None:
+                waiters = src.port_waiters = deque()
+            waiters.append(self)
+            self._counters.port_waits += 1
+            return
+        src.port_busy = True
+        self._next_hop(
+            self._cb_transmit,
+            self._overhead_s + message.size_kb / src.uplink_kbps,
+        )
+
+    def _granted(self) -> None:
+        """Stage 1b (contended): the port was handed to us -- start
+        transmitting now."""
         message = self.message
         src: NetworkNode = message.src
         self._next_hop(
@@ -298,7 +301,13 @@ class _FastTransfer:
         counters = self._counters
         # Release before accounting: the legacy generator's with-block
         # exit grants the next waiter ahead of this message's bookkeeping.
-        src.output_port.release_fast(self.claim)
+        # The next waiter takes the port synchronously: its transmit hop
+        # is scheduled here, at the release instant.
+        waiters = src.port_waiters
+        if waiters:
+            waiters.popleft()._granted()
+        else:
+            src.port_busy = False
         counters.queueing_s += env._now - self.entered_port
 
         distance, base, link_key, same_isp = self._path(src, dst)
@@ -471,7 +480,10 @@ class NetworkFabric:
 
         # 1-2. Queue on, then occupy, the sender's output port.
         entered_port = self.env.now
-        with src.output_port.request() as grant:
+        port = src.output_port
+        if port.count:
+            counters.port_waits += 1
+        with port.request() as grant:
             yield grant
             yield self.env.timeout(
                 self.params.per_message_overhead_s

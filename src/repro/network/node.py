@@ -1,16 +1,23 @@
 """Network node: the attachment point of every simulated actor.
 
 A node owns its geographic position, ISP membership, uplink bandwidth and
--- crucially for the paper's scalability results -- an *output port*
-resource of capacity 1.  All transmissions leaving a node serialise on
-this port, so a provider pushing a large update to 170 unicast children
-queues 170 back-to-back transmissions (the Incast / fan-out bottleneck of
+-- crucially for the paper's scalability results -- an *output port* of
+capacity 1.  All transmissions leaving a node serialise on this port, so
+a provider pushing a large update to 170 unicast children queues 170
+back-to-back transmissions (the Incast / fan-out bottleneck of
 Figs. 19-20), while a binary-tree parent queues only 2.
+
+The fast transport keeps the port as plain state on the node: the
+``port_busy`` flag and a FIFO of waiting transfers (``port_waiters``,
+built on first contention).  The legacy generator transport claims the
+lazily built :attr:`NetworkNode.output_port` resource instead.  The two
+states are independent, so one fabric must not switch transports while
+transfers are in flight.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Deque, Optional
 
 from ..sim.engine import Environment
 from ..sim.resources import Resource, Store
@@ -50,8 +57,11 @@ class NetworkNode:
         self.isp = isp
         self.uplink_kbps = uplink_kbps
         self.city_name = city_name
-        #: Output port: transmissions leaving this node serialise here.
-        self.output_port = Resource(env, capacity=1)
+        #: Fast-transport output port: ``True`` while a transmission
+        #: holds it; queued transfers wait in ``port_waiters`` (FIFO).
+        self.port_busy = False
+        self.port_waiters: Optional[Deque[Any]] = None
+        self._output_port: Optional[Resource] = None
         self._inbox: Optional[Store] = None
         #: Fast-kernel direct dispatch: when an actor registers a
         #: consumer, :meth:`deliver` calls it synchronously at delivery
@@ -70,6 +80,16 @@ class NetworkNode:
 
     def __repr__(self) -> str:
         return "NetworkNode(%s @ %s)" % (self.node_id, self.city_name or self.point)
+
+    @property
+    def output_port(self) -> Resource:
+        """Legacy-transport output port: transmissions leaving this node
+        serialise on this capacity-1 resource.  Built lazily, like the
+        inbox -- the fast transport never touches it."""
+        port = self._output_port
+        if port is None:
+            port = self._output_port = Resource(self.env, capacity=1)
+        return port
 
     @property
     def inbox(self) -> Store:

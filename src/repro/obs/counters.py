@@ -12,7 +12,8 @@ The counters deliberately measure the paper's cause layers:
 
 - ``queueing_s`` -- output-port wait + per-message overhead +
   transmission time at the sender (Section 3.4.4's provider-bandwidth
-  bottleneck);
+  bottleneck); ``port_waits`` counts the messages that found the port
+  busy and queued;
 - ``propagation_s`` -- distance-driven one-way delay (Section 3.4.2);
 - ``isp_penalty_s`` / ``isp_crossing_*`` -- inter-ISP handoffs
   (Section 3.4.3);
@@ -44,6 +45,7 @@ class FabricCounters:
         "isp_penalty_s",
         "propagation_s",
         "queueing_s",
+        "port_waits",
         "link_bytes_kb",
     )
 
@@ -64,6 +66,8 @@ class FabricCounters:
         self.propagation_s = 0.0
         #: Total sender-side time: port queueing + overhead + transmission.
         self.queueing_s = 0.0
+        #: Messages that queued behind a busy output port.
+        self.port_waits = 0
         #: KB per directed link, keyed ``"src->dst"``.
         self.link_bytes_kb: Dict[str, float] = {}
 
@@ -102,6 +106,7 @@ class FabricCounters:
             "isp_penalty_s": self.isp_penalty_s,
             "propagation_s": self.propagation_s,
             "queueing_s": self.queueing_s,
+            "port_waits": self.port_waits,
             "n_links": len(self.link_bytes_kb),
         }
 

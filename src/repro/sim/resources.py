@@ -67,8 +67,8 @@ class Resource:
             raise ValueError("capacity must be > 0, got %r" % (capacity,))
         self.env = env
         self._capacity = capacity
-        #: Granted requests -- or opaque fast-claim tokens (`try_claim`).
-        self.users: List[Any] = []
+        #: Granted requests.
+        self.users: List[Request] = []
         self._queue: Deque[Request] = deque()
 
     @property
@@ -93,27 +93,12 @@ class Resource:
         """Release a previously granted *request*."""
         return Release(self, request)
 
-    # -- fast path (callback-driven transport) -------------------------
-    def try_claim(self, token: Any) -> bool:
-        """Claim a slot synchronously when the resource is uncontended.
-
-        Skips the :class:`Request` event entirely: no grant event is
-        scheduled, *token* (any object) marks the occupied slot in
-        ``users``.  Fails -- returning ``False`` -- whenever a slot is
-        taken or anyone is waiting, so fast claims can never overtake
-        the FIFO queue.  Pair with :meth:`release_fast`.
-        """
-        if self._queue or len(self.users) >= self._capacity:
-            return False
-        self.users.append(token)
-        return True
-
-    def release_fast(self, token: Any) -> None:
-        """Release a slot held by *token* (a fast claim or a granted
-        :class:`Request`) without materialising a :class:`Release`
-        event; waiters are granted exactly as in :meth:`release`."""
+    def release_fast(self, request: Request) -> None:
+        """Release a granted *request* without materialising a
+        :class:`Release` event; waiters are granted exactly as in
+        :meth:`release`."""
         try:
-            self.users.remove(token)
+            self.users.remove(request)
         except ValueError:  # pragma: no cover - defensive, mirrors release
             pass
         self._grant_waiters()

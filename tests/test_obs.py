@@ -502,6 +502,9 @@ class TestTraceCli:
         assert rows and all(row["kind"] == "poll_round" for row in rows)
         err = capsys.readouterr().err
         assert "event(s) recorded" in err
+        # The fabric counters close the summary, port waits included.
+        (fabric_line,) = [line for line in err.splitlines() if line.startswith("fabric: ")]
+        assert "messages_sent=" in fabric_line and "port_waits=" in fabric_line
 
     def test_limit_and_window_filters(self, tmp_path):
         from repro.cli import main

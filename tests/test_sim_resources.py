@@ -93,6 +93,25 @@ class TestResource:
         env.run(until=follower_proc)
         assert resource.count <= 1
 
+    def test_release_fast_grants_next_waiter_without_release_event(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        first = resource.request()
+        second = resource.request()
+        assert resource.users == [first]
+        assert resource.queue_length == 1
+        granted = []
+        second.callbacks.append(lambda event: granted.append(env.now))
+        resource.release_fast(first)
+        # The waiter holds the slot at once; no Release event is built.
+        assert resource.users == [second]
+        assert resource.queue_length == 0
+        env.run()
+        assert granted == [0]
+        assert env.events_processed == 2  # the two grants only
+        resource.release_fast(second)
+        assert resource.count == 0
+
 
 class TestStore:
     def test_put_then_get(self):

@@ -135,8 +135,12 @@ def test_failure_injection_equivalence():
     assert False in fast[0] and True in fast[0]
 
 
+def _port_is_idle(node):
+    return not node.port_busy and not node.port_waiters
+
+
 def test_uncontended_port_skips_grant_events():
-    """Distinct senders never touch the Request/Release machinery."""
+    """Distinct senders never queue: one event per transport stage."""
     env, topology, fabric = _make_fabric(7, legacy=False)
     for server in topology.servers:
         fabric.send(Message(MessageKind.POLL, server, topology.provider, 1.0))
@@ -147,10 +151,43 @@ def test_uncontended_port_skips_grant_events():
     # transfer synchronously inside send()).  The legacy kernel keeps
     # the start hop: 4 events each.
     assert fabric.counters.messages_delivered == 4
+    assert fabric.counters.port_waits == 0
     assert env.events_processed == (16 if env.legacy_kernel else 12)
     for server in topology.servers:
-        assert server.output_port.users == []
-        assert server.output_port.queue_length == 0
+        assert _port_is_idle(server)
+        # The deque is built on first contention only.
+        assert server.port_waiters is None
+
+
+def test_contended_port_hands_off_without_grant_events():
+    """A queued transfer costs no more heap events than an idle-port one:
+    the releasing transfer schedules the waiter's transmit hop itself."""
+    env, topology, fabric = _make_fabric(9, legacy=False)
+    provider = topology.provider
+    for server in topology.servers:
+        fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
+    env.run()
+    # 4 messages, 3 of them queued: transmit hop + deliver hop per
+    # message, plus the inbox StorePut (and the start hop on the legacy
+    # kernel) -- no grant events.
+    assert fabric.counters.messages_delivered == 4
+    assert fabric.counters.port_waits == 3
+    assert env.events_processed == (16 if env.legacy_kernel else 12)
+    assert _port_is_idle(provider)
+
+
+@pytest.mark.parametrize("legacy", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_fan_out_counts_k_minus_1_port_waits(k, legacy):
+    """A k-message burst from one sender queues all but the first."""
+    env, topology, fabric = _make_fabric(12, legacy)
+    provider = topology.provider
+    for index in range(k):
+        server = topology.servers[index % len(topology.servers)]
+        fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
+    env.run()
+    assert fabric.counters.messages_delivered == k
+    assert fabric.counters.port_waits == k - 1
 
 
 def test_contended_port_stays_fifo():
@@ -174,4 +211,94 @@ def test_contended_port_stays_fifo():
     # Transmissions serialised: total sender-side time covers 4 back-to-
     # back transmissions (plus queue wait), so >= 1+2+3+4 seconds.
     assert fabric.counters.queueing_s >= 10.0
-    assert provider.output_port.users == []
+    assert fabric.counters.port_waits == 3
+    assert _port_is_idle(provider)
+
+
+def _two_sender_burst(legacy, seed=10):
+    """Two senders fan out interleaved sends; returns per-sender send
+    order, counters and the message trace."""
+    env, topology, fabric = _make_fabric(seed, legacy)
+    provider, relay = topology.provider, topology.servers[0]
+    size_kb = provider.uplink_kbps / 4.0  # 0.25 s of transmission each
+    for version in range(3):
+        for server in topology.servers[1:]:
+            fabric.send(
+                Message(MessageKind.PUSH_UPDATE, provider, server, size_kb, version=version)
+            )
+            fabric.send(
+                Message(MessageKind.PUSH_UPDATE, relay, server, size_kb, version=version)
+            )
+    env.run()
+    trace = env.tracer.events(kinds=_MESSAGE_KINDS)
+    sends = {}
+    for event in trace:
+        if event.kind == "msg_send":
+            sends.setdefault(event.node, []).append(
+                (event.detail["dst"], event.detail["version"])
+            )
+    assert _port_is_idle(provider) and _port_is_idle(relay)
+    return sends, fabric.counters.to_dict(), trace
+
+
+def test_interleaved_senders_each_drain_fifo():
+    """Each sender's port drains in its own send order, unaffected by the
+    other sender's queue, and both transports agree exactly."""
+    message_mod._SEQ = 0
+    fast = _two_sender_burst(legacy=False)
+    message_mod._SEQ = 0
+    legacy = _two_sender_burst(legacy=True)
+    assert fast == legacy
+    sends, counters, _ = fast
+    expected = [
+        (server, version)
+        for version in range(3)
+        for server in ("server-1", "server-2", "server-3")
+    ]
+    assert sends["provider"] == expected
+    assert sends["server-0"] == expected
+    # Everything but each sender's first message queued.
+    assert counters["port_waits"] == 2 * (len(expected) - 1)
+
+
+def _sender_fails_while_queued(legacy, seed=11):
+    """The sender goes down while its port queue is full, then revives
+    while the queue is still draining."""
+    env, topology, fabric = _make_fabric(seed, legacy)
+    provider = topology.provider
+    size_kb = provider.uplink_kbps  # 1 s each: round 0 holds the port ~4 s
+    results = []
+    schedule_absence(env, provider, start=0.5, duration=2.0)
+
+    def driver(env):
+        for round_no in range(4):
+            for server in topology.servers:
+                done = fabric.send(
+                    Message(MessageKind.PUSH_UPDATE, provider, server, size_kb,
+                            version=round_no)
+                )
+                done.callbacks.append(lambda ev: results.append((env.now, ev.value)))
+            yield env.timeout(1.0)
+
+    env.process(driver(env))
+    env.run()
+    assert _port_is_idle(provider)
+    trace = env.tracer.events(kinds=_MESSAGE_KINDS)
+    return results, fabric.counters.to_dict(), fabric.dropped, trace
+
+
+def test_sender_down_with_queued_transfers_equivalence():
+    """Transfers already queued when the sender goes down still drain
+    (the sender is checked once, at send time) on both transports."""
+    message_mod._SEQ = 0
+    fast = _sender_fails_while_queued(legacy=False)
+    message_mod._SEQ = 0
+    legacy = _sender_fails_while_queued(legacy=True)
+    assert fast == legacy
+    results, counters, dropped, _ = fast
+    # Rounds 1 and 2 hit the down sender; rounds 0 and 3 are delivered,
+    # round 3 queueing behind round 0's still-draining transfers.
+    assert counters["dropped_sender_down"] == dropped == 8
+    assert counters["messages_delivered"] == 8
+    assert counters["port_waits"] == 3 + 4
+    assert sorted(value for _, value in results) == [False] * 8 + [True] * 8
