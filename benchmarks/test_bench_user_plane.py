@@ -1,26 +1,12 @@
-"""User-plane throughput: the struct-of-arrays cohort vs the actor path.
+"""User-plane throughput: the struct-of-arrays cohort at planet cadence.
 
-Three arms at one matched config (planet cadence, 200 servers x 25
-users = 5k users):
-
-- ``cohort``: the default planet path -- fast kernel, ``UserCohort``,
-  aggregate user metrics;
-- ``actors``: fast kernel with ``REPRO_LEGACY_USERS=1`` (per-user
-  ``EndUserActor`` objects), aggregate metrics -- isolates the user
-  plane's share, since kernel and metrics layout match the cohort arm;
-- ``legacy``: the full pre-cohort path -- legacy kernel, actors,
-  per-user metrics.
-
-The recorded ``users_per_s`` numbers feed the BENCH_user_plane.json
-trajectory.  At this (deliberately bench-sized) config the shared
-network fabric dominates, so the honest single-process speedups are
-moderate; they grow with population (allocation + GC pressure is what
-the cohort removes) and with sharding across real cores -- see
-docs/scalability.md for the planet-scale numbers.  Floors are
-env-tunable so noisy CI runners gate only on gross regressions.
+One TTL/unicast deployment of 200 servers x 25 users = 5k users with
+aggregate user metrics, the default planet path.  The recorded
+``cohort_users_per_s`` feeds the BENCH_user_plane.json trajectory.  At
+this (deliberately bench-sized) config the shared network fabric is the
+largest layer; docs/scalability.md has the planet-scale numbers.
 """
 
-import os
 import time
 
 import repro.network.message as message_mod
@@ -32,95 +18,24 @@ USERS_PER_SERVER = 25
 N_USERS = N_SERVERS * USERS_PER_SERVER
 
 
-def _user_plane_run(arm):
-    """Build and run one TTL/unicast deployment under the chosen arm.
-
-    Both flags are read at construction time, so they are pinned around
-    ``build_deployment`` only.  Returns ``(metrics_dict, sim_seconds)``
-    with the timing covering only the simulation phase (topology build
-    cost is identical across arms and benchmarked elsewhere).
-    """
+def _user_plane_run():
+    """Build and run the deployment; returns ``(metrics_dict,
+    sim_seconds)`` with the timing covering only the simulation phase
+    (topology build cost is benchmarked elsewhere)."""
     message_mod._SEQ = 0
     _PLACEMENT_CACHE.clear()
-    legacy_users = arm in ("actors", "legacy")
-    legacy_kernel = arm == "legacy"
-    metrics_mode = "per-user" if arm == "legacy" else "aggregate"
-    prior = {
-        name: os.environ.get(name)
-        for name in ("REPRO_LEGACY_USERS", "REPRO_LEGACY_KERNEL")
-    }
-    os.environ["REPRO_LEGACY_USERS"] = "1" if legacy_users else "0"
-    os.environ["REPRO_LEGACY_KERNEL"] = "1" if legacy_kernel else "0"
-    try:
-        deployment = build_deployment(
-            planet_scale(
-                n_servers=N_SERVERS,
-                users_per_server=USERS_PER_SERVER,
-                user_metrics=metrics_mode,
-            ),
-            "ttl",
-        )
-    finally:
-        for name, value in prior.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    assert (deployment.cohort is not None) == (arm == "cohort")
+    deployment = build_deployment(
+        planet_scale(n_servers=N_SERVERS, users_per_server=USERS_PER_SERVER), "ttl"
+    )
     started = time.perf_counter()
     metrics = deployment.run().to_dict()
     return metrics, time.perf_counter() - started
 
 
 def test_user_plane_throughput(benchmark):
-    """Cohort must beat the actor arms; users_per_s goes on record.
-
-    Also re-checks metric equality between the cohort and the
-    matched-layout actor arm in the benchmark regime (the differential
-    suite in ``tests/test_user_plane_equivalence.py`` owns the full
-    method x infrastructure x seed grid).
-    """
-    cohort_metrics, cohort_s = benchmark(_user_plane_run, "cohort")
-
-    arm_s = {}
-    arm_metrics = {}
-    for arm in ("actors", "legacy"):
-        times = []
-        for _ in range(2):
-            metrics, elapsed = _user_plane_run(arm)
-            times.append(elapsed)
-        arm_s[arm] = min(times)
-        arm_metrics[arm] = metrics
-
-    cohort_ups = N_USERS / cohort_s
-    actor_ups = N_USERS / arm_s["actors"]
-    legacy_ups = N_USERS / arm_s["legacy"]
-    speedup = cohort_ups / actor_ups
-    legacy_speedup = cohort_ups / legacy_ups
+    """Simulated users per second of simulation wall time."""
+    metrics, cohort_s = benchmark(_user_plane_run)
     benchmark.extra_info["n_users"] = N_USERS
-    benchmark.extra_info["cohort_users_per_s"] = cohort_ups
-    benchmark.extra_info["actor_users_per_s"] = actor_ups
-    benchmark.extra_info["legacy_users_per_s"] = legacy_ups
-    benchmark.extra_info["user_plane_speedup"] = speedup
-    benchmark.extra_info["user_plane_legacy_speedup"] = legacy_speedup
-
-    expected = dict(cohort_metrics)
-    actual = dict(arm_metrics["actors"])
-    expected.pop("events_processed")
-    actual.pop("events_processed")
-    assert actual == expected
-
-    min_speedup = float(
-        os.environ.get("REPRO_BENCH_MIN_USER_PLANE_SPEEDUP", "1.2")
-    )
-    assert speedup >= min_speedup, (
-        "cohort only %.2fx the actor user plane (need >= %.2fx)"
-        % (speedup, min_speedup)
-    )
-    min_legacy = float(
-        os.environ.get("REPRO_BENCH_MIN_USER_PLANE_LEGACY_SPEEDUP", "2.0")
-    )
-    assert legacy_speedup >= min_legacy, (
-        "cohort only %.2fx the pre-cohort path (need >= %.2fx)"
-        % (legacy_speedup, min_legacy)
-    )
+    benchmark.extra_info["cohort_users_per_s"] = N_USERS / cohort_s
+    # Aggregate metrics: one user-lag entry per home server.
+    assert len(metrics["user_lags"]) == N_SERVERS

@@ -1,9 +1,10 @@
 """Actor base classes.
 
-An :class:`Actor` owns a :class:`~repro.network.node.NetworkNode`, runs a
-dispatcher over the node's inbox, and provides a synchronous
-request/response helper (requests and their responses are correlated by
-the request's sequence number echoed in the response payload).
+An :class:`Actor` owns a :class:`~repro.network.node.NetworkNode`,
+consumes the messages the fabric delivers to it, and provides a
+synchronous request/response helper (requests and their responses are
+correlated by the request's sequence number echoed in the response
+payload).
 
 :class:`UpdateSourceMixin` is shared by the provider and by content
 servers that serve updates to others (multicast-tree parents, HAT
@@ -13,15 +14,12 @@ version and knows how to push / invalidate / notify downstream nodes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional, Set
 
 from ..network.link import NetworkFabric
 from ..network.message import Message, MessageKind
 from ..network.node import NetworkNode
 from ..sim.engine import Environment, Event
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from ..sim.process import Process
 
 __all__ = ["Actor", "UpdateSourceMixin", "RESPONSE_KINDS"]
 
@@ -45,15 +43,9 @@ class Actor:
         self.node = node
         self.fabric = fabric
         self._pending: Dict[int, Event] = {}
-        if env.legacy_kernel:
-            # Legacy kernel: a dispatcher process drains the inbox store
-            # (one StorePut + StoreGet heap pop per delivered message).
-            self._dispatcher: Optional["Process"] = env.process(self._dispatch_loop())
-        else:
-            # Fast kernel: the fabric hands delivered messages straight
-            # to :meth:`_consume` at the delivery pop.
-            self._dispatcher = None
-            node.consumer = self._consume
+        # The fabric hands delivered messages straight to
+        # :meth:`_consume` at the delivery pop.
+        node.consumer = self._consume
 
     # ------------------------------------------------------------------
     # messaging
@@ -111,29 +103,16 @@ class Actor:
         if timeout is None:
             response = yield waiter
             return response
-        if not self.env.legacy_kernel:
-            # Fast kernel: the timer wheel succeeds the waiter with
-            # ``None`` at exactly ``now + timeout`` unless the response
-            # (always a Message, never None) wins the race.  No Timeout
-            # or Condition allocation, no explicit cancel -- a won race
-            # leaves a lazily-skipped slot in the wheel.
-            self.env.timers.arm(timeout, waiter)
-            response = yield waiter
-            if response is not None:
-                return response
-            self._pending.pop(message.seq, None)
-            tracer = self.env.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    self.env.now, "msg_timeout", self.node.node_id,
-                    **message.trace_detail()
-                )
-            return None
-        result = yield self.env.any_of([waiter, self.env.timeout(timeout)])
+        # The timer wheel succeeds the waiter with ``None`` at exactly
+        # ``now + timeout`` unless the response (always a Message, never
+        # None) wins the race.  No Timeout or Condition allocation, no
+        # explicit cancel -- a won race leaves a lazily-skipped slot in
+        # the wheel.
+        self.env.timers.arm(timeout, waiter)
+        response = yield waiter
+        if response is not None:
+            return response
         self._pending.pop(message.seq, None)
-        for event in result.keys():
-            if event is waiter:
-                return event.value
         tracer = self.env.tracer
         if tracer.enabled:
             tracer.emit(
@@ -146,11 +125,8 @@ class Actor:
     # dispatch
     # ------------------------------------------------------------------
     def _consume(self, message: Message) -> None:
-        """Fast-kernel dispatch: called by the fabric at delivery time.
-
-        Mirrors one iteration of :meth:`_dispatch_loop` (the up-check
-        runs at the same simulated instant the legacy dispatcher's
-        ``StoreGet`` resume would have sampled it)."""
+        """Dispatch one message; called by the fabric at delivery time.
+        A down node ignores what reaches it."""
         if not self.node.is_up:
             return
         if message.kind in RESPONSE_KINDS:
@@ -158,32 +134,19 @@ class Actor:
         else:
             self.handle(message)
 
-    def _dispatch_loop(self):
-        while True:
-            message: Message = yield self.node.inbox.get()
-            if not self.node.is_up:
-                continue
-            if message.kind in RESPONSE_KINDS:
-                self._dispatch_response(message)
-            else:
-                self.handle(message)
-
     def _dispatch_response(self, message: Message) -> None:
         req_seq = None
         if isinstance(message.payload, dict):
             req_seq = message.payload.get("req")
         waiter = self._pending.pop(req_seq, None) if req_seq is not None else None
         if waiter is not None and not waiter.triggered:
-            if self.env.legacy_kernel:
-                waiter.succeed(message)
-                return
-            # Fast kernel: fire the waiter synchronously instead of
-            # round-tripping through the heap.  We are already inside
-            # the delivery pop's callback cascade; the requester resumes
-            # here exactly as it would at the very next pop of the same
-            # instant, and anything it schedules lands after all
-            # already-queued work either way (no other event can carry
-            # this exact jittered timestamp).
+            # Fire the waiter synchronously instead of round-tripping
+            # through the heap.  We are already inside the delivery
+            # pop's callback cascade; the requester resumes here exactly
+            # as it would at the very next pop of the same instant, and
+            # anything it schedules lands after all already-queued work
+            # either way (no other event can carry this exact jittered
+            # timestamp).
             callbacks = waiter.callbacks
             if callbacks is None:  # pragma: no cover - cancelled waiter
                 return

@@ -9,10 +9,10 @@ observation log is the raw material for all user-perspective metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..network.link import NetworkFabric
-from ..network.message import Message, MessageKind
+from ..network.message import MessageKind
 from ..network.node import NetworkNode
 from ..sim.engine import Environment
 from ..sim.rng import RandomStream
@@ -89,7 +89,11 @@ class SwitchEveryVisitSelector:
 
 
 class EndUserActor(Actor):
-    """A simulated end user polling the live content periodically."""
+    """A simulated end user polling the live content periodically.
+
+    One actor per user, for hand-wired worlds.  The testbed carries its
+    whole user population in one :class:`~repro.cdn.cohort.UserCohort`.
+    """
 
     def __init__(
         self,
@@ -111,11 +115,6 @@ class EndUserActor(Actor):
         self.start_offset_s = start_offset_s
         self.request_timeout_s = request_timeout_s
         self.observations: List[Observation] = []
-        #: Incremental-metrics hook: called with each new
-        #: :class:`Observation` right after it is recorded (the testbed
-        #: wires a :class:`~repro.metrics.incremental.UserObservationTracker`
-        #: here under the fast kernel).
-        self.on_observation: Optional[Callable[[Observation], None]] = None
         #: Visits that timed out (server down / unreachable).
         self.failed_visits = 0
         self._started = False
@@ -129,45 +128,15 @@ class EndUserActor(Actor):
     def _visit_loop(self):
         if self.start_offset_s > 0:
             yield self.env.pooled_timeout(self.start_offset_s)
-        env = self.env
-        node = self.node
-        fast = not env.legacy_kernel
-        light_kb = self.content.light_size_kb
-        timeout_s = self.request_timeout_s
-        select = self.selector.select
-        content_request = MessageKind.CONTENT_REQUEST
         visit_index = 0
         while True:
-            target = select(node, env._now, visit_index)
-            if fast:
-                # ``Actor.request`` fast path inlined: a visit resumes
-                # this frame directly instead of delegating through a
-                # fresh generator (one per visit is measurable at CDN
-                # scale).  Same allocations in the same order.
-                message = Message(
-                    kind=content_request,
-                    src=node,
-                    dst=target,
-                    size_kb=light_kb,
-                    payload={},
-                )
-                waiter = env.event()
-                self._pending[message.seq] = waiter
-                self.fabric.send(message)
-                env.timers.arm(timeout_s, waiter)
-                response = yield waiter
-                if response is None:
-                    self._pending.pop(message.seq, None)
-                    tracer = env.tracer
-                    if tracer.enabled:
-                        tracer.emit(
-                            env.now, "msg_timeout", node.node_id,
-                            **message.trace_detail()
-                        )
-            else:
-                response = yield from self.request(
-                    content_request, target, light_kb, timeout=timeout_s
-                )
+            target = self.selector.select(self.node, self.env.now, visit_index)
+            response = yield from self.request(
+                MessageKind.CONTENT_REQUEST,
+                target,
+                self.content.light_size_kb,
+                timeout=self.request_timeout_s,
+            )
             tracer = self.env.tracer
             if response is None:
                 self.failed_visits += 1
@@ -183,8 +152,6 @@ class EndUserActor(Actor):
                     server_id=target.node_id,
                 )
                 self.observations.append(observation)
-                if self.on_observation is not None:
-                    self.on_observation(observation)
                 if tracer.enabled:
                     tracer.emit(
                         self.env.now, "visit", self.node.node_id,

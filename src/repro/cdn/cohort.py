@@ -1,15 +1,15 @@
-"""Struct-of-arrays end-user plane (the fast kernel's cohort path).
+"""Struct-of-arrays end-user plane: the testbed's users.
 
-Every end user in the legacy plane is an :class:`~repro.cdn.client.EndUserActor`:
-a Python object holding a generator-based visit loop, a pending-request
-dict, an observation list and a waiter :class:`~repro.sim.engine.Event`
-per in-flight request.  At the paper's scale (850 users) that is
-invisible; at the ROADMAP's planet scale (1M+ users) the actor plane
-dominates both memory and GC time -- hundreds of thousands of live
-generator frames and per-visit allocations that the cyclic collector
-re-traverses over and over.
+An :class:`~repro.cdn.client.EndUserActor` is a Python object holding a
+generator-based visit loop, a pending-request dict, an observation list
+and a waiter :class:`~repro.sim.engine.Event` per in-flight request.  At
+the paper's scale (850 users) that is invisible; at planet scale (1M+
+users) one actor per user dominates both memory and GC time --
+hundreds of thousands of live generator frames and per-visit
+allocations that the cyclic collector re-traverses over and over.
 
-:class:`UserCohort` replaces all of it with one object per deployment:
+:class:`UserCohort` carries the whole population in one object per
+deployment:
 
 - per-slot state (poll TTL, failed-visit count, home/last server,
   running staleness accumulators) lives in parallel unboxed arrays --
@@ -19,7 +19,7 @@ re-traverses over and over.
 - visit deadlines live in one binary heap swept by a single reusable
   control event (scheduled with
   :meth:`~repro.sim.engine.Environment.schedule_at` for the exact float
-  deadline the legacy per-user pooled timeout would have used);
+  deadline a per-user pooled timeout would use);
 - request timeouts share one monotone
   :class:`~repro.sim.timers.CallbackLane` (all requests use the same
   ``REQUEST_TIMEOUT_S`` delay, so deadlines arrive pre-sorted) with
@@ -29,35 +29,26 @@ re-traverses over and over.
   :class:`~repro.metrics.incremental.AggregateUserMetrics` scalar
   accumulators in ``aggregate`` mode (no observation retention at all).
 
-Determinism contract (the differential suite in
-``tests/test_user_plane_equivalence.py`` pins all of it):
+Determinism contract: the cohort computes what one
+:class:`~repro.cdn.client.EndUserActor` per user would.  The per-user
+actor plane it replaced reproduced every ``tests/test_golden.py`` pin
+but the event count, and those pins now hold the cohort to it.
 
-- Per-visit *network* behaviour is unchanged: the same
+- Per-visit *network* behaviour is one actor's: the same
   :class:`~repro.network.message.Message` objects (same global sequence
-  numbers) travel the same fabric with the same jitter draws, so
-  counters, traces and cause attribution are bit-identical to the actor
-  plane.
+  numbers) travel the same fabric with the same jitter draws.
 - Selector RNG draws (the switch-every-visit stream) happen at the same
   simulated instants in the same global order.
-- Visit instants are exactly the floats the actor plane computes:
+- Visit instants are exactly the floats an actor computes:
   ``response_time + ttl`` / ``timeout_time + ttl``, with the TTL read at
   push time (so mid-run TTL perturbations apply from the next visit,
-  like the legacy ``pooled_timeout(self.user_ttl_s)`` read).
-- Same-instant visit expiries run in arming order, matching the event-id
-  order of the legacy per-user timeouts.  (With the default start-window
-  jitter, distinct users collide with probability zero; the known edge
-  is ``user_start_window_s=0``, where first visits run at t=0 after --
-  not interleaved with -- actor process inits.  The testbed never builds
-  that combination differentially.)
-
-The legacy plane stays fully supported: ``REPRO_LEGACY_USERS=1`` (or the
-legacy kernel) builds actors instead, which is how the differential
-suite drives both arms.
+  like an actor's ``pooled_timeout(self.user_ttl_s)`` read).
+- Same-instant visit expiries run in arming order, the event-id order
+  of per-user timeouts.
 """
 
 from __future__ import annotations
 
-import os
 from array import array as _stdarray
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
@@ -80,28 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..sim.rng import RandomStream
     from .content import LiveContent
 
-__all__ = [
-    "UserCohort",
-    "ARRAY_BACKEND",
-    "LEGACY_USERS_ENV",
-    "COHORT_BACKEND_ENV",
-    "legacy_users_enabled",
-]
-
-#: Environment variable selecting the legacy per-user actor plane on the
-#: fast kernel (the PR 3 / PR 7 switch pattern).  Read at build time by
-#: :func:`legacy_users_enabled`; the legacy *kernel* implies it.
-LEGACY_USERS_ENV = "REPRO_LEGACY_USERS"
-
-#: Environment variable forcing the pure-Python array backend even when
-#: numpy is importable (``REPRO_COHORT_BACKEND=array``).  Read once at
-#: import time.
-COHORT_BACKEND_ENV = "REPRO_COHORT_BACKEND"
-
-
-def legacy_users_enabled() -> bool:
-    """``True`` when the environment opts into the per-user actor plane."""
-    return os.environ.get(LEGACY_USERS_ENV, "") not in ("", "0")
+__all__ = ["UserCohort", "ARRAY_BACKEND"]
 
 
 # ----------------------------------------------------------------------
@@ -148,15 +118,13 @@ class _PurePythonBackend:
 
 
 def _select_backend() -> Any:
-    if _np is None or os.environ.get(COHORT_BACKEND_ENV, "") in ("array", "python"):
-        return _PurePythonBackend
-    return _NumpyBackend
+    return _PurePythonBackend if _np is None else _NumpyBackend
 
 
-#: The backend selected at import time.  Tests may swap this module
-#: global (or set ``REPRO_COHORT_BACKEND=array`` before import) to force
-#: the fallback; results are bit-identical either way because all
-#: arithmetic runs in scalar Python space.
+#: The backend selected at import time: numpy when importable.  Tests
+#: swap this module global to force the fallback; results are
+#: bit-identical either way because all arithmetic runs in scalar Python
+#: space.
 ARRAY_BACKEND = _select_backend()
 
 _INF = float("inf")
@@ -166,9 +134,9 @@ _CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
 class UserCohort:
     """All end users of one deployment, stored column-wise.
 
-    Construction mirrors ``testbed._make_users``: *nodes* in home-server
-    -major slot order, *start_offsets* drawn per slot from the same
-    stream the actor plane uses.  Exactly one of *targets* (fixed
+    ``testbed._make_users`` builds it: *nodes* in home-server-major
+    slot order, *start_offsets* drawn per slot from the
+    ``testbed.user.start`` stream.  Exactly one of *targets* (fixed
     selector: the home server node per slot) or *switch_servers* +
     *switch_stream* (the Fig. 24 switch-every-visit selector) must be
     given.
@@ -427,7 +395,7 @@ class UserCohort:
         entry = self._pending.pop(req_seq, None) if req_seq is not None else None
         if entry is None:
             # No matching request (timed out / restarted): dropped,
-            # matching the actor plane's UDP-style semantics.
+            # matching an Actor's UDP-style semantics.
             return
         slot, _request, target = entry
         env = self.env
@@ -450,7 +418,7 @@ class UserCohort:
         self._push_visit(now + float(self._ttl[slot]), slot)
 
     # ------------------------------------------------------------------
-    # actor-shaped access (tests, perturbations, legacy collect)
+    # actor-shaped access (tests, perturbations)
     # ------------------------------------------------------------------
     @property
     def users(self) -> List["_CohortUserView"]:
@@ -521,9 +489,9 @@ class _CohortSwitchSelector(SwitchEveryVisitSelector):
     """Shared view of a switch-mode cohort's selector state.
 
     ``servers`` aliases the cohort's own list, so mutating it through
-    the view changes every slot's candidate set, like the shared-list
-    aliasing of the actor plane.  Per-slot ``_last`` state stays in the
-    cohort arrays; this view's own ``_last`` is unused.
+    the view changes every slot's candidate set.  Per-slot ``_last``
+    state stays in the cohort arrays; this view's own ``_last`` is
+    unused.
     """
 
     def __init__(self, cohort: UserCohort) -> None:
@@ -564,7 +532,8 @@ class _CohortUserView:
         if value <= 0:
             raise ValueError("user_ttl_s must be positive")
         # Applies from the slot's next deadline push, exactly like the
-        # actor plane's per-visit ``pooled_timeout(self.user_ttl_s)`` read.
+        # per-visit ``pooled_timeout(self.user_ttl_s)`` read of an
+        # EndUserActor.
         self._cohort._ttl[self._slot] = value
 
     @property

@@ -6,9 +6,9 @@ evaluation history -- ``BENCH_*.json`` benchmark trajectories (PR 5),
 -- and this module turns those trajectories into *decisions*:
 
 - **method comparisons** with real statistics: paired ``extra_info``
-  series (``fast_events_per_s`` vs ``legacy_events_per_s``,
-  ``cohort_users_per_s`` vs ``actor_users_per_s`` vs
-  ``legacy_users_per_s``) are compared across history entries with the
+  series (``fast_events_per_s`` vs ``legacy_events_per_s``, recorded
+  while the benchmarks still timed a legacy arm) are compared across
+  history entries with the
   Mann-Whitney U rank test (tie-corrected normal approximation, the
   fuzzbench standard for non-normal perf samples), the Vargha-Delaney
   A12 effect size, and seeded bootstrap confidence intervals on each
@@ -353,8 +353,7 @@ def discover_comparisons(
     """Method-comparison pairs hiding in ``extra_info`` keys.
 
     Keys sharing a metric suffix form a group (``fast_events_per_s`` /
-    ``legacy_events_per_s``; ``cohort_users_per_s`` /
-    ``actor_users_per_s`` / ``legacy_users_per_s``); only groups
+    ``legacy_events_per_s``); only groups
     containing a ``legacy_``-prefixed member are method comparisons
     (``transport_speedup`` vs ``kernel_speedup`` share a suffix but
     measure different things).  Returns ``(suffix, key_a, key_b)``

@@ -22,8 +22,7 @@ consumers, so per-consumer numbers change while the draw multiset does
 not (``tests/test_sanitize.py`` demonstrates the divergence in
 miniature, and the per-consumer ``StreamRegistry`` streams are the
 repo-wide fix that keeps the real cells immune).  The cells gated in CI
-(``make sanitize-smoke``) cover every update-method family and pass
-bit-identically under both the fast and legacy kernels.
+(``make sanitize-smoke``) cover every update-method family.
 
 Only NORMAL-priority ties are perturbed: same-instant URGENT order is
 the kernel's registration-order contract (process resumption, transport
@@ -50,7 +49,7 @@ from .testbed import build_deployment
 __all__ = ["main", "build_parser", "run_cell", "CellReport"]
 
 #: Cells gated by ``make sanitize-smoke``: one cell per update-method
-#: family plus a second infrastructure, bit-identical under both kernels.
+#: family plus a second infrastructure.
 DEFAULT_CELLS = (
     "push:unicast",
     "push:broadcast",
@@ -111,8 +110,7 @@ def run_cell(
     an integer runs a perturbed replica.  The sanitizer switches are
     installed via scoped environment variables because the
     :class:`Environment` is constructed deep inside
-    :func:`build_deployment` (same construction-time contract as
-    ``REPRO_LEGACY_KERNEL``).
+    :func:`build_deployment` and reads them there.
     """
     with _ScopedEnv(
         **{
@@ -255,13 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernel_label() -> str:
-    from ..sim.engine import LEGACY_KERNEL_ENV
-
-    legacy = os.environ.get(LEGACY_KERNEL_ENV, "") not in ("", "0")
-    return "legacy" if legacy else "fast"
-
-
 def run(args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
     config = TestbedConfig(
         n_servers=args.servers,
@@ -271,7 +262,6 @@ def run(args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
         server_ttl_s=args.ttl,
         seed=args.seed,
     )
-    kernel = _kernel_label()
     failed = False
     for cell in args.cells:
         report = sanitize_cell(
@@ -283,23 +273,23 @@ def run(args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
         )
         if report.ok:
             out.write(
-                "sanitize [%s kernel] %-24s OK: %d replica(s) bit-identical, "
+                "sanitize %-24s OK: %d replica(s) bit-identical, "
                 "ties perturbed per replica: %s\n"
-                % (kernel, cell, len(report.ties), report.ties)
+                % (cell, len(report.ties), report.ties)
             )
             continue
         failed = True
         if report.vacuous and report.identical:
             out.write(
-                "sanitize [%s kernel] %-24s VACUOUS: no same-instant ties "
+                "sanitize %-24s VACUOUS: no same-instant ties "
                 "were exercised; grow the cell until the proof means "
-                "something\n" % (kernel, cell)
+                "something\n" % (cell,)
             )
             continue
         out.write(
-            "sanitize [%s kernel] %-24s DIVERGED: results depend on the "
+            "sanitize %-24s DIVERGED: results depend on the "
             "same-instant tie order (ties per replica: %s)\n"
-            % (kernel, cell, report.ties)
+            % (cell, report.ties)
         )
         for diff in report.diffs:
             out.write("  %s\n" % diff)

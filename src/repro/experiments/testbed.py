@@ -19,12 +19,11 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cdn.client import EndUserActor, FixedSelector, SwitchEveryVisitSelector
-from ..cdn.cohort import UserCohort, legacy_users_enabled
+from ..cdn.cohort import UserCohort
 from ..cdn.content import LiveContent
 from ..cdn.provider import ProviderActor
 from ..cdn.server import ServerActor
@@ -35,16 +34,7 @@ from ..consistency.registry import (
     resolve_method,
 )
 from ..core.hat import HatConfig, HatSystem
-from ..metrics.consistency import (
-    mean_update_lag,
-    stale_observation_fraction,
-)
-from ..metrics.incremental import (
-    AggregateUserMetrics,
-    ServerLagTracker,
-    UserObservationTracker,
-    aggregate_user_rollup,
-)
+from ..metrics.incremental import ServerLagTracker, aggregate_user_rollup
 from ..metrics.timeseries import StalenessSeries, StalenessSeriesCache
 from ..metrics.traffic import TrafficLedger
 from ..network.link import NetworkFabric
@@ -195,8 +185,7 @@ class Deployment:
         content: LiveContent,
         provider: ProviderActor,
         servers: List[ServerActor],
-        users: Sequence[EndUserActor],
-        cohort: Optional[UserCohort] = None,
+        cohort: UserCohort,
     ) -> None:
         self.name = name
         self.config = config
@@ -206,49 +195,26 @@ class Deployment:
         self.content = content
         self.provider = provider
         self.servers = servers
-        #: The vectorized user plane, or ``None`` when per-user actors
-        #: carry the population (legacy kernel / REPRO_LEGACY_USERS).
+        #: The user plane; it keeps its own staleness accumulators.
         self.cohort = cohort
-        self._users: Optional[Sequence] = list(users) if cohort is None else None
         self._ran = False
         #: Memoized staleness-series derivations (keyed by replica and
         #: apply-log length, so entries self-invalidate on new applies).
         self.series_cache = StalenessSeriesCache(content)
-        #: Incremental metric state (fast kernel): running lag sums
-        #: updated at version-change / visit events, so the collection
-        #: pass is a cheap read instead of a full log re-scan.
+        #: Running server lag sums updated at version-change events, so
+        #: the collection pass is a cheap read instead of a full log
+        #: re-scan.
         self._server_trackers: Dict[str, ServerLagTracker] = {}
-        self._user_trackers: Dict[str, UserObservationTracker] = {}
-        #: Aggregate user metrics on the *actor* plane (a cohort owns
-        #: its own accumulators instead).
-        self._user_aggregate: Optional[AggregateUserMetrics] = None
-        if not env.legacy_kernel:
-            for server in servers:
-                tracker = ServerLagTracker(content)
-                self._server_trackers[server.node.node_id] = tracker
-                server.on_apply_hooks.append(self._apply_hook(tracker))
-            if cohort is not None:
-                pass  # the cohort maintains its own trackers/aggregates
-            elif config.user_metrics == "aggregate":
-                aggregate = AggregateUserMetrics(content, len(users))
-                self._user_aggregate = aggregate
-                for slot, user in enumerate(users):
-                    user.on_observation = aggregate.observer(slot)
-            else:
-                for user in users:
-                    user_tracker = UserObservationTracker(content)
-                    self._user_trackers[user.node.node_id] = user_tracker
-                    user.on_observation = user_tracker.observe
+        for server in servers:
+            tracker = ServerLagTracker(content)
+            self._server_trackers[server.node.node_id] = tracker
+            server.on_apply_hooks.append(self._apply_hook(tracker))
 
     @property
     def users(self) -> Sequence:
-        """The user plane: actors, or actor-shaped cohort views (built
-        lazily -- planet-scale collection never materialises them)."""
-        users = self._users
-        if users is None:
-            assert self.cohort is not None
-            users = self._users = self.cohort.users
-        return users
+        """Actor-shaped views of the cohort's users (built lazily --
+        planet-scale collection never materialises them)."""
+        return self.cohort.users
 
     def _apply_hook(self, tracker: ServerLagTracker):
         env = self.env
@@ -266,11 +232,7 @@ class Deployment:
         horizon = horizon_s if horizon_s is not None else self.config.run_horizon_s
         for server in self.servers:
             server.start()
-        if self.cohort is not None:
-            self.cohort.start()
-        else:
-            for user in self.users:
-                user.start()
+        self.cohort.start()
         self.env.run(until=horizon)
         with span("deployment.collect"):
             return self._collect(horizon)
@@ -279,11 +241,7 @@ class Deployment:
         yield self.provider.node
         for server in self.servers:
             yield server.node
-        if self.cohort is not None:
-            yield from self.cohort.nodes
-        else:
-            for user in self.users:
-                yield user.node
+        yield from self.cohort.nodes
 
     # ------------------------------------------------------------------
     # cached staleness series (see repro.metrics.timeseries)
@@ -327,68 +285,21 @@ class Deployment:
         TELEMETRY.count(
             "fabric.isp_crossing_messages", counters.isp_crossing_messages
         )
-        user_lags: Dict[str, float] = {}
-        stale: Dict[str, float] = {}
+        server_lags = {
+            server_id: tracker.mean_lag(horizon)
+            for server_id, tracker in self._server_trackers.items()
+        }
         cohort = self.cohort
-        if not self.env.legacy_kernel:
-            # Fast kernel: read the incrementally-maintained state.
-            server_lags = {
-                server_id: tracker.mean_lag(horizon)
-                for server_id, tracker in self._server_trackers.items()
-            }
-            if cohort is not None:
-                if cohort.aggregate is not None:
-                    user_lags, stale = aggregate_user_rollup(
-                        cohort.aggregate,
-                        [node.node_id for node in cohort.nodes],
-                        horizon,
-                    )
-                else:
-                    for slot, node in enumerate(cohort.nodes):
-                        user_tracker = cohort.trackers[slot]
-                        user_lags[node.node_id] = user_tracker.mean_lag(horizon)
-                        stale[node.node_id] = user_tracker.stale_fraction()
-            elif self._user_aggregate is not None:
-                user_lags, stale = aggregate_user_rollup(
-                    self._user_aggregate,
-                    [user.node.node_id for user in self.users],
-                    horizon,
-                )
-            else:
-                for user_id, user_tracker in self._user_trackers.items():
-                    user_lags[user_id] = user_tracker.mean_lag(horizon)
-                    stale[user_id] = user_tracker.stale_fraction()
+        if cohort.aggregate is not None:
+            user_lags, stale = aggregate_user_rollup(
+                cohort.aggregate, [node.node_id for node in cohort.nodes], horizon
+            )
         else:
-            # Legacy kernel: re-derive everything from the full logs.
-            server_lags = {
-                server.node.node_id: mean_update_lag(
-                    self.content, server.apply_log(), censor_at=horizon
-                )
-                for server in self.servers
-            }
-            if self.config.user_metrics == "aggregate":
-                # Replay the observation logs through the same aggregate
-                # accumulators the fast planes feed online, so all three
-                # arms produce one metrics layout.
-                users = list(self.users)
-                aggregate = AggregateUserMetrics(self.content, len(users))
-                for slot, user in enumerate(users):
-                    for obs in user.observations:
-                        aggregate.on_observe(slot, obs.time, obs.version)
-                user_lags, stale = aggregate_user_rollup(
-                    aggregate,
-                    [user.node.node_id for user in users],
-                    horizon,
-                )
-            else:
-                for user in self.users:
-                    log = [(obs.time, obs.version) for obs in user.observations]
-                    user_lags[user.node.node_id] = mean_update_lag(
-                        self.content, log, censor_at=horizon
-                    )
-                    stale[user.node.node_id] = stale_observation_fraction(
-                        user.observations
-                    )
+            user_lags = {}
+            stale = {}
+            for node, user_tracker in zip(cohort.nodes, cohort.trackers):
+                user_lags[node.node_id] = user_tracker.mean_lag(horizon)
+                stale[node.node_id] = user_tracker.stale_fraction()
         hist_edges, hist_counts = staleness_histogram(list(server_lags.values()))
         return DeploymentMetrics(
             name=self.name,
@@ -506,20 +417,8 @@ def _spawn_node(env: Environment, spec: _NodeSpec) -> NetworkNode:
 def _placed_topology(env: Environment, streams: StreamRegistry, config: TestbedConfig):
     """Build (or rebuild from cache) the topology for *config*.
 
-    Returns ``(topology, path_cache)``.  The legacy kernel always builds
-    fresh (and shares nothing), keeping the switchable slow path
-    pristine for differential tests.
+    Returns ``(topology, path_cache)``.
     """
-    if env.legacy_kernel:
-        builder = TopologyBuilder(env, streams)
-        topology = builder.build(
-            n_servers=config.n_servers,
-            users_per_server=config.users_per_server,
-            provider_city=config.provider_city,
-            user_shards=config.user_shards,
-            user_shard=config.user_shard,
-        )
-        return topology, None
     # Population shards are part of the key: shards share (seed, shape)
     # but place different user subsets, so a shard-blind key would both
     # return the wrong users and make a round-robin over shards evict
@@ -685,67 +584,36 @@ def _make_users(
     content: LiveContent,
     topology: Topology,
     server_of_node: Dict[str, ServerActor],
-) -> Tuple[Sequence[EndUserActor], Optional[UserCohort]]:
-    """Build the user plane: a :class:`UserCohort` on the fast kernel,
-    or per-user actors under the legacy kernel / ``REPRO_LEGACY_USERS``.
-
-    Both planes draw the start offsets (and, lazily, the switch-selector
-    targets) from the same streams in the same server-major order, so
-    the arms are RNG-identical.  Returns ``(users, cohort)``; ``users``
-    is empty when a cohort carries the population (read
-    ``Deployment.users`` for actor-shaped views instead).
-    """
+) -> UserCohort:
+    """Build the user plane: one :class:`UserCohort` whose slots run in
+    home-server-major order, each with a start offset drawn from the
+    ``testbed.user.start`` stream."""
     start_stream = streams.stream("testbed.user.start")
     switch_stream = streams.stream("testbed.user.switch")
-    all_server_nodes = [server.node for server in server_of_node.values()]
-    if not env.legacy_kernel and not legacy_users_enabled():
-        nodes: List[NetworkNode] = []
-        targets: List[NetworkNode] = []
-        offsets: List[float] = []
-        for index, server_node in enumerate(topology.servers):
-            for user_node in topology.users[index]:
-                nodes.append(user_node)
-                targets.append(server_node)
-                offsets.append(
-                    start_stream.uniform(0.0, config.user_start_window_s)
-                )
-        if config.user_selector == "switch":
-            cohort = UserCohort(
-                env, fabric, content, nodes,
-                user_ttl_s=config.user_ttl_s,
-                start_offsets=offsets,
-                switch_servers=all_server_nodes,
-                switch_stream=switch_stream,
-                user_metrics=config.user_metrics,
-            )
-        else:
-            cohort = UserCohort(
-                env, fabric, content, nodes,
-                user_ttl_s=config.user_ttl_s,
-                start_offsets=offsets,
-                targets=targets,
-                user_metrics=config.user_metrics,
-            )
-        return (), cohort
-    users: List[EndUserActor] = []
+    nodes: List[NetworkNode] = []
+    targets: List[NetworkNode] = []
+    offsets: List[float] = []
     for index, server_node in enumerate(topology.servers):
         for user_node in topology.users[index]:
-            if config.user_selector == "switch":
-                selector = SwitchEveryVisitSelector(all_server_nodes, switch_stream)
-            else:
-                selector = FixedSelector(server_node)
-            users.append(
-                EndUserActor(
-                    env,
-                    user_node,
-                    fabric,
-                    content,
-                    selector,
-                    user_ttl_s=config.user_ttl_s,
-                    start_offset_s=start_stream.uniform(0.0, config.user_start_window_s),
-                )
-            )
-    return users, None
+            nodes.append(user_node)
+            targets.append(server_node)
+            offsets.append(start_stream.uniform(0.0, config.user_start_window_s))
+    if config.user_selector == "switch":
+        return UserCohort(
+            env, fabric, content, nodes,
+            user_ttl_s=config.user_ttl_s,
+            start_offsets=offsets,
+            switch_servers=[server.node for server in server_of_node.values()],
+            switch_stream=switch_stream,
+            user_metrics=config.user_metrics,
+        )
+    return UserCohort(
+        env, fabric, content, nodes,
+        user_ttl_s=config.user_ttl_s,
+        start_offsets=offsets,
+        targets=targets,
+        user_metrics=config.user_metrics,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -805,7 +673,7 @@ def _build_deployment(
     infra.wire(provider, servers)
     _wire_provider(provider, method)
     server_of_node = {server.node.node_id: server for server in servers}
-    users, cohort = _make_users(
+    cohort = _make_users(
         config, env, streams, fabric, content, topology, server_of_node
     )
     deployment = Deployment(
@@ -818,7 +686,6 @@ def _build_deployment(
         content=content,
         provider=provider,
         servers=servers,
-        users=users,
         cohort=cohort,
     )
     _install_perturbations(deployment, cell)
@@ -888,7 +755,7 @@ def _build_hat_system(
         ),
     )
     server_of_node = dict(hat.server_by_node_id)
-    users, cohort = _make_users(
+    cohort = _make_users(
         config, env, streams, fabric, content, topology, server_of_node
     )
     deployment = Deployment(
@@ -900,7 +767,6 @@ def _build_hat_system(
         content=content,
         provider=hat.provider,
         servers=hat.servers,
-        users=users,
         cohort=cohort,
     )
     _install_perturbations(deployment, cell)

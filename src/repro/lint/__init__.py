@@ -1,7 +1,7 @@
 """``repro.lint`` -- determinism & purity static analysis for this repo.
 
 The reproduction's headline claims (TTL inference, the Fig. 14-20 method
-comparisons, fast/legacy transport equivalence) rest on invariants the
+comparisons, the golden output pins) rest on invariants the
 test suite can only spot-check at runtime:
 
 - every random draw comes from a seeded, named stream;

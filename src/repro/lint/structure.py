@@ -35,7 +35,7 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
         "Environment": "attribute reads in the inner event loop",
     },
     "repro/sim/process.py": {
-        "Process": "allocated per actor / legacy transfer",
+        "Process": "allocated per policy loop and waiting server task",
         "Condition": "allocated per all_of/any_of wait",
         "AllOf": "condition subclass",
         "AnyOf": "condition subclass",
@@ -43,8 +43,8 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
         "_Interruption": "allocated per interrupt",
     },
     "repro/sim/resources.py": {
-        "Request": "allocated per legacy port claim",
-        "Release": "allocated per legacy release",
+        "Request": "allocated per resource claim",
+        "Release": "allocated per resource release",
         "StorePut": "allocated per inbox delivery",
         "StoreGet": "allocated per inbox read",
         "PriorityItem": "allocated per prioritised item",

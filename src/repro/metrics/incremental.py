@@ -1,16 +1,17 @@
-"""Incremental staleness accounting (the fast kernel's metric path).
+"""Incremental staleness accounting (the testbed's metric path).
 
-The legacy collection pass re-derives every lag metric from scratch at
-the end of a run: it walks each server's full apply log and each user's
-full observation log through :func:`~repro.metrics.consistency.update_lags`
-(a ``searchsorted`` per update per replica).  These trackers maintain
-the same quantities *incrementally* -- a few float operations per
-version-change or visit event, hooked into
-:attr:`~repro.cdn.server.ServerActor.on_apply_hooks` and
-:attr:`~repro.cdn.client.EndUserActor.on_observation` -- so collection
-is a cheap read of running state.
+The batch pass in :mod:`repro.metrics.consistency` derives every lag
+metric from scratch: it walks each server's full apply log and each
+user's full observation log through
+:func:`~repro.metrics.consistency.update_lags` (a ``searchsorted`` per
+update per replica).  These trackers maintain the same quantities
+*incrementally* -- a few float operations per version-change or visit
+event, hooked into :attr:`~repro.cdn.server.ServerActor.on_apply_hooks`
+and the user cohort's response path -- so collection is a cheap read
+of running state.  ``tests/test_golden.py`` checks them against the
+batch pass.
 
-Bit-identity with the legacy pass is structural, not approximate:
+Bit-identity with the batch pass is structural, not approximate:
 
 - Apply logs record strictly increasing versions (the cache layer only
   appends strictly newer writes), so the first log entry whose running
@@ -34,7 +35,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (the cdn
     # package imports the metrics package at module load, so importing
     # back at runtime would be circular)
-    from ..cdn.client import Observation
     from ..cdn.content import LiveContent
 
 __all__ = [
@@ -97,8 +97,7 @@ class UserObservationTracker:
     """Running per-update lags and stale-visit count of one end user.
 
     ``on_observe`` must be called once per recorded
-    :class:`~repro.cdn.client.Observation`, in observation order (wire
-    :meth:`observe` to ``EndUserActor.on_observation``).  Unlike server
+    :class:`~repro.cdn.client.Observation`, in observation order.  Unlike server
     applies, observed versions may regress (a redirection to a stale
     server); regressions below the running maximum count as stale visits
     and never advance coverage.
@@ -115,10 +114,6 @@ class UserObservationTracker:
         self._seen = -1
         self._stale = 0
         self._total = 0
-
-    def observe(self, observation: Observation) -> None:
-        """``EndUserActor.on_observation``-shaped adapter."""
-        self.on_observe(observation.time, observation.version)
 
     def on_observe(self, now: float, version: int) -> None:
         self._total += 1
@@ -166,11 +161,8 @@ class AggregateUserMetrics:
     The aggregate mode is its own metrics layout, not a bit-compatible
     re-expression of the per-user mode: lag sums accumulate left to
     right (the per-user tracker feeds ``np.mean``'s pairwise
-    summation), and the reported dicts are keyed by home server.  What
-    *is* exact is arm equality: the cohort plane, the actor plane and
-    the legacy-kernel replay all funnel observations through this same
-    class in the same order, so a differential run compares equal, and
-    sharded runs merge deterministically (see
+    summation), and the reported dicts are keyed by home server.
+    Sharded runs merge deterministically (see
     ``repro.experiments.sharding``).
 
     ``on_observe`` mirrors :meth:`UserObservationTracker.on_observe`
@@ -197,17 +189,6 @@ class AggregateUserMetrics:
     @property
     def n_slots(self) -> int:
         return len(self._seen)
-
-    def observer(self, slot: int):
-        """``EndUserActor.on_observation``-shaped adapter for *slot*
-        (the actor arm of the differential suite wires this where the
-        cohort plane calls :meth:`on_observe` directly)."""
-        on_observe = self.on_observe
-
-        def hook(observation: "Observation") -> None:
-            on_observe(slot, observation.time, observation.version)
-
-        return hook
 
     def on_observe(self, slot: int, now: float, version: int) -> None:
         self._total[slot] += 1
@@ -254,8 +235,7 @@ def aggregate_user_rollup(
 
     *node_ids* are the user node ids in slot order; the home server is
     recovered from the testbed's ``<server>-user-<i>`` naming, so the
-    grouping is identical however the users were built (cohort, actors,
-    or a legacy-kernel replay) and stable under population sharding.
+    grouping is stable under population sharding.
     Returns ``(user_lags, user_stale_fractions)`` keyed by server node
     id, both plain per-group means accumulated in slot order.
     """

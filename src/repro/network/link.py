@@ -14,39 +14,27 @@ The fabric also feeds every delivered message into a
 :class:`~repro.metrics.traffic.TrafficLedger` so experiments can report
 traffic cost (km*KB), message counts, and network load (km).
 
-Two transport implementations carry each message through those stages:
-
-- the **fast path** (default): a slotted, callback-driven state machine
-  (:class:`_FastTransfer`) that chains raw kernel events directly --
-  queue -> transmit -> propagate -> deliver -- reusing one hop event per
-  message and keeping the sender's output-port FIFO itself: a free port
-  is claimed synchronously, and a released port is handed to the next
-  queued transfer synchronously, with no generator frame, no
-  ``Process``, and no ``Request``/grant event;
-- the **legacy path**: the original generator-backed process, kept
-  behind the ``REPRO_LEGACY_TRANSPORT`` environment variable (or the
-  ``legacy_transport`` constructor flag) for differential testing.
-
-Both paths draw jitter/ISP randomness at the same simulated instants in
-the same order and post identical ledger/counter/tracer records, so a
-run's :class:`~repro.experiments.testbed.DeploymentMetrics` are
-bit-identical whichever path carried the traffic (the kernel-event
-*count* differs: the fast path processes fewer events per message).
-See ``docs/performance.md`` and ``tests/test_transport_equivalence.py``.
+Each message travels those stages in a slotted, callback-driven state
+machine (:class:`_FastTransfer`) that chains raw kernel events directly
+-- queue -> transmit -> propagate -> deliver -- reusing one hop event
+per message and keeping the sender's output-port FIFO itself: a free
+port is claimed synchronously, and a released port is handed to the
+next queued transfer synchronously, with no generator frame, no
+``Process``, and no ``Request``/grant event.  See
+``docs/performance.md``; ``tests/test_golden.py`` pins the outputs.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..metrics.traffic import TrafficLedger
 from ..obs.counters import FabricCounters
 from heapq import heappush as _heappush
 
-from ..sim.engine import Environment, Event, NORMAL, URGENT
+from ..sim.engine import Environment, Event, NORMAL
 from ..sim.rng import RandomStream, StreamRegistry
 from .isp import InterISPModel
 from .message import Message
@@ -56,9 +44,6 @@ __all__ = ["FabricParams", "NetworkFabric", "SPEED_OF_LIGHT_FIBRE_KM_S"]
 
 #: Signal speed in optical fibre (~2/3 of c), km/s.
 SPEED_OF_LIGHT_FIBRE_KM_S = 200_000.0
-
-#: Environment variable selecting the legacy generator transport.
-LEGACY_TRANSPORT_ENV = "REPRO_LEGACY_TRANSPORT"
 
 
 @dataclass
@@ -94,15 +79,13 @@ class FabricParams:
 
 
 class _FastTransfer:
-    """Callback-driven transport of one message (the fast path).
+    """Callback-driven transport of one message.
 
-    Replaces the legacy per-message generator process with a slotted
-    state machine that walks the same stages at the same simulated
-    instants.  One reusable ``hop`` event carries the transfer through
-    start -> transmit-done -> deliver (reset and rescheduled between
-    stages instead of allocating a new ``Timeout`` per stage); ``done``
-    is the completion event handed back to the caller, firing with
-    ``True``/``False`` exactly when the legacy process event would.
+    One reusable ``hop`` event carries the transfer through
+    transmit-done -> deliver (reset and rescheduled between stages
+    instead of allocating a new ``Timeout`` per stage); ``done`` is the
+    completion event handed back to the caller, firing with
+    ``True``/``False`` at delivery or drop time.
     """
 
     __slots__ = (
@@ -112,7 +95,6 @@ class _FastTransfer:
         "done",
         "hop",
         "entered_port",
-        "_cb_start",
         "_cb_transmit",
         "_cb_deliver",
         "_overhead_s",
@@ -141,7 +123,6 @@ class _FastTransfer:
         # object can be re-attached to the hop for every message this
         # pooled transfer carries (one list allocation per transfer
         # instead of one per hop).
-        self._cb_start: List[Callable[[Event], None]] = [self._start]
         self._cb_transmit: List[Callable[[Event], None]] = [self._transmit_done]
         self._cb_deliver: List[Callable[[Event], None]] = [self._deliver]
         # Fabric collaborators and parameters are fixed for the fabric's
@@ -160,25 +141,13 @@ class _FastTransfer:
     def _launch(self, message: Message) -> Event:
         """Arm this (new or recycled) transfer for *message*.
 
-        Legacy kernel: schedule the start hop URGENT at the current
-        instant -- exactly where the legacy path's ``_Initialize``
-        resumes the generator, so the sender's up/down state is sampled
-        at the same point in the event order.  Fast kernel: run the
-        start stage synchronously inside ``send()`` -- the sender check
-        and port claim read state that only the current callback cascade
-        could change, so sampling it now instead of at an URGENT pop at
-        the same instant is observably identical and saves one heap pop
-        per message.
+        The start stage runs synchronously inside ``send()``: the sender
+        check and port claim read state that only the current callback
+        cascade could change, so no start hop is needed.
         """
-        env = self.env
         self.message: Message = message
-        done = Event(env)
+        done = Event(self.env)
         self.done: Event = done
-        if env.legacy_kernel:
-            hop = self.hop
-            hop.callbacks = self._cb_start
-            env.schedule(hop, priority=URGENT)
-            return done
         src: NetworkNode = message.src
         if not src.is_up:
             # ``sync``: the caller has not seen ``done`` yet, so it can't
@@ -207,7 +176,7 @@ class _FastTransfer:
         _heappush(env._queue, (env._now + delay, NORMAL, env._eid, hop))
 
     def _finish(self, delivered: bool, sync: bool = False) -> None:
-        """Trigger ``done`` like the legacy process-completion event."""
+        """Trigger ``done`` with *delivered*."""
         done = self.done
         done._ok = True
         done._value = delivered
@@ -216,8 +185,8 @@ class _FastTransfer:
         else:
             # Nobody registered interest by delivery time: mark the
             # event processed without a kernel round-trip.  A later
-            # ``yield done`` resumes immediately, exactly as yielding a
-            # long-completed legacy process event would.
+            # ``yield done`` resumes immediately, as yielding any
+            # processed event does.
             done.callbacks = None
         # The transfer (and its internal hop event) is now idle; hand it
         # back to the fabric for the next send().  ``done`` stays with
@@ -246,17 +215,8 @@ class _FastTransfer:
     # ------------------------------------------------------------------
     # stages
     # ------------------------------------------------------------------
-    def _start(self, _event: Event) -> None:
-        """Stage 1 (legacy kernel): sender check at the URGENT hop pop."""
-        message = self.message
-        src: NetworkNode = message.src
-        if not src.is_up:
-            self._drop(src.node_id, "sender_down", "dropped_sender_down")
-            return
-        self._claim_port(src, message)
-
     def _claim_port(self, src: NetworkNode, message: Message) -> None:
-        """Stage 1 body: claim the sender's output port, or queue on it.
+        """Stage 1: claim the sender's output port, or queue on it.
 
         A busy port queues the transfer FIFO in ``src.port_waiters``
         (built on first contention); the transfer holding the port hands
@@ -289,20 +249,17 @@ class _FastTransfer:
     def _transmit_done(self, _event: Event) -> None:
         """Stage 2: bytes left the sender -- account, then propagate.
 
-        The accounting and delay model below is the legacy generator's
-        body (``NetworkFabric._transfer``) with ``record_sent`` /
-        ``_delay_components`` inlined; the floating-point operation
-        sequence and RNG draw order are preserved exactly.
+        The floating-point operation sequence and the RNG draw order
+        below are part of the pinned outputs (``tests/test_golden.py``).
         """
         env = self.env
         message = self.message
         src: NetworkNode = message.src
         dst: NetworkNode = message.dst
         counters = self._counters
-        # Release before accounting: the legacy generator's with-block
-        # exit grants the next waiter ahead of this message's bookkeeping.
-        # The next waiter takes the port synchronously: its transmit hop
-        # is scheduled here, at the release instant.
+        # Release before accounting: the next waiter takes the port
+        # synchronously, so its transmit hop is scheduled here, at the
+        # release instant, ahead of this message's propagation hop.
         waiters = src.port_waiters
         if waiters:
             waiters.popleft()._granted()
@@ -342,11 +299,9 @@ class _FastTransfer:
         """Stage 3: receiver check, accounting, then delivery.
 
         The counter increment and ``msg_recv`` trace run *before* the
-        handoff: with a fast-kernel consumer attached the receiving
-        actor's handler runs synchronously inside ``deliver()``, and its
-        own traces must follow the ``msg_recv`` that caused them.  The
-        reorder is bit-safe for store delivery too -- neither counters
-        nor ``tracer.emit`` touch the event queue.
+        handoff: with a consumer attached the receiving actor's handler
+        runs synchronously inside ``deliver()``, and its own traces must
+        follow the ``msg_recv`` that caused them.
         """
         message = self.message
         dst: NetworkNode = message.dst
@@ -372,7 +327,6 @@ class NetworkFabric:
         ledger: Optional[TrafficLedger] = None,
         params: Optional[FabricParams] = None,
         streams: Optional[StreamRegistry] = None,
-        legacy_transport: Optional[bool] = None,
         path_cache: Optional[Dict[Tuple[str, str], Tuple[float, float, str, bool]]] = None,
     ) -> None:
         self.env = env
@@ -385,12 +339,6 @@ class NetworkFabric:
         self.dropped = 0
         #: Always-on per-layer accounting (see :mod:`repro.obs.counters`).
         self.counters = FabricCounters()
-        if legacy_transport is None:
-            legacy_transport = os.environ.get(
-                LEGACY_TRANSPORT_ENV, ""
-            ).strip().lower() in ("1", "true", "yes", "on")
-        #: ``True`` runs the original generator-backed transport.
-        self.legacy_transport = bool(legacy_transport)
         #: ``(src_id, dst_id) -> (distance_km, min_latency_s, link_key,
         #: same_isp)``.  Node positions, ISP homes, and fabric params are
         #: fixed for a run, so the trig, stretch arithmetic, and link-key
@@ -402,8 +350,8 @@ class NetworkFabric:
             path_cache if path_cache is not None else {}
         )
         #: Recycled :class:`_FastTransfer` objects (with their internal
-        #: hop events); avoids two allocations per message on the fast
-        #: path.  Only transfers that have fully finished live here.
+        #: hop events); avoids two allocations per message.  Only
+        #: transfers that have fully finished live here.
         self._transfer_pool: List[_FastTransfer] = []
 
     # ------------------------------------------------------------------
@@ -434,17 +382,6 @@ class NetworkFabric:
         """
         return self._path(src, dst)[1]
 
-    def _delay_components(self, src: NetworkNode, dst: NetworkNode) -> "tuple[float, float]":
-        """One-way delay split into (propagation incl. jitter, ISP penalty)."""
-        base = self._path(src, dst)[1]
-        jitter = self._jitter_stream.jitter(base, self.params.latency_jitter_frac) - base
-        penalty = self.params.inter_isp.penalty(src.isp, dst.isp, self._isp_stream)
-        return max(0.0, base + jitter), penalty
-
-    def _one_way_delay(self, src: NetworkNode, dst: NetworkNode) -> float:
-        propagation, penalty = self._delay_components(src, dst)
-        return propagation + penalty
-
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
@@ -456,71 +393,9 @@ class NetworkFabric:
         A down *sender* drops the message immediately.
         """
         message.created_at = self.env.now
-        if self.legacy_transport:
-            return self.env.process(self._transfer(message))
         pool = self._transfer_pool
         transfer = pool.pop() if pool else _FastTransfer(self)
         return transfer._launch(message)
-
-    def _transfer(self, message: Message) -> Generator[Event, Any, bool]:
-        """Legacy generator transport (``REPRO_LEGACY_TRANSPORT=1``)."""
-        src: NetworkNode = message.src
-        dst: NetworkNode = message.dst
-        counters = self.counters
-        tracer = self.env.tracer
-        if not src.is_up:
-            self.dropped += 1
-            counters.dropped_sender_down += 1
-            if tracer.enabled:
-                tracer.emit(
-                    self.env.now, "msg_drop", src.node_id,
-                    reason="sender_down", **message.trace_detail()
-                )
-            return False
-
-        # 1-2. Queue on, then occupy, the sender's output port.
-        entered_port = self.env.now
-        port = src.output_port
-        if port.count:
-            counters.port_waits += 1
-        with port.request() as grant:
-            yield grant
-            yield self.env.timeout(
-                self.params.per_message_overhead_s
-                + src.transmission_delay(message.size_kb)
-            )
-        counters.queueing_s += self.env.now - entered_port
-
-        # The bytes have left the sender: account for them.
-        distance = self._path(src, dst)[0]
-        self.ledger.record(message, distance)
-        counters.record_sent(src.node_id, dst.node_id, message.size_kb)
-        if tracer.enabled:
-            tracer.emit(
-                self.env.now, "msg_send", src.node_id, **message.trace_detail()
-            )
-
-        # 3-4. Propagate (incl. possible inter-ISP penalty).
-        propagation, penalty = self._delay_components(src, dst)
-        counters.record_propagation(propagation, penalty, message.size_kb)
-        yield self.env.timeout(propagation + penalty)
-
-        if not dst.is_up:
-            self.dropped += 1
-            counters.dropped_receiver_down += 1
-            if tracer.enabled:
-                tracer.emit(
-                    self.env.now, "msg_drop", dst.node_id,
-                    reason="receiver_down", **message.trace_detail()
-                )
-            return False
-        counters.messages_delivered += 1
-        if tracer.enabled:
-            tracer.emit(
-                self.env.now, "msg_recv", dst.node_id, **message.trace_detail()
-            )
-        dst.deliver(message)
-        return True
 
     def rtt_s(self, a: NetworkNode, b: NetworkNode) -> float:
         """Deterministic round-trip latency estimate between two nodes."""

@@ -7,12 +7,9 @@ a provider pushing a large update to 170 unicast children queues 170
 back-to-back transmissions (the Incast / fan-out bottleneck of
 Figs. 19-20), while a binary-tree parent queues only 2.
 
-The fast transport keeps the port as plain state on the node: the
+The transport keeps the port as plain state on the node: the
 ``port_busy`` flag and a FIFO of waiting transfers (``port_waiters``,
-built on first contention).  The legacy generator transport claims the
-lazily built :attr:`NetworkNode.output_port` resource instead.  The two
-states are independent, so one fabric must not switch transports while
-transfers are in flight.
+built on first contention).
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Deque, Optional
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource, Store
+from ..sim.resources import Store
 from .geo import GeoPoint
 from .isp import ISP
 
@@ -57,15 +54,14 @@ class NetworkNode:
         self.isp = isp
         self.uplink_kbps = uplink_kbps
         self.city_name = city_name
-        #: Fast-transport output port: ``True`` while a transmission
-        #: holds it; queued transfers wait in ``port_waiters`` (FIFO).
+        #: Output port: ``True`` while a transmission holds it; queued
+        #: transfers wait in ``port_waiters`` (FIFO).
         self.port_busy = False
         self.port_waiters: Optional[Deque[Any]] = None
-        self._output_port: Optional[Resource] = None
         self._inbox: Optional[Store] = None
-        #: Fast-kernel direct dispatch: when an actor registers a
-        #: consumer, :meth:`deliver` calls it synchronously at delivery
-        #: time instead of round-tripping through the inbox store (which
+        #: Direct dispatch: when an actor registers a consumer,
+        #: :meth:`deliver` calls it synchronously at delivery time
+        #: instead of round-tripping through the inbox store (which
         #: costs a ``StorePut`` + ``StoreGet`` heap pop per message).
         self.consumer: Optional[Callable[[Any], None]] = None
         #: Number of currently active absences.  The node is up only
@@ -82,21 +78,11 @@ class NetworkNode:
         return "NetworkNode(%s @ %s)" % (self.node_id, self.city_name or self.point)
 
     @property
-    def output_port(self) -> Resource:
-        """Legacy-transport output port: transmissions leaving this node
-        serialise on this capacity-1 resource.  Built lazily, like the
-        inbox -- the fast transport never touches it."""
-        port = self._output_port
-        if port is None:
-            port = self._output_port = Resource(self.env, capacity=1)
-        return port
-
-    @property
     def inbox(self) -> Store:
         """Inbox: the fabric delivers received messages into this store.
 
-        Built lazily -- fast-kernel nodes with a registered consumer
-        never touch it, which matters when the cohort plane attaches a
+        Built lazily -- nodes with a registered consumer never touch
+        it, which matters when the cohort plane attaches a
         million user nodes (``Store`` construction has no side effects
         on the environment, so laziness is unobservable)."""
         store = self._inbox
@@ -158,8 +144,8 @@ class NetworkNode:
 
     def deliver(self, message: Any) -> None:
         """Hand a delivered *message* to the registered consumer, or the
-        inbox store when no consumer is attached (legacy kernel, bare
-        nodes in transport tests)."""
+        inbox store when no consumer is attached (bare nodes in
+        transport tests)."""
         consumer = self.consumer
         if consumer is not None:
             consumer(message)

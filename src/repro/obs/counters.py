@@ -76,23 +76,6 @@ class FabricCounters:
     def dropped_messages(self) -> int:
         return self.dropped_sender_down + self.dropped_receiver_down
 
-    def record_sent(self, src_id: str, dst_id: str, size_kb: float) -> None:
-        """Bytes left *src_id* towards *dst_id*."""
-        self.messages_sent += 1
-        self.bytes_kb += size_kb
-        key = "%s->%s" % (src_id, dst_id)
-        self.link_bytes_kb[key] = self.link_bytes_kb.get(key, 0.0) + size_kb
-
-    def record_propagation(
-        self, base_s: float, penalty_s: float, size_kb: float
-    ) -> None:
-        """One-way delay components of one propagating message."""
-        self.propagation_s += base_s
-        if penalty_s > 0.0:
-            self.isp_penalty_s += penalty_s
-            self.isp_crossing_messages += 1
-            self.isp_crossing_kb += size_kb
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe snapshot (used by ``repro trace`` summaries)."""
         return {

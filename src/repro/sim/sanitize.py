@@ -22,8 +22,8 @@ seq element keeps the tuple totally ordered (REP008) even when two
 draws collide.
 
 URGENT entries are never perturbed: URGENT is the kernel's internal
-staging lane (process initialisation, the transport's legacy-kernel
-start hops, ``run``'s stop event), and its same-instant FIFO order *is*
+staging lane (process initialisation, ``run``'s stop event), and its
+same-instant FIFO order *is*
 the documented contract -- "processes resume in registration order" --
 not an incidental tie.  Perturbing it would shuffle which same-instant
 ``send()`` claims a shared output port first, i.e. re-run the model
@@ -40,8 +40,7 @@ the PR 8 reentrant-push bug, reported at the offending callback instead
 of as a skipped timer three sweeps later.
 
 Activation is environment-driven, read once at
-:class:`~repro.sim.engine.Environment` construction (the same contract
-as ``REPRO_LEGACY_KERNEL``):
+:class:`~repro.sim.engine.Environment` construction:
 
 - ``REPRO_SANITIZE=1`` enables the reentrancy/invariant traps;
 - ``REPRO_SANITIZE_TIES=<int>`` seeds and enables tie perturbation

@@ -1,6 +1,6 @@
 """Batched timer wheel: one control event per sweep of expiring timers.
 
-The legacy kernel allocates one :class:`~repro.sim.engine.Timeout` plus
+A plain :class:`~repro.sim.engine.Timeout` race costs one timeout plus
 one condition per timed wait, and every expiry is its own heap pop.  At
 CDN scale the poll/request timers dominate the event queue, so the wheel
 batches them: waiters that share a *delay* (all ``30 s`` request
@@ -15,7 +15,7 @@ the same sorted-array algorithm.
 
 Each lane owns exactly one reusable control :class:`Event` on the heap.
 It is scheduled (via :meth:`Environment.schedule_at`, to hit the exact
-float deadline a legacy ``Timeout`` would have used) for the earliest
+float deadline a ``Timeout`` would use) for the earliest
 pending deadline; when it pops, the sweep succeeds every expired waiter
 and re-arms the control event for the next deadline.  N timers cost one
 control pop per *batch* of identical deadlines instead of one pop per
@@ -23,10 +23,9 @@ timer, and cancelled waiters (``callbacks is None`` or already
 triggered) are skipped lazily without ever touching the heap.
 
 Determinism: a waiter armed at time ``t`` with delay ``d`` is succeeded
-at exactly ``t + d`` (the same float the legacy ``Timeout`` computes),
-and waiters expiring at the same instant are succeeded in arming order,
-which matches the sequence-number order the legacy per-timer events
-would have popped in.  Waiter callbacks run through the heap
+at exactly ``t + d`` (the same float a ``Timeout`` computes), and
+waiters expiring at the same instant are succeeded in arming order,
+which matches the sequence-number order per-timer events would pop in.  Waiter callbacks run through the heap
 (:meth:`Event.succeed` schedules), so user code can never push into a
 lane in the middle of its own sweep.
 """

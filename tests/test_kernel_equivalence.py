@@ -1,22 +1,16 @@
-"""Differential tests: vectorized fast kernel vs legacy Timeout kernel.
+"""The kernel's pinned outputs, its timer wheel, placement cache and
+telemetry switch.
 
-The fast kernel (timer wheel, inline transport start, consumer dispatch,
+The kernel (timer wheel, inline transport start, consumer dispatch,
 sync-first server tasks, incremental staleness, placement memoization)
-must be a pure performance change: every simulated outcome -- delivery
-times, RNG draw order, metric values, fabric counters, message traces --
-must be bit-identical to the legacy path (``REPRO_LEGACY_KERNEL=1``) for
-every update method on every infrastructure, and under perturbation-heavy
-scenarios.  Only the kernel-event *count* may differ (that is the point),
-so ``events_processed`` is excluded from the metric comparison and
-asserted strictly smaller instead.
+must reproduce every golden pin (``tests/test_golden.py``) for every
+update method on every infrastructure, and under perturbation-heavy
+scenarios: delivery times, RNG draw order, metric values, fabric
+counters, message traces and the exact kernel-event count.
 
 Also covers the :class:`~repro.sim.timers.TimerWheel` unit contract and
-the construction-time/live semantics of the ``REPRO_LEGACY_KERNEL``,
-``REPRO_LEGACY_TRANSPORT``, and ``REPRO_TELEMETRY`` switches.
+the live semantics of the ``REPRO_TELEMETRY`` switch.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
@@ -24,33 +18,10 @@ import repro.experiments.testbed as testbed_mod
 import repro.network.message as message_mod
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import INFRASTRUCTURES, METHODS, build_deployment
-from repro.metrics.timeseries import fleet_staleness_series
-from repro.network import NetworkFabric
-from repro.network.link import LEGACY_TRANSPORT_ENV
+from repro.metrics.timeseries import fleet_staleness_series, staleness_series
 from repro.obs.telemetry import MetricsRegistry, TELEMETRY_ENV
-from repro.obs.tracer import RecordingTracer
-from repro.sim import Environment, StreamRegistry
-from repro.sim.engine import LEGACY_KERNEL_ENV
-
-_MESSAGE_KINDS = ("msg_send", "msg_recv", "msg_drop")
-
-
-@contextmanager
-def _kernel(legacy):
-    """Pin ``REPRO_LEGACY_KERNEL`` (a construction-time read) around a
-    build."""
-    old = os.environ.get(LEGACY_KERNEL_ENV)
-    if legacy:
-        os.environ[LEGACY_KERNEL_ENV] = "1"
-    else:
-        os.environ.pop(LEGACY_KERNEL_ENV, None)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(LEGACY_KERNEL_ENV, None)
-        else:
-            os.environ[LEGACY_KERNEL_ENV] = old
+from repro.sim import Environment
+from tests.test_golden import assert_golden, grid_label
 
 
 def _tiny_config(seed, **overrides):
@@ -66,104 +37,51 @@ def _tiny_config(seed, **overrides):
     return TestbedConfig(**defaults)
 
 
-def _run_cell(method, infrastructure, seed, legacy, scenario=None, **overrides):
-    """One deployment run; returns (metrics, counters, message trace)."""
-    # Message.seq is a process-global counter; reset it so the two runs
-    # under comparison label their messages identically.
-    message_mod._SEQ = 0
-    tracer = RecordingTracer()
-    with _kernel(legacy):
-        deployment = build_deployment(
-            _tiny_config(seed, **overrides),
-            method,
-            infrastructure,
-            tracer=tracer,
-            scenario=scenario,
-        )
-    assert deployment.env.legacy_kernel is legacy
-    metrics = deployment.run()
-    trace = tracer.events(kinds=_MESSAGE_KINDS)
-    return metrics, deployment.fabric.counters.to_dict(), trace
-
-
-def _cell_overrides(method, infrastructure):
-    # invalidation/broadcast floods (quadratic re-broadcast storm); cut
-    # the horizon shortly after the storm starts so the cell stays fast
-    # while still exercising tens of thousands of transfers.
-    if (method, infrastructure) == ("invalidation", "broadcast"):
-        return {"horizon_s": 80.0}
-    return {}
-
-
-def _assert_identical(fast, legacy, label):
-    fast_m, fast_c, fast_t = fast
-    legacy_m, legacy_c, legacy_t = legacy
-    fast_d = fast_m.to_dict()
-    legacy_d = legacy_m.to_dict()
-    fast_events = fast_d.pop("events_processed")
-    legacy_events = legacy_d.pop("events_processed")
-    assert fast_d == legacy_d, "DeploymentMetrics diverged (%s)" % label
-    assert fast_c == legacy_c, "FabricCounters diverged (%s)" % label
-    assert fast_t == legacy_t, "message traces diverged (%s)" % label
-    # The same traffic must cost the fast kernel strictly fewer events.
-    if fast_c["messages_sent"]:
-        assert fast_events < legacy_events, label
-
-
 # ----------------------------------------------------------------------
-# the differential contract
+# the pinned outputs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("infrastructure", INFRASTRUCTURES)
 @pytest.mark.parametrize("method", METHODS)
 def test_fast_kernel_bit_identical(method, infrastructure):
-    """Fast and legacy kernel agree exactly, at three seeds."""
-    overrides = _cell_overrides(method, infrastructure)
+    """Every method on every infrastructure keeps its pins, at three seeds."""
     for seed in (0, 1, 2):
-        fast = _run_cell(method, infrastructure, seed, legacy=False, **overrides)
-        legacy = _run_cell(method, infrastructure, seed, legacy=True, **overrides)
-        _assert_identical(
-            fast, legacy, "%s/%s seed %d" % (method, infrastructure, seed)
-        )
+        assert_golden(grid_label(method, infrastructure, seed))
 
 
 @pytest.mark.parametrize(
     "scenario", ["paper-baseline", "failure-storm", "flash-crowd"]
 )
 def test_scenario_cells_bit_identical(scenario):
-    """Perturbation-heavy scenarios match across kernels too."""
+    """Perturbation-heavy scenarios keep their pins too."""
     for method in ("ttl", "push"):
-        fast = _run_cell(method, "unicast", 0, legacy=False, scenario=scenario)
-        legacy = _run_cell(method, "unicast", 0, legacy=True, scenario=scenario)
-        _assert_identical(fast, legacy, "%s@%s" % (method, scenario))
+        assert_golden("%s/unicast@%s" % (method, scenario))
 
 
 def test_staleness_series_match_across_kernels():
-    """The incremental/cached series path equals the legacy full-log
-    derivation, both per-replica and fleet-wide."""
-    results = {}
-    for legacy in (False, True):
-        message_mod._SEQ = 0
-        with _kernel(legacy):
-            deployment = build_deployment(_tiny_config(3), "ttl", "unicast")
-        deployment.run()
-        fleet = deployment.fleet_staleness_series()
-        first = deployment.staleness_series_of(
-            deployment.servers[0].node.node_id
-        )
-        results[legacy] = (fleet.times, fleet.values, first.times, first.values)
-        # The cache must agree with the uncached module function.
-        direct = fleet_staleness_series(
-            deployment.content,
-            [server.apply_log() for server in deployment.servers],
-            deployment.config.run_horizon_s,
-        )
-        assert fleet.times == direct.times
-        assert fleet.values == direct.values
-        # Repeat queries come from the cache (same object, not a rerun).
-        assert deployment.fleet_staleness_series() is fleet
-        with pytest.raises(KeyError):
-            deployment.staleness_series_of("no-such-server")
-    assert results[False] == results[True]
+    """The cached staleness series equal the uncached module function,
+    per replica and fleet-wide, and repeat queries hit the cache."""
+    message_mod._SEQ = 0
+    deployment = build_deployment(_tiny_config(3), "ttl", "unicast")
+    deployment.run()
+    fleet = deployment.fleet_staleness_series()
+    direct = fleet_staleness_series(
+        deployment.content,
+        [server.apply_log() for server in deployment.servers],
+        deployment.config.run_horizon_s,
+    )
+    assert fleet.times == direct.times
+    assert fleet.values == direct.values
+    first = deployment.servers[0]
+    single = deployment.staleness_series_of(first.node.node_id)
+    direct = staleness_series(
+        deployment.content, first.apply_log(), deployment.config.run_horizon_s
+    )
+    assert single.times == direct.times
+    assert single.values == direct.values
+    # Repeat queries come from the cache (same object, not a rerun).
+    assert deployment.fleet_staleness_series() is fleet
+    with pytest.raises(KeyError):
+        deployment.staleness_series_of("no-such-server")
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +107,6 @@ class TestPlacementCache:
         # Same topology, different method: shared entry.
         build_deployment(_tiny_config(0), "push", "multicast")
         assert len(testbed_mod._PLACEMENT_CACHE) == 3
-
-    def test_legacy_kernel_bypasses_cache(self):
-        testbed_mod._PLACEMENT_CACHE.clear()
-        with _kernel(True):
-            build_deployment(_tiny_config(0), "ttl", "unicast")
-        assert testbed_mod._PLACEMENT_CACHE == {}
 
     def test_cache_evicts_fifo_at_cap(self, monkeypatch):
         testbed_mod._PLACEMENT_CACHE.clear()
@@ -277,8 +189,8 @@ class TestTimerWheel:
 
     def test_deadline_matches_legacy_timeout_float(self):
         # The wheel computes `env._now + delay` -- the exact float a
-        # legacy Timeout produces -- so both fire at the same instant
-        # even where decimal arithmetic would disagree.
+        # Timeout produces -- so both fire at the same instant even where
+        # decimal arithmetic would disagree.
         env = Environment()
         out = []
 
@@ -315,30 +227,6 @@ class TestTimerWheel:
 # environment switches
 # ----------------------------------------------------------------------
 class TestEnvSwitches:
-    def test_legacy_kernel_read_at_construction(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_KERNEL_ENV, "1")
-        assert Environment().legacy_kernel is True
-        monkeypatch.setenv(LEGACY_KERNEL_ENV, "0")
-        assert Environment().legacy_kernel is False
-        monkeypatch.delenv(LEGACY_KERNEL_ENV)
-        assert Environment().legacy_kernel is False
-        # Explicit argument beats the environment.
-        monkeypatch.setenv(LEGACY_KERNEL_ENV, "1")
-        assert Environment(legacy_kernel=False).legacy_kernel is False
-
-    def test_legacy_transport_read_at_construction(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_TRANSPORT_ENV, "1")
-        fabric = NetworkFabric(Environment(), streams=StreamRegistry(0))
-        assert fabric.legacy_transport is True
-        monkeypatch.delenv(LEGACY_TRANSPORT_ENV)
-        fabric = NetworkFabric(Environment(), streams=StreamRegistry(0))
-        assert fabric.legacy_transport is False
-        monkeypatch.setenv(LEGACY_TRANSPORT_ENV, "1")
-        fabric = NetworkFabric(
-            Environment(), streams=StreamRegistry(0), legacy_transport=False
-        )
-        assert fabric.legacy_transport is False
-
     def test_telemetry_env_read_live(self, monkeypatch):
         # The registry singleton is constructed at import, so the switch
         # must track the environment at call time for setenv to work.

@@ -27,11 +27,10 @@ from repro.consistency import TTLPolicy, UnicastInfrastructure
 from repro.experiments import TestbedConfig, build_deployment, build_system
 from repro.experiments.config import smoke_scale
 from repro.experiments.testbed import DeploymentMetrics
-from repro.network import NetworkFabric, TopologyBuilder
+from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
 from repro.network.message import LIGHT_KINDS, UPDATE_KINDS
 from repro.obs import (
     NULL_TRACER,
-    FabricCounters,
     RecordingTracer,
     attribution_components,
     format_attribution_table,
@@ -374,20 +373,28 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestCounters:
     def test_fabric_counters_record(self):
-        counters = FabricCounters()
-        counters.record_sent("a", "b", 2.0)
-        counters.record_sent("a", "b", 1.0)
-        counters.record_sent("b", "a", 4.0)
-        counters.record_propagation(0.5, 0.0, 2.0)
-        counters.record_propagation(0.25, 0.75, 1.0)
+        """The transport records bytes per link and the delay split."""
+        env = Environment()
+        streams = StreamRegistry(3)
+        topology = TopologyBuilder(env, streams).build(n_servers=2, users_per_server=0)
+        fabric = NetworkFabric(env, streams=streams)
+        a, b = topology.servers
+        for src, dst, size_kb in ((a, b, 2.0), (a, b, 1.0), (b, a, 4.0)):
+            fabric.send(Message(MessageKind.PUSH_UPDATE, src, dst, size_kb))
+        env.run()
+        counters = fabric.counters
         assert counters.messages_sent == 3
         assert counters.bytes_kb == pytest.approx(7.0)
-        assert counters.link_bytes_kb == {"a->b": 3.0, "b->a": 4.0}
-        assert counters.isp_crossing_messages == 1
-        assert counters.isp_crossing_kb == pytest.approx(1.0)
-        assert counters.isp_penalty_s == pytest.approx(0.75)
-        assert counters.propagation_s == pytest.approx(0.75)
+        assert counters.link_bytes_kb == {
+            "%s->%s" % (a.node_id, b.node_id): 3.0,
+            "%s->%s" % (b.node_id, a.node_id): 4.0,
+        }
         assert counters.to_dict()["n_links"] == 2
+        assert counters.propagation_s > 0.0
+        crossings = 0 if a.isp.isp_id == b.isp.isp_id else 3
+        assert counters.isp_crossing_messages == crossings
+        assert counters.isp_crossing_kb == pytest.approx(7.0 if crossings else 0.0)
+        assert (counters.isp_penalty_s > 0.0) == bool(crossings)
 
     def test_staleness_histogram_bins(self):
         edges, counts = staleness_histogram([0.5, 1.5, 7.0, 1000.0])
@@ -592,7 +599,7 @@ class TestTracerFilters:
 
 
 # ----------------------------------------------------------------------
-# FabricCounters reconciliation: fast-path vs legacy transport
+# FabricCounters reconciliation against metrics, ledger and trace
 # ----------------------------------------------------------------------
 class TestTransportCounterReconciliation:
     CONFIG = dict(
@@ -600,56 +607,44 @@ class TestTransportCounterReconciliation:
         game_duration_s=240.0, seed=7,
     )
 
-    def _counters(self, legacy, method, infrastructure, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_LEGACY_TRANSPORT", "1" if legacy else "0"
+    def _assert_reconciled(self, deployment, metrics, tracer):
+        counters = deployment.fabric.counters
+        assert metrics.dropped_messages == counters.dropped_messages
+        assert metrics.isp_crossing_messages == counters.isp_crossing_messages
+        assert metrics.isp_crossing_kb == counters.isp_crossing_kb
+        assert metrics.isp_penalty_s == counters.isp_penalty_s
+        assert metrics.propagation_s == counters.propagation_s
+        assert metrics.queueing_s == counters.queueing_s
+        assert metrics.link_bytes_kb == counters.link_bytes_kb
+        assert sum(counters.link_bytes_kb.values()) == pytest.approx(counters.bytes_kb)
+        assert counters.messages_sent == deployment.fabric.ledger.totals().count
+        assert counters.messages_sent == tracer.count("msg_send")
+        assert counters.messages_delivered == tracer.count("msg_recv")
+        assert counters.dropped_messages == tracer.count("msg_drop")
+        assert (
+            counters.messages_delivered + counters.dropped_receiver_down
+            <= counters.messages_sent
         )
-        deployment = build_deployment(
-            TestbedConfig(**self.CONFIG), method, infrastructure
-        )
-        assert deployment.fabric.legacy_transport is legacy
-        metrics = deployment.run()
-        return deployment.fabric.counters, metrics
 
     @pytest.mark.parametrize("method", ["push", "ttl"])
     @pytest.mark.parametrize("infrastructure", ["unicast", "multicast"])
-    def test_both_transports_post_identical_counters(
-        self, method, infrastructure, monkeypatch
-    ):
-        fast, fast_metrics = self._counters(
-            False, method, infrastructure, monkeypatch
+    def test_both_transports_post_identical_counters(self, method, infrastructure):
+        tracer = RecordingTracer()
+        deployment = build_deployment(
+            TestbedConfig(**self.CONFIG), method, infrastructure, tracer=tracer
         )
-        legacy, legacy_metrics = self._counters(
-            True, method, infrastructure, monkeypatch
-        )
-        assert fast.to_dict() == legacy.to_dict()
-        assert fast.link_bytes_kb == legacy.link_bytes_kb
-        assert fast.dropped_messages == legacy.dropped_messages
-        # Counters reconcile with the metrics each transport reported.
-        for metrics in (fast_metrics, legacy_metrics):
-            assert metrics.dropped_messages == fast.dropped_messages
-            assert metrics.isp_crossing_messages == fast.isp_crossing_messages
-            assert metrics.propagation_s == pytest.approx(fast.propagation_s)
-            assert metrics.queueing_s == pytest.approx(fast.queueing_s)
+        metrics = deployment.run()
+        assert deployment.fabric.counters.messages_sent > 0
+        self._assert_reconciled(deployment, metrics, tracer)
 
-    def test_counters_match_under_failure_injection(self, monkeypatch):
-        # Drops (sender/receiver down) must attribute identically on
-        # both transports.
-        config = TestbedConfig(**self.CONFIG)
-        results = []
-        for legacy in (False, True):
-            monkeypatch.setenv(
-                "REPRO_LEGACY_TRANSPORT", "1" if legacy else "0"
-            )
-            deployment = build_deployment(config, "push")
-            schedule_absence(
-                deployment.env, deployment.servers[0].node,
-                start=30.0, duration=60.0,
-            )
-            deployment.run()
-            results.append(deployment.fabric.counters.to_dict())
-        assert results[0] == results[1]
-        assert (
-            results[0]["dropped_sender_down"]
-            + results[0]["dropped_receiver_down"]
-        ) > 0
+    def test_counters_match_under_failure_injection(self):
+        tracer = RecordingTracer()
+        deployment = build_deployment(
+            TestbedConfig(**self.CONFIG), "push", tracer=tracer
+        )
+        schedule_absence(
+            deployment.env, deployment.servers[0].node, start=30.0, duration=60.0
+        )
+        metrics = deployment.run()
+        assert deployment.fabric.counters.dropped_messages > 0
+        self._assert_reconciled(deployment, metrics, tracer)

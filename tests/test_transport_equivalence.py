@@ -1,102 +1,45 @@
-"""Differential tests: fast callback transport vs legacy generator transport.
+"""The transport's pinned outputs and its output-port micro-scenarios.
 
-The fast path (`repro.network.link._FastTransfer`) must be a pure
-performance change: every simulated outcome -- delivery times, RNG draw
-order, ledger totals, fabric counters, DeploymentMetrics -- must be
-bit-identical to the legacy generator path for every update method on
-every infrastructure.  Only the kernel-event *count* may differ (that is
-the point of the fast path), so ``events_processed`` is excluded from
-the metric comparison and asserted strictly smaller instead.
+The callback transport (``repro.network.link._FastTransfer``) must
+reproduce every golden pin (``tests/test_golden.py``) for every update
+method on every infrastructure: delivery times, RNG draw order, ledger
+totals, fabric counters, DeploymentMetrics and the kernel-event count.
+The micro-scenarios below pin the sender's output port -- FIFO order,
+handoff cost, drops while queued -- with explicit counts.
 """
 
 import pytest
 
 import repro.network.message as message_mod
 from repro.cdn.server import schedule_absence
-from repro.experiments.config import TestbedConfig
-from repro.experiments.testbed import INFRASTRUCTURES, METHODS, build_deployment
+from repro.experiments.testbed import INFRASTRUCTURES, METHODS
 from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
 from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
-
-#: One tiny-but-complete testbed cell; the paper-shape knobs all stay on.
-def _tiny_config(seed, **overrides):
-    defaults = dict(
-        n_servers=6,
-        users_per_server=1,
-        n_updates=6,
-        game_duration_s=200.0,
-        hat_clusters=3,
-        seed=seed,
-    )
-    defaults.update(overrides)
-    return TestbedConfig(**defaults)
-
+from tests.test_golden import assert_golden, grid_label
 
 _MESSAGE_KINDS = ("msg_send", "msg_recv", "msg_drop")
-
-
-def _run_cell(method, infrastructure, seed, legacy, **overrides):
-    """One deployment run; returns (metrics, counters, message trace)."""
-    # Message.seq is a process-global counter; reset it so the two runs
-    # under comparison label their messages identically.
-    message_mod._SEQ = 0
-    tracer = RecordingTracer()
-    deployment = build_deployment(
-        _tiny_config(seed, **overrides), method, infrastructure, tracer=tracer
-    )
-    deployment.fabric.legacy_transport = legacy
-    metrics = deployment.run()
-    trace = tracer.events(kinds=_MESSAGE_KINDS)
-    return metrics, deployment.fabric.counters.to_dict(), trace
-
-
-def _cell_overrides(method, infrastructure):
-    # invalidation/broadcast floods (quadratic re-broadcast storm); cut
-    # the horizon shortly after the storm starts so the cell stays fast
-    # while still exercising tens of thousands of transfers.
-    if (method, infrastructure) == ("invalidation", "broadcast"):
-        return {"horizon_s": 80.0}
-    return {}
 
 
 @pytest.mark.parametrize("infrastructure", INFRASTRUCTURES)
 @pytest.mark.parametrize("method", METHODS)
 def test_fast_path_bit_identical(method, infrastructure):
-    """Fast and legacy transport agree exactly, at three seeds."""
-    overrides = _cell_overrides(method, infrastructure)
+    """Every method on every infrastructure keeps its pins, at three seeds."""
     for seed in (0, 1, 2):
-        fast_m, fast_c, fast_t = _run_cell(
-            method, infrastructure, seed, legacy=False, **overrides
-        )
-        legacy_m, legacy_c, legacy_t = _run_cell(
-            method, infrastructure, seed, legacy=True, **overrides
-        )
-
-        fast_d = fast_m.to_dict()
-        legacy_d = legacy_m.to_dict()
-        fast_events = fast_d.pop("events_processed")
-        legacy_events = legacy_d.pop("events_processed")
-
-        assert fast_d == legacy_d, "DeploymentMetrics diverged (seed %d)" % seed
-        assert fast_c == legacy_c, "FabricCounters diverged (seed %d)" % seed
-        assert fast_t == legacy_t, "message traces diverged (seed %d)" % seed
-        # The same traffic must cost the fast kernel strictly fewer events.
-        if fast_c["messages_sent"]:
-            assert fast_events < legacy_events
+        assert_golden(grid_label(method, infrastructure, seed))
 
 
-def _make_fabric(seed, legacy):
+def _make_fabric(seed):
     env = Environment(tracer=RecordingTracer())
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(n_servers=4, users_per_server=0)
-    fabric = NetworkFabric(env, streams=streams, legacy_transport=legacy)
+    fabric = NetworkFabric(env, streams=streams)
     return env, topology, fabric
 
 
-def _storm_with_absences(legacy, seed=5):
+def _storm_with_absences(seed=5):
     """Fan-out traffic while sender and receivers flap up/down."""
-    env, topology, fabric = _make_fabric(seed, legacy)
+    env, topology, fabric = _make_fabric(seed)
     provider = topology.provider
     results = []
 
@@ -122,17 +65,24 @@ def _storm_with_absences(legacy, seed=5):
 
 
 def test_failure_injection_equivalence():
-    """Drops (sender and receiver down) are identical on both paths."""
+    """Sender-down and receiver-down drops are counted, traced and
+    reported to the sender's ``done`` event, and repeat exactly."""
     message_mod._SEQ = 0
-    fast = _storm_with_absences(legacy=False)
+    first = _storm_with_absences()
     message_mod._SEQ = 0
-    legacy = _storm_with_absences(legacy=True)
-    assert fast == legacy
-    # The scenario actually exercised both drop reasons.
-    counters = fast[1]
-    assert counters["dropped_sender_down"] > 0
-    assert counters["dropped_receiver_down"] > 0
-    assert False in fast[0] and True in fast[0]
+    assert _storm_with_absences() == first
+    results, counters, dropped, trace = first
+    # 10 rounds x 4 servers.  Round 4 finds the provider down (4 sender
+    # drops); rounds 2, 3, 5, 6 and 7 reach server 0 while it is down
+    # (5 receiver drops).
+    assert len(results) == 40
+    assert counters["dropped_sender_down"] == 4
+    assert counters["dropped_receiver_down"] == 5
+    assert dropped == 9
+    assert counters["messages_sent"] == 36
+    assert counters["messages_delivered"] == 31
+    assert results.count(False) == 9
+    assert sum(1 for event in trace if event.kind == "msg_drop") == 9
 
 
 def _port_is_idle(node):
@@ -141,18 +91,17 @@ def _port_is_idle(node):
 
 def test_uncontended_port_skips_grant_events():
     """Distinct senders never queue: one event per transport stage."""
-    env, topology, fabric = _make_fabric(7, legacy=False)
+    env, topology, fabric = _make_fabric(7)
     for server in topology.servers:
         fabric.send(Message(MessageKind.POLL, server, topology.provider, 1.0))
     env.run()
     # 4 messages, uncontended: transmit hop + deliver hop + inbox
     # StorePut = 3 events each (the done event completes lazily because
-    # nobody registered a callback on it, and the fast kernel starts the
-    # transfer synchronously inside send()).  The legacy kernel keeps
-    # the start hop: 4 events each.
+    # nobody registered a callback on it, and the transfer starts
+    # synchronously inside send()).
     assert fabric.counters.messages_delivered == 4
     assert fabric.counters.port_waits == 0
-    assert env.events_processed == (16 if env.legacy_kernel else 12)
+    assert env.events_processed == 12
     for server in topology.servers:
         assert _port_is_idle(server)
         # The deque is built on first contention only.
@@ -162,37 +111,44 @@ def test_uncontended_port_skips_grant_events():
 def test_contended_port_hands_off_without_grant_events():
     """A queued transfer costs no more heap events than an idle-port one:
     the releasing transfer schedules the waiter's transmit hop itself."""
-    env, topology, fabric = _make_fabric(9, legacy=False)
+    env, topology, fabric = _make_fabric(9)
     provider = topology.provider
     for server in topology.servers:
         fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
     env.run()
     # 4 messages, 3 of them queued: transmit hop + deliver hop per
-    # message, plus the inbox StorePut (and the start hop on the legacy
-    # kernel) -- no grant events.
+    # message, plus the inbox StorePut -- no grant events.
     assert fabric.counters.messages_delivered == 4
     assert fabric.counters.port_waits == 3
-    assert env.events_processed == (16 if env.legacy_kernel else 12)
+    assert env.events_processed == 12
     assert _port_is_idle(provider)
 
 
-@pytest.mark.parametrize("legacy", [False, True])
+@pytest.mark.parametrize("watch_done", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 7])
-def test_fan_out_counts_k_minus_1_port_waits(k, legacy):
-    """A k-message burst from one sender queues all but the first."""
-    env, topology, fabric = _make_fabric(12, legacy)
+def test_fan_out_counts_k_minus_1_port_waits(k, watch_done):
+    """A k-message burst from one sender queues all but the first,
+    whether or not the sender waits on the ``done`` events (watched
+    ``done`` events complete through the heap, one more event each)."""
+    env, topology, fabric = _make_fabric(12)
     provider = topology.provider
+    outcomes = []
     for index in range(k):
         server = topology.servers[index % len(topology.servers)]
-        fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
+        done = fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
+        if watch_done:
+            done.callbacks.append(lambda ev: outcomes.append(ev.value))
     env.run()
     assert fabric.counters.messages_delivered == k
     assert fabric.counters.port_waits == k - 1
+    assert outcomes == ([True] * k if watch_done else [])
+    assert env.events_processed == (4 if watch_done else 3) * k
+    assert _port_is_idle(provider)
 
 
 def test_contended_port_stays_fifo():
-    """Queued fast transfers drain in FIFO order at full port rate."""
-    env, topology, fabric = _make_fabric(8, legacy=False)
+    """Queued transfers drain in FIFO order at full port rate."""
+    env, topology, fabric = _make_fabric(8)
     provider = topology.provider
     size_kb = provider.uplink_kbps  # 1 s of pure transmission each
     order = []
@@ -215,10 +171,10 @@ def test_contended_port_stays_fifo():
     assert _port_is_idle(provider)
 
 
-def _two_sender_burst(legacy, seed=10):
+def _two_sender_burst(seed=10):
     """Two senders fan out interleaved sends; returns per-sender send
     order, counters and the message trace."""
-    env, topology, fabric = _make_fabric(seed, legacy)
+    env, topology, fabric = _make_fabric(seed)
     provider, relay = topology.provider, topology.servers[0]
     size_kb = provider.uplink_kbps / 4.0  # 0.25 s of transmission each
     for version in range(3):
@@ -243,13 +199,9 @@ def _two_sender_burst(legacy, seed=10):
 
 def test_interleaved_senders_each_drain_fifo():
     """Each sender's port drains in its own send order, unaffected by the
-    other sender's queue, and both transports agree exactly."""
+    other sender's queue."""
     message_mod._SEQ = 0
-    fast = _two_sender_burst(legacy=False)
-    message_mod._SEQ = 0
-    legacy = _two_sender_burst(legacy=True)
-    assert fast == legacy
-    sends, counters, _ = fast
+    sends, counters, _ = _two_sender_burst()
     expected = [
         (server, version)
         for version in range(3)
@@ -259,12 +211,13 @@ def test_interleaved_senders_each_drain_fifo():
     assert sends["server-0"] == expected
     # Everything but each sender's first message queued.
     assert counters["port_waits"] == 2 * (len(expected) - 1)
+    assert counters["messages_delivered"] == 2 * len(expected)
 
 
-def _sender_fails_while_queued(legacy, seed=11):
+def _sender_fails_while_queued(seed=11):
     """The sender goes down while its port queue is full, then revives
     while the queue is still draining."""
-    env, topology, fabric = _make_fabric(seed, legacy)
+    env, topology, fabric = _make_fabric(seed)
     provider = topology.provider
     size_kb = provider.uplink_kbps  # 1 s each: round 0 holds the port ~4 s
     results = []
@@ -283,22 +236,21 @@ def _sender_fails_while_queued(legacy, seed=11):
     env.process(driver(env))
     env.run()
     assert _port_is_idle(provider)
-    trace = env.tracer.events(kinds=_MESSAGE_KINDS)
-    return results, fabric.counters.to_dict(), fabric.dropped, trace
+    return results, fabric.counters.to_dict(), fabric.dropped
 
 
 def test_sender_down_with_queued_transfers_equivalence():
     """Transfers already queued when the sender goes down still drain
-    (the sender is checked once, at send time) on both transports."""
+    (the sender is checked once, at send time)."""
     message_mod._SEQ = 0
-    fast = _sender_fails_while_queued(legacy=False)
-    message_mod._SEQ = 0
-    legacy = _sender_fails_while_queued(legacy=True)
-    assert fast == legacy
-    results, counters, dropped, _ = fast
+    results, counters, dropped = _sender_fails_while_queued()
     # Rounds 1 and 2 hit the down sender; rounds 0 and 3 are delivered,
     # round 3 queueing behind round 0's still-draining transfers.
     assert counters["dropped_sender_down"] == dropped == 8
     assert counters["messages_delivered"] == 8
     assert counters["port_waits"] == 3 + 4
     assert sorted(value for _, value in results) == [False] * 8 + [True] * 8
+    # Sender-down drops complete at their send instants (t=1 and t=2);
+    # deliveries wait on the 1 s transmissions queued at the port.
+    assert sorted(time for time, value in results if not value) == [1.0] * 4 + [2.0] * 4
+    assert min(time for time, value in results if value) > 1.0

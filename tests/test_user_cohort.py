@@ -1,33 +1,23 @@
 """Unit and edge-case tests for the struct-of-arrays user plane.
 
-Covers the corners the differential suite's grid does not isolate:
-empty and single-user populations, start-time jitter collapsing many
-first visits into one sweep batch, servers failing mid-run, the
-pure-Python array backend, the :class:`~repro.sim.timers.CallbackLane`
-contract, and the LRU placement cache's keying/tuning.
+Covers the corners the golden grid does not isolate: empty and
+single-user populations, start-time jitter collapsing many first visits
+into one sweep batch, servers failing mid-run, the pure-Python array
+backend, the :class:`~repro.sim.timers.CallbackLane` contract, and the
+LRU placement cache's keying/tuning.
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
 import repro.cdn.cohort as cohort_mod
 import repro.experiments.testbed as testbed_mod
 import repro.network.message as message_mod
-from repro.cdn.cohort import (
-    COHORT_BACKEND_ENV,
-    LEGACY_USERS_ENV,
-    UserCohort,
-    _NumpyBackend,
-    _PurePythonBackend,
-    _select_backend,
-    legacy_users_enabled,
-)
+from repro.cdn.cohort import _PurePythonBackend, _select_backend
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
 from repro.sim import Environment
 from repro.sim.timers import CallbackLane
+from tests.test_golden import assert_golden
 
 
 def _config(seed=0, **overrides):
@@ -41,19 +31,6 @@ def _config(seed=0, **overrides):
     )
     defaults.update(overrides)
     return TestbedConfig(**defaults)
-
-
-@contextmanager
-def _legacy_users():
-    old = os.environ.get(LEGACY_USERS_ENV)
-    os.environ[LEGACY_USERS_ENV] = "1"
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(LEGACY_USERS_ENV, None)
-        else:
-            os.environ[LEGACY_USERS_ENV] = old
 
 
 def _run(config, method="ttl"):
@@ -82,10 +59,8 @@ class TestPopulationEdges:
         assert metrics.server_lags  # server plane unaffected
 
     def test_zero_users_matches_actor_arm(self):
-        cohort = _comparable(_run(_config(users_per_server=0))[1])
-        with _legacy_users():
-            actors = _comparable(_run(_config(users_per_server=0))[1])
-        assert cohort == actors
+        """Pinned while the per-user actor plane agreed with it."""
+        assert_golden("users/none")
 
     def test_single_user(self):
         deployment, metrics = _run(_config(n_servers=1, users_per_server=1))
@@ -99,13 +74,9 @@ class TestPopulationEdges:
 
     def test_jitter_straddling_one_sweep_batch(self):
         """A tiny start window collapses every first visit into one or
-        two sweep batches; ordering and metrics must still match the
-        actor arm exactly."""
-        config = _config(user_start_window_s=0.001)
-        cohort_metrics = _comparable(_run(config)[1])
-        with _legacy_users():
-            actor_metrics = _comparable(_run(config)[1])
-        assert cohort_metrics == actor_metrics
+        two sweep batches; ordering and metrics keep the pins the
+        per-user actor plane agreed with."""
+        assert_golden("users/1ms-start-window")
 
     def test_batched_sweeps_actually_batch(self):
         """Coinciding deadlines expire in one sweep: with every start
@@ -152,25 +123,9 @@ class TestMidRunFailures:
         assert any(t > 140.0 for t in times)
 
     def test_mid_run_failure_matches_actor_arm(self):
-        def run_with_storm():
-            message_mod._SEQ = 0
-            config = _config(n_servers=2, users_per_server=1)
-            deployment = build_deployment(config, "ttl")
-            victim = deployment.servers[0].node
-
-            def storm(env):
-                yield env.timeout(80.0)
-                victim.mark_down()
-                yield env.timeout(60.0)
-                victim.mark_up()
-
-            deployment.env.process(storm(deployment.env))
-            return _comparable(deployment.run())
-
-        cohort = run_with_storm()
-        with _legacy_users():
-            actors = run_with_storm()
-        assert cohort == actors
+        """The same outage keeps the pins the per-user actor plane
+        agreed with."""
+        assert_golden("users/2x1-outage")
 
 
 # ----------------------------------------------------------------------
@@ -185,22 +140,12 @@ class TestArrayBackend:
         assert _comparable(fallback) == numpy_metrics
 
     def test_backend_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(COHORT_BACKEND_ENV, "array")
-        assert _select_backend().name == "array"
-        monkeypatch.setenv(COHORT_BACKEND_ENV, "python")
-        assert _select_backend().name == "array"
-        monkeypatch.delenv(COHORT_BACKEND_ENV)
+        """An environment without numpy falls back to ``array``."""
         # numpy is installed in the test environment, so the default
         # selection picks it.
         assert _select_backend().name == "numpy"
-
-    def test_legacy_users_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_USERS_ENV, raising=False)
-        assert not legacy_users_enabled()
-        monkeypatch.setenv(LEGACY_USERS_ENV, "0")
-        assert not legacy_users_enabled()
-        monkeypatch.setenv(LEGACY_USERS_ENV, "1")
-        assert legacy_users_enabled()
+        monkeypatch.setattr(cohort_mod, "_np", None)
+        assert _select_backend().name == "array"
 
 
 # ----------------------------------------------------------------------

@@ -1,25 +1,18 @@
-"""Differential tests: struct-of-arrays user cohort vs per-user actors.
+"""The user cohort's pinned outputs, and user-population sharding.
 
-The :class:`~repro.cdn.cohort.UserCohort` must be a pure performance
-change: metrics, fabric counters, and full message/visit traces must be
-bit-identical to the legacy actor path (``REPRO_LEGACY_USERS=1``) for
-every update method on every infrastructure at three seeds -- and, in
-aggregate-metrics mode, identical across all three arms (cohort,
-fast-kernel actors, legacy-kernel actors).  Only ``events_processed``
-may differ (batched visit sweeps are the point).
+The :class:`~repro.cdn.cohort.UserCohort` must reproduce every golden
+pin (``tests/test_golden.py``) for every update method on every
+infrastructure at three seeds, on perturbation-heavy scenarios, with
+both visit selectors and with aggregate user metrics: metrics, fabric
+counters, full message/visit traces and the kernel-event count.
 
 Also covers the sharding contract: merging a cell's shard runs is
 bit-identical whether the shards executed serially or across a worker
 pool, and the shard specs reproduce the same server plane.
 """
 
-import os
-from contextlib import contextmanager
-
 import pytest
 
-import repro.network.message as message_mod
-from repro.cdn.cohort import LEGACY_USERS_ENV
 from repro.experiments.config import TestbedConfig
 from repro.experiments.sharding import (
     merge_shard_metrics,
@@ -27,37 +20,8 @@ from repro.experiments.sharding import (
     shard_user_counts,
 )
 from repro.experiments.testbed import INFRASTRUCTURES, METHODS, build_deployment
-from repro.obs.tracer import RecordingTracer
 from repro.runner import Runner, RunSpec, run_specs
-from repro.sim.engine import LEGACY_KERNEL_ENV
-
-_TRACE_KINDS = (
-    "msg_send",
-    "msg_recv",
-    "msg_drop",
-    "visit",
-    "visit_timeout",
-    "msg_timeout",
-)
-
-
-@contextmanager
-def _env_flags(**flags):
-    """Pin construction-time environment switches around a build."""
-    old = {name: os.environ.get(name) for name in flags}
-    for name, value in flags.items():
-        if value is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = value
-    try:
-        yield
-    finally:
-        for name, value in old.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+from tests.test_golden import assert_golden, grid_label, outcome
 
 
 def _tiny_config(seed, **overrides):
@@ -73,93 +37,23 @@ def _tiny_config(seed, **overrides):
     return TestbedConfig(**defaults)
 
 
-def _run_cell(
-    method,
-    infrastructure,
-    seed,
-    *,
-    legacy_users,
-    legacy_kernel=False,
-    scenario=None,
-    **overrides
-):
-    """One deployment run; returns (metrics, counters, trace)."""
-    message_mod._SEQ = 0
-    tracer = RecordingTracer()
-    with _env_flags(
-        **{
-            LEGACY_USERS_ENV: "1" if legacy_users else None,
-            LEGACY_KERNEL_ENV: "1" if legacy_kernel else None,
-        }
-    ):
-        deployment = build_deployment(
-            _tiny_config(seed, **overrides),
-            method,
-            infrastructure,
-            tracer=tracer,
-            scenario=scenario,
-        )
-    assert (deployment.cohort is not None) == (
-        not legacy_users and not legacy_kernel
-    )
-    metrics = deployment.run()
-    trace = tracer.events(kinds=_TRACE_KINDS)
-    return metrics, deployment.fabric.counters.to_dict(), trace
-
-
-def _cell_overrides(method, infrastructure):
-    # invalidation/broadcast floods; cut the horizon shortly after the
-    # storm starts so the cell stays fast (same trim as the kernel
-    # differential suite).
-    if (method, infrastructure) == ("invalidation", "broadcast"):
-        return {"horizon_s": 80.0}
-    return {}
-
-
-def _assert_identical(cohort, actors, label):
-    cohort_m, cohort_c, cohort_t = cohort
-    actor_m, actor_c, actor_t = actors
-    cohort_d = cohort_m.to_dict()
-    actor_d = actor_m.to_dict()
-    cohort_d.pop("events_processed")
-    actor_d.pop("events_processed")
-    assert cohort_d == actor_d, "DeploymentMetrics diverged (%s)" % label
-    assert cohort_c == actor_c, "FabricCounters diverged (%s)" % label
-    assert cohort_t == actor_t, "traces diverged (%s)" % label
-
-
 # ----------------------------------------------------------------------
-# the differential contract
+# the pinned outputs
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("infrastructure", INFRASTRUCTURES)
 @pytest.mark.parametrize("method", METHODS)
 def test_cohort_bit_identical(method, infrastructure):
-    """Cohort and actor user planes agree exactly, at three seeds."""
-    overrides = _cell_overrides(method, infrastructure)
+    """Every method on every infrastructure keeps its pins, at three seeds."""
     for seed in (0, 1, 2):
-        cohort = _run_cell(
-            method, infrastructure, seed, legacy_users=False, **overrides
-        )
-        actors = _run_cell(
-            method, infrastructure, seed, legacy_users=True, **overrides
-        )
-        _assert_identical(
-            cohort, actors, "%s/%s seed %d" % (method, infrastructure, seed)
-        )
+        assert_golden(grid_label(method, infrastructure, seed))
 
 
 @pytest.mark.parametrize("selector", ["fixed", "switch"])
 def test_selector_modes_bit_identical(selector):
-    """Both visit-target policies match, including the shared
+    """Both visit-target policies keep their pins, including the shared
     switch-selector RNG stream's draw order."""
     for seed in (0, 1):
-        cohort = _run_cell(
-            "ttl", "unicast", seed, legacy_users=False, user_selector=selector
-        )
-        actors = _run_cell(
-            "ttl", "unicast", seed, legacy_users=True, user_selector=selector
-        )
-        _assert_identical(cohort, actors, "%s seed %d" % (selector, seed))
+        assert_golden("ttl/unicast/%s-selector/seed%d" % (selector, seed))
 
 
 @pytest.mark.parametrize(
@@ -167,49 +61,23 @@ def test_selector_modes_bit_identical(selector):
 )
 def test_scenario_cells_bit_identical(scenario):
     """Perturbation-heavy scenarios (node failures, reconfiguration
-    mid-run) match across user planes too."""
+    mid-run) keep their pins."""
     for method in ("ttl", "push"):
-        cohort = _run_cell(
-            method, "unicast", 0, legacy_users=False, scenario=scenario
-        )
-        actors = _run_cell(
-            method, "unicast", 0, legacy_users=True, scenario=scenario
-        )
-        _assert_identical(cohort, actors, "%s@%s" % (method, scenario))
+        assert_golden("%s/unicast@%s" % (method, scenario))
 
 
 def test_aggregate_mode_identical_across_all_arms():
-    """user_metrics='aggregate' produces one answer from all three
-    arms: cohort, fast-kernel actors, and legacy-kernel actors."""
-    results = []
-    for legacy_users, legacy_kernel in (
-        (False, False),
-        (True, False),
-        (True, True),
-    ):
-        metrics, counters, trace = _run_cell(
-            "ttl",
-            "unicast",
-            0,
-            legacy_users=legacy_users,
-            legacy_kernel=legacy_kernel,
-            user_metrics="aggregate",
-        )
-        data = metrics.to_dict()
-        data.pop("events_processed")
-        results.append((data, trace))
-    assert results[0] == results[1] == results[2]
+    """user_metrics='aggregate' keeps its pins: the per-user actor
+    planes on both kernels agreed with the cohort when they were
+    recorded."""
+    assert_golden("ttl/unicast/aggregate")
 
 
 def test_aggregate_mode_matches_per_user_rollup():
     """Aggregate metrics equal the per-user layout re-grouped by home
     server: same observations, coarser bookkeeping."""
-    aggregate = _run_cell(
-        "ttl", "unicast", 0, legacy_users=False, user_metrics="aggregate"
-    )[0]
-    per_user = _run_cell(
-        "ttl", "unicast", 0, legacy_users=False, user_metrics="per-user"
-    )[0]
+    aggregate = outcome("ttl/unicast/aggregate").metrics
+    per_user = outcome("ttl/unicast/seed0").metrics
     groups = {}
     for node_id, lag in per_user.user_lags.items():
         groups.setdefault(node_id.rsplit("-user-", 1)[0], []).append(
