@@ -98,17 +98,16 @@ bench-e2e-test:
 # Fig. 20x at CI scale: 10k servers x 100k users through the sharded
 # sweep path, with wall-clock and peak-RSS budgets asserted off the
 # telemetry rollup (same job as CI's scale-smoke).  Sampled tracing is
-# ON (REPRO_TRACE_*: 0.1% rate, rotating JSONL sinks under
+# ON (--trace-dir: 0.1% rate, rotating JSONL sinks under
 # .scale-trace/) so the budgets also prove tracing fits at planet
 # scale; the sweep writes live progress to .scale-runs.progress.json,
 # tailable from another terminal with
 # `python -m repro watch --registry .scale-runs.json`.
 scale-smoke:
-	REPRO_TRACE_DIR=.scale-trace REPRO_TRACE_RATE=0.001 \
-	REPRO_TRACE_BUDGET=128 \
 	PYTHONPATH=src python -m repro sweep --methods ttl --scale planet \
 		--servers 10000 --users-per-server 10 --user-shards 4 \
-		--workers 4 --registry .scale-runs.json
+		--workers 4 --registry .scale-runs.json \
+		--trace-dir .scale-trace --sample-rate 0.001 --budget 128
 	python benchmarks/check_scale.py .scale-runs.telemetry.json \
 		--max-wall-s 420 --max-rss-kb 4000000
 

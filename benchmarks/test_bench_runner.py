@@ -45,12 +45,12 @@ def sweep_specs():
 
 
 def test_serial_vs_parallel_wall_clock(benchmark, sweep_specs):
-    serial_runner = Runner(workers=1, registry=False)
+    serial_runner = Runner(workers=1)
     started = time.perf_counter()
     serial = serial_runner.run(sweep_specs)
     serial_s = time.perf_counter() - started
 
-    parallel_runner = Runner(workers=4, registry=False)
+    parallel_runner = Runner(workers=4)
     started = time.perf_counter()
     parallel = parallel_runner.run(sweep_specs)
     parallel_s = time.perf_counter() - started
@@ -62,7 +62,7 @@ def test_serial_vs_parallel_wall_clock(benchmark, sweep_specs):
     benchmark.extra_info["speedup"] = round(serial_s / max(parallel_s, 1e-9), 2)
     benchmark.extra_info["cpus"] = _usable_cpus()
     benchmark.pedantic(
-        Runner(workers=4, registry=False).run,
+        Runner(workers=4).run,
         args=(sweep_specs,),
         rounds=1,
         iterations=1,

@@ -29,14 +29,14 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers",
-        default=None,
-        help='parallel workers; "auto" = one per CPU (default: $REPRO_WORKERS or 1)',
+        default="1",
+        help='parallel workers; "auto" = one per CPU (default: 1)',
     )
     parser.add_argument(
         "--registry",
         default=None,
         metavar="PATH",
-        help="run-registry JSON memoizing deployments (default: $REPRO_RUN_REGISTRY)",
+        help="run-registry JSON memoizing deployments (default: none)",
     )
     args = parser.parse_args()
 

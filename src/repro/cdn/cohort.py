@@ -12,10 +12,11 @@ allocations that the cyclic collector re-traverses over and over.
 deployment:
 
 - per-slot state (poll TTL, failed-visit count, home/last server,
-  running staleness accumulators) lives in parallel unboxed arrays --
-  numpy when importable, :mod:`array` otherwise (see
-  :data:`ARRAY_BACKEND`); every metric-facing computation is written as
-  the same scalar loop either way, so the backends are bit-identical;
+  running staleness accumulators) lives in parallel unboxed numpy
+  arrays; scalar reads off them return numpy scalars, so every caller
+  coerces with ``float()``/``int()`` before the value can reach the
+  event heap or a metrics dict (``Environment.now`` stays a builtin
+  float and registry JSON stays serialisable);
 - visit deadlines live in one binary heap swept by a single reusable
   control event (scheduled with
   :meth:`~repro.sim.engine.Environment.schedule_at` for the exact float
@@ -49,9 +50,10 @@ but the event count, and those pins now hold the cohort to it.
 
 from __future__ import annotations
 
-from array import array as _stdarray
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..metrics.incremental import AggregateUserMetrics, UserObservationTracker
 from ..network.message import Message, MessageKind
@@ -71,61 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..sim.rng import RandomStream
     from .content import LiveContent
 
-__all__ = ["UserCohort", "ARRAY_BACKEND"]
-
-
-# ----------------------------------------------------------------------
-# array backends
-# ----------------------------------------------------------------------
-try:  # pragma: no cover - import guard
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
-
-
-class _NumpyBackend:
-    """Unboxed per-slot storage on numpy arrays.
-
-    Scalar reads off these arrays return numpy scalars, so every caller
-    coerces with ``float()``/``int()`` before the value can reach the
-    event heap or a metrics dict -- ``Environment.now`` stays a builtin
-    float and registry JSON stays serialisable.
-    """
-
-    name = "numpy"
-
-    @staticmethod
-    def full_f(n: int, value: float) -> Any:
-        return _np.full(n, value, dtype=_np.float64)
-
-    @staticmethod
-    def zeros_i(n: int) -> Any:
-        return _np.zeros(n, dtype=_np.int64)
-
-
-class _PurePythonBackend:
-    """Same layout on :mod:`array` arrays (the numpy-free fallback)."""
-
-    name = "array"
-
-    @staticmethod
-    def full_f(n: int, value: float) -> Any:
-        return _stdarray("d", [value]) * n
-
-    @staticmethod
-    def zeros_i(n: int) -> Any:
-        return _stdarray("q", [0]) * n
-
-
-def _select_backend() -> Any:
-    return _PurePythonBackend if _np is None else _NumpyBackend
-
-
-#: The backend selected at import time: numpy when importable.  Tests
-#: swap this module global to force the fallback; results are
-#: bit-identical either way because all arithmetic runs in scalar Python
-#: space.
-ARRAY_BACKEND = _select_backend()
+__all__ = ["UserCohort"]
 
 _INF = float("inf")
 _CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
@@ -147,7 +95,6 @@ class UserCohort:
         "fabric",
         "content",
         "nodes",
-        "backend",
         "user_metrics",
         "aggregate",
         "trackers",
@@ -210,11 +157,9 @@ class UserCohort:
         self.fabric = fabric
         self.content = content
         self.nodes = list(nodes)
-        backend = ARRAY_BACKEND
-        self.backend = backend
         self.user_metrics = user_metrics
-        self._ttl = backend.full_f(n, user_ttl_s)
-        self._failed = backend.zeros_i(n)
+        self._ttl = np.full(n, user_ttl_s, dtype=np.float64)
+        self._failed = np.zeros(n, dtype=np.int64)
         self._start_offsets = [float(offset) for offset in start_offsets]
         self._fixed = targets is not None
         self._targets: List["NetworkNode"] = list(targets) if targets is not None else []

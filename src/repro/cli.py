@@ -16,12 +16,12 @@ Thirteen subcommands mirroring the paper's workflow::
     python -m repro metrics    # harness-telemetry rollup (JSON / Prometheus)
     python -m repro profile    # top-N span table from a run's telemetry
 
-``sweep`` and ``report`` accept ``--workers`` (or ``REPRO_WORKERS``) to
-fan deployments over a process pool, and ``--registry`` (or
-``REPRO_RUN_REGISTRY``) to memoize completed runs on disk.  Runs with a
-registry also append a harness-telemetry rollup to
+``sweep`` and ``report`` accept ``--workers`` to fan deployments over a
+process pool, and ``--registry`` to memoize completed runs on disk.
+Runs with a registry also append a harness-telemetry rollup to
 ``<registry>.telemetry.json``, which ``metrics`` and ``profile`` read
-back (see docs/observability.md).
+back (see docs/observability.md).  ``sweep --trace-dir`` streams a
+sampled trace of every executed deployment.
 """
 
 from __future__ import annotations
@@ -47,17 +47,17 @@ def _workers_argument(value: str) -> str:
 def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        default=None,
+        default=1,
         type=_workers_argument,
         help='parallel worker count; "auto" or 0 = one per CPU '
-        "(default: $REPRO_WORKERS or 1 = serial)",
+        "(default: 1 = serial)",
     )
     parser.add_argument(
         "--registry",
         default=None,
         metavar="PATH",
         help="run-registry JSON file memoizing completed deployments "
-        "(default: $REPRO_RUN_REGISTRY, unset = no memoization)",
+        "(default: no memoization)",
     )
 
 
@@ -65,12 +65,11 @@ def _add_telemetry_source_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "artifact", nargs="?", default=None, metavar="TELEMETRY_JSON",
         help="telemetry artifact path (default: derived from --registry "
-        "or $REPRO_RUN_REGISTRY as <registry>.telemetry.json)",
+        "as <registry>.telemetry.json)",
     )
     parser.add_argument(
         "--registry", default=None, metavar="PATH",
-        help="run-registry path whose telemetry artifact to read "
-        "(default: $REPRO_RUN_REGISTRY)",
+        help="run-registry path whose telemetry artifact to read",
     )
     parser.add_argument(
         "--run", type=int, default=-1, metavar="N",
@@ -80,20 +79,13 @@ def _add_telemetry_source_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_telemetry_artifact(args: argparse.Namespace) -> str:
-    import os
-
     from .obs.telemetry import default_artifact_path
-    from .runner.registry import REGISTRY_ENV
 
     if args.artifact:
         return args.artifact
-    registry = args.registry or os.environ.get(REGISTRY_ENV)
-    if not registry:
-        raise SystemExit(
-            "no telemetry source: pass TELEMETRY_JSON, --registry, or set "
-            "$%s" % REGISTRY_ENV
-        )
-    return default_artifact_path(registry)
+    if not args.registry:
+        raise SystemExit("no telemetry source: pass TELEMETRY_JSON or --registry")
+    return default_artifact_path(args.registry)
 
 
 def _load_run_entry(path: str, run: int):
@@ -207,6 +199,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--user-shards > 1)",
     )
     _add_runner_arguments(sweep)
+    sweep.add_argument(
+        "--trace-dir", default=None, metavar="DIR",
+        help="stream a deterministic sampled trace of every executed "
+        "deployment to rotating <label>-<hash>.trace.jsonl sinks in DIR",
+    )
+    sweep.add_argument(
+        "--sample-rate", type=float, default=None, metavar="RATE",
+        help="per-kind keep rate (0..1) under --trace-dir (default: 1.0)",
+    )
+    sweep.add_argument(
+        "--budget", type=int, default=None, metavar="N",
+        help="per-kind reservoir budget under --trace-dir (default: 256)",
+    )
 
     scenario = sub.add_parser(
         "scenario",
@@ -365,13 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "progress", nargs="?", default=None, metavar="PROGRESS_JSON",
-        help="progress file path (default: derived from --registry or "
-        "$REPRO_RUN_REGISTRY as <registry>.progress.json)",
+        help="progress file path (default: derived from --registry as "
+        "<registry>.progress.json)",
     )
     watch.add_argument(
         "--registry", default=None, metavar="PATH",
-        help="run-registry path whose progress file to tail "
-        "(default: $REPRO_RUN_REGISTRY)",
+        help="run-registry path whose progress file to tail",
     )
     watch.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     # so the entries here only exist for `repro --help`.
     sub.add_parser(
         "lint",
-        help="determinism & purity static analysis (rules REP001-REP010; "
+        help="determinism & purity static analysis (rules REP001-REP011; "
         "see docs/static-analysis.md)",
         add_help=False,
     )
@@ -545,7 +549,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.config import ci_scale, paper_scale, planet_scale, smoke_scale
-    from .runner import Runner, RunSpec
+    from .runner import Runner, RunSpec, TraceSettings
 
     base = {
         "smoke": smoke_scale,
@@ -611,7 +615,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                 )
                             )
 
-    runner = Runner(workers=args.workers, registry=args.registry)
+    trace = None
+    if args.trace_dir is not None:
+        trace = TraceSettings(
+            args.trace_dir,
+            rate=1.0 if args.sample_rate is None else args.sample_rate,
+            budget=256 if args.budget is None else args.budget,
+        )
+    runner = Runner(workers=args.workers, registry=args.registry, trace=trace)
     if args.user_shards > 1:
         from .experiments.sharding import (
             merge_shard_metrics,
@@ -651,6 +662,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     print(outcome.stats.summary())
     return 0
+
+
+def _check_trace_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """``sweep --sample-rate/--budget`` only tune ``--trace-dir``; reject
+    them (exit 2) before any deployment runs."""
+    if args.trace_dir is None:
+        for flag, value in (
+            ("--sample-rate", args.sample_rate), ("--budget", args.budget),
+        ):
+            if value is not None:
+                parser.error("sweep: %s requires --trace-dir" % flag)
+    if args.sample_rate is not None and not 0.0 <= args.sample_rate <= 1.0:
+        parser.error("sweep: --sample-rate must be in [0, 1]")
+    if args.budget is not None and args.budget < 0:
+        parser.error("sweep: --budget must be >= 0")
 
 
 def _scenario_scale_config(scale: str, seed: int):
@@ -937,20 +965,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _resolve_progress_path(args: argparse.Namespace) -> str:
-    import os
-
     from .obs.live import default_progress_path
-    from .runner.registry import REGISTRY_ENV
 
     if args.progress:
         return args.progress
-    registry = args.registry or os.environ.get(REGISTRY_ENV)
-    if not registry:
-        raise SystemExit(
-            "no progress source: pass PROGRESS_JSON, --registry, or set "
-            "$%s" % REGISTRY_ENV
-        )
-    return default_progress_path(registry)
+    if not args.registry:
+        raise SystemExit("no progress source: pass PROGRESS_JSON or --registry")
+    return default_progress_path(args.registry)
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
@@ -1173,7 +1194,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .experiments.sanitize import main as sanitize_main
 
         return sanitize_main(arguments[1:])
-    args = build_parser().parse_args(arguments)
+    parser = build_parser()
+    args = parser.parse_args(arguments)
+    if args.command == "sweep":
+        _check_trace_flags(parser, args)
     return _COMMANDS[args.command](args)
 
 

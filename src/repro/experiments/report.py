@@ -138,8 +138,8 @@ def generate_report(
     """Run everything; return the EXPERIMENTS.md markdown.
 
     ``runner`` is threaded into every Section 4/5 sweep; pass one with
-    ``workers > 1`` (or set ``REPRO_WORKERS``) to run the deployments in
-    parallel, and one with a registry to memoize them across runs.
+    ``workers > 1`` to run the deployments in parallel, and one with a
+    registry to memoize them across runs.
     """
     scale = scale if scale is not None else ReportScale.medium()
     log = log if log is not None else sys.stderr

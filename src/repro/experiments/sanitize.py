@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..consistency.registry import resolve_infrastructure, resolve_method
 from ..obs.tracer import RecordingTracer
-from ..sim.sanitize import SANITIZE_ENV, SANITIZE_TIES_ENV
+from ..sim.sanitize import ScheduleSanitizer
 from .config import TestbedConfig
 from .testbed import build_deployment
 
@@ -60,28 +60,11 @@ DEFAULT_CELLS = (
 _CanonicalTrace = List[Tuple[float, str, str, str]]
 
 
-class _ScopedEnv:
-    """Temporarily set/unset process environment variables."""
-
-    def __init__(self, **values: Optional[str]) -> None:
-        self._values = values
-        self._saved: Dict[str, Optional[str]] = {}
-
-    def __enter__(self) -> "_ScopedEnv":
-        for key, value in self._values.items():
-            self._saved[key] = os.environ.get(key)
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        for key, value in self._saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+def _split_cell(cell: str) -> Tuple[str, str]:
+    """``"method:infra"`` -> ``(method, infra)``; infra defaults to
+    unicast."""
+    method, _, infrastructure = cell.partition(":")
+    return method, infrastructure or "unicast"
 
 
 def _canonical_trace(tracer: RecordingTracer) -> _CanonicalTrace:
@@ -107,24 +90,15 @@ def run_cell(
     """One sanitized run; returns (metrics dict, canonical trace, ties).
 
     ``tie_seed=None`` runs the trap-only baseline (FIFO tie order);
-    an integer runs a perturbed replica.  The sanitizer switches are
-    installed via scoped environment variables because the
-    :class:`Environment` is constructed deep inside
-    :func:`build_deployment` and reads them there.
+    an integer runs a perturbed replica.
     """
-    with _ScopedEnv(
-        **{
-            SANITIZE_ENV: "1",
-            SANITIZE_TIES_ENV: None if tie_seed is None else str(tie_seed),
-        }
-    ):
-        tracer = RecordingTracer() if record_trace else None
-        deployment = build_deployment(config, method, infrastructure, tracer=tracer)
-        metrics = deployment.run()
-        sanitizer = deployment.env.sanitizer
-        ties = sanitizer.tie_collisions if sanitizer is not None else 0
-        trace = _canonical_trace(tracer) if tracer is not None else None
-        return metrics.to_dict(), trace, ties
+    sanitizer = ScheduleSanitizer(tie_seed=tie_seed, traps=True)
+    tracer = RecordingTracer() if record_trace else None
+    metrics = build_deployment(
+        config, method, infrastructure, tracer=tracer, sanitizer=sanitizer
+    ).run()
+    trace = _canonical_trace(tracer) if tracer is not None else None
+    return metrics.to_dict(), trace, sanitizer.tie_collisions
 
 
 def _diff_metrics(
@@ -191,8 +165,7 @@ def sanitize_cell(
     record_trace: bool = True,
 ) -> CellReport:
     """Baseline plus *replicas* perturbed runs; compare bit-for-bit."""
-    method, _, infrastructure = cell.partition(":")
-    infrastructure = infrastructure or "unicast"
+    method, infrastructure = _split_cell(cell)
     base_metrics, base_trace, _ = run_cell(
         config, method, infrastructure, tie_seed=None, record_trace=record_trace
     )
@@ -301,4 +274,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     if args.replicas < 1:
         parser.error("--replicas must be >= 1")
+    # Reject every unknown cell before running any: a typo must not
+    # cost a run and then exit like a DIVERGED cell.
+    for cell in args.cells:
+        method, infrastructure = _split_cell(cell)
+        try:
+            resolve_method(method)
+            resolve_infrastructure(infrastructure)
+        except ValueError as error:
+            parser.error("cell %r: %s" % (cell, error))
     return run(args)

@@ -2,9 +2,8 @@
 
 Every driver expands its sweep into :class:`~repro.runner.RunSpec` grids
 and executes them through a :class:`~repro.runner.Runner`, so sweeps run
-in parallel when workers are available (``REPRO_WORKERS`` or an explicit
-``runner=``) and memoize through the run registry when one is
-configured.  Results are deterministic given the config's seed and
+in parallel when the ``runner=`` has workers and memoize through the
+run registry when it has one.  Results are deterministic given the config's seed and
 bit-identical across serial/parallel/cached execution.
 
 Each driver returns a :class:`FigureResult`; the per-figure rich objects

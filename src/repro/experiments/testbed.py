@@ -16,7 +16,6 @@ Two entry points:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -46,6 +45,7 @@ from ..obs.telemetry import TELEMETRY, span
 from ..obs.tracer import Tracer
 from ..sim.engine import Environment
 from ..sim.rng import StreamRegistry
+from ..sim.sanitize import ScheduleSanitizer
 from ..trace.workload import LiveGameWorkload
 from .config import TestbedConfig
 
@@ -373,24 +373,11 @@ class _Placement:
     path_cache: Dict
 
 
-#: Memoized placements, LRU-ordered (most recently used last).  The
-#: capacity is env-tunable: sweeps cycling through more shapes than the
-#: default (e.g. a wide Fig. 20x size axis crossed with many population
-#: shards) would otherwise thrash; ``REPRO_PLACEMENT_CACHE=0`` disables
-#: caching entirely.  Read at each insertion, so tests can retune it.
+#: Memoized placements, LRU-ordered (most recently used last), at most
+#: ``_PLACEMENT_CACHE_MAX`` of them.  The capacity is read at each
+#: insertion, so tests can retune it.
 _PLACEMENT_CACHE: "OrderedDict[tuple, _Placement]" = OrderedDict()
 _PLACEMENT_CACHE_MAX = 32
-PLACEMENT_CACHE_ENV = "REPRO_PLACEMENT_CACHE"
-
-
-def _placement_cache_max() -> int:
-    raw = os.environ.get(PLACEMENT_CACHE_ENV, "")
-    if not raw:
-        return _PLACEMENT_CACHE_MAX
-    try:
-        return int(raw)
-    except ValueError:
-        return _PLACEMENT_CACHE_MAX
 
 
 def _snapshot_node(node: NetworkNode) -> _NodeSpec:
@@ -450,13 +437,10 @@ def _placed_topology(env: Environment, streams: StreamRegistry, config: TestbedC
             ),
             path_cache={},
         )
-        max_entries = _placement_cache_max()
-        if max_entries <= 0:
-            return topology, placement.path_cache
         # Value-pure memoization: the placement is a pure function of the
         # full config key, so cache state can never change what a shard
         # computes -- only how fast (see RNG-stream note below).
-        while len(_PLACEMENT_CACHE) >= max_entries:
+        while len(_PLACEMENT_CACHE) >= _PLACEMENT_CACHE_MAX:
             _PLACEMENT_CACHE.popitem(last=False)  # repro: noqa REP010 -- value-pure memoization keyed by full config
         _PLACEMENT_CACHE[key] = placement  # repro: noqa REP010 -- value-pure memoization keyed by full config
         return topology, placement.path_cache
@@ -494,13 +478,18 @@ def _resolve_scenario_cell(config: TestbedConfig, scenario, scenario_cell: int):
     return resolved, resolved.cell(config, scenario_cell)
 
 
-def _base(config: TestbedConfig, tracer: Optional[Tracer] = None, cell=None):
+def _base(
+    config: TestbedConfig,
+    tracer: Optional[Tracer] = None,
+    cell=None,
+    sanitizer: Optional[ScheduleSanitizer] = None,
+):
     """Build env/streams/topology/fabric/content, honouring the cell's
     config overrides (applied *before* the topology is sized) and its
     content factory.  Returns the effective config last."""
     if cell is not None and cell.config_overrides:
         config = config.with_overrides(**dict(cell.config_overrides))
-    env = Environment(tracer=tracer)
+    env = Environment(tracer=tracer, sanitizer=sanitizer)
     streams = StreamRegistry(config.seed)
     topology, path_cache = _placed_topology(env, streams, config)
     fabric = NetworkFabric(
@@ -626,6 +615,7 @@ def build_deployment(
     tracer: Optional[Tracer] = None,
     scenario=None,
     scenario_cell: int = 0,
+    sanitizer: Optional[ScheduleSanitizer] = None,
 ) -> Deployment:
     """One Section 4 cell: *method* running on *infrastructure*.
 
@@ -638,10 +628,14 @@ def build_deployment(
     selects the workload/catalog/perturbation bundle; *scenario_cell*
     picks the catalog cell for multi-object scenarios.  ``None`` is the
     legacy hard-wired path, bit-identical to ``"paper-baseline"``.
+
+    *sanitizer* installs a :class:`~repro.sim.sanitize.ScheduleSanitizer`
+    on the deployment's environment (``repro sanitize`` runs).
     """
     with span("testbed.build"):
         return _build_deployment(
-            config, method, infrastructure, tracer, scenario, scenario_cell
+            config, method, infrastructure, tracer, scenario, scenario_cell,
+            sanitizer,
         )
 
 
@@ -652,6 +646,7 @@ def _build_deployment(
     tracer: Optional[Tracer],
     scenario=None,
     scenario_cell: int = 0,
+    sanitizer: Optional[ScheduleSanitizer] = None,
 ) -> Deployment:
     method = resolve_method(method).name
     infrastructure = resolve_infrastructure(infrastructure).name
@@ -660,7 +655,7 @@ def _build_deployment(
     reset_seq()
     resolved, cell = _resolve_scenario_cell(config, scenario, scenario_cell)
     env, streams, topology, fabric, content, config = _base(
-        config, tracer=tracer, cell=cell
+        config, tracer=tracer, cell=cell, sanitizer=sanitizer
     )
     provider = ProviderActor(env, topology.provider, fabric, content)
     servers = [

@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="Determinism & purity static analysis for the repro "
-        "codebase (rules REP001-REP010; see docs/static-analysis.md).",
+        "codebase (rules REP001-REP011; see docs/static-analysis.md).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

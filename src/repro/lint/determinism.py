@@ -1,4 +1,5 @@
-"""REP001 / REP002 -- seeded randomness and wall-clock bans.
+"""REP001 / REP002 / REP011 -- seeded randomness, wall-clock and
+environment-configuration bans.
 
 REP001: inside the simulation packages (``sim/``, ``cdn/``,
 ``consistency/``, ``network/``, ``scenarios/``) every random draw must
@@ -19,6 +20,15 @@ code.  Deliberate carve-outs (the runner's wall-time bookkeeping,
 benchmarks, harness telemetry) live in the
 :data:`repro.lint.exemptions.EXEMPTIONS` manifest, one reviewable
 table with a reason per entry.
+
+REP011: nothing in the ``repro`` package reads or writes the process
+environment (``os.environ``, ``os.getenv``, ``os.putenv``,
+``os.unsetenv``).  An environment variable is configuration the run's
+spec cannot see: it is inherited by worker processes, invisible to the
+spec hash, and can change results from outside the experiment.  Every
+run setting is an argument instead (``Runner(...)``, CLI flags,
+``build_deployment(..., sanitizer=)``).  The rule has no exemption
+entry.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .exemptions import is_exempt
 from .findings import Finding
 from .rules import FileRule
 
-__all__ = ["SeededRngOnly", "NoWallClock"]
+__all__ = ["SeededRngOnly", "NoWallClock", "NoEnvConfig"]
 
 #: Packages whose randomness must be stream-threaded (REP001).
 _RNG_SCOPED_AREAS = ("sim", "cdn", "consistency", "network", "scenarios")
@@ -54,6 +64,11 @@ _WALL_CLOCK_TIME_ATTRS = frozenset(
 
 #: ``datetime``/``date`` constructors that read the wall clock.
 _WALL_CLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+
+#: ``os`` attributes that read or write the process environment.
+_ENV_ATTRS = frozenset(
+    {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+)
 
 
 def _root_name(node: ast.AST) -> str:
@@ -232,3 +247,49 @@ class NoWallClock(FileRule):
                     if (alias.asname or alias.name) == bound_name:
                         return node
         return None
+
+
+class NoEnvConfig(FileRule):
+    """REP011 -- no process-environment configuration in ``repro``."""
+
+    code = "REP011"
+    name = "no-env-config"
+    summary = (
+        "no os.environ/getenv/putenv/unsetenv anywhere in the repro "
+        "package -- run settings are explicit arguments, never "
+        "environment variables"
+    )
+
+    def check(self, file) -> Iterator[Finding]:
+        if not file.package_path.startswith("repro/"):
+            return
+        tracker = _ImportTracker({"os"})
+        tracker.visit(file.tree)
+
+        for node in ast.walk(file.tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level or (node.module or "").split(".")[0] != "os":
+                    continue
+                for alias in node.names:
+                    if alias.name in _ENV_ATTRS:
+                        yield self.finding(
+                            file,
+                            node.lineno,
+                            node.col_offset,
+                            "`from os import %s` reads or writes the "
+                            "process environment; pass the setting as an "
+                            "argument instead" % alias.name,
+                        )
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr in _ENV_ATTRS
+                and isinstance(node.value, ast.Name)
+                and tracker.module_aliases.get(node.value.id) == "os"
+            ):
+                yield self.finding(
+                    file,
+                    node.lineno,
+                    node.col_offset,
+                    "`os.%s` reads or writes the process environment; "
+                    "pass the setting as an argument instead" % node.attr,
+                )

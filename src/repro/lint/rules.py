@@ -79,7 +79,7 @@ class ProjectRule(_RuleBase):
 def _build_registry() -> List[_RuleBase]:
     # Imported here (not at module top) so concrete rule modules can
     # `from .rules import FileRule` without a circular import.
-    from .determinism import SeededRngOnly, NoWallClock
+    from .determinism import NoEnvConfig, NoWallClock, SeededRngOnly
     from .ordering import HeapKeyTotality, IterationOrder
     from .purity import ObserverPurity
     from .reentrancy import LaneReentrancy
@@ -98,6 +98,7 @@ def _build_registry() -> List[_RuleBase]:
         HeapKeyTotality(),
         LaneReentrancy(),
         CrossShardState(),
+        NoEnvConfig(),
     ]
 
 

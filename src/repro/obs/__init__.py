@@ -41,7 +41,6 @@ from .live import Heartbeat, ProgressTracker, default_progress_path
 from .sampling import JsonlTraceSink, SamplingTracer, StreamTracer
 from .telemetry import (
     TELEMETRY,
-    TELEMETRY_ENV,
     MetricsRegistry,
     profiled,
     span,
@@ -71,7 +70,6 @@ __all__ = [
     "attribution_components",
     "format_attribution_table",
     "TELEMETRY",
-    "TELEMETRY_ENV",
     "MetricsRegistry",
     "span",
     "profiled",

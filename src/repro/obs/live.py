@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional
 from .telemetry import TELEMETRY, peak_rss_kb
 
 __all__ = [
-    "PROGRESS_DIR_ENV",
     "PROGRESS_FORMAT",
     "HEARTBEAT_FORMAT",
     "Heartbeat",
@@ -51,11 +50,6 @@ __all__ = [
     "merge_heartbeats",
     "render_watch",
 ]
-
-#: Environment variable carrying the heartbeat directory into Runner
-#: worker processes (set by the Runner around its pool, inherited on
-#: fork/spawn).  Unset means no heartbeats.
-PROGRESS_DIR_ENV = "REPRO_PROGRESS_DIR"
 
 #: Version tag of the ``<registry>.progress.json`` shape.
 PROGRESS_FORMAT = 1

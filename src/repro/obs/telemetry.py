@@ -27,7 +27,7 @@ Telemetry is *observational only*: nothing here touches the simulation
 kernel, RNG streams, or any simulated outcome, so runs are bit-identical
 in every :class:`~repro.experiments.result.FigureResult` metric with
 telemetry on or off (``tests/test_telemetry.py`` proves it).  Disable
-with ``REPRO_TELEMETRY=0``.
+with ``TELEMETRY.enabled = False``.
 
 Cross-process flow: each parallel-Runner worker captures a *delta
 snapshot* around its deployment (:meth:`MetricsRegistry.snapshot` /
@@ -52,7 +52,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 __all__ = [
     "TELEMETRY",
-    "TELEMETRY_ENV",
     "SNAPSHOT_FORMAT",
     "ARTIFACT_FORMAT",
     "BUCKETS_SECONDS",
@@ -61,7 +60,6 @@ __all__ = [
     "MetricsRegistry",
     "span",
     "profiled",
-    "telemetry_enabled",
     "peak_rss_kb",
     "empty_snapshot",
     "merge_snapshots",
@@ -74,9 +72,6 @@ __all__ = [
     "append_run_entry",
     "merged_rollup",
 ]
-
-#: Environment variable disabling telemetry (``0`` / ``false`` / ``off``).
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Version tag of the snapshot dict shape.
 SNAPSHOT_FORMAT = 1
@@ -94,13 +89,6 @@ BUCKETS_SECONDS: Tuple[float, ...] = (
 BUCKETS_COUNT: Tuple[float, ...] = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
 
 _F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def telemetry_enabled() -> bool:
-    """The ``REPRO_TELEMETRY`` default (unset means enabled)."""
-    return os.environ.get(TELEMETRY_ENV, "1").strip().lower() not in (
-        "0", "false", "no", "off",
-    )
 
 
 def peak_rss_kb() -> int:
@@ -153,12 +141,9 @@ class MetricsRegistry:
     instrumented site.
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        #: Explicit override (constructor argument or later assignment);
-        #: ``None`` defers to the live ``REPRO_TELEMETRY`` value so the
-        #: process-wide singleton honours env changes made after import
-        #: (e.g. ``monkeypatch.setenv`` in tests).
-        self._enabled_override: Optional[bool] = enabled
+    def __init__(self, enabled: bool = True) -> None:
+        #: Live switch, read at every instrumented site.
+        self.enabled = enabled
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -168,19 +153,6 @@ class MetricsRegistry:
         self._stack: List[List[Any]] = []
         #: name -> live nesting depth (recursion guard for cum_s).
         self._active: Dict[str, int] = {}
-
-    @property
-    def enabled(self) -> bool:
-        """Live telemetry switch: the explicit override when one was
-        set, otherwise the current ``REPRO_TELEMETRY`` value."""
-        override = self._enabled_override
-        if override is not None:
-            return override
-        return telemetry_enabled()
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled_override = value
 
     # ------------------------------------------------------------------
     # instruments

@@ -10,25 +10,25 @@ package gives all sweep drivers one execution path:
   method + infrastructure + kind).  Hashable and JSON-serializable, so
   it can cross a process boundary and key an on-disk cache.
 - :class:`Runner` -- executes a batch of specs, either serially or on a
-  ``multiprocessing`` pool (``workers=`` / ``REPRO_WORKERS``), and
-  merges the :class:`~repro.experiments.testbed.DeploymentMetrics` back
-  in spec order.  Serial and parallel execution are bit-identical: each
+  ``multiprocessing`` pool (``workers=``), and merges the
+  :class:`~repro.experiments.testbed.DeploymentMetrics` back in spec
+  order.  Serial and parallel execution are bit-identical: each
   deployment is self-contained and seeded from its spec alone.
+  ``trace=`` (:class:`TraceSettings`) streams a sampled trace per spec.
 - :class:`RunRegistry` -- a JSON file memoizing finished runs, keyed by
   spec hash + code version, so regenerating figures or re-running
-  benchmarks skips already-computed deployments
-  (``REPRO_RUN_REGISTRY=<path>`` enables it globally).
+  benchmarks skips already-computed deployments (``registry=<path>``).
 - :class:`RunStats` -- per-batch counters (deployments run, cache hits,
   wall/busy time, worker utilization, simulator events processed),
   attached to every batch result so speedups are observable.
 """
 
-from .registry import REGISTRY_ENV, RunRegistry, code_version
+from .registry import RunRegistry, code_version
 from .runner import (
-    WORKERS_ENV,
     Runner,
     RunOutcome,
     RunStats,
+    TraceSettings,
     resolve_workers,
     run_specs,
 )
@@ -40,9 +40,8 @@ __all__ = [
     "RunOutcome",
     "RunStats",
     "RunRegistry",
+    "TraceSettings",
     "run_specs",
     "resolve_workers",
     "code_version",
-    "WORKERS_ENV",
-    "REGISTRY_ENV",
 ]

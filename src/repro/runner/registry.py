@@ -35,14 +35,9 @@ from typing import Dict, Optional
 from ..obs.telemetry import TELEMETRY, span
 from .spec import RunSpec
 
-__all__ = ["RunRegistry", "REGISTRY_ENV", "code_version"]
+__all__ = ["RunRegistry", "code_version"]
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable naming the registry file; when set, every
-#: :class:`~repro.runner.Runner` built without an explicit registry
-#: memoizes through it.
-REGISTRY_ENV = "REPRO_RUN_REGISTRY"
 
 _FORMAT = 1
 
@@ -81,12 +76,6 @@ class RunRegistry:
         #: our load and our save -- e.g. two concurrent sweeps).
         self.merged_entries = 0
         self._load()
-
-    @classmethod
-    def from_env(cls) -> Optional["RunRegistry"]:
-        """The registry named by ``REPRO_RUN_REGISTRY``, if set."""
-        path = os.environ.get(REGISTRY_ENV)
-        return cls(path) if path else None
 
     # ------------------------------------------------------------------
     def _read_runs(self) -> Optional[Dict[str, Dict]]:
@@ -161,7 +150,7 @@ class RunRegistry:
 
         The on-disk file is re-read and merged first: runs another
         process saved since our load are kept instead of being
-        overwritten (two sweeps sharing ``REPRO_RUN_REGISTRY`` used to
+        overwritten (two sweeps sharing one registry file used to
         be last-writer-wins, silently dropping one sweep's runs).  Our
         in-memory entries win on key collisions (they are the freshest
         execution).  Returns the number of merged-in entries, also

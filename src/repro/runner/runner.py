@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs.live import (
-    PROGRESS_DIR_ENV,
     Heartbeat,
     ProgressTracker,
     default_progress_path,
@@ -30,31 +29,14 @@ __all__ = [
     "Runner",
     "RunOutcome",
     "RunStats",
+    "TraceSettings",
     "run_specs",
     "resolve_workers",
-    "WORKERS_ENV",
 ]
 
-#: Environment variable setting the default worker count.  Unset or
-#: ``1`` means serial; ``0`` or ``auto`` means one worker per CPU.
-WORKERS_ENV = "REPRO_WORKERS"
 
-#: Environment variables enabling per-spec sampled tracing inside
-#: workers: a directory for the rotating JSONL sinks, plus the sampling
-#: knobs (see :class:`repro.obs.sampling.SamplingTracer`).  Env-carried
-#: (like :data:`PROGRESS_DIR_ENV`) so fork/spawn workers inherit them
-#: without widening the picklable pool payload.
-TRACE_DIR_ENV = "REPRO_TRACE_DIR"
-TRACE_RATE_ENV = "REPRO_TRACE_RATE"
-TRACE_BUDGET_ENV = "REPRO_TRACE_BUDGET"
-TRACE_SEED_ENV = "REPRO_TRACE_SEED"
-TRACE_ROTATE_KB_ENV = "REPRO_TRACE_ROTATE_KB"
-
-
-def resolve_workers(workers: Union[int, str, None] = None) -> int:
-    """Turn a worker knob (int, "auto", ``None`` -> env) into a count."""
-    if workers is None:
-        workers = os.environ.get(WORKERS_ENV, 1)
+def resolve_workers(workers: Union[int, str] = 1) -> int:
+    """Turn a worker knob (int or "auto") into a count."""
     if isinstance(workers, str):
         if workers.strip().lower() == "auto":
             workers = 0
@@ -68,6 +50,19 @@ def resolve_workers(workers: Union[int, str, None] = None) -> int:
     if workers <= 0:
         workers = multiprocessing.cpu_count()
     return max(1, int(workers))
+
+
+@dataclass(frozen=True)
+class TraceSettings:
+    """Sampled tracing inside Runner workers: each executed spec streams
+    a :class:`~repro.obs.sampling.SamplingTracer` (seeded with the
+    spec's own seed) to a rotating ``<label>-<hash>.trace.jsonl`` sink
+    under *directory*.  Observational only: metrics are bit-identical
+    with or without it."""
+
+    directory: str
+    rate: float = 1.0
+    budget: int = 256
 
 
 @dataclass
@@ -101,7 +96,7 @@ class RunStats:
     peak_rss_kb: int = 0
     #: Harness-telemetry rollup for this batch (worker deltas merged
     #: counter-sum / gauge-last / histogram bucket-wise); ``None`` when
-    #: telemetry is disabled via ``REPRO_TELEMETRY=0``.
+    #: telemetry is disabled (``TELEMETRY.enabled = False``).
     telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False)
 
     @property
@@ -201,40 +196,11 @@ def _spec_stem(spec: RunSpec) -> str:
     return "%s-%s" % (safe, spec.key()[:8])
 
 
-def _heartbeat_from_env(spec: RunSpec) -> Optional[Heartbeat]:
-    """A live-progress heartbeat when ``REPRO_PROGRESS_DIR`` is set."""
-    directory = os.environ.get(PROGRESS_DIR_ENV, "")
-    if not directory:
-        return None
-    return Heartbeat(
-        os.path.join(directory, _spec_stem(spec) + ".json"),
-        label=spec.label,
-        horizon=spec.config.run_horizon_s,
-    )
-
-
-def _tracer_from_env(spec: RunSpec):
-    """A sampling tracer + rotating sink when ``REPRO_TRACE_DIR`` is
-    set (see the ``TRACE_*_ENV`` knobs)."""
-    directory = os.environ.get(TRACE_DIR_ENV, "")
-    if not directory:
-        return None
-    from ..obs.sampling import JsonlTraceSink, SamplingTracer
-
-    seed_raw = os.environ.get(TRACE_SEED_ENV, "")
-    sink = JsonlTraceSink(
-        os.path.join(directory, _spec_stem(spec) + ".trace.jsonl"),
-        rotate_kb=int(os.environ.get(TRACE_ROTATE_KB_ENV, "4096")),
-    )
-    return SamplingTracer(
-        seed=int(seed_raw) if seed_raw else spec.config.seed,
-        rate=float(os.environ.get(TRACE_RATE_ENV, "1.0")),
-        per_kind_budget=int(os.environ.get(TRACE_BUDGET_ENV, "256")),
-        sink=sink,
-    )
-
-
-def _execute_spec(spec: RunSpec):
+def _execute_spec(
+    spec: RunSpec,
+    beats_dir: Optional[str] = None,
+    trace: Optional[TraceSettings] = None,
+):
     """Top-level worker entry point (must be picklable for spawn).
 
     Returns ``(metrics, elapsed_s, telemetry_delta)``.  The telemetry
@@ -242,16 +208,34 @@ def _execute_spec(spec: RunSpec):
     the parent's telemetry state, so shipping a raw snapshot back would
     double-count everything recorded before the fork.
 
-    When the Runner (or the user) exported ``REPRO_PROGRESS_DIR`` /
-    ``REPRO_TRACE_DIR``, the deployment runs with a live heartbeat
-    and/or a sampled trace attached.  Both are purely observational:
+    With *beats_dir* the deployment writes a live heartbeat there; with
+    *trace* it streams a sampled trace.  Both are purely observational:
     the returned metrics are bit-identical either way.
     """
     before = TELEMETRY.snapshot()
     started = time.perf_counter()
     with span("spec.execute"):
-        heartbeat = _heartbeat_from_env(spec)
-        tracer = _tracer_from_env(spec)
+        heartbeat = None
+        if beats_dir is not None:
+            heartbeat = Heartbeat(
+                os.path.join(beats_dir, _spec_stem(spec) + ".json"),
+                label=spec.label,
+                horizon=spec.config.run_horizon_s,
+            )
+        tracer = None
+        if trace is not None:
+            from ..obs.sampling import JsonlTraceSink, SamplingTracer
+
+            tracer = SamplingTracer(
+                seed=spec.config.seed,
+                rate=trace.rate,
+                per_kind_budget=trace.budget,
+                sink=JsonlTraceSink(
+                    os.path.join(
+                        trace.directory, _spec_stem(spec) + ".trace.jsonl"
+                    )
+                ),
+            )
         try:
             metrics = spec.execute(tracer=tracer, progress=heartbeat)
         finally:
@@ -272,13 +256,15 @@ class Runner:
     Parameters
     ----------
     workers:
-        ``None`` reads ``REPRO_WORKERS`` (default 1 = serial); ``0`` or
-        ``"auto"`` uses one worker per CPU.  With one worker the pool is
-        bypassed entirely (serial fallback).
+        Worker count (default 1 = serial); ``0`` or ``"auto"`` uses one
+        worker per CPU.  With one worker the pool is bypassed entirely
+        (serial fallback).
     registry:
-        ``None`` reads ``REPRO_RUN_REGISTRY`` (no memoization when
-        unset); a path string opens/creates a registry there; ``False``
-        disables memoization even if the environment variable is set.
+        A :class:`RunRegistry` or a path to open/create one there;
+        ``None`` (the default) disables memoization.
+    trace:
+        :class:`TraceSettings` to stream a sampled trace of every
+        executed spec; ``None`` (the default) traces nothing.
     start_method:
         ``multiprocessing`` start method; defaults to ``fork`` where
         available (cheap on Linux) and the platform default elsewhere.
@@ -286,19 +272,16 @@ class Runner:
 
     def __init__(
         self,
-        workers: Union[int, str, None] = None,
-        registry: Union[RunRegistry, str, None, bool] = None,
+        workers: Union[int, str] = 1,
+        registry: Union[RunRegistry, str, None] = None,
+        trace: Optional[TraceSettings] = None,
         start_method: Optional[str] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        if registry is None:
-            self.registry: Optional[RunRegistry] = RunRegistry.from_env()
-        elif registry is False:
-            self.registry = None
-        elif isinstance(registry, RunRegistry):
-            self.registry = registry
-        else:
-            self.registry = RunRegistry(str(registry))
+        if isinstance(registry, str):
+            registry = RunRegistry(registry)
+        self.registry: Optional[RunRegistry] = registry
+        self.trace = trace
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in available else available[0]
@@ -449,51 +432,45 @@ class Runner:
         (``apply_async`` handles are collected in submission order), so
         outcomes stay bit-identical with or without a tracker.
         """
-        cleanup_env = self._export_heartbeat_dir(tracker)
-        try:
-            if self.workers > 1 and len(specs) > 1:
-                context = multiprocessing.get_context(self.start_method)
-                pool_size = min(self.workers, len(specs))
-                with context.Pool(pool_size) as pool:
-                    if tracker is None:
-                        # chunksize=1: deployments are coarse, balance
-                        # the load.
-                        return pool.map(_execute_spec, specs, chunksize=1)
-                    # One task per apply_async call is the same
-                    # chunksize=1 balancing, plus a completion callback
-                    # (fires on the pool's result-handler thread) that
-                    # feeds the live progress file as specs finish.
-                    handles = []
-                    for spec in specs:
+        beats_dir = self._heartbeat_dir(tracker)
+        tasks = [(spec, beats_dir, self.trace) for spec in specs]
+        if self.workers > 1 and len(specs) > 1:
+            context = multiprocessing.get_context(self.start_method)
+            pool_size = min(self.workers, len(specs))
+            with context.Pool(pool_size) as pool:
+                if tracker is None:
+                    # chunksize=1: deployments are coarse, balance the
+                    # load.
+                    return pool.starmap(_execute_spec, tasks, chunksize=1)
+                # One task per apply_async call is the same chunksize=1
+                # balancing, plus a completion callback (fires on the
+                # pool's result-handler thread) that feeds the live
+                # progress file as specs finish.
+                handles = []
+                for task in tasks:
 
-                        def _done(output: Any, _label: str = spec.label) -> None:
-                            tracker.spec_done(_label, output[1])
+                    def _done(output: Any, _label: str = task[0].label) -> None:
+                        tracker.spec_done(_label, output[1])
 
-                        handles.append(
-                            pool.apply_async(
-                                _execute_spec, (spec,), callback=_done
-                            )
-                        )
-                    return [handle.get() for handle in handles]
-            outputs = []
-            for spec in specs:
-                output = _execute_spec(spec)
-                if tracker is not None:
-                    tracker.spec_done(spec.label, output[1])
-                outputs.append(output)
-            return outputs
-        finally:
-            if cleanup_env:
-                os.environ.pop(PROGRESS_DIR_ENV, None)
+                    handles.append(
+                        pool.apply_async(_execute_spec, task, callback=_done)
+                    )
+                return [handle.get() for handle in handles]
+        outputs = []
+        for task in tasks:
+            output = _execute_spec(*task)
+            if tracker is not None:
+                tracker.spec_done(task[0].label, output[1])
+            outputs.append(output)
+        return outputs
 
-    def _export_heartbeat_dir(
-        self, tracker: Optional[ProgressTracker]
-    ) -> bool:
-        """Point workers at a fresh heartbeat directory via the
-        environment (fork/spawn children inherit it).  Returns whether
-        this call owns the variable and must pop it afterwards."""
-        if tracker is None or os.environ.get(PROGRESS_DIR_ENV):
-            return False
+    @staticmethod
+    def _heartbeat_dir(tracker: Optional[ProgressTracker]) -> Optional[str]:
+        """A fresh worker-heartbeat directory next to *tracker*'s
+        progress file (stale beats from a past run removed), or ``None``
+        without a tracker or when the directory is unwritable."""
+        if tracker is None:
+            return None
         directory = heartbeat_dir(tracker.path)
         try:
             os.makedirs(directory, exist_ok=True)
@@ -504,9 +481,8 @@ class Runner:
                     except OSError:  # pragma: no cover - races are fine
                         pass
         except OSError:  # pragma: no cover - unwritable: skip heartbeats
-            return False
-        os.environ[PROGRESS_DIR_ENV] = directory
-        return True
+            return None
+        return directory
 
 
 def run_specs(

@@ -245,7 +245,6 @@ class Environment:
         sanitizer: Optional[Any] = None,
     ) -> None:
         from ..obs.tracer import NULL_TRACER
-        from .sanitize import sanitizer_from_env
         from .timers import TimerWheel
 
         self._now = float(initial_time)
@@ -260,9 +259,7 @@ class Environment:
         #: outside sanitize runs, fixed at construction.  Every push
         #: site -- including the inlined ones in
         #: ``run`` and the fast transport -- must honor it.
-        self.sanitizer = (
-            sanitizer if sanitizer is not None else sanitizer_from_env()
-        )
+        self.sanitizer = sanitizer
         #: Optional live-progress hook ``f(sim_time, events_processed)``
         #: (see :mod:`repro.obs.live`).  ``None`` keeps the hot loop
         #: untouched; when set, ``run()`` invokes it every

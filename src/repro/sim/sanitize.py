@@ -39,38 +39,22 @@ head, or re-arm its control event mid-sweep -- the corruption shape of
 the PR 8 reentrant-push bug, reported at the offending callback instead
 of as a skipped timer three sweeps later.
 
-Activation is environment-driven, read once at
-:class:`~repro.sim.engine.Environment` construction:
-
-- ``REPRO_SANITIZE=1`` enables the reentrancy/invariant traps;
-- ``REPRO_SANITIZE_TIES=<int>`` seeds and enables tie perturbation
-  (implies the traps).
-
-``repro sanitize`` (see :mod:`repro.experiments.sanitize`) drives both
-against real deployments and asserts replica identity.
+Activation is explicit: pass a :class:`ScheduleSanitizer` as
+``Environment(sanitizer=...)`` (or ``build_deployment(...,
+sanitizer=...)``).  ``ScheduleSanitizer()`` enables the traps alone;
+``ScheduleSanitizer(tie_seed=<int>)`` also seeds and enables tie
+perturbation.  ``repro sanitize`` (see :mod:`repro.experiments.sanitize`)
+drives both against real deployments and asserts replica identity.
 """
 
 from __future__ import annotations
 
-import os
 from random import Random
 from typing import Dict, Optional, Tuple, Union
 
 from .engine import URGENT as _URGENT
 
-__all__ = [
-    "SANITIZE_ENV",
-    "SANITIZE_TIES_ENV",
-    "ScheduleSanitizer",
-    "SanitizerError",
-    "sanitizer_from_env",
-]
-
-#: Enables the reentrancy/invariant traps ("" and "0" mean off).
-SANITIZE_ENV = "REPRO_SANITIZE"
-
-#: Integer seed enabling tie-break perturbation (implies the traps).
-SANITIZE_TIES_ENV = "REPRO_SANITIZE_TIES"
+__all__ = ["ScheduleSanitizer", "SanitizerError"]
 
 #: The sequence slot of a queue entry: a plain int normally, or the
 #: sanitizer's ``(r, seq)`` pair under tie perturbation.  Both forms
@@ -183,25 +167,3 @@ class ScheduleSanitizer:
                     )
                 )
 
-
-def sanitizer_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[ScheduleSanitizer]:
-    """Build the sanitizer requested by the environment (or ``None``).
-
-    Read once per :class:`Environment` construction -- never at import
-    time -- so tests and the driver can flip the switches with
-    ``monkeypatch.setenv`` / a scoped ``os.environ`` update.
-    """
-    env = environ if environ is not None else os.environ
-    ties = env.get(SANITIZE_TIES_ENV, "")
-    traps = env.get(SANITIZE_ENV, "") not in ("", "0")
-    if ties:
-        try:
-            tie_seed: Optional[int] = int(ties)
-        except ValueError:
-            raise ValueError(
-                "%s must be an integer seed, got %r" % (SANITIZE_TIES_ENV, ties)
-            ) from None
-        return ScheduleSanitizer(tie_seed=tie_seed, traps=True)
-    if traps:
-        return ScheduleSanitizer(tie_seed=None, traps=True)
-    return None

@@ -32,7 +32,23 @@ class TestParser:
         assert args.command == "sweep"
         assert args.methods == ["push", "invalidation", "ttl"]
         assert args.infrastructures == ["unicast"]
-        assert args.workers is None and args.registry is None
+        assert args.workers == 1 and args.registry is None
+        assert args.trace_dir is None
+        assert args.sample_rate is None and args.budget is None
+
+    def test_sweep_trace_tuning_requires_trace_dir(self, capsys):
+        for flags in (["--sample-rate", "0.1"], ["--budget", "8"]):
+            with pytest.raises(SystemExit) as raised:
+                main(["sweep"] + flags)
+            assert raised.value.code == 2
+            assert "requires --trace-dir" in capsys.readouterr().err
+
+    def test_sweep_rejects_out_of_range_trace_tuning(self, tmp_path, capsys):
+        for flags in (["--sample-rate", "1.5"], ["--budget", "-1"]):
+            with pytest.raises(SystemExit) as raised:
+                main(["sweep", "--trace-dir", str(tmp_path)] + flags)
+            assert raised.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_rejects_unknown_method(self):
         with pytest.raises(SystemExit):
@@ -106,6 +122,23 @@ class TestCommands:
         assert "ran 0 deployment(s) (1 cache hit(s))" in second
         # cached metrics are bit-identical: the result rows match exactly
         assert first.splitlines()[1] == second.splitlines()[1]
+
+    def test_sweep_trace_dir_streams_one_sink_per_deployment(
+        self, capsys, tmp_path
+    ):
+        argv = ["sweep", "--methods", "push", "ttl"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        trace_dir = tmp_path / "trace"
+        assert main(
+            argv + ["--trace-dir", str(trace_dir), "--sample-rate", "0.5",
+                    "--budget", "4"]
+        ) == 0
+        traced = capsys.readouterr().out
+        assert plain.splitlines()[1:3] == traced.splitlines()[1:3]
+        sinks = sorted(path.name for path in trace_dir.iterdir())
+        assert len(sinks) == 2
+        assert all(name.endswith(".trace.jsonl") for name in sinks)
 
     def test_sweep_systems_mode(self, capsys):
         code = main(["sweep", "--systems", "hat", "push"])

@@ -9,7 +9,7 @@ scenarios: delivery times, RNG draw order, metric values, fabric
 counters, message traces and the exact kernel-event count.
 
 Also covers the :class:`~repro.sim.timers.TimerWheel` unit contract and
-the live semantics of the ``REPRO_TELEMETRY`` switch.
+the live semantics of the telemetry switch.
 """
 
 import pytest
@@ -19,7 +19,7 @@ import repro.network.message as message_mod
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import INFRASTRUCTURES, METHODS, build_deployment
 from repro.metrics.timeseries import fleet_staleness_series, staleness_series
-from repro.obs.telemetry import MetricsRegistry, TELEMETRY_ENV
+from repro.obs.telemetry import MetricsRegistry
 from repro.sim import Environment
 from tests.test_golden import assert_golden, grid_label
 
@@ -224,28 +224,18 @@ class TestTimerWheel:
 
 
 # ----------------------------------------------------------------------
-# environment switches
+# telemetry switch
 # ----------------------------------------------------------------------
-class TestEnvSwitches:
-    def test_telemetry_env_read_live(self, monkeypatch):
-        # The registry singleton is constructed at import, so the switch
-        # must track the environment at call time for setenv to work.
+class TestTelemetrySwitch:
+    def test_switch_is_read_live(self):
+        # Instrumented sites read the attribute at call time, so
+        # flipping the process-wide singleton takes effect immediately.
         registry = MetricsRegistry()
-        monkeypatch.setenv(TELEMETRY_ENV, "0")
-        assert registry.enabled is False
+        assert registry.enabled is True
+        registry.enabled = False
         registry.count("probe")
         assert registry.snapshot()["counters"] == {}
-        monkeypatch.setenv(TELEMETRY_ENV, "1")
-        assert registry.enabled is True
+        registry.enabled = True
         registry.count("probe")
         assert registry.snapshot()["counters"] == {"probe": 1.0}
-
-    def test_telemetry_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, "0")
-        assert MetricsRegistry(enabled=True).enabled is True
-        registry = MetricsRegistry()
-        registry.enabled = True  # direct assignment pins the switch
-        assert registry.enabled is True
-        monkeypatch.setenv(TELEMETRY_ENV, "1")
-        registry.enabled = False
-        assert registry.enabled is False
+        assert MetricsRegistry(enabled=False).enabled is False

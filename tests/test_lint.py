@@ -387,6 +387,31 @@ class TestRep010CrossShardState(unittest.TestCase):
             self.assertTrue(reason.strip(), "empty reason for %s" % prefix)
 
 
+class TestRep011NoEnvConfig(unittest.TestCase):
+    def test_flags_every_environment_access_form(self):
+        report = scan("rep011")
+        findings = [f for f in report.new if Path(f.path).stem == "bad_env"]
+        self.assertEqual([f.code for f in findings], ["REP011"] * 6)
+        # os.environ / os.getenv / aliased os.putenv / os.unsetenv, plus
+        # one finding per environment name bound by `from os import`.
+        messages = " ".join(f.message for f in findings)
+        for name in ("environ", "getenv", "putenv", "unsetenv"):
+            self.assertIn("`os.%s`" % name, messages)
+        self.assertIn("`from os import environ`", messages)
+        self.assertIn("`from os import getenv`", messages)
+
+    def test_path_helpers_strings_and_lookalikes_are_clean(self):
+        self.assertNotIn("good_env", codes_by_file(scan("rep011")))
+
+    def test_scope_is_the_repro_package(self):
+        self.assertNotIn("bench_env", codes_by_file(scan("rep011")))
+
+    def test_rule_has_no_exemption_entry(self):
+        from repro.lint.exemptions import EXEMPTIONS
+
+        self.assertNotIn("REP011", EXEMPTIONS)
+
+
 class TestNewRulesExemptionManifest(unittest.TestCase):
     """REP007-REP009 consult the manifest too: an injected carve-out is
     honored, and the rule provably still fires outside it."""

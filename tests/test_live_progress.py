@@ -23,7 +23,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.obs.live import (
     HEARTBEAT_FORMAT,
-    PROGRESS_DIR_ENV,
     PROGRESS_FORMAT,
     Heartbeat,
     ProgressTracker,
@@ -276,10 +275,7 @@ class TestRenderWatch:
 
 
 class TestRunnerIntegration:
-    def test_sweep_writes_progress_and_heartbeats(
-        self, tmp_path, smoke_config, monkeypatch
-    ):
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
+    def test_sweep_writes_progress_and_heartbeats(self, tmp_path, smoke_config):
         registry_path = str(tmp_path / "runs.json")
         specs = [
             RunSpec(config=smoke_config, method=method)
@@ -304,17 +300,14 @@ class TestRunnerIntegration:
         for beat in beats:
             assert beat["fraction"] == 1.0  # finish() wrote the final state
             assert beat["events_processed"] > 0
-        # The hook never leaks into the environment after the sweep.
-        assert PROGRESS_DIR_ENV not in os.environ
 
     def test_progress_identical_outcomes_and_cache_hits(
-        self, tmp_path, smoke_config, monkeypatch
+        self, tmp_path, smoke_config
     ):
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
         registry_path = str(tmp_path / "runs.json")
         spec = RunSpec(config=smoke_config, method="ttl")
 
-        plain = Runner(workers=1, registry=False).run([spec])
+        plain = Runner(workers=1).run([spec])
         tracked = Runner(
             workers=2, registry=RunRegistry(registry_path)
         ).run([spec])
@@ -332,9 +325,8 @@ class TestRunnerIntegration:
 
     def test_no_registry_no_progress_file(self, smoke_config, tmp_path,
                                           monkeypatch):
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
         monkeypatch.chdir(tmp_path)
-        Runner(workers=1, registry=False).run(
+        Runner(workers=1).run(
             [RunSpec(config=smoke_config, method="ttl")]
         )
         assert list(tmp_path.iterdir()) == []
@@ -374,9 +366,6 @@ class TestWatchCli:
         tracker.fail("boom")
         assert cli_main(["watch", progress_path, "--interval", "0.1"]) == 1
 
-    def test_requires_a_source(self, monkeypatch):
-        from repro.runner.registry import REGISTRY_ENV
-
-        monkeypatch.delenv(REGISTRY_ENV, raising=False)
+    def test_requires_a_source(self):
         with pytest.raises(SystemExit):
             cli_main(["watch", "--once"])

@@ -474,7 +474,7 @@ class TestAttribution:
 # ----------------------------------------------------------------------
 class TestRunStatsSurface:
     def test_runner_aggregates_message_counters(self):
-        runner = Runner(workers=1, registry=False)
+        runner = Runner(workers=1)
         outcome = runner.run([_spec(0)])
         metrics = outcome.metrics[0]
         expected = metrics.update_messages + metrics.light_messages

@@ -1,21 +1,21 @@
 """Tests for the parallel experiment runner and the run registry."""
 
 import json
-import os
 
 import pytest
 
 from repro.experiments.section4 import fig14_unicast_inconsistency
+from repro.obs.telemetry import TELEMETRY
 from repro.runner import (
-    REGISTRY_ENV,
     Runner,
     RunRegistry,
     RunSpec,
-    WORKERS_ENV,
+    TraceSettings,
     code_version,
     resolve_workers,
     run_specs,
 )
+from tests.test_golden import golden, outcome
 
 
 @pytest.fixture
@@ -68,14 +68,9 @@ class TestRunSpec:
 
 
 class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_default_is_serial(self):
         assert resolve_workers() == 1
-
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(2) == 2  # explicit beats env
+        assert Runner().workers == 1
 
     def test_auto_uses_cpu_count(self, monkeypatch):
         import multiprocessing
@@ -86,19 +81,19 @@ class TestResolveWorkers:
 
 class TestRunnerDeterminism:
     def test_parallel_matches_serial_bit_for_bit(self, grid_specs):
-        serial = Runner(workers=1, registry=False).run(grid_specs)
-        parallel = Runner(workers=4, registry=False).run(grid_specs)
+        serial = Runner(workers=1).run(grid_specs)
+        parallel = Runner(workers=4).run(grid_specs)
         assert serial.stats.executed == parallel.stats.executed == 8
         for left, right in zip(serial.metrics, parallel.metrics):
             assert left.to_dict() == right.to_dict()
 
     def test_metrics_come_back_in_spec_order(self, grid_specs):
-        outcome = Runner(workers=4, registry=False).run(grid_specs)
+        outcome = Runner(workers=4).run(grid_specs)
         for spec, metrics in outcome.pairs():
             assert metrics.name.startswith(spec.method)
 
     def test_stats_counters(self, grid_specs):
-        outcome = Runner(workers=1, registry=False).run(grid_specs[:2])
+        outcome = Runner(workers=1).run(grid_specs[:2])
         stats = outcome.stats
         assert stats.n_specs == 2 and stats.executed == 2
         assert stats.cache_hits == 0
@@ -139,22 +134,8 @@ class TestRunRegistry:
             data = json.load(handle)
         assert data["format"] == 1 and len(data["runs"]) == 1
 
-    def test_registry_env_var(self, smoke_config, tmp_path, monkeypatch):
-        path = str(tmp_path / "env_runs.json")
-        monkeypatch.setenv(REGISTRY_ENV, path)
-        spec = RunSpec(config=smoke_config, method="push")
-        Runner(workers=1).run([spec])
-        assert os.path.exists(path)
-        outcome = Runner(workers=1).run([spec])
-        assert outcome.stats.cache_hits == 1
-        monkeypatch.delenv(REGISTRY_ENV)
-        no_registry = Runner(workers=1)
-        assert no_registry.registry is None
-
-    def test_registry_false_disables(self, smoke_config, tmp_path, monkeypatch):
-        monkeypatch.setenv(REGISTRY_ENV, str(tmp_path / "ignored.json"))
-        runner = Runner(workers=1, registry=False)
-        assert runner.registry is None
+    def test_no_registry_by_default(self):
+        assert Runner(workers=1).registry is None
 
     def test_code_version_is_cached_and_hexish(self):
         version = code_version()
@@ -172,9 +153,80 @@ class TestDriverIntegration:
         assert second.stats.executed == 0 and second.stats.cache_hits == 3
         assert first.to_dict()["series"] == second.to_dict()["series"]
 
-    def test_run_specs_default_runner(self, smoke_config, monkeypatch):
-        monkeypatch.delenv(REGISTRY_ENV, raising=False)
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_run_specs_default_runner(self, smoke_config):
         outcome = run_specs([RunSpec(config=smoke_config, method="push")])
         assert len(outcome) == 1
         assert outcome.stats.workers == 1
+
+
+class TestSampledTrace:
+    def test_pooled_trace_writes_one_sink_per_spec(self, smoke_config, tmp_path):
+        specs = [
+            RunSpec(config=smoke_config, method=method)
+            for method in ("ttl", "push")
+        ]
+        plain = Runner(workers=2).run(specs)
+        trace_dir = tmp_path / "trace"
+        traced = Runner(
+            workers=2, trace=TraceSettings(str(trace_dir), rate=0.5, budget=8)
+        ).run(specs)
+        for left, right in zip(plain.metrics, traced.metrics):
+            assert left.to_dict() == right.to_dict()
+        sinks = sorted(trace_dir.iterdir())
+        assert sorted(path.name.rsplit("-", 1)[1] for path in sinks) == sorted(
+            spec.key()[:8] + ".trace.jsonl" for spec in specs
+        )
+        for path in sinks:
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            assert rows and all("kind" in row for row in rows)
+
+
+#: Every environment variable that used to configure a run, set to a
+#: value that would have changed the run had it still been read.
+_FORMER_KNOBS = {
+    "REPRO_WORKERS": "2",
+    "REPRO_RUN_REGISTRY": "{tmp}/env-runs.json",
+    "REPRO_PROGRESS_DIR": "{tmp}/env-beats",
+    "REPRO_TRACE_DIR": "{tmp}/env-trace",
+    "REPRO_TRACE_RATE": "0.5",
+    "REPRO_TRACE_BUDGET": "1",
+    "REPRO_TRACE_SEED": "99",
+    "REPRO_TRACE_ROTATE_KB": "1",
+    "REPRO_TELEMETRY": "0",
+    "REPRO_SANITIZE": "1",
+    "REPRO_SANITIZE_TIES": "5",
+    "REPRO_PLACEMENT_CACHE": "0",
+}
+
+
+class TestShellIndependence:
+    """No environment variable reaches a run: results, worker count,
+    files written and telemetry depend on arguments alone."""
+
+    @pytest.fixture
+    def hostile_shell(self, tmp_path, monkeypatch):
+        for name, value in _FORMER_KNOBS.items():
+            monkeypatch.setenv(name, value.format(tmp=tmp_path))
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "label",
+        ["self-adaptive/unicast/seed1", "ttl/unicast/seed0", "push/unicast@failure-storm"],
+    )
+    def test_golden_cells_keep_their_pins(self, hostile_shell, label):
+        # Bypass the per-process cache: the cell must run in this shell.
+        assert outcome.__wrapped__(label).pins == golden()[label]
+
+    def test_default_runner_is_serial_and_writes_nothing(
+        self, hostile_shell, smoke_config
+    ):
+        specs = [
+            RunSpec(config=smoke_config, method=method)
+            for method in ("ttl", "push")
+        ]
+        result = Runner().run(specs)
+        assert result.stats.workers == 1
+        assert result.stats.cache_hits == 0
+        assert list(hostile_shell.iterdir()) == []
+        assert TELEMETRY.enabled is True
+        assert result.stats.telemetry is not None

@@ -13,17 +13,12 @@ import unittest
 from repro.experiments.config import TestbedConfig
 from repro.experiments.sanitize import (
     build_parser,
+    main as driver_main,
     run as run_driver,
     sanitize_cell,
 )
 from repro.sim.engine import NORMAL, URGENT, Environment
-from repro.sim.sanitize import (
-    SANITIZE_ENV,
-    SANITIZE_TIES_ENV,
-    SanitizerError,
-    ScheduleSanitizer,
-    sanitizer_from_env,
-)
+from repro.sim.sanitize import SanitizerError, ScheduleSanitizer
 from repro.sim.timers import CallbackLane
 
 
@@ -60,28 +55,6 @@ class TestTieKey(unittest.TestCase):
                 [sanitizer.tie_key(1.0, NORMAL, seq)[0] for seq in range(4)]
             )
         self.assertEqual(draws[0], draws[1])
-
-
-class TestSanitizerFromEnv(unittest.TestCase):
-    def test_off_by_default(self):
-        self.assertIsNone(sanitizer_from_env({}))
-
-    def test_traps_only(self):
-        sanitizer = sanitizer_from_env({SANITIZE_ENV: "1"})
-        self.assertTrue(sanitizer.traps)
-        self.assertFalse(sanitizer.perturbs_ties)
-
-    def test_ties_implies_traps(self):
-        sanitizer = sanitizer_from_env({SANITIZE_TIES_ENV: "1234"})
-        self.assertTrue(sanitizer.traps)
-        self.assertTrue(sanitizer.perturbs_ties)
-
-    def test_bad_seed_is_an_error(self):
-        with self.assertRaises(ValueError):
-            sanitizer_from_env({SANITIZE_TIES_ENV: "soon"})
-
-    def test_zero_string_means_off(self):
-        self.assertIsNone(sanitizer_from_env({SANITIZE_ENV: "0"}))
 
 
 class TestEnginePerturbation(unittest.TestCase):
@@ -381,6 +354,40 @@ class TestDriverCli(_TinyCells):
         self.assertIn("DIVERGED", out)
         self.assertIn("replica 0", out)
         self.assertIn("metrics['mean']", out)
+
+    def _assert_usage_error(self, *argv):
+        """main() exits 2 before sanitizing any cell; returns stderr."""
+        import contextlib
+
+        import repro.experiments.sanitize as driver_module
+
+        ran = []
+        real = driver_module.sanitize_cell
+        driver_module.sanitize_cell = lambda cell, *args, **kwargs: ran.append(cell)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                with self.assertRaises(SystemExit) as raised:
+                    driver_main(list(argv) + self._tiny_args())
+        finally:
+            driver_module.sanitize_cell = real
+        self.assertEqual(raised.exception.code, 2)
+        self.assertEqual(ran, [])
+        return err.getvalue()
+
+    def test_unknown_method_is_a_usage_error_before_any_run(self):
+        message = self._assert_usage_error("push:unicast", "bogus:unicast")
+        self.assertIn("unknown method 'bogus'", message)
+        self.assertIn("invalidation", message)  # names the valid choices
+
+    def test_system_name_is_not_a_cell(self):
+        message = self._assert_usage_error("hat")
+        self.assertIn("unknown method 'hat'", message)
+
+    def test_unknown_infrastructure_is_a_usage_error(self):
+        message = self._assert_usage_error("push:mesh")
+        self.assertIn("unknown infrastructure 'mesh'", message)
+        self.assertIn("multicast", message)
 
     def test_vacuous_cell_fails_with_its_own_message(self):
         status, out, _ = self._run_with_stub(

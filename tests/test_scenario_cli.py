@@ -18,7 +18,7 @@ class TestParser:
         assert args.name == "paper-baseline"
         assert args.method == "ttl"
         assert args.scale == "smoke"
-        assert args.workers is None and args.registry is None
+        assert args.workers == 1 and args.registry is None
 
     def test_scenario_run_small_scale_accepted(self):
         args = build_parser().parse_args(

@@ -37,7 +37,6 @@ from repro.obs.telemetry import (
     peak_rss_kb,
     prometheus_exposition,
     span_total_s,
-    telemetry_enabled,
 )
 from repro.runner import Runner, RunSpec
 
@@ -99,16 +98,6 @@ class TestMetricsRegistry:
         assert snap["gauges"] == {}
         assert snap["histograms"] == {}
         assert snap["spans"] == {}
-
-    def test_env_gating(self, monkeypatch):
-        for value, expected in (
-            ("0", False), ("false", False), ("off", False), ("no", False),
-            ("1", True), ("yes", True), ("", True),
-        ):
-            monkeypatch.setenv("REPRO_TELEMETRY", value)
-            assert telemetry_enabled() is expected
-        monkeypatch.delenv("REPRO_TELEMETRY")
-        assert telemetry_enabled() is True
 
     def test_peak_rss_positive_on_linux(self):
         assert peak_rss_kb() > 0
@@ -412,8 +401,8 @@ class TestRunnerIntegration:
         assert len(artifact["runs"]) == 2
 
     def test_parallel_rollup_matches_serial_counters(self, tmp_path):
-        serial = Runner(workers=1, registry=False).run(_specs(3))
-        parallel = Runner(workers=2, registry=False).run(_specs(3))
+        serial = Runner(workers=1).run(_specs(3))
+        parallel = Runner(workers=2).run(_specs(3))
         a, b = serial.stats.telemetry, parallel.stats.telemetry
         assert a["counters"]["engine.events"] == b["counters"]["engine.events"]
         assert (
@@ -446,11 +435,11 @@ class TestRunnerIntegration:
         try:
             TELEMETRY.enabled = True
             on = fig14_unicast_inconsistency(
-                config, runner=Runner(workers=1, registry=False)
+                config, runner=Runner(workers=1)
             )
             TELEMETRY.enabled = False
             off = fig14_unicast_inconsistency(
-                config, runner=Runner(workers=1, registry=False)
+                config, runner=Runner(workers=1)
             )
         finally:
             TELEMETRY.enabled = was_enabled
@@ -476,7 +465,7 @@ class TestRunnerIntegration:
         assert not os.path.exists(default_artifact_path(registry_path))
 
     def test_stats_to_dict_surfaces_telemetry_fields(self):
-        outcome = Runner(workers=1, registry=False).run(_specs(1))
+        outcome = Runner(workers=1).run(_specs(1))
         data = outcome.stats.to_dict()
         assert data["cache_misses"] == 0  # no registry attached
         assert data["registry_hit_rate"] == 0.0
@@ -523,15 +512,9 @@ class TestTelemetryCli:
             cli_main(["metrics", path, "--check"])
         assert excinfo.value.code == 2
 
-    def test_metrics_requires_a_source(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUN_REGISTRY", raising=False)
+    def test_metrics_requires_a_source(self):
         with pytest.raises(SystemExit):
             cli_main(["metrics"])
-
-    def test_metrics_env_registry(self, registry_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_RUN_REGISTRY", registry_path)
-        assert cli_main(["metrics", "--check"]) == 0
-        assert "rollup ok" in capsys.readouterr().out
 
     def test_profile_table(self, registry_path, capsys):
         assert cli_main(["profile", "--registry", registry_path]) == 0

@@ -2,17 +2,15 @@
 
 Covers the corners the golden grid does not isolate: empty and
 single-user populations, start-time jitter collapsing many first visits
-into one sweep batch, servers failing mid-run, the pure-Python array
-backend, the :class:`~repro.sim.timers.CallbackLane` contract, and the
-LRU placement cache's keying/tuning.
+into one sweep batch, servers failing mid-run, the
+:class:`~repro.sim.timers.CallbackLane` contract, and the LRU placement
+cache's keying/tuning.
 """
 
 import pytest
 
-import repro.cdn.cohort as cohort_mod
 import repro.experiments.testbed as testbed_mod
 import repro.network.message as message_mod
-from repro.cdn.cohort import _PurePythonBackend, _select_backend
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
 from repro.sim import Environment
@@ -38,12 +36,6 @@ def _run(config, method="ttl"):
     deployment = build_deployment(config, method)
     metrics = deployment.run()
     return deployment, metrics
-
-
-def _comparable(metrics):
-    data = metrics.to_dict()
-    data.pop("events_processed")
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -126,26 +118,6 @@ class TestMidRunFailures:
         """The same outage keeps the pins the per-user actor plane
         agreed with."""
         assert_golden("users/2x1-outage")
-
-
-# ----------------------------------------------------------------------
-# array backend selection
-# ----------------------------------------------------------------------
-class TestArrayBackend:
-    def test_pure_python_fallback_is_bit_identical(self, monkeypatch):
-        numpy_metrics = _comparable(_run(_config())[1])
-        monkeypatch.setattr(cohort_mod, "ARRAY_BACKEND", _PurePythonBackend())
-        fallback_deployment, fallback = _run(_config())
-        assert fallback_deployment.cohort.backend.name == "array"
-        assert _comparable(fallback) == numpy_metrics
-
-    def test_backend_env_forces_fallback(self, monkeypatch):
-        """An environment without numpy falls back to ``array``."""
-        # numpy is installed in the test environment, so the default
-        # selection picks it.
-        assert _select_backend().name == "numpy"
-        monkeypatch.setattr(cohort_mod, "_np", None)
-        assert _select_backend().name == "array"
 
 
 # ----------------------------------------------------------------------
@@ -252,22 +224,6 @@ class TestPlacementCacheLRU:
         self._build(seed=2)  # evicts seed 1, the true LRU entry
         seeds = [key[0] for key in testbed_mod._PLACEMENT_CACHE]
         assert seeds == [0, 2]
-
-    def test_env_tunes_capacity(self, monkeypatch):
-        testbed_mod._PLACEMENT_CACHE.clear()
-        monkeypatch.setenv(testbed_mod.PLACEMENT_CACHE_ENV, "1")
-        self._build(seed=0)
-        self._build(seed=1)
-        assert len(testbed_mod._PLACEMENT_CACHE) == 1
-        monkeypatch.setenv(testbed_mod.PLACEMENT_CACHE_ENV, "not-a-number")
-        self._build(seed=2)  # falls back to the default capacity
-        assert len(testbed_mod._PLACEMENT_CACHE) == 2
-
-    def test_env_zero_disables_caching(self, monkeypatch):
-        testbed_mod._PLACEMENT_CACHE.clear()
-        monkeypatch.setenv(testbed_mod.PLACEMENT_CACHE_ENV, "0")
-        self._build(seed=0)
-        assert testbed_mod._PLACEMENT_CACHE == {}
 
     def test_shards_get_distinct_entries(self):
         """Shards share (seed, shape) but place different user subsets;

@@ -102,16 +102,16 @@ class TestShardedMerge:
         specs = self._specs(3)
         weights = shard_user_counts(2, 3)
         serial = merge_shard_metrics(
-            run_specs(specs, Runner(workers=1, registry=False)).metrics, weights
+            run_specs(specs, Runner(workers=1)).metrics, weights
         )
         pooled = merge_shard_metrics(
-            run_specs(specs, Runner(workers=3, registry=False)).metrics, weights
+            run_specs(specs, Runner(workers=3)).metrics, weights
         )
         assert serial.to_dict() == pooled.to_dict()
 
     def test_shards_partition_the_population(self):
         specs = self._specs(2, users_per_server=3)
-        outcome = run_specs(specs, Runner(workers=1, registry=False))
+        outcome = run_specs(specs, Runner(workers=1))
         merged = merge_shard_metrics(
             outcome.metrics, shard_user_counts(3, 2)
         )
@@ -132,7 +132,7 @@ class TestShardedMerge:
 
     def test_mismatched_server_planes_rejected(self):
         specs = self._specs(2)
-        outcome = run_specs(specs, Runner(workers=1, registry=False))
+        outcome = run_specs(specs, Runner(workers=1))
         other = build_deployment(
             _tiny_config(0, n_servers=4, user_metrics="aggregate"), "ttl"
         ).run()
