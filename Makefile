@@ -4,7 +4,7 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: smoke lint lint-compile lint-repro lint-ruff typecheck \
-	test bench bench-engine bench-section4 bench-user-plane bench-all \
+	test claims bench bench-engine bench-section4 bench-user-plane bench-all \
 	bench-e2e bench-e2e-test \
 	report trace-demo scenario-smoke scale-smoke planet-scale \
 	sanitize-smoke analyze-smoke
@@ -39,6 +39,14 @@ smoke: lint
 
 test:
 	$(PYTEST) -q tests/
+
+# The paper's claims: each figure benchmark asserts its figure's
+# qualitative result (orderings, trends, crossovers).  Timing is off;
+# these run as plain tests.
+claims:
+	$(PYTEST) -q --benchmark-disable benchmarks/test_bench_section3.py \
+		benchmarks/test_bench_section4.py benchmarks/test_bench_section5.py \
+		benchmarks/test_bench_ablations.py benchmarks/test_bench_future_work.py
 
 # Schedule sanitizer: for every default method x infrastructure cell,
 # perturb same-instant NORMAL-priority tie-breaking under a dedicated

@@ -11,30 +11,15 @@ asserts:
 
 Budgets are deliberately loose -- this is a "planet scale still fits
 CI" canary, not a performance benchmark (``make bench-user-plane``
-owns throughput).  Either budget can be overridden via
-``REPRO_SCALE_MAX_WALL_S`` / ``REPRO_SCALE_MAX_RSS_KB`` so slow CI
-runners can relax the gate without editing the Makefile.
+owns throughput).  Both budgets come from the required flags only; no
+environment variable changes them.
 
 Exit status 0 on pass, 1 on a blown budget, 2 on unreadable input.
 """
 
 import argparse
 import json
-import os
 import sys
-
-
-def _budget(env_name, cli_value):
-    raw = os.environ.get(env_name, "")
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            print(
-                "check_scale: ignoring non-numeric %s=%r" % (env_name, raw),
-                file=sys.stderr,
-            )
-    return cli_value
 
 
 def main(argv=None):
@@ -70,8 +55,8 @@ def main(argv=None):
     wall_s = float(entry.get("wall_time_s", 0.0))
     rollup = entry.get("rollup") or {}
     rss_kb = float(rollup.get("peak_rss_kb", 0))
-    max_wall_s = _budget("REPRO_SCALE_MAX_WALL_S", args.max_wall_s)
-    max_rss_kb = _budget("REPRO_SCALE_MAX_RSS_KB", args.max_rss_kb)
+    max_wall_s = args.max_wall_s
+    max_rss_kb = args.max_rss_kb
 
     print(
         "check_scale: %d spec(s), %d executed, %d worker(s): "

@@ -7,7 +7,7 @@ regression canaries for the substrate's performance.
 
 import numpy as np
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.trace import SynthesisConfig, TraceSynthesizer, all_inconsistencies
 
 
@@ -70,31 +70,6 @@ def test_engine_resource_contention(benchmark):
     assert benchmark(run) == 2_000
 
 
-def test_engine_store_pipeline(benchmark):
-    """Producer/consumer pipeline moving 10k items."""
-
-    def run():
-        env = Environment()
-        store = Store(env, capacity=64)
-        moved = []
-
-        def producer(env):
-            for i in range(10_000):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(10_000):
-                item = yield store.get()
-                moved.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return len(moved)
-
-    assert benchmark(run) == 10_000
-
-
 def test_trace_synthesis_throughput(benchmark):
     """Generative model: one day of 200 servers (~180k poll records)."""
 
@@ -138,6 +113,9 @@ def _transport_storm(n_servers=40, rounds=60):
     )
     fabric = NetworkFabric(env, streams=streams)
     servers = topology.servers
+    received = []
+    for server in servers:
+        server.consumer = received.append
 
     def driver(env):
         for round_no in range(rounds):
@@ -153,7 +131,7 @@ def _transport_storm(n_servers=40, rounds=60):
 
     env.process(driver(env))
     env.run()
-    assert fabric.counters.messages_delivered == n_servers * rounds
+    assert len(received) == fabric.counters.messages_delivered == n_servers * rounds
     return env.events_processed
 
 

@@ -1,16 +1,14 @@
-"""CDN substrate: content model, origin, edge servers, DNS and end users."""
+"""CDN substrate: content model, origin, edge servers and end users."""
 
 from .base import Actor, RESPONSE_KINDS, UpdateSourceMixin
 from .cache import CacheEntry, TTLCache
 from .client import (
-    DnsSelector,
     EndUserActor,
     FixedSelector,
     Observation,
     SwitchEveryVisitSelector,
 )
 from .content import DEFAULT_LIGHT_SIZE_KB, DEFAULT_UPDATE_SIZE_KB, LiveContent
-from .dns import DnsDirectory
 from .provider import ProviderActor
 from .server import ServerActor, schedule_absence
 
@@ -29,7 +27,5 @@ __all__ = [
     "EndUserActor",
     "Observation",
     "FixedSelector",
-    "DnsSelector",
     "SwitchEveryVisitSelector",
-    "DnsDirectory",
 ]

@@ -1,7 +1,7 @@
 """End users.
 
 An :class:`EndUserActor` periodically requests the live content from a
-server chosen by a pluggable *selector* (fixed server, DNS-directed, or
+server chosen by a pluggable *selector* (a fixed server, or
 switch-every-visit as in Fig. 24) and records every observation.  The
 observation log is the raw material for all user-perspective metrics.
 """
@@ -18,13 +18,11 @@ from ..sim.engine import Environment
 from ..sim.rng import RandomStream
 from .base import Actor
 from .content import LiveContent
-from .dns import DnsDirectory
 
 __all__ = [
     "Observation",
     "EndUserActor",
     "FixedSelector",
-    "DnsSelector",
     "SwitchEveryVisitSelector",
     "REQUEST_TIMEOUT_S",
 ]
@@ -52,16 +50,6 @@ class FixedSelector:
 
     def select(self, user: NetworkNode, now: float, visit_index: int) -> NetworkNode:
         return self.server
-
-
-class DnsSelector:
-    """Resolve the serving server through the DNS directory each visit."""
-
-    def __init__(self, dns: DnsDirectory) -> None:
-        self.dns = dns
-
-    def select(self, user: NetworkNode, now: float, visit_index: int) -> NetworkNode:
-        return self.dns.resolve(user, now)
 
 
 class SwitchEveryVisitSelector:
@@ -92,7 +80,9 @@ class EndUserActor(Actor):
     """A simulated end user polling the live content periodically.
 
     One actor per user, for hand-wired worlds.  The testbed carries its
-    whole user population in one :class:`~repro.cdn.cohort.UserCohort`.
+    whole user population in one :class:`~repro.cdn.cohort.UserCohort`;
+    this actor stays until the hand-wired tests, examples and the DES
+    crawl in ``tests/test_integration.py`` move onto the cohort.
     """
 
     def __init__(

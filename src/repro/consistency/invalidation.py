@@ -27,14 +27,19 @@ class InvalidationPolicy(ServerPolicy):
         self.forward = forward
         self.fetch_timeout_s = fetch_timeout_s
         self._fetch_inflight: Optional[Event] = None
+        #: Newest version this replica has relayed downstream.
+        self._relayed_version = -1
 
     # ------------------------------------------------------------------
     def on_invalidate(self, message: Message) -> None:
         self.server.mark_invalidated(message.version)
-        if self.forward:
-            # Relay down the tree so every replica hears about the update
-            # exactly once (the tree structure guarantees no duplicates).
-            self.server.invalidate_children(message.version)
+        version = message.version
+        if self.forward and version > self._relayed_version:
+            # Relay each version at most once, as push relays only a
+            # newer body: on a graph with cycles (the broadcast overlay)
+            # relaying every notice heard would circulate it forever.
+            self._relayed_version = version
+            self.server.invalidate_children(version)
 
     def ensure_fresh(self) -> Generator:
         """Fetch the current body from upstream if our copy is stale.

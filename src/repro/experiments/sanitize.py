@@ -49,12 +49,14 @@ from .testbed import build_deployment
 __all__ = ["main", "build_parser", "run_cell", "CellReport"]
 
 #: Cells gated by ``make sanitize-smoke``: one cell per update-method
-#: family plus a second infrastructure.
+#: family, plus push and invalidation on the broadcast graph, whose
+#: cycles are the relay protocols' hardest case.
 DEFAULT_CELLS = (
     "push:unicast",
     "push:broadcast",
     "invalidation:unicast",
     "ttl:unicast",
+    "invalidation:broadcast",
 )
 
 _CanonicalTrace = List[Tuple[float, str, str, str]]

@@ -26,7 +26,7 @@ crash for memory-address-ordered (run-dependent) scheduling.  A pushed
 tuple is flagged when any key element calls ``id(...)`` or when no
 element before the final (payload) slot looks like a sequence counter.
 Non-tuple pushes are out of scope (the pushed object's own ``__lt__``
-is assumed total -- e.g. ``PriorityItem``).
+is assumed total).
 """
 
 from __future__ import annotations

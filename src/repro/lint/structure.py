@@ -36,18 +36,12 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     },
     "repro/sim/process.py": {
         "Process": "allocated per policy loop and waiting server task",
-        "Condition": "allocated per all_of/any_of wait",
-        "AllOf": "condition subclass",
-        "AnyOf": "condition subclass",
         "_Initialize": "allocated per process start",
         "_Interruption": "allocated per interrupt",
     },
     "repro/sim/resources.py": {
         "Request": "allocated per resource claim",
         "Release": "allocated per resource release",
-        "StorePut": "allocated per inbox delivery",
-        "StoreGet": "allocated per inbox read",
-        "PriorityItem": "allocated per prioritised item",
     },
     "repro/network/link.py": {
         "_FastTransfer": "one per in-flight message (pooled)",

@@ -20,8 +20,11 @@ machine (:class:`_FastTransfer`) that chains raw kernel events directly
 per message and keeping the sender's output-port FIFO itself: a free
 port is claimed synchronously, and a released port is handed to the
 next queued transfer synchronously, with no generator frame, no
-``Process``, and no ``Request``/grant event.  See
-``docs/performance.md``; ``tests/test_golden.py`` pins the outputs.
+``Process``, and no ``Request``/grant event.  A message costs two heap
+events (transmit done, deliver) and no completion object: ``send``
+returns nothing, and a drop shows only in :class:`FabricCounters` and
+the ``msg_drop`` trace.  See ``docs/performance.md``;
+``tests/test_golden.py`` pins the outputs.
 """
 
 from __future__ import annotations
@@ -83,16 +86,13 @@ class _FastTransfer:
 
     One reusable ``hop`` event carries the transfer through
     transmit-done -> deliver (reset and rescheduled between stages
-    instead of allocating a new ``Timeout`` per stage); ``done`` is the
-    completion event handed back to the caller, firing with
-    ``True``/``False`` at delivery or drop time.
+    instead of allocating a new ``Timeout`` per stage).
     """
 
     __slots__ = (
         "fabric",
         "env",
         "message",
-        "done",
         "hop",
         "entered_port",
         "_cb_transmit",
@@ -138,7 +138,7 @@ class _FastTransfer:
         self._jitter = fabric._jitter_stream.jitter
         self._isp_uniform = fabric._isp_stream.uniform
 
-    def _launch(self, message: Message) -> Event:
+    def _launch(self, message: Message) -> None:
         """Arm this (new or recycled) transfer for *message*.
 
         The start stage runs synchronously inside ``send()``: the sender
@@ -146,17 +146,11 @@ class _FastTransfer:
         cascade could change, so no start hop is needed.
         """
         self.message: Message = message
-        done = Event(self.env)
-        self.done: Event = done
         src: NetworkNode = message.src
         if not src.is_up:
-            # ``sync``: the caller has not seen ``done`` yet, so it can't
-            # have registered interest -- completing through the heap
-            # keeps post-send callback attachment working.
-            self._drop(src.node_id, "sender_down", "dropped_sender_down", sync=True)
-            return done
+            self._drop(src.node_id, "sender_down", "dropped_sender_down")
+            return
         self._claim_port(src, message)
-        return done
 
     # ------------------------------------------------------------------
     def _next_hop(self, callbacks: List[Callable[[Event], None]], delay: float) -> None:
@@ -175,31 +169,15 @@ class _FastTransfer:
         env._eid += 1
         _heappush(env._queue, (env._now + delay, NORMAL, env._eid, hop))
 
-    def _finish(self, delivered: bool, sync: bool = False) -> None:
-        """Trigger ``done`` with *delivered*."""
-        done = self.done
-        done._ok = True
-        done._value = delivered
-        if done.callbacks or sync:
-            self.env.schedule(done)
-        else:
-            # Nobody registered interest by delivery time: mark the
-            # event processed without a kernel round-trip.  A later
-            # ``yield done`` resumes immediately, as yielding any
-            # processed event does.
-            done.callbacks = None
-        # The transfer (and its internal hop event) is now idle; hand it
-        # back to the fabric for the next send().  ``done`` stays with
-        # the caller and is never recycled.  Unbinding (rather than
-        # None-ing) the slots drops the references while pooled without
-        # widening the attribute types to Optional.
+    def _finish(self) -> None:
+        """The transfer (and its internal hop event) is now idle; hand
+        it back to the fabric for the next send().  Unbinding (rather
+        than None-ing) the slot drops the reference while pooled without
+        widening the attribute type to Optional."""
         del self.message
-        del self.done
         self.fabric._transfer_pool.append(self)
 
-    def _drop(
-        self, node_id: str, reason: str, counter_attr: str, sync: bool = False
-    ) -> None:
+    def _drop(self, node_id: str, reason: str, counter_attr: str) -> None:
         fabric = self.fabric
         fabric.dropped += 1
         counters = fabric.counters
@@ -210,7 +188,7 @@ class _FastTransfer:
                 self.env.now, "msg_drop", node_id,
                 reason=reason, **self.message.trace_detail()
             )
-        self._finish(False, sync=sync)
+        self._finish()
 
     # ------------------------------------------------------------------
     # stages
@@ -299,9 +277,9 @@ class _FastTransfer:
         """Stage 3: receiver check, accounting, then delivery.
 
         The counter increment and ``msg_recv`` trace run *before* the
-        handoff: with a consumer attached the receiving actor's handler
-        runs synchronously inside ``deliver()``, and its own traces must
-        follow the ``msg_recv`` that caused them.
+        handoff: the receiving actor's handler runs synchronously inside
+        ``deliver()``, and its own traces must follow the ``msg_recv``
+        that caused them.
         """
         message = self.message
         dst: NetworkNode = message.dst
@@ -315,7 +293,7 @@ class _FastTransfer:
                 self.env.now, "msg_recv", dst.node_id, **message.trace_detail()
             )
         dst.deliver(message)
-        self._finish(True)
+        self._finish()
 
 
 class NetworkFabric:
@@ -335,7 +313,7 @@ class NetworkFabric:
         streams = streams if streams is not None else StreamRegistry(0)
         self._jitter_stream: RandomStream = streams.stream("fabric.jitter")
         self._isp_stream: RandomStream = streams.stream("fabric.isp")
-        #: Messages dropped because the receiver was down.
+        #: Messages dropped because the sender or the receiver was down.
         self.dropped = 0
         #: Always-on per-layer accounting (see :mod:`repro.obs.counters`).
         self.counters = FabricCounters()
@@ -385,17 +363,18 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def send(self, message: Message) -> Event:
-        """Send *message*; the returned event fires at delivery time.
+    def send(self, message: Message) -> None:
+        """Send *message*: the receiver's consumer gets it at delivery
+        time.
 
-        The event's value is ``True`` if the message reached the
-        receiver's inbox and ``False`` if it was dropped (receiver down).
-        A down *sender* drops the message immediately.
+        A down *sender* drops the message immediately, a down receiver
+        at delivery time; both count in :attr:`counters` and emit a
+        ``msg_drop`` trace event.
         """
         message.created_at = self.env.now
         pool = self._transfer_pool
         transfer = pool.pop() if pool else _FastTransfer(self)
-        return transfer._launch(message)
+        transfer._launch(message)
 
     def rtt_s(self, a: NetworkNode, b: NetworkNode) -> float:
         """Deterministic round-trip latency estimate between two nodes."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Callable, Deque, Optional
 
 from ..sim.engine import Environment
-from ..sim.resources import Store
 from .geo import GeoPoint
 from .isp import ISP
 
@@ -58,11 +57,8 @@ class NetworkNode:
         #: transfers wait in ``port_waiters`` (FIFO).
         self.port_busy = False
         self.port_waiters: Optional[Deque[Any]] = None
-        self._inbox: Optional[Store] = None
-        #: Direct dispatch: when an actor registers a consumer,
-        #: :meth:`deliver` calls it synchronously at delivery time
-        #: instead of round-tripping through the inbox store (which
-        #: costs a ``StorePut`` + ``StoreGet`` heap pop per message).
+        #: The attached actor's handler: :meth:`deliver` calls it
+        #: synchronously at delivery time.
         self.consumer: Optional[Callable[[Any], None]] = None
         #: Number of currently active absences.  The node is up only
         #: while this is zero, so overlapping failure-injection windows
@@ -76,19 +72,6 @@ class NetworkNode:
 
     def __repr__(self) -> str:
         return "NetworkNode(%s @ %s)" % (self.node_id, self.city_name or self.point)
-
-    @property
-    def inbox(self) -> Store:
-        """Inbox: the fabric delivers received messages into this store.
-
-        Built lazily -- nodes with a registered consumer never touch
-        it, which matters when the cohort plane attaches a
-        million user nodes (``Store`` construction has no side effects
-        on the environment, so laziness is unobservable)."""
-        store = self._inbox
-        if store is None:
-            store = self._inbox = Store(self.env)
-        return store
 
     # ------------------------------------------------------------------
     # up/down state (failure injection, Section 3.4.5)
@@ -143,14 +126,14 @@ class NetworkNode:
             tracer.emit(now, "node_up" if up else "node_down", self.node_id)
 
     def deliver(self, message: Any) -> None:
-        """Hand a delivered *message* to the registered consumer, or the
-        inbox store when no consumer is attached (bare nodes in
-        transport tests)."""
+        """Hand a delivered *message* to the registered consumer."""
         consumer = self.consumer
-        if consumer is not None:
-            consumer(message)
-        else:
-            self.inbox.put(message)
+        if consumer is None:
+            raise RuntimeError(
+                "node %r received a message but has no consumer attached"
+                % self.node_id
+            )
+        consumer(message)
 
     def downtime_s(self, now: Optional[float] = None) -> float:
         """Total seconds spent down, including any open absence."""

@@ -1,8 +1,9 @@
 """Discrete-event simulation substrate.
 
-A deterministic, generator-based simulation kernel in the style of simpy,
-built from scratch because no third-party DES library is available in the
-reproduction environment.  See :mod:`repro.sim.engine` for the core loop.
+A deterministic, generator-based simulation kernel built from scratch:
+events, timeouts, processes with interrupt (:mod:`repro.sim.process`),
+and the timer wheel with its callback lanes (:mod:`repro.sim.timers`).
+See :mod:`repro.sim.engine` for the core loop.
 """
 
 from .engine import (
@@ -15,8 +16,8 @@ from .engine import (
     Timeout,
     URGENT,
 )
-from .process import AllOf, AnyOf, Condition, ConditionValue, Interrupt, Process
-from .resources import PriorityItem, PriorityStore, Release, Request, Resource, Store
+from .process import Interrupt, Process
+from .resources import Release, Request, Resource
 from .rng import RandomStream, StreamRegistry, derive_seed
 from .simtime import TIME_EPS_S, is_zero_duration, times_close, times_equal
 
@@ -26,16 +27,9 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
     "Resource",
     "Request",
     "Release",
-    "Store",
-    "PriorityStore",
-    "PriorityItem",
     "RandomStream",
     "StreamRegistry",
     "derive_seed",

@@ -1,11 +1,14 @@
 """Core of the discrete-event simulation engine.
 
-The engine is a small, deterministic, generator-based kernel in the style
-of simpy (which is not available in this offline environment).  It provides:
+A small, deterministic, generator-based kernel.  Its vocabulary comes
+from simpy, but it keeps only what the simulator uses:
 
 - :class:`Environment` -- the event loop, simulation clock and scheduler.
 - :class:`Event` -- the basic synchronisation primitive.
 - :class:`Timeout` -- an event that fires after a simulated delay.
+
+Processes with interrupt live in :mod:`repro.sim.process`, and the
+timer wheel and its callback lanes in :mod:`repro.sim.timers`.
 
 Determinism: events scheduled for the same simulated time are ordered by
 ``(time, priority, sequence)`` where ``sequence`` is a monotonically
@@ -21,7 +24,6 @@ from typing import (
     Any,
     Callable,
     Generator,
-    Iterable,
     List,
     Optional,
     Tuple,
@@ -59,11 +61,12 @@ class SimulationError(Exception):
 
 
 class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no more events exist."""
+    """Raised inside :meth:`Environment.run` when no more events exist."""
 
 
 class StopSimulation(Exception):
-    """Raised internally to stop :meth:`Environment.run` at a target event."""
+    """Raised internally to stop :meth:`Environment.run` at a target event
+    (``run(until=event)``, which drives a process to its end)."""
 
     @classmethod
     def callback(cls, event: "Event") -> None:
@@ -98,6 +101,9 @@ class Event:
         #: ``None`` once the event has been processed.
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
+        #: Only the kernel fails an event (a crashed process, an
+        #: interrupt); ``_defused`` marks a failure a waiter has handled,
+        #: which ``run()`` then does not re-raise.
         self._ok: bool = True
         self._defused: bool = False
 
@@ -128,24 +134,6 @@ class Event:
             raise AttributeError("value of %r is not yet available" % self)
         return self._value
 
-    @property
-    def defused(self) -> bool:
-        """``True`` if a failed event's exception has been handled."""
-        return self._defused
-
-    @defused.setter
-    def defused(self, value: bool) -> None:
-        self._defused = bool(value)
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another *event*.
-
-        Used as a callback to chain events together.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def succeed(self, value: Any = None) -> "Event":
         """Schedule the event as successful with an optional *value*."""
         if self.triggered:
@@ -154,27 +142,6 @@ class Event:
         self._value = value
         self.env.schedule(self)
         return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Schedule the event as failed with *exception* as its value."""
-        if self.triggered:
-            raise RuntimeError("%r has already been triggered" % self)
-        if not isinstance(exception, BaseException):
-            raise ValueError("%r is not an exception" % (exception,))
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self)
-        return self
-
-    def __and__(self, other: "Event") -> "Event":
-        from .process import AllOf
-
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Event":
-        from .process import AnyOf
-
-        return AnyOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -279,7 +246,8 @@ class Environment:
 
     @property
     def active_process(self) -> Optional["Process"]:
-        """The process currently being resumed (or ``None``)."""
+        """The process currently being resumed (or ``None``); an
+        interrupt reads it to reject a process interrupting itself."""
         return self._active_proc
 
     @property
@@ -287,14 +255,8 @@ class Environment:
         """Number of events this environment has processed so far."""
         return self._events_processed
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none remain."""
-        if not self._queue:
-            return float("inf")
-        return self._queue[0][0]
-
     # ------------------------------------------------------------------
-    # scheduling / stepping
+    # scheduling / running
     # ------------------------------------------------------------------
     def schedule(
         self,
@@ -340,32 +302,6 @@ class Environment:
                 (at, priority, sanitizer.tie_key(at, priority, self._eid), event),
             )
 
-    def step(
-        self, _pop: Callable[[List[_QueueEntry]], _QueueEntry] = _heappop
-    ) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` when the queue is empty and
-        re-raises the exception of any failed, un-defused event.
-        """
-        try:
-            self._now, _, _, event = _pop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - cancelled event
-            return
-        self._events_processed += 1
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
-        if event.__class__ is _PooledTimeout:
-            self._timeout_pool.append(event)
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 
@@ -406,13 +342,12 @@ class Environment:
         stride_mask = self.PROGRESS_STRIDE - 1
         try:
             with TELEMETRY.span("engine.run"):
-                # :meth:`step` inlined: one method call per event is the
-                # largest fixed cost of the hot loop at CDN scale.  Any
-                # behavioural change here must be mirrored in ``step``.
+                # No per-event method call: one call per event is the
+                # largest fixed cost of the hot loop at CDN scale.
                 # Two copies of the loop: the second adds the live
                 # progress hook (one masked compare per event) and is
                 # taken only when a hook is installed, so the default
-                # path pays nothing.
+                # path pays nothing.  Keep their bodies identical.
                 if progress is None:
                     while queue:
                         self._now, _, _, event = _heappop(queue)
@@ -475,9 +410,8 @@ class Environment:
         event ordering, same sequence-number allocation -- but processed
         instances are reused, sparing one allocation per firing on hot
         sleep loops.  Contract: the caller must ``yield`` the timeout
-        immediately and must not retain a reference past its firing, nor
-        combine it into :meth:`all_of` / :meth:`any_of` conditions (the
-        recycled object would be mutated under the condition).
+        immediately and must not retain a reference past its firing (the
+        recycled object would be mutated under the holder).
         """
         pool = self._timeout_pool
         if not pool:
@@ -498,15 +432,3 @@ class Environment:
         from .process import Process
 
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Condition that succeeds once all *events* have succeeded."""
-        from .process import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Condition that succeeds once any of *events* has succeeded."""
-        from .process import AnyOf
-
-        return AnyOf(self, list(events))

@@ -1,4 +1,4 @@
-"""Processes and condition events for the simulation engine.
+"""Processes for the simulation engine.
 
 A *process* wraps a Python generator.  The generator describes the
 behaviour of an actor over simulated time by ``yield``-ing events; the
@@ -9,11 +9,11 @@ event's exception thrown into it if the event failed).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Generator, Optional
 
 from .engine import Environment, Event, URGENT, _PENDING
 
-__all__ = ["Process", "Interrupt", "Condition", "AllOf", "AnyOf", "ConditionValue"]
+__all__ = ["Process", "Interrupt"]
 
 
 class Interrupt(Exception):
@@ -98,11 +98,6 @@ class Process(Event):
         """``True`` until the wrapped generator terminates."""
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting on."""
-        return self._target
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` (with *cause*) into the process."""
         _Interruption(self, cause)
@@ -155,114 +150,3 @@ class Process(Event):
             event = next_event
 
         env._active_proc = None
-
-
-class ConditionValue:
-    """Mapping-like result of a condition: the values of fired events,
-    keyed by the event objects, in trigger order."""
-
-    def __init__(self, events: List[Event]) -> None:
-        self.events = events
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return "<ConditionValue %s>" % self.todict()
-
-    def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
-
-    def keys(self) -> Iterator[Event]:
-        return iter(self.events)
-
-    def values(self) -> Iterator[Any]:
-        return (event._value for event in self.events)
-
-    def items(self) -> Iterator[Tuple[Event, Any]]:
-        return ((event, event._value) for event in self.events)
-
-    def todict(self) -> dict:
-        return {event: event._value for event in self.events}
-
-
-class Condition(Event):
-    """An event that fires when ``evaluate(events, n_fired)`` is true."""
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(self, env: Environment, evaluate, events: List[Event]) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events belong to different environments")
-
-        # Evaluate vacuously-true conditions immediately.
-        if self._evaluate(self._events, 0):
-            self.succeed(ConditionValue([]))
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _fired(self) -> List[Event]:
-        # ``processed`` rather than ``triggered``: a Timeout carries its
-        # value from construction (is "triggered"), but has only *fired*
-        # once the event loop has run its callbacks.
-        return [event for event in self._events if event.processed]
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            # A failed constituent fails the whole condition.
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue(self._fired()))
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that fires once all constituent events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: List[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that fires once any constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, events: List[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

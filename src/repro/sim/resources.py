@@ -1,21 +1,19 @@
-"""Shared resources for the simulation engine.
+"""A capacity-limited resource with a FIFO wait queue.
 
-- :class:`Resource` -- a capacity-limited resource with a FIFO wait queue
-  (models e.g. a node's output network port: transmissions serialise).
-- :class:`Store` -- an unbounded-or-bounded FIFO of Python objects
-  (models message queues between actors).
-- :class:`PriorityStore` -- a store that yields the smallest item first.
+No simulator code uses :class:`Resource`: the fabric keeps each node's
+output-port FIFO itself (see :mod:`repro.network.link`).  It stays only
+because the e2e benchmark's layer tracer wraps ``Resource.request`` and
+``Resource.release_fast``; it goes once that tracer stops wrapping them.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, List
+from typing import Deque, List
 
 from .engine import Environment, Event
 
-__all__ = ["Resource", "Request", "Release", "Store", "PriorityStore", "PriorityItem"]
+__all__ = ["Resource", "Request", "Release"]
 
 
 class Request(Event):
@@ -123,97 +121,3 @@ class Resource:
             request = self._queue.popleft()
             self.users.append(request)
             request.succeed()
-
-
-class StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-
-class StoreGet(Event):
-    __slots__ = ()
-
-    def __init__(self, store: "Store") -> None:
-        super().__init__(store.env)
-        store._get_queue.append(self)
-        store._trigger()
-
-
-class Store:
-    """A FIFO store of arbitrary items with optional capacity."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0, got %r" % (capacity,))
-        self.env = env
-        self._capacity = capacity
-        self.items: List[Any] = []
-        self._put_queue: Deque[StorePut] = deque()
-        self._get_queue: Deque[StoreGet] = deque()
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        """Put *item* into the store; fires once there is room."""
-        return StorePut(self, item)
-
-    def get(self) -> StoreGet:
-        """Get the next item; fires once an item is available."""
-        return StoreGet(self)
-
-    # -- internals -----------------------------------------------------
-    def _store_item(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _take_item(self) -> Any:
-        return self.items.pop(0)
-
-    def _trigger(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue and len(self.items) < self._capacity:
-                put = self._put_queue.popleft()
-                self._store_item(put.item)
-                put.succeed()
-                progressed = True
-            if self._get_queue and self.items:
-                get = self._get_queue.popleft()
-                get.succeed(self._take_item())
-                progressed = True
-
-
-class PriorityItem:
-    """Wrap an unorderable item with an orderable priority key."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __repr__(self) -> str:
-        return "PriorityItem(%r, %r)" % (self.priority, self.item)
-
-
-class PriorityStore(Store):
-    """A store that always yields its smallest item first."""
-
-    def _store_item(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _take_item(self) -> Any:
-        return heapq.heappop(self.items)

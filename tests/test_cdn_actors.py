@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cdn import (
-    DnsDirectory,
     EndUserActor,
     FixedSelector,
     LiveContent,
@@ -153,49 +152,6 @@ class TestSelectors:
         )
         assert selector.select(None, 0.0, 0) is topology.servers[0]
         assert selector.select(None, 0.0, 1) is topology.servers[0]
-
-
-class TestDns:
-    def test_cached_assignment_sticks_until_ttl(self):
-        env, streams, topology, fabric, content = make_world(n_servers=5)
-        dns = DnsDirectory(topology.servers, streams.stream("dns"), dns_ttl_s=60.0)
-        user = topology.users[0][0]
-        first = dns.resolve(user, now=0.0)
-        assert dns.resolve(user, now=1.0) is first
-        assert dns.cache_hits >= 1
-
-    def test_reassignment_after_expiry_balances_load(self):
-        env, streams, topology, fabric, content = make_world(n_servers=8)
-        dns = DnsDirectory(
-            topology.servers, streams.stream("dns"), dns_ttl_s=10.0, candidates=4
-        )
-        user = topology.users[0][0]
-        seen = set()
-        t = 0.0
-        for _ in range(80):
-            seen.add(dns.resolve(user, now=t).node_id)
-            t += 20.0  # always past the lease
-        assert len(seen) >= 2  # load-balanced across candidates
-
-    def test_candidates_are_nearby(self):
-        env, streams, topology, fabric, content = make_world(n_servers=10)
-        dns = DnsDirectory(
-            topology.servers, streams.stream("dns"), dns_ttl_s=1.0, candidates=3
-        )
-        user = topology.users[0][0]
-        ranked = sorted(topology.servers, key=user.distance_km)
-        allowed = {server.node_id for server in ranked[:3]}
-        for t in range(0, 200, 7):
-            assert dns.resolve(user, now=float(t)).node_id in allowed
-
-    def test_down_server_skipped(self):
-        env, streams, topology, fabric, content = make_world(n_servers=3)
-        dns = DnsDirectory(topology.servers, streams.stream("dns"), dns_ttl_s=5.0)
-        down = topology.servers[0]
-        down.is_up = False
-        user = topology.users[1][0]
-        for t in range(0, 100, 10):
-            assert dns.resolve(user, now=float(t)) is not down
 
 
 class TestRequestResponse:

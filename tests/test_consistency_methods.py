@@ -1,6 +1,8 @@
 """Behavioural tests for the update-method policies (TTL / Push /
 Invalidation / self-adaptive / adaptive-TTL)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cdn import (
@@ -18,7 +20,10 @@ from repro.consistency import (
     TTLPolicy,
     UnicastInfrastructure,
 )
+from repro.experiments.config import TestbedConfig
+from repro.experiments.testbed import build_deployment
 from repro.network import MessageKind, NetworkFabric, TopologyBuilder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 
 
@@ -173,6 +178,34 @@ class TestInvalidationPolicy:
         for server in servers:
             assert server.cached_version == 0
             assert server.is_invalidated
+
+
+    @pytest.mark.parametrize("infrastructure", ["unicast", "multicast", "broadcast"])
+    def test_notices_per_version_bounded_by_directed_edges(self, infrastructure):
+        """Oracle that shares no simulator code: per version, the
+        INVALIDATE sends in the trace never outnumber the directed edges
+        of the dissemination graph, read from ``children`` alone.  The
+        broadcast graph has cycles, so relaying every notice heard would
+        circulate it until the horizon."""
+        config = TestbedConfig(
+            seed=0, n_servers=6, users_per_server=2, n_updates=6,
+            game_duration_s=200.0, horizon_s=80.0,
+        )
+        tracer = RecordingTracer()
+        deployment = build_deployment(
+            config, "invalidation", infrastructure, tracer=tracer
+        )
+        deployment.run()
+        edges = len(deployment.provider.children) + sum(
+            len(server.children) for server in deployment.servers
+        )
+        sends = Counter(
+            event.detail["version"]
+            for event in tracer.events(kinds=("msg_send",))
+            if event.detail["msg"] == "invalidate"
+        )
+        assert sends, "no update was invalidated before the horizon"
+        assert max(sends.values()) <= edges, (sends, edges)
 
 
 class TestSelfAdaptive:

@@ -18,8 +18,7 @@ The cells:
 
 - every method x infrastructure at seeds 0-2 on a tiny config (6
   servers, 2 users per server, 6 updates, a 200 s game, 3 HAT
-  clusters), with ``invalidation/broadcast`` cut to 80 s because it
-  floods;
+  clusters);
 - ``ttl`` and ``push`` on four perturbation-heavy scenarios;
 - both user selectors at seeds 0-1, and aggregate user metrics;
 - three user-plane edge cases: no users, a 1 ms start window, and a
@@ -100,12 +99,9 @@ def _cells() -> Dict[str, Cell]:
     cells: Dict[str, Cell] = {}
     for method in METHODS:
         for infrastructure in INFRASTRUCTURES:
-            overrides: Tuple[Tuple[str, Any], ...] = ()
-            if (method, infrastructure) == ("invalidation", "broadcast"):
-                overrides = (("horizon_s", 80.0),)
             for seed in (0, 1, 2):
                 cells[grid_label(method, infrastructure, seed)] = Cell(
-                    method, infrastructure, seed, overrides=overrides
+                    method, infrastructure, seed
                 )
     for scenario in ("paper-baseline", "failure-storm", "flash-crowd", "cdn-reconfig"):
         for method in ("ttl", "push"):

@@ -13,12 +13,24 @@ from repro.network import (
     TopologyBuilder,
 )
 from repro.network.geo import GeoPoint
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 
 
 def make_nodes(env, streams, n=2):
     topology = TopologyBuilder(env, streams).build(n_servers=n, users_per_server=0)
     return topology.provider, topology.servers
+
+
+def record_deliveries(*nodes):
+    """Attach a consumer to each of *nodes*; returns the list it fills
+    with ``(time, node_id, message)`` per delivery."""
+    received = []
+    for node in nodes:
+        node.consumer = lambda message, node=node: received.append(
+            (node.env.now, node.node_id, message)
+        )
+    return received
 
 
 class TestMessageTaxonomy:
@@ -82,25 +94,27 @@ class TestFabric:
         streams = StreamRegistry(11)
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
+        received = record_deliveries(servers[0])
         message = Message(MessageKind.PUSH_UPDATE, provider, servers[0], 2.0, version=1)
-        results = []
-
-        def sender(env):
-            delivered = yield fabric.send(message)
-            results.append(delivered)
-
-        def receiver(env):
-            received = yield servers[0].inbox.get()
-            results.append(received.version)
-
-        env.process(sender(env))
-        env.process(receiver(env))
+        assert fabric.send(message) is None
         env.run()
-        assert True in results and 1 in results
+        assert [(node_id, delivered) for _, node_id, delivered in received] == [
+            (servers[0].node_id, message)
+        ]
+        assert fabric.counters.messages_delivered == 1
         totals = fabric.ledger.kind_totals(MessageKind.PUSH_UPDATE)
         assert totals.count == 1
         assert totals.kb == pytest.approx(2.0)
         assert totals.km_kb == pytest.approx(2.0 * provider.distance_km(servers[0]))
+
+    def test_delivery_without_consumer_names_the_node(self):
+        env = Environment()
+        streams = StreamRegistry(11)
+        provider, servers = make_nodes(env, streams)
+        fabric = NetworkFabric(env, streams=streams)
+        fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
+        with pytest.raises(RuntimeError, match=servers[0].node_id):
+            env.run()
 
     def test_latency_increases_with_distance(self):
         env = Environment()
@@ -116,40 +130,43 @@ class TestFabric:
         )
 
     def test_down_receiver_drops(self):
-        env = Environment()
+        env = Environment(tracer=RecordingTracer())
         streams = StreamRegistry(13)
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
+        received = record_deliveries(servers[0])
         servers[0].is_up = False
-        outcome = []
-
-        def sender(env):
-            delivered = yield fabric.send(
-                Message(MessageKind.POLL, provider, servers[0], 1.0)
-            )
-            outcome.append(delivered)
-
-        env.process(sender(env))
+        fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
         env.run()
-        assert outcome == [False]
+        assert received == []
         assert fabric.dropped == 1
-        assert len(servers[0].inbox) == 0
+        assert fabric.counters.dropped_receiver_down == 1
+        assert fabric.counters.messages_sent == 1
+        drops = env.tracer.events(kinds=("msg_drop",))
+        assert [(event.node, event.detail["reason"]) for event in drops] == [
+            (servers[0].node_id, "receiver_down")
+        ]
+        # Dropped on arrival, after the transmission and propagation.
+        assert drops[0].time > 0.0
 
     def test_down_sender_drops_without_traffic(self):
-        env = Environment()
+        env = Environment(tracer=RecordingTracer())
         streams = StreamRegistry(14)
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
+        received = record_deliveries(servers[0])
         provider.is_up = False
-
-        def sender(env):
-            delivered = yield fabric.send(
-                Message(MessageKind.POLL, provider, servers[0], 1.0)
-            )
-            assert delivered is False
-
-        env.process(sender(env))
+        fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
+        # Dropped inside send(): no heap event, no traffic.
+        assert fabric.counters.dropped_sender_down == 1
+        drops = env.tracer.events(kinds=("msg_drop",))
+        assert [(event.time, event.node, event.detail["reason"]) for event in drops] == [
+            (0.0, provider.node_id, "sender_down")
+        ]
         env.run()
+        assert env.events_processed == 0
+        assert received == []
+        assert fabric.dropped == 1
         assert fabric.ledger.totals().count == 0
 
     def test_output_port_serialises_transmissions(self):
@@ -158,25 +175,14 @@ class TestFabric:
         provider, servers = make_nodes(env, streams, n=5)
         params = FabricParams(latency_jitter_frac=0.0, per_message_overhead_s=0.0)
         fabric = NetworkFabric(env, params=params, streams=streams)
+        received = record_deliveries(*servers)
         # Each message takes 1 s of pure transmission time.
         size = provider.uplink_kbps
-        arrival_times = []
-
-        def sender(env):
-            for server in servers:
-                fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, size))
-            return
-            yield  # pragma: no cover
-
-        def receiver(env, server):
-            yield server.inbox.get()
-            arrival_times.append(env.now)
-
-        env.process(sender(env))
         for server in servers:
-            env.process(receiver(env, server))
+            fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, size))
         env.run()
-        arrival_times.sort()
+        arrival_times = sorted(time for time, _, _ in received)
+        assert len(arrival_times) == len(servers)
         # The k-th message cannot leave before k seconds of transmission.
         for k, arrival in enumerate(arrival_times, start=1):
             assert arrival >= k

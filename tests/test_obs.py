@@ -379,11 +379,14 @@ class TestCounters:
         topology = TopologyBuilder(env, streams).build(n_servers=2, users_per_server=0)
         fabric = NetworkFabric(env, streams=streams)
         a, b = topology.servers
+        received = []
+        a.consumer = b.consumer = received.append
         for src, dst, size_kb in ((a, b, 2.0), (a, b, 1.0), (b, a, 4.0)):
             fabric.send(Message(MessageKind.PUSH_UPDATE, src, dst, size_kb))
         env.run()
         counters = fabric.counters
-        assert counters.messages_sent == 3
+        assert sorted(message.size_kb for message in received) == [1.0, 2.0, 4.0]
+        assert counters.messages_sent == counters.messages_delivered == 3
         assert counters.bytes_kb == pytest.approx(7.0)
         assert counters.link_bytes_kb == {
             "%s->%s" % (a.node_id, b.node_id): 3.0,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import Environment
 
 
 class TestEvent:
@@ -29,26 +29,6 @@ class TestEvent:
         event.succeed()
         with pytest.raises(RuntimeError):
             event.succeed()
-
-    def test_fail_requires_exception(self):
-        env = Environment()
-        event = env.event()
-        with pytest.raises(ValueError):
-            event.fail("not an exception")
-
-    def test_failed_event_propagates_from_run(self):
-        env = Environment()
-        event = env.event()
-        event.fail(RuntimeError("boom"))
-        with pytest.raises(RuntimeError, match="boom"):
-            env.run()
-
-    def test_defused_failure_does_not_propagate(self):
-        env = Environment()
-        event = env.event()
-        event.fail(RuntimeError("boom"))
-        event.defused = True
-        env.run()  # no raise
 
 
 class TestTimeout:
@@ -85,16 +65,6 @@ class TestEnvironment:
     def test_now_starts_at_initial_time(self):
         assert Environment().now == 0.0
         assert Environment(10.0).now == 10.0
-
-    def test_step_on_empty_schedule_raises(self):
-        with pytest.raises(EmptySchedule):
-            Environment().step()
-
-    def test_peek_returns_next_event_time(self):
-        env = Environment()
-        assert env.peek() == float("inf")
-        env.timeout(7)
-        assert env.peek() == 7
 
     def test_run_until_time_stops_exactly(self):
         env = Environment()

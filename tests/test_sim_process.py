@@ -1,8 +1,8 @@
-"""Tests for processes, interrupts and condition events."""
+"""Tests for processes and interrupts."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim import Environment, Interrupt
 
 
 class TestProcess:
@@ -158,78 +158,3 @@ class TestInterrupt:
         holder["me"] = env.process(selfish(env))
         with pytest.raises(RuntimeError):
             env.run()
-
-
-class TestConditions:
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-
-        def proc(env):
-            result = yield AllOf(env, [env.timeout(2, "a"), env.timeout(7, "b")])
-            return (env.now, list(result.values()))
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == (7, ["a", "b"])
-
-    def test_any_of_returns_first(self):
-        env = Environment()
-
-        def proc(env):
-            result = yield AnyOf(env, [env.timeout(9, "slow"), env.timeout(2, "fast")])
-            return (env.now, list(result.values()))
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == (2, ["fast"])
-
-    def test_and_or_operators(self):
-        env = Environment()
-
-        def proc(env):
-            both = yield env.timeout(1, "x") & env.timeout(2, "y")
-            either = yield env.timeout(5, "p") | env.timeout(3, "q")
-            return (list(both.values()), list(either.values()))
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == (["x", "y"], ["q"])
-
-    def test_empty_all_of_fires_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            yield AllOf(env, [])
-            return env.now
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == 0
-
-    def test_condition_value_mapping_interface(self):
-        env = Environment()
-
-        def proc(env):
-            t1 = env.timeout(1, "one")
-            t2 = env.timeout(2, "two")
-            result = yield AllOf(env, [t1, t2])
-            assert t1 in result
-            assert result[t1] == "one"
-            assert dict(result.items())[t2] == "two"
-            assert result == {t1: "one", t2: "two"}
-            return True
-
-        process = env.process(proc(env))
-        assert env.run(until=process) is True
-
-    def test_failed_member_fails_condition(self):
-        env = Environment()
-
-        def failer(env):
-            yield env.timeout(1)
-            raise RuntimeError("member failed")
-
-        def waiter(env):
-            try:
-                yield AllOf(env, [env.process(failer(env)), env.timeout(10)])
-            except RuntimeError as exc:
-                return str(exc)
-
-        process = env.process(waiter(env))
-        assert env.run(until=process) == "member failed"

@@ -1,8 +1,8 @@
-"""Tests for Resource / Store / PriorityStore."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Environment, PriorityItem, PriorityStore, Resource, Store
+from repro.sim import Environment, Resource
 
 
 class TestResource:
@@ -111,134 +111,3 @@ class TestResource:
         assert env.events_processed == 2  # the two grants only
         resource.release_fast(second)
         assert resource.count == 0
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-
-        def producer(env):
-            yield env.timeout(2)
-            yield store.put("item")
-
-        def consumer(env):
-            item = yield store.get()
-            return (env.now, item)
-
-        env.process(producer(env))
-        consumer_proc = env.process(consumer(env))
-        assert env.run(until=consumer_proc) == (2, "item")
-
-    def test_get_before_put_blocks(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def consumer(env):
-            item = yield store.get()
-            received.append((env.now, item))
-
-        def producer(env):
-            yield env.timeout(5)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert received == [(5, "late")]
-
-    def test_fifo_ordering(self):
-        env = Environment()
-        store = Store(env)
-        out = []
-
-        def producer(env):
-            for i in range(3):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == [0, 1, 2]
-
-    def test_capacity_blocks_puts(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        log = []
-
-        def producer(env):
-            yield store.put("first")
-            log.append(("put-first", env.now))
-            yield store.put("second")
-            log.append(("put-second", env.now))
-
-        def consumer(env):
-            yield env.timeout(10)
-            item = yield store.get()
-            log.append(("got", item, env.now))
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert ("put-first", 0) in log
-        assert ("got", "first", 10) in log
-        assert ("put-second", 10) in log
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Store(Environment(), capacity=0)
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        env.run()
-        assert len(store) == 2
-
-
-class TestPriorityStore:
-    def test_smallest_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        out = []
-
-        def producer(env):
-            for priority in (5, 1, 3):
-                yield store.put(priority)
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                out.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == [1, 3, 5]
-
-    def test_priority_item_wraps_unorderable(self):
-        env = Environment()
-        store = PriorityStore(env)
-        out = []
-
-        def producer(env):
-            yield store.put(PriorityItem(2, {"name": "low"}))
-            yield store.put(PriorityItem(1, {"name": "high"}))
-
-        def consumer(env):
-            yield env.timeout(1)
-            first = yield store.get()
-            out.append(first.item["name"])
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert out == ["high"]

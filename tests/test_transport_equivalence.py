@@ -30,18 +30,33 @@ def test_fast_path_bit_identical(method, infrastructure):
 
 
 def _make_fabric(seed):
+    """A traced fabric over 4 servers; every node records what it
+    receives as ``(time, node_id, version)`` in the returned list."""
     env = Environment(tracer=RecordingTracer())
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(n_servers=4, users_per_server=0)
     fabric = NetworkFabric(env, streams=streams)
-    return env, topology, fabric
+    received = []
+    for node in [topology.provider] + topology.servers:
+        node.consumer = lambda message, node=node: received.append(
+            (env.now, node.node_id, message.version)
+        )
+    return env, topology, fabric, received
+
+
+def _drops(trace):
+    """``(time, node, reason)`` of every ``msg_drop`` in *trace*."""
+    return [
+        (event.time, event.node, event.detail["reason"])
+        for event in trace
+        if event.kind == "msg_drop"
+    ]
 
 
 def _storm_with_absences(seed=5):
     """Fan-out traffic while sender and receivers flap up/down."""
-    env, topology, fabric = _make_fabric(seed)
+    env, topology, fabric, received = _make_fabric(seed)
     provider = topology.provider
-    results = []
 
     # Receiver 0 is down for the whole middle of the run; the provider
     # itself drops out briefly, exercising the sender_down path.
@@ -51,38 +66,43 @@ def _storm_with_absences(seed=5):
     def driver(env):
         for round_no in range(10):
             for server in topology.servers:
-                done = fabric.send(
+                fabric.send(
                     Message(MessageKind.PUSH_UPDATE, provider, server, 4.0,
                             version=round_no)
                 )
-                done.callbacks.append(lambda ev: results.append(ev.value))
             yield env.timeout(1.0)
 
     env.process(driver(env))
     env.run()
     trace = env.tracer.events(kinds=_MESSAGE_KINDS)
-    return results, fabric.counters.to_dict(), fabric.dropped, trace
+    return received, fabric.counters.to_dict(), fabric.dropped, trace
 
 
 def test_failure_injection_equivalence():
-    """Sender-down and receiver-down drops are counted, traced and
-    reported to the sender's ``done`` event, and repeat exactly."""
+    """Sender-down and receiver-down drops are counted and traced, the
+    consumers see only the delivered messages, and all of it repeats
+    exactly."""
     message_mod._SEQ = 0
     first = _storm_with_absences()
     message_mod._SEQ = 0
     assert _storm_with_absences() == first
-    results, counters, dropped, trace = first
+    received, counters, dropped, trace = first
     # 10 rounds x 4 servers.  Round 4 finds the provider down (4 sender
     # drops); rounds 2, 3, 5, 6 and 7 reach server 0 while it is down
     # (5 receiver drops).
-    assert len(results) == 40
+    drops = _drops(trace)
+    assert len(received) + len(drops) == 40
     assert counters["dropped_sender_down"] == 4
     assert counters["dropped_receiver_down"] == 5
     assert dropped == 9
     assert counters["messages_sent"] == 36
-    assert counters["messages_delivered"] == 31
-    assert results.count(False) == 9
-    assert sum(1 for event in trace if event.kind == "msg_drop") == 9
+    assert counters["messages_delivered"] == len(received) == 31
+    assert sorted((node, reason) for _, node, reason in drops) == (
+        [("provider", "sender_down")] * 4 + [("server-0", "receiver_down")] * 5
+    )
+    assert sorted(
+        version for _, node, version in received if node == "server-0"
+    ) == [0, 1, 8, 9]
 
 
 def _port_is_idle(node):
@@ -91,17 +111,16 @@ def _port_is_idle(node):
 
 def test_uncontended_port_skips_grant_events():
     """Distinct senders never queue: one event per transport stage."""
-    env, topology, fabric = _make_fabric(7)
+    env, topology, fabric, received = _make_fabric(7)
     for server in topology.servers:
         fabric.send(Message(MessageKind.POLL, server, topology.provider, 1.0))
     env.run()
-    # 4 messages, uncontended: transmit hop + deliver hop + inbox
-    # StorePut = 3 events each (the done event completes lazily because
-    # nobody registered a callback on it, and the transfer starts
-    # synchronously inside send()).
-    assert fabric.counters.messages_delivered == 4
+    # 4 messages, uncontended: transmit hop + deliver hop = 2 events
+    # each (the transfer starts synchronously inside send(), and the
+    # consumer runs inside the deliver hop).
+    assert len(received) == fabric.counters.messages_delivered == 4
     assert fabric.counters.port_waits == 0
-    assert env.events_processed == 12
+    assert env.events_processed == 8
     for server in topology.servers:
         assert _port_is_idle(server)
         # The deque is built on first contention only.
@@ -111,59 +130,53 @@ def test_uncontended_port_skips_grant_events():
 def test_contended_port_hands_off_without_grant_events():
     """A queued transfer costs no more heap events than an idle-port one:
     the releasing transfer schedules the waiter's transmit hop itself."""
-    env, topology, fabric = _make_fabric(9)
+    env, topology, fabric, received = _make_fabric(9)
     provider = topology.provider
     for server in topology.servers:
         fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
     env.run()
     # 4 messages, 3 of them queued: transmit hop + deliver hop per
-    # message, plus the inbox StorePut -- no grant events.
-    assert fabric.counters.messages_delivered == 4
+    # message -- no grant events.
+    assert len(received) == fabric.counters.messages_delivered == 4
     assert fabric.counters.port_waits == 3
-    assert env.events_processed == 12
+    assert env.events_processed == 8
     assert _port_is_idle(provider)
 
 
-@pytest.mark.parametrize("watch_done", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 7])
-def test_fan_out_counts_k_minus_1_port_waits(k, watch_done):
-    """A k-message burst from one sender queues all but the first,
-    whether or not the sender waits on the ``done`` events (watched
-    ``done`` events complete through the heap, one more event each)."""
-    env, topology, fabric = _make_fabric(12)
+def test_fan_out_counts_k_minus_1_port_waits(k):
+    """A k-message burst from one sender queues all but the first, at
+    two heap events per message."""
+    env, topology, fabric, received = _make_fabric(12)
     provider = topology.provider
-    outcomes = []
     for index in range(k):
         server = topology.servers[index % len(topology.servers)]
-        done = fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
-        if watch_done:
-            done.callbacks.append(lambda ev: outcomes.append(ev.value))
+        fabric.send(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0))
     env.run()
-    assert fabric.counters.messages_delivered == k
+    assert len(received) == fabric.counters.messages_delivered == k
     assert fabric.counters.port_waits == k - 1
-    assert outcomes == ([True] * k if watch_done else [])
-    assert env.events_processed == (4 if watch_done else 3) * k
+    assert env.events_processed == 2 * k
     assert _port_is_idle(provider)
 
 
 def test_contended_port_stays_fifo():
     """Queued transfers drain in FIFO order at full port rate."""
-    env, topology, fabric = _make_fabric(8)
+    env, topology, fabric, received = _make_fabric(8)
     provider = topology.provider
     size_kb = provider.uplink_kbps  # 1 s of pure transmission each
-    order = []
-
-    def receiver(env, index, server):
-        message = yield server.inbox.get()
-        order.append((index, message.version))
-
     for index, server in enumerate(topology.servers):
         fabric.send(
             Message(MessageKind.PUSH_UPDATE, provider, server, size_kb, version=index)
         )
-        env.process(receiver(env, index, server))
     env.run()
-    assert [version for _, version in sorted(order)] == [0, 1, 2, 3]
+    sends = [
+        event.detail["version"]
+        for event in env.tracer.events(kinds=("msg_send",))
+    ]
+    assert sends == [0, 1, 2, 3]
+    assert sorted((node, version) for _, node, version in received) == [
+        ("server-%d" % index, index) for index in range(4)
+    ]
     # Transmissions serialised: total sender-side time covers 4 back-to-
     # back transmissions (plus queue wait), so >= 1+2+3+4 seconds.
     assert fabric.counters.queueing_s >= 10.0
@@ -174,7 +187,7 @@ def test_contended_port_stays_fifo():
 def _two_sender_burst(seed=10):
     """Two senders fan out interleaved sends; returns per-sender send
     order, counters and the message trace."""
-    env, topology, fabric = _make_fabric(seed)
+    env, topology, fabric, _ = _make_fabric(seed)
     provider, relay = topology.provider, topology.servers[0]
     size_kb = provider.uplink_kbps / 4.0  # 0.25 s of transmission each
     for version in range(3):
@@ -217,40 +230,40 @@ def test_interleaved_senders_each_drain_fifo():
 def _sender_fails_while_queued(seed=11):
     """The sender goes down while its port queue is full, then revives
     while the queue is still draining."""
-    env, topology, fabric = _make_fabric(seed)
+    env, topology, fabric, received = _make_fabric(seed)
     provider = topology.provider
     size_kb = provider.uplink_kbps  # 1 s each: round 0 holds the port ~4 s
-    results = []
     schedule_absence(env, provider, start=0.5, duration=2.0)
 
     def driver(env):
         for round_no in range(4):
             for server in topology.servers:
-                done = fabric.send(
+                fabric.send(
                     Message(MessageKind.PUSH_UPDATE, provider, server, size_kb,
                             version=round_no)
                 )
-                done.callbacks.append(lambda ev: results.append((env.now, ev.value)))
             yield env.timeout(1.0)
 
     env.process(driver(env))
     env.run()
     assert _port_is_idle(provider)
-    return results, fabric.counters.to_dict(), fabric.dropped
+    drops = _drops(env.tracer.events(kinds=_MESSAGE_KINDS))
+    return received, drops, fabric.counters.to_dict(), fabric.dropped
 
 
 def test_sender_down_with_queued_transfers_equivalence():
     """Transfers already queued when the sender goes down still drain
     (the sender is checked once, at send time)."""
     message_mod._SEQ = 0
-    results, counters, dropped = _sender_fails_while_queued()
+    received, drops, counters, dropped = _sender_fails_while_queued()
     # Rounds 1 and 2 hit the down sender; rounds 0 and 3 are delivered,
     # round 3 queueing behind round 0's still-draining transfers.
-    assert counters["dropped_sender_down"] == dropped == 8
-    assert counters["messages_delivered"] == 8
+    assert counters["dropped_sender_down"] == dropped == len(drops) == 8
+    assert counters["messages_delivered"] == len(received) == 8
     assert counters["port_waits"] == 3 + 4
-    assert sorted(value for _, value in results) == [False] * 8 + [True] * 8
-    # Sender-down drops complete at their send instants (t=1 and t=2);
+    assert sorted(version for _, _, version in received) == [0] * 4 + [3] * 4
+    # Sender-down drops happen at their send instants (t=1 and t=2);
     # deliveries wait on the 1 s transmissions queued at the port.
-    assert sorted(time for time, value in results if not value) == [1.0] * 4 + [2.0] * 4
-    assert min(time for time, value in results if value) > 1.0
+    assert sorted(time for time, _, _ in drops) == [1.0] * 4 + [2.0] * 4
+    assert {reason for _, _, reason in drops} == {"sender_down"}
+    assert min(time for time, _, _ in received) > 1.0
