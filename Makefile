@@ -5,7 +5,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: smoke lint lint-compile lint-repro lint-ruff typecheck \
 	test claims bench bench-engine bench-section4 bench-user-plane bench-all \
-	bench-e2e bench-e2e-test \
+	bench-e2e bench-e2e-test bench-e2e-digests \
 	report trace-demo scenario-smoke scale-smoke planet-scale \
 	sanitize-smoke analyze-smoke
 
@@ -102,6 +102,13 @@ bench-e2e:
 # gate, and the traced per-layer run.
 bench-e2e-test:
 	$(PYTEST) benchmarks/e2e
+
+# Full-size output digests: each seed's run exits non-zero when any
+# digest pinned in benchmarks/e2e/expected.json moved (~30 s).
+bench-e2e-digests:
+	@for seed in 0 1 2; do \
+		python3 benchmarks/e2e/run.py --runs 1 --seed $$seed || exit 1; \
+	done
 
 # Fig. 20x at CI scale: 10k servers x 100k users through the sharded
 # sweep path, with wall-clock and peak-RSS budgets asserted off the

@@ -6,7 +6,7 @@ The library provides, from scratch:
 
 - :mod:`repro.sim` -- a deterministic discrete-event simulation engine;
 - :mod:`repro.network` -- geography / ISP / latency / bandwidth substrate;
-- :mod:`repro.cdn` -- origin, edge servers, DNS redirection, end users;
+- :mod:`repro.cdn` -- origin, edge servers, end users;
 - :mod:`repro.consistency` -- TTL / Push / Invalidation / self-adaptive
   update methods on unicast / multicast-tree / broadcast infrastructures;
 - :mod:`repro.core` -- HAT, the paper's hybrid self-adaptive proposal;

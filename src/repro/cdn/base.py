@@ -30,7 +30,6 @@ RESPONSE_KINDS = frozenset(
         MessageKind.POLL_NOT_MODIFIED,
         MessageKind.FETCH_RESPONSE,
         MessageKind.CONTENT_RESPONSE,
-        MessageKind.DNS_RESPONSE,
     }
 )
 
@@ -125,10 +124,8 @@ class Actor:
     # dispatch
     # ------------------------------------------------------------------
     def _consume(self, message: Message) -> None:
-        """Dispatch one message; called by the fabric at delivery time.
-        A down node ignores what reaches it."""
-        if not self.node.is_up:
-            return
+        """Dispatch one message; called by the fabric at delivery time
+        (the fabric drops what reaches a down node before this)."""
         if message.kind in RESPONSE_KINDS:
             self._dispatch_response(message)
         else:

@@ -329,8 +329,6 @@ class UserCohort:
     def _consume(self, message: Message) -> None:
         """Fabric delivery hook shared by every user node of the cohort
         (mirrors ``Actor._consume`` + the visit loop's response half)."""
-        if not message.dst.is_up:
-            return
         if message.kind not in RESPONSE_KINDS:
             raise NotImplementedError(
                 "UserCohort cannot handle %s" % (message.kind,)

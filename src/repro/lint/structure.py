@@ -44,7 +44,8 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
         "Release": "allocated per resource release",
     },
     "repro/network/link.py": {
-        "_FastTransfer": "one per in-flight message (pooled)",
+        "_FastTransfer": "one per message on the wire (pooled)",
+        "NetworkFabric": "attribute reads per message in every transport stage",
     },
     "repro/network/message.py": {
         "Message": "one per message sent through the fabric",

@@ -68,15 +68,9 @@ class InterISPModel:
 
     ``base_s`` is the systematic inter-domain handoff cost and
     ``jitter_s`` the half-width of its uniform fluctuation (transit-link
-    congestion varies over time).
+    congestion varies over time).  The fabric charges each inter-ISP
+    message ``max(0, base_s + uniform(-jitter_s, jitter_s))``.
     """
 
     base_s: float = 0.030
     jitter_s: float = 0.020
-
-    def penalty(self, src_isp: ISP, dst_isp: ISP, stream: RandomStream) -> float:
-        """One-way extra delay in seconds (0 for intra-ISP traffic)."""
-        if src_isp.isp_id == dst_isp.isp_id:
-            return 0.0
-        jitter = stream.uniform(-self.jitter_s, self.jitter_s)
-        return max(0.0, self.base_s + jitter)

@@ -14,31 +14,30 @@ The fabric also feeds every delivered message into a
 :class:`~repro.metrics.traffic.TrafficLedger` so experiments can report
 traffic cost (km*KB), message counts, and network load (km).
 
-Each message travels those stages in a slotted, callback-driven state
-machine (:class:`_FastTransfer`) that chains raw kernel events directly
--- queue -> transmit -> propagate -> deliver -- reusing one hop event
-per message and keeping the sender's output-port FIFO itself: a free
-port is claimed synchronously, and a released port is handed to the
-next queued transfer synchronously, with no generator frame, no
-``Process``, and no ``Request``/grant event.  A message costs two heap
-events (transmit done, deliver) and no completion object: ``send``
-returns nothing, and a drop shows only in :class:`FabricCounters` and
-the ``msg_drop`` trace.  See ``docs/performance.md``;
-``tests/test_golden.py`` pins the outputs.
+A busy sender port queues the *message* in the node's FIFO
+(``port_waiters``).  Only a message on the wire -- transmitting or
+propagating -- holds a :class:`_FastTransfer`: a pooled, slotted kernel
+event that is itself pushed on the heap for its two hops (transmit done,
+deliver), each a callback from one list shared by the fabric's
+transfers.  A free port is claimed inside ``send``, and a released port
+is handed to the next waiting message synchronously, with no generator
+frame, no ``Process`` and no grant event.  A message costs two heap
+events and no completion object: ``send`` returns nothing, and a drop
+shows only in :class:`FabricCounters` and the ``msg_drop`` trace.  See
+``docs/performance.md``; ``tests/test_golden.py`` pins the outputs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from heapq import heappush as _heappush
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..metrics.traffic import TrafficLedger
 from ..obs.counters import FabricCounters
-from heapq import heappush as _heappush
-
 from ..sim.engine import Environment, Event, NORMAL
-from ..sim.rng import RandomStream, StreamRegistry
+from ..sim.rng import StreamRegistry
 from .isp import InterISPModel
 from .message import Message
 from .node import NetworkNode
@@ -81,223 +80,170 @@ class FabricParams:
             raise ValueError("latency_jitter_frac must be >= 0")
 
 
-class _FastTransfer:
-    """Callback-driven transport of one message.
+class _FastTransfer(Event):
+    """One message on the wire, and the heap event of its next hop.
 
-    One reusable ``hop`` event carries the transfer through
-    transmit-done -> deliver (reset and rescheduled between stages
-    instead of allocating a new ``Timeout`` per stage).
+    Pooled per fabric: bound to a message when it takes the sender's
+    port, pushed once per stage with that stage's shared callback list
+    (the engine passes the transfer itself to the callback), and
+    returned to the pool after delivery.
     """
 
-    __slots__ = (
-        "fabric",
-        "env",
-        "message",
-        "hop",
-        "entered_port",
-        "_cb_transmit",
-        "_cb_deliver",
-        "_overhead_s",
-        "_counters",
-        "_record",
-        "_path",
-        "_jitter",
-        "_isp_uniform",
-        "_jitter_frac",
-        "_inter",
-    )
+    __slots__ = ("fabric", "message")
+
+    message: Message
 
     def __init__(self, fabric: "NetworkFabric") -> None:
-        env = fabric.env
+        super().__init__(fabric.env)
+        # Processed and idle until a stage arms it; ``Event`` set the
+        # ``_ok`` that the event loop checks after every callback.
+        self.callbacks = None
+        self._value = None
         self.fabric = fabric
-        self.env = env
-        self.entered_port = 0.0
-        # One reusable hop event; idle (processed) until a launch arms it.
-        hop = Event(env)
-        hop._ok = True
-        hop._value = None
-        hop.callbacks = None
-        self.hop = hop
-        # Prebuilt single-callback lists, one per stage: the engine only
-        # ever *iterates* an event's callback list, so the same list
-        # object can be re-attached to the hop for every message this
-        # pooled transfer carries (one list allocation per transfer
-        # instead of one per hop).
-        self._cb_transmit: List[Callable[[Event], None]] = [self._transmit_done]
-        self._cb_deliver: List[Callable[[Event], None]] = [self._deliver]
-        # Fabric collaborators and parameters are fixed for the fabric's
-        # lifetime; caching them (and the hot bound methods) on the
-        # pooled transfer keeps stage 2 off the attribute-chain treadmill.
-        params = fabric.params
-        self._overhead_s = params.per_message_overhead_s
-        self._jitter_frac = params.latency_jitter_frac
-        self._inter = params.inter_isp
-        self._counters = fabric.counters
-        self._record = fabric.ledger.record
-        self._path = fabric._path
-        self._jitter = fabric._jitter_stream.jitter
-        self._isp_uniform = fabric._isp_stream.uniform
-
-    def _launch(self, message: Message) -> None:
-        """Arm this (new or recycled) transfer for *message*.
-
-        The start stage runs synchronously inside ``send()``: the sender
-        check and port claim read state that only the current callback
-        cascade could change, so no start hop is needed.
-        """
-        self.message: Message = message
-        src: NetworkNode = message.src
-        if not src.is_up:
-            self._drop(src.node_id, "sender_down", "dropped_sender_down")
-            return
-        self._claim_port(src, message)
-
-    # ------------------------------------------------------------------
-    def _next_hop(self, callbacks: List[Callable[[Event], None]], delay: float) -> None:
-        """Re-arm the (already processed) hop event for the next stage.
-
-        ``Environment.schedule`` inlined: two messages per request at CDN
-        scale make the extra call measurable.  Sanitize runs take the
-        un-inlined path so tie perturbation covers transport hops too.
-        """
-        hop = self.hop
-        hop.callbacks = callbacks
-        env = self.env
-        if env.sanitizer is not None:
-            env.schedule(hop, delay=delay)
-            return
-        env._eid += 1
-        _heappush(env._queue, (env._now + delay, NORMAL, env._eid, hop))
-
-    def _finish(self) -> None:
-        """The transfer (and its internal hop event) is now idle; hand
-        it back to the fabric for the next send().  Unbinding (rather
-        than None-ing) the slot drops the reference while pooled without
-        widening the attribute type to Optional."""
-        del self.message
-        self.fabric._transfer_pool.append(self)
-
-    def _drop(self, node_id: str, reason: str, counter_attr: str) -> None:
-        fabric = self.fabric
-        fabric.dropped += 1
-        counters = fabric.counters
-        setattr(counters, counter_attr, getattr(counters, counter_attr) + 1)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.env.now, "msg_drop", node_id,
-                reason=reason, **self.message.trace_detail()
-            )
-        self._finish()
-
-    # ------------------------------------------------------------------
-    # stages
-    # ------------------------------------------------------------------
-    def _claim_port(self, src: NetworkNode, message: Message) -> None:
-        """Stage 1: claim the sender's output port, or queue on it.
-
-        A busy port queues the transfer FIFO in ``src.port_waiters``
-        (built on first contention); the transfer holding the port hands
-        it over in :meth:`_transmit_done`.
-        """
-        self.entered_port = self.env._now
-        if src.port_busy:
-            waiters = src.port_waiters
-            if waiters is None:
-                waiters = src.port_waiters = deque()
-            waiters.append(self)
-            self._counters.port_waits += 1
-            return
-        src.port_busy = True
-        self._next_hop(
-            self._cb_transmit,
-            self._overhead_s + message.size_kb / src.uplink_kbps,
-        )
 
     def _granted(self) -> None:
-        """Stage 1b (contended): the port was handed to us -- start
-        transmitting now."""
+        """Stage 1b (contended): the port was handed to this transfer's
+        message -- start transmitting now."""
+        fabric = self.fabric
+        env = self.env
         message = self.message
-        src: NetworkNode = message.src
-        self._next_hop(
-            self._cb_transmit,
-            self._overhead_s + message.size_kb / src.uplink_kbps,
-        )
+        self.callbacks = fabric._cb_transmit
+        delay = fabric._overhead_s + message.size_kb / message.src.uplink_kbps
+        if env.sanitizer is not None:
+            env.schedule(self, delay=delay)
+            return
+        env._eid += 1
+        _heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
-    def _transmit_done(self, _event: Event) -> None:
-        """Stage 2: bytes left the sender -- account, then propagate.
+    def _transmit_done(self) -> None:
+        """Stage 2: bytes left the sender -- hand the port on, account,
+        draw the path's delays, then propagate.
 
         The floating-point operation sequence and the RNG draw order
-        below are part of the pinned outputs (``tests/test_golden.py``).
+        below are part of the pinned outputs (``tests/test_golden.py``):
+        ``lo + span * random()`` with ``span = hi - lo`` is
+        ``Random.uniform(lo, hi)``, and ``x if x > 0.0 else 0.0`` is
+        ``max(0.0, x)``, bit for bit.
         """
+        fabric = self.fabric
         env = self.env
+        now = env._now
         message = self.message
         src: NetworkNode = message.src
         dst: NetworkNode = message.dst
-        counters = self._counters
-        # Release before accounting: the next waiter takes the port
-        # synchronously, so its transmit hop is scheduled here, at the
-        # release instant, ahead of this message's propagation hop.
+        counters = fabric.counters
+        # Release before accounting: the next waiting message takes the
+        # port synchronously, so its transmit hop is scheduled here, at
+        # the release instant, ahead of this message's propagation hop.
         waiters = src.port_waiters
         if waiters:
-            waiters.popleft()._granted()
+            pool = fabric._transfer_pool
+            transfer = pool.pop() if pool else _FastTransfer(fabric)
+            transfer.message = waiters.popleft()
+            transfer._granted()
         else:
             src.port_busy = False
-        counters.queueing_s += env._now - self.entered_port
+        # ``send`` stamped ``created_at`` when the message entered the port.
+        counters.queueing_s += now - message.created_at
 
-        distance, base, link_key, same_isp = self._path(src, dst)
+        entry = fabric._path_cache.get((src.node_id, dst.node_id))
+        if entry is None:
+            entry = fabric._path(src, dst)
+        distance, base, link_key, same_isp = entry
         size_kb = message.size_kb
-        self._record(message, distance)
+        fabric._record(message, distance)
         counters.messages_sent += 1
         counters.bytes_kb += size_kb
         link_bytes = counters.link_bytes_kb
         link_bytes[link_key] = link_bytes.get(link_key, 0.0) + size_kb
         tracer = env.tracer
         if tracer.enabled:
-            tracer.emit(env.now, "msg_send", src.node_id, **message.trace_detail())
+            tracer.emit(now, "msg_send", src.node_id, **message.trace_detail())
 
-        jitter = self._jitter(base, self._jitter_frac) - base
-        propagation = max(0.0, base + jitter)
+        jitter = (
+            base
+            * (1.0 + (fabric._jitter_lo + fabric._jitter_span * fabric._jitter_random()))
+            - base
+        )
+        raw = base + jitter
+        propagation = raw if raw > 0.0 else 0.0
         if same_isp:
             penalty = 0.0
         else:
-            inter = self._inter
-            penalty = max(
-                0.0,
-                inter.base_s + self._isp_uniform(-inter.jitter_s, inter.jitter_s),
+            raw = fabric._isp_base_s + (
+                fabric._isp_lo + fabric._isp_span * fabric._isp_random()
             )
+            penalty = raw if raw > 0.0 else 0.0
         counters.propagation_s += propagation
         if penalty > 0.0:
             counters.isp_penalty_s += penalty
             counters.isp_crossing_messages += 1
             counters.isp_crossing_kb += size_kb
-        self._next_hop(self._cb_deliver, propagation + penalty)
+        self.callbacks = fabric._cb_deliver
+        delay = propagation + penalty
+        if env.sanitizer is not None:
+            env.schedule(self, delay=delay)
+            return
+        env._eid += 1
+        _heappush(env._queue, (now + delay, NORMAL, env._eid, self))
 
-    def _deliver(self, _event: Event) -> None:
-        """Stage 3: receiver check, accounting, then delivery.
+    def _deliver(self) -> None:
+        """Stage 3: receiver check, accounting, then delivery; the
+        transfer goes back to the pool.
 
         The counter increment and ``msg_recv`` trace run *before* the
         handoff: the receiving actor's handler runs synchronously inside
         ``deliver()``, and its own traces must follow the ``msg_recv``
         that caused them.
         """
+        fabric = self.fabric
         message = self.message
         dst: NetworkNode = message.dst
-        if not dst.is_up:
-            self._drop(dst.node_id, "receiver_down", "dropped_receiver_down")
-            return
-        self._counters.messages_delivered += 1
         tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.env.now, "msg_recv", dst.node_id, **message.trace_detail()
-            )
-        dst.deliver(message)
-        self._finish()
+        if dst._down_count:
+            fabric.dropped += 1
+            fabric.counters.dropped_receiver_down += 1
+            if tracer.enabled:
+                tracer.emit(
+                    self.env.now, "msg_drop", dst.node_id,
+                    reason="receiver_down", **message.trace_detail()
+                )
+        else:
+            fabric.counters.messages_delivered += 1
+            if tracer.enabled:
+                tracer.emit(
+                    self.env.now, "msg_recv", dst.node_id, **message.trace_detail()
+                )
+            dst.deliver(message)
+        # Unbinding (rather than None-ing) the slot drops the reference
+        # while pooled without widening the attribute type to Optional.
+        del self.message
+        fabric._transfer_pool.append(self)
 
 
 class NetworkFabric:
     """Carries messages between :class:`NetworkNode` objects."""
+
+    __slots__ = (
+        "env",
+        "ledger",
+        "params",
+        "dropped",
+        "counters",
+        "_path_cache",
+        "_transfer_pool",
+        "_cb_transmit",
+        "_cb_deliver",
+        "_record",
+        "_overhead_s",
+        "_jitter_lo",
+        "_jitter_span",
+        "_jitter_random",
+        "_isp_base_s",
+        "_isp_lo",
+        "_isp_span",
+        "_isp_random",
+    )
 
     def __init__(
         self,
@@ -309,10 +255,8 @@ class NetworkFabric:
     ) -> None:
         self.env = env
         self.ledger = ledger if ledger is not None else TrafficLedger()
-        self.params = params if params is not None else FabricParams()
+        self.params = params = params if params is not None else FabricParams()
         streams = streams if streams is not None else StreamRegistry(0)
-        self._jitter_stream: RandomStream = streams.stream("fabric.jitter")
-        self._isp_stream: RandomStream = streams.stream("fabric.isp")
         #: Messages dropped because the sender or the receiver was down.
         self.dropped = 0
         #: Always-on per-layer accounting (see :mod:`repro.obs.counters`).
@@ -327,10 +271,35 @@ class NetworkFabric:
         self._path_cache: Dict[Tuple[str, str], Tuple[float, float, str, bool]] = (
             path_cache if path_cache is not None else {}
         )
-        #: Recycled :class:`_FastTransfer` objects (with their internal
-        #: hop events); avoids two allocations per message.  Only
-        #: transfers that have fully finished live here.
+        #: Idle :class:`_FastTransfer` objects.  A transfer is live only
+        #: while its message transmits or propagates, so the pool holds
+        #: about as many as the run ever had on the wire at once.
         self._transfer_pool: List[_FastTransfer] = []
+        # One callback list per stage, shared by every transfer of this
+        # fabric: the engine only ever *iterates* an event's callback
+        # list.  Read from the class here, not at import, so an entry
+        # point replaced before the build (benchmarks/e2e/layers.py) is
+        # the one the stages call.
+        self._cb_transmit: List[Callable[[Any], None]] = [
+            _FastTransfer._transmit_done
+        ]
+        self._cb_deliver: List[Callable[[Any], None]] = [
+            _FastTransfer._deliver
+        ]
+        # The stages' constants and draw functions, fixed for the
+        # fabric's lifetime.  ``lo``/``span`` are ``Random.uniform``'s
+        # ``a`` and ``b - a`` for the symmetric jitter ranges.
+        self._record = self.ledger.record
+        self._overhead_s = params.per_message_overhead_s
+        frac = params.latency_jitter_frac
+        self._jitter_lo = -frac
+        self._jitter_span = frac - self._jitter_lo
+        self._jitter_random = streams.stream("fabric.jitter").random
+        inter = params.inter_isp
+        self._isp_base_s = inter.base_s
+        self._isp_lo = -inter.jitter_s
+        self._isp_span = inter.jitter_s - self._isp_lo
+        self._isp_random = streams.stream("fabric.isp").random
 
     # ------------------------------------------------------------------
     # delay model
@@ -367,15 +336,40 @@ class NetworkFabric:
         """Send *message*: the receiver's consumer gets it at delivery
         time.
 
-        A down *sender* drops the message immediately, a down receiver
-        at delivery time; both count in :attr:`counters` and emit a
-        ``msg_drop`` trace event.
+        A down *sender* drops the message here, a down receiver at
+        delivery time; both count in :attr:`counters` and emit a
+        ``msg_drop`` trace event.  A busy port queues the message; a
+        free one starts its transmission (stage 1).
         """
-        message.created_at = self.env.now
+        env = self.env
+        now = env._now
+        message.created_at = now
+        src: NetworkNode = message.src
+        if src._down_count:
+            self.dropped += 1
+            self.counters.dropped_sender_down += 1
+            tracer = env.tracer
+            if tracer.enabled:
+                tracer.emit(
+                    now, "msg_drop", src.node_id,
+                    reason="sender_down", **message.trace_detail()
+                )
+            return
+        if src.port_busy:
+            waiters = src.port_waiters
+            if waiters is None:
+                waiters = src.port_waiters = deque()
+            waiters.append(message)
+            self.counters.port_waits += 1
+            return
+        src.port_busy = True
         pool = self._transfer_pool
         transfer = pool.pop() if pool else _FastTransfer(self)
-        transfer._launch(message)
-
-    def rtt_s(self, a: NetworkNode, b: NetworkNode) -> float:
-        """Deterministic round-trip latency estimate between two nodes."""
-        return 2.0 * self.min_latency_s(a, b)
+        transfer.message = message
+        transfer.callbacks = self._cb_transmit
+        delay = self._overhead_s + message.size_kb / src.uplink_kbps
+        if env.sanitizer is not None:
+            env.schedule(transfer, delay=delay)
+            return
+        env._eid += 1
+        _heappush(env._queue, (now + delay, NORMAL, env._eid, transfer))

@@ -41,10 +41,6 @@ class MessageKind(enum.Enum):
     CONTENT_REQUEST = "content_request"
     CONTENT_RESPONSE = "content_response"
 
-    # --- DNS ------------------------------------------------------------
-    DNS_QUERY = "dns_query"
-    DNS_RESPONSE = "dns_response"
-
 
 #: Message kinds that carry a content body (the paper's "update messages").
 UPDATE_KINDS = frozenset(
@@ -94,8 +90,9 @@ class Message:
     """A single message in flight.
 
     ``version`` is the content-snapshot index the message refers to
-    (``None`` for DNS / maintenance messages).  ``payload`` carries
-    protocol-specific extras (e.g. the poller's reply inbox).
+    (``None`` when it refers to none, e.g. tree maintenance).
+    ``payload`` carries protocol-specific extras (e.g. the poller's
+    reply inbox).
     """
 
     kind: MessageKind

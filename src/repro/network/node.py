@@ -8,7 +8,7 @@ back-to-back transmissions (the Incast / fan-out bottleneck of
 Figs. 19-20), while a binary-tree parent queues only 2.
 
 The transport keeps the port as plain state on the node: the
-``port_busy`` flag and a FIFO of waiting transfers (``port_waiters``,
+``port_busy`` flag and a FIFO of waiting messages (``port_waiters``,
 built on first contention).
 """
 
@@ -53,8 +53,8 @@ class NetworkNode:
         self.isp = isp
         self.uplink_kbps = uplink_kbps
         self.city_name = city_name
-        #: Output port: ``True`` while a transmission holds it; queued
-        #: transfers wait in ``port_waiters`` (FIFO).
+        #: Output port: ``True`` while a transmission holds it; waiting
+        #: messages queue in ``port_waiters`` (FIFO).
         self.port_busy = False
         self.port_waiters: Optional[Deque[Any]] = None
         #: The attached actor's handler: :meth:`deliver` calls it
@@ -145,9 +145,3 @@ class NetworkNode:
     def distance_km(self, other: "NetworkNode") -> float:
         """Great-circle distance to another node."""
         return self.point.distance_km(other.point)
-
-    def transmission_delay(self, size_kb: float) -> float:
-        """Seconds this node's uplink needs to serialise *size_kb*."""
-        if size_kb < 0:
-            raise ValueError("size_kb must be >= 0")
-        return size_kb / self.uplink_kbps

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, List, Sequence, TypeVar
+from typing import Callable, Dict, Iterator, List, Sequence, TypeVar
 
 __all__ = ["RandomStream", "StreamRegistry", "derive_seed"]
 
@@ -40,15 +40,15 @@ class RandomStream:
         self.name = name
         self.seed = seed
         self._rng = random.Random(seed)
+        #: The generator's own bound method: one C call per draw, for
+        #: hot paths that bind it once (the fabric's jitter draws).
+        self.random: Callable[[], float] = self._rng.random
 
     def __repr__(self) -> str:
         return "RandomStream(name=%r, seed=%d)" % (self.name, self.seed)
 
     # Delegated primitives -- explicit rather than __getattr__ so the
     # public surface is greppable and tooling-friendly.
-    def random(self) -> float:
-        return self._rng.random()
-
     def uniform(self, a: float, b: float) -> float:
         return self._rng.uniform(a, b)
 
@@ -78,12 +78,6 @@ class RandomStream:
 
     def choices(self, population: Sequence[T], weights=None, k: int = 1) -> List[T]:
         return self._rng.choices(population, weights=weights, k=k)
-
-    def jitter(self, base: float, fraction: float) -> float:
-        """``base`` perturbed uniformly by up to ``+/- fraction * base``."""
-        if fraction < 0:
-            raise ValueError("fraction must be >= 0")
-        return base * (1.0 + self._rng.uniform(-fraction, fraction))
 
     def bernoulli(self, p: float) -> bool:
         """``True`` with probability *p*."""

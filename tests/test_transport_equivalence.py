@@ -5,17 +5,32 @@ reproduce every golden pin (``tests/test_golden.py``) for every update
 method on every infrastructure: delivery times, RNG draw order, ledger
 totals, fabric counters, DeploymentMetrics and the kernel-event count.
 The micro-scenarios below pin the sender's output port -- FIFO order,
-handoff cost, drops while queued -- with explicit counts.
+handoff cost, drops while queued -- with explicit counts, and an oracle
+that shares no code with the transport recomputes every delivery
+instant from the two fabric streams.
 """
+
+import random
 
 import pytest
 
 import repro.network.message as message_mod
 from repro.cdn.server import schedule_absence
 from repro.experiments.testbed import INFRASTRUCTURES, METHODS
-from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
+from repro.network import (
+    ISP,
+    FabricParams,
+    GeoPoint,
+    InterISPModel,
+    Message,
+    MessageKind,
+    NetworkFabric,
+    NetworkNode,
+    TopologyBuilder,
+)
 from repro.obs.tracer import RecordingTracer
-from repro.sim import Environment, StreamRegistry
+from repro.sim import Environment, StreamRegistry, derive_seed
+from repro.sim.sanitize import ScheduleSanitizer
 from tests.test_golden import assert_golden, grid_label
 
 _MESSAGE_KINDS = ("msg_send", "msg_recv", "msg_drop")
@@ -143,10 +158,11 @@ def test_contended_port_hands_off_without_grant_events():
     assert _port_is_idle(provider)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("k", [1, 2, 7, 200])
 def test_fan_out_counts_k_minus_1_port_waits(k):
     """A k-message burst from one sender queues all but the first, at
-    two heap events per message."""
+    two heap events per message; only messages on the wire hold a
+    transfer, so the pool stays far below k."""
     env, topology, fabric, received = _make_fabric(12)
     provider = topology.provider
     for index in range(k):
@@ -157,6 +173,9 @@ def test_fan_out_counts_k_minus_1_port_waits(k):
     assert fabric.counters.port_waits == k - 1
     assert env.events_processed == 2 * k
     assert _port_is_idle(provider)
+    # Every transfer is back in the pool, so its size is the most
+    # messages ever transmitting or propagating at once.
+    assert len(fabric._transfer_pool) < 50
 
 
 def test_contended_port_stays_fifo():
@@ -267,3 +286,122 @@ def test_sender_down_with_queued_transfers_equivalence():
     assert sorted(time for time, _, _ in drops) == [1.0] * 4 + [2.0] * 4
     assert {reason for _, _, reason in drops} == {"sender_down"}
     assert min(time for time, _, _ in received) > 1.0
+
+
+class _CountingSanitizer(ScheduleSanitizer):
+    """Counts the heap pushes that consult the sanitizer."""
+
+    __slots__ = ("tie_keys",)
+
+    def __init__(self, tie_seed):
+        super().__init__(tie_seed=tie_seed)
+        self.tie_keys = 0
+
+    def tie_key(self, time, priority, seq):
+        self.tie_keys += 1
+        return super().tie_key(time, priority, seq)
+
+
+#: Jitter wide enough to clamp some propagation delays to zero, and an
+#: inter-ISP base small enough to clamp some penalties to zero.
+_CLAMPING = FabricParams(
+    latency_jitter_frac=1.5, inter_isp=InterISPModel(base_s=0.01, jitter_s=0.03)
+)
+
+
+def _two_isp_burst(seed, params, sanitizer=None):
+    """Six nodes on two ISPs; three senders fan out to all the others
+    before the run, so ports queue and paths are intra- and inter-ISP."""
+    env = Environment(tracer=RecordingTracer(), sanitizer=sanitizer)
+    isp_a, isp_b = ISP(0, "isp-a", "na"), ISP(1, "isp-b", "eu")
+    places = [
+        ("atlanta", 33.75, -84.39, isp_a),
+        ("chicago", 41.88, -87.63, isp_a),
+        ("denver", 39.74, -104.99, isp_b),
+        ("london", 51.51, -0.13, isp_b),
+        ("paris", 48.86, 2.35, isp_a),
+        ("berlin", 52.52, 13.40, isp_b),
+    ]
+    nodes = {
+        name: NetworkNode(env, name, GeoPoint(lat, lon), isp)
+        for name, lat, lon, isp in places
+    }
+    for node in nodes.values():
+        node.consumer = lambda message: None
+    fabric = NetworkFabric(env, params=params, streams=StreamRegistry(seed))
+    order = list(nodes.values())
+    for round_no, size_kb in enumerate((4.0, 1.0, 40.0)):
+        for sender in order[:3]:
+            for receiver in order:
+                if receiver is not sender:
+                    fabric.send(
+                        Message(MessageKind.PUSH_UPDATE, sender, receiver, size_kb,
+                                version=round_no)
+                    )
+    env.run()
+    return env, nodes, fabric
+
+
+def _oracle(seed, nodes, fabric, trace):
+    """``seq -> (send time, propagation, crosses ISPs, penalty)`` per
+    message, recomputed with stdlib generators seeded like the fabric's
+    two streams and drawn in ``msg_send`` order."""
+    frac = fabric.params.latency_jitter_frac
+    inter = fabric.params.inter_isp
+    jitter_rng = random.Random(derive_seed(seed, "fabric.jitter"))
+    isp_rng = random.Random(derive_seed(seed, "fabric.isp"))
+    expected = {}
+    for event in trace:
+        if event.kind != "msg_send":
+            continue
+        src, dst = nodes[event.detail["src"]], nodes[event.detail["dst"]]
+        base = fabric.min_latency_s(src, dst)
+        jitter = base * (1.0 + jitter_rng.uniform(-frac, frac)) - base
+        propagation = max(0.0, base + jitter)
+        crosses = src.isp.isp_id != dst.isp.isp_id
+        penalty = 0.0
+        if crosses:
+            penalty = max(
+                0.0, inter.base_s + isp_rng.uniform(-inter.jitter_s, inter.jitter_s)
+            )
+        expected[event.detail["seq"]] = (event.time, propagation, crosses, penalty)
+    return expected
+
+
+@pytest.mark.parametrize("tie_seed", [None, 4])
+@pytest.mark.parametrize(
+    "params", [FabricParams(), _CLAMPING], ids=["default", "clamping"]
+)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_delivery_instants_match_stdlib_oracle(seed, params, tie_seed):
+    """Jitter, the inter-ISP penalty, their clamps and their draw order
+    equal an oracle built on ``random.Random.uniform`` and ``max``, bit
+    for bit.  Under tie perturbation every transport push consults the
+    sanitizer: two per message."""
+    sanitizer = _CountingSanitizer(tie_seed) if tie_seed is not None else None
+    env, nodes, fabric = _two_isp_burst(seed, params, sanitizer)
+    trace = env.tracer.events(kinds=_MESSAGE_KINDS)
+    expected = _oracle(seed, nodes, fabric, trace)
+    counters = fabric.counters
+    recvs = [event for event in trace if event.kind == "msg_recv"]
+    assert len(recvs) == len(expected) == counters.messages_sent == 45
+    for event in recvs:
+        sent, propagation, crosses, penalty = expected[event.detail["seq"]]
+        assert event.time == sent + (propagation + penalty)
+        if not crosses:
+            # No penalty term at all on an intra-ISP path.
+            assert event.time == sent + propagation
+    records = list(expected.values())
+    assert {crosses for _, _, crosses, _ in records} == {False, True}
+    assert counters.propagation_s == sum(record[1] for record in records)
+    assert counters.isp_penalty_s == sum(record[3] for record in records)
+    assert counters.isp_crossing_messages == sum(
+        1 for record in records if record[3] > 0.0
+    )
+    if params is _CLAMPING:
+        # Both clamps fire, so the oracle's ``max`` is exercised.
+        assert any(record[1] == 0.0 for record in records)
+        assert any(record[2] and record[3] == 0.0 for record in records)
+    if sanitizer is not None:
+        assert sanitizer.tie_keys == 2 * counters.messages_sent
+        assert sanitizer.tie_collisions > 0
