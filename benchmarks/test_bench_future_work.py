@@ -7,7 +7,7 @@ a phase-shifting workload -- fresher than static TTL during hot phases,
 cheaper than static Push across silences.
 """
 
-from repro.cdn import EndUserActor, FixedSelector, LiveContent, ProviderActor, ServerActor
+from repro.cdn import LiveContent, ProviderActor, ServerActor, UserCohort
 from repro.consistency import PushPolicy, TTLPolicy, UnicastInfrastructure
 from repro.core import DynamicPolicy, MethodAdvisor, WorkloadProfile
 from repro.metrics.consistency import mean_update_lag
@@ -36,20 +36,21 @@ def run_phased(policy_factory, wire, seed=23, n_servers=20, horizon=4000.0):
     ]
     UnicastInfrastructure().wire(provider, servers)
     wire(provider)
-    users = []
     start = streams.stream("user.start")
-    for index, server in enumerate(servers):
-        for user_node in topology.users[index]:
-            users.append(
-                EndUserActor(
-                    env, user_node, fabric, content, FixedSelector(server.node),
-                    user_ttl_s=10.0, start_offset_s=start.uniform(0.0, 50.0),
-                )
-            )
+    nodes, homes = [], []
+    for server, group in zip(servers, topology.users):
+        for user_node in group:
+            nodes.append(user_node)
+            homes.append(server.node)
+    users = UserCohort(
+        env, fabric, content, nodes,
+        user_ttl_s=10.0,
+        start_offsets=[start.uniform(0.0, 50.0) for _ in nodes],
+        targets=homes,
+    )
     for server in servers:
         server.start()
-    for user in users:
-        user.start()
+    users.start()
     env.run(until=horizon)
     lags = [
         mean_update_lag(content, s.apply_log(), censor_at=horizon) for s in servers

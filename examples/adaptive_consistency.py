@@ -17,7 +17,7 @@ Run:  python examples/adaptive_consistency.py
 
 from collections import Counter
 
-from repro.cdn import EndUserActor, FixedSelector, LiveContent, ProviderActor, ServerActor
+from repro.cdn import LiveContent, ProviderActor, ServerActor, UserCohort
 from repro.consistency import UnicastInfrastructure
 from repro.core import DynamicPolicy, MethodAdvisor, WorkloadProfile
 from repro.network import NetworkFabric, TopologyBuilder
@@ -72,17 +72,15 @@ def dynamic_demo() -> None:
     ]
     UnicastInfrastructure().wire(provider, servers)
     provider.use_dynamic()
-    users = [
-        EndUserActor(
-            env, topology.users[i][0], fabric, content,
-            FixedSelector(servers[i].node), user_ttl_s=5.0,
-        )
-        for i in range(len(servers))
-    ]
+    users = UserCohort(
+        env, fabric, content, [group[0] for group in topology.users],
+        user_ttl_s=5.0,
+        start_offsets=[0.0] * len(servers),
+        targets=[server.node for server in servers],
+    )
     for server in servers:
         server.start()
-    for user in users:
-        user.start()
+    users.start()
     env.run(until=3000.0)
 
     # What mode was the fleet in at a few probe times?

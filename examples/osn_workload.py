@@ -11,7 +11,7 @@ invalidation per burst.
 Run:  python examples/osn_workload.py
 """
 
-from repro.cdn import EndUserActor, FixedSelector, LiveContent, ProviderActor, ServerActor
+from repro.cdn import LiveContent, ProviderActor, ServerActor, UserCohort
 from repro.consistency import (
     InvalidationPolicy,
     PushPolicy,
@@ -40,18 +40,20 @@ def run_method(name, policy_factory, provider_wire, update_times, horizon,
     UnicastInfrastructure().wire(provider, servers)
     provider_wire(provider)
     start = streams.stream("user.start")
-    users = []
-    for index, server in enumerate(servers):
-        for user_node in topology.users[index]:
-            user = EndUserActor(
-                env, user_node, fabric, content, FixedSelector(server.node),
-                user_ttl_s=10.0, start_offset_s=start.uniform(0.0, 50.0),
-            )
-            users.append(user)
+    nodes, homes = [], []
+    for server, group in zip(servers, topology.users):
+        for user_node in group:
+            nodes.append(user_node)
+            homes.append(server.node)
+    users = UserCohort(
+        env, fabric, content, nodes,
+        user_ttl_s=10.0,
+        start_offsets=[start.uniform(0.0, 50.0) for _ in nodes],
+        targets=homes,
+    )
     for server in servers:
         server.start()
-    for user in users:
-        user.start()
+    users.start()
     env.run(until=horizon)
     ledger = fabric.ledger
     lags = [

@@ -2,12 +2,7 @@
 
 from .base import Actor, RESPONSE_KINDS, UpdateSourceMixin
 from .cache import CacheEntry, TTLCache
-from .client import (
-    EndUserActor,
-    FixedSelector,
-    Observation,
-    SwitchEveryVisitSelector,
-)
+from .cohort import Observation, UserCohort
 from .content import DEFAULT_LIGHT_SIZE_KB, DEFAULT_UPDATE_SIZE_KB, LiveContent
 from .provider import ProviderActor
 from .server import ServerActor, schedule_absence
@@ -24,8 +19,6 @@ __all__ = [
     "ProviderActor",
     "ServerActor",
     "schedule_absence",
-    "EndUserActor",
+    "UserCohort",
     "Observation",
-    "FixedSelector",
-    "SwitchEveryVisitSelector",
 ]

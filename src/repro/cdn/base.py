@@ -14,7 +14,7 @@ version and knows how to push / invalidate / notify downstream nodes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional
 
 from ..network.link import NetworkFabric
 from ..network.message import Message, MessageKind
@@ -35,7 +35,8 @@ RESPONSE_KINDS = frozenset(
 
 
 class Actor:
-    """Base class for provider / server / end-user actors."""
+    """Base class for the provider and server actors.  End users are
+    not actors: :class:`~repro.cdn.cohort.UserCohort` runs them all."""
 
     def __init__(self, env: Environment, node: NetworkNode, fabric: NetworkFabric) -> None:
         self.env = env
@@ -185,8 +186,10 @@ class UpdateSourceMixin:
         self.adaptive_members: Dict[NetworkNode, bool] = {}
         #: Members that subscribed to direct pushes (the generic dynamic
         #: method of repro.core.dynamic; plain Push wires ``children``
-        #: instead and does not use this set).
-        self.push_members: Set[NetworkNode] = set()
+        #: instead and does not use this).  A dict used as an
+        #: insertion-ordered set: pushes go out in subscription order,
+        #: not in the nodes' hash (memory address) order.
+        self.push_members: Dict[NetworkNode, None] = {}
 
     def source_version(self) -> int:
         raise NotImplementedError
@@ -277,7 +280,7 @@ class UpdateSourceMixin:
         if isinstance(message.payload, dict):
             mode = message.payload.get("mode")
         if mode == "invalidation":
-            self.push_members.discard(message.src)
+            self.push_members.pop(message.src, None)
             # If the member is behind already (an update happened while
             # its switch notice was in flight), notify it immediately.
             if self.source_version() > (message.version or 0):
@@ -292,7 +295,7 @@ class UpdateSourceMixin:
                 self.adaptive_members[message.src] = False
         elif mode == "push":
             self.adaptive_members.pop(message.src, None)
-            self.push_members.add(message.src)
+            self.push_members[message.src] = None
             # Bring the new subscriber up to date immediately.
             if self.source_version() > (message.version or 0):
                 self.send(
@@ -303,6 +306,6 @@ class UpdateSourceMixin:
                 )
         elif mode == "ttl":
             self.adaptive_members.pop(message.src, None)
-            self.push_members.discard(message.src)
+            self.push_members.pop(message.src, None)
         else:
             raise ValueError("malformed switch notice: %r" % (message.payload,))

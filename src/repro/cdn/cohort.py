@@ -1,57 +1,52 @@
-"""Struct-of-arrays end-user plane: the testbed's users.
+"""The end-user plane: every simulated user runs in a :class:`UserCohort`.
 
-An :class:`~repro.cdn.client.EndUserActor` is a Python object holding a
-generator-based visit loop, a pending-request dict, an observation list
-and a waiter :class:`~repro.sim.engine.Event` per in-flight request.  At
-the paper's scale (850 users) that is invisible; at planet scale (1M+
-users) one actor per user dominates both memory and GC time --
-hundreds of thousands of live generator frames and per-visit
-allocations that the cyclic collector re-traverses over and over.
+The paper's testbed users revisit the live content on a fixed period
+(Section 4); Fig. 24 adds users sent to a different server on every
+visit.  A cohort carries a whole population column-wise, so a user
+costs a few array cells rather than a Python object with a generator
+frame, a pending-request dict and a waiter event per request -- at
+planet scale (1M+ users) those objects dominate memory and GC time.
 
-:class:`UserCohort` carries the whole population in one object per
-deployment:
-
-- per-slot state (poll TTL, failed-visit count, home/last server,
-  running staleness accumulators) lives in parallel unboxed numpy
-  arrays; scalar reads off them return numpy scalars, so every caller
-  coerces with ``float()``/``int()`` before the value can reach the
-  event heap or a metrics dict (``Environment.now`` stays a builtin
-  float and registry JSON stays serialisable);
-- visit deadlines live in one binary heap swept by a single reusable
-  control event (scheduled with
-  :meth:`~repro.sim.engine.Environment.schedule_at` for the exact float
-  deadline a per-user pooled timeout would use);
-- request timeouts share one monotone
-  :class:`~repro.sim.timers.CallbackLane` (all requests use the same
-  ``REQUEST_TIMEOUT_S`` delay, so deadlines arrive pre-sorted) with
-  answered requests pruned lazily;
-- observations feed the incremental staleness trackers directly -- per
+- Per-slot state lives in parallel arrays: the poll TTL and the
+  failed-visit count in unboxed numpy arrays (``_ttl``, ``_failed``),
+  plus the home server of each slot (``_targets``) or, for
+  switch-every-visit users, the server each slot visited last
+  (``_switch_last``).  Scalar reads off numpy arrays return numpy
+  scalars, so every caller coerces with ``float()``/``int()`` before the
+  value can reach the event heap or a metrics dict.
+- Visit deadlines live in one binary heap swept by a single control
+  event, scheduled with :meth:`~repro.sim.engine.Environment.schedule_at`
+  at the earliest deadline.
+- Request timeouts share one monotone
+  :class:`~repro.sim.timers.CallbackLane` (every request waits the same
+  ``request_timeout_s``, so deadlines arrive sorted), with answered
+  requests pruned lazily.
+- Observations feed the incremental staleness trackers directly -- per
   slot in ``per-user`` mode, or through
   :class:`~repro.metrics.incremental.AggregateUserMetrics` scalar
   accumulators in ``aggregate`` mode (no observation retention at all).
 
-Determinism contract: the cohort computes what one
-:class:`~repro.cdn.client.EndUserActor` per user would.  The per-user
-actor plane it replaced reproduced every ``tests/test_golden.py`` pin
-but the event count, and those pins now hold the cohort to it.
+Determinism contract: the ``tests/test_golden.py`` pins hold the
+cohort's metrics, fabric counters and message/visit trace bit for bit.
+What keeps them there:
 
-- Per-visit *network* behaviour is one actor's: the same
-  :class:`~repro.network.message.Message` objects (same global sequence
-  numbers) travel the same fabric with the same jitter draws.
-- Selector RNG draws (the switch-every-visit stream) happen at the same
-  simulated instants in the same global order.
-- Visit instants are exactly the floats an actor computes:
-  ``response_time + ttl`` / ``timeout_time + ttl``, with the TTL read at
-  push time (so mid-run TTL perturbations apply from the next visit,
-  like an actor's ``pooled_timeout(self.user_ttl_s)`` read).
-- Same-instant visit expiries run in arming order, the event-id order
-  of per-user timeouts.
+- a visit sends one ``CONTENT_REQUEST``
+  :class:`~repro.network.message.Message` through the shared fabric, so
+  sequence numbers and jitter draws interleave with server traffic in
+  event order;
+- switch-every-visit draws come from one stream, at the visit instant,
+  in visit order;
+- a slot's next visit is at exactly ``response_time + ttl`` or
+  ``timeout_time + ttl``, with the TTL read when that deadline is
+  pushed, so :meth:`UserCohort.set_ttl` applies from the next visit;
+- same-instant visit deadlines expire in the order they were pushed.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,12 +55,6 @@ from ..network.message import Message, MessageKind
 from ..sim.engine import Environment, Event
 from ..sim.timers import CallbackLane
 from .base import RESPONSE_KINDS
-from .client import (
-    REQUEST_TIMEOUT_S,
-    FixedSelector,
-    Observation,
-    SwitchEveryVisitSelector,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..network.link import NetworkFabric
@@ -73,21 +62,34 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..sim.rng import RandomStream
     from .content import LiveContent
 
-__all__ = ["UserCohort"]
+__all__ = ["UserCohort", "Observation", "REQUEST_TIMEOUT_S"]
+
+#: Default seconds a user waits for a content response before the visit
+#: counts as failed.
+REQUEST_TIMEOUT_S = 30.0
 
 _INF = float("inf")
 _CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
 
 
+@dataclass(frozen=True)
+class Observation:
+    """One successful content visit by one user."""
+
+    time: float
+    version: int
+    server_id: str
+
+
 class UserCohort:
     """All end users of one deployment, stored column-wise.
 
-    ``testbed._make_users`` builds it: *nodes* in home-server-major
-    slot order, *start_offsets* drawn per slot from the
-    ``testbed.user.start`` stream.  Exactly one of *targets* (fixed
-    selector: the home server node per slot) or *switch_servers* +
-    *switch_stream* (the Fig. 24 switch-every-visit selector) must be
-    given.
+    Slot *i* is user node ``nodes[i]``, whose first visit is at
+    ``start_offsets[i]``.  Exactly one of *targets* (slot *i* visits its
+    home server ``targets[i]``) or *switch_servers* + *switch_stream*
+    (the Fig. 24 switch-every-visit users) must be given.  Call
+    :meth:`start` once the servers have started.  ``testbed._make_users``
+    builds the testbed's cohort in home-server-major slot order.
     """
 
     __slots__ = (
@@ -106,7 +108,6 @@ class UserCohort:
         "_switch_servers",
         "_switch_stream",
         "_switch_last",
-        "_switch_view",
         "_pending",
         "_visit_heap",
         "_order",
@@ -116,7 +117,6 @@ class UserCohort:
         "_timeout_s",
         "_light_kb",
         "_observations",
-        "_views",
         "_started",
         "sweeps",
         "visits_started",
@@ -170,7 +170,6 @@ class UserCohort:
         self._switch_last: List[Optional["NetworkNode"]] = (
             [None] * n if switch_servers is not None else []
         )
-        self._switch_view: Any = None
         #: In-flight requests: message seq -> (slot, request, target).
         #: The request message is retained for ``msg_timeout`` trace
         #: detail; the target for the visit traces and observations.
@@ -199,7 +198,6 @@ class UserCohort:
                 UserObservationTracker(content, times=times) for _ in range(n)
             ]
             self._observations = [[] for _ in range(n)]
-        self._views: Optional[List["_CohortUserView"]] = None
         self._started = False
         for node in self.nodes:
             node.consumer = self._consume
@@ -283,8 +281,7 @@ class UserCohort:
             if len(servers) == 1:
                 target = servers[0]
             else:
-                # Same draw loop as SwitchEveryVisitSelector.select, with
-                # the per-user ``_last`` held column-wise.
+                # Redraw until the server differs from the slot's last.
                 stream = self._switch_stream
                 assert stream is not None
                 choice = stream.choice
@@ -328,7 +325,7 @@ class UserCohort:
 
     def _consume(self, message: Message) -> None:
         """Fabric delivery hook shared by every user node of the cohort
-        (mirrors ``Actor._consume`` + the visit loop's response half)."""
+        (the response half of ``Actor._consume`` and ``Actor.request``)."""
         if message.kind not in RESPONSE_KINDS:
             raise NotImplementedError(
                 "UserCohort cannot handle %s" % (message.kind,)
@@ -361,19 +358,30 @@ class UserCohort:
         self._push_visit(now + float(self._ttl[slot]), slot)
 
     # ------------------------------------------------------------------
-    # actor-shaped access (tests, perturbations)
+    # per-slot access (perturbations, tests)
     # ------------------------------------------------------------------
     @property
-    def users(self) -> List["_CohortUserView"]:
-        """Actor-shaped views, one per slot (built lazily, cached)."""
-        views = self._views
-        if views is None:
-            if not self._fixed and self._switch_view is None:
-                self._switch_view = _CohortSwitchSelector(self)
-            views = self._views = [
-                _CohortUserView(self, slot) for slot in range(len(self.nodes))
-            ]
-        return views
+    def fixed(self) -> bool:
+        """``True`` when each slot visits its home server, ``False`` for
+        switch-every-visit users."""
+        return self._fixed
+
+    def ttl_of(self, slot: int) -> float:
+        """The seconds between *slot*'s visits."""
+        return float(self._ttl[slot])
+
+    def set_ttl(self, slot: int, ttl_s: float) -> None:
+        """Change *slot*'s visit period from its next visit deadline on."""
+        if ttl_s <= 0:
+            raise ValueError("ttl_s must be positive")
+        self._ttl[slot] = ttl_s
+
+    def rehome(self, slot: int, server: "NetworkNode") -> None:
+        """Send *slot*'s later visits to *server*; a request in flight
+        is still answered by the old home."""
+        if not self._fixed:
+            raise RuntimeError("switch-every-visit users have no home server")
+        self._targets[slot] = server
 
     def observations_of(self, slot: int) -> List[Observation]:
         """Materialise slot observations as :class:`Observation` objects
@@ -401,95 +409,3 @@ class UserCohort:
         observations = self._observations
         assert observations is not None
         return sum(len(slot_obs) for slot_obs in observations)
-
-
-class _CohortFixedSelector(FixedSelector):
-    """Per-slot write-through view of a cohort's fixed selector.
-
-    ``isinstance(selector, FixedSelector)`` holds (the Reconfiguration
-    perturbation filters on it) and assigning ``selector.server``
-    re-homes the slot inside the cohort arrays.
-    """
-
-    def __init__(self, cohort: UserCohort, slot: int) -> None:
-        # Deliberately no super().__init__: ``server`` is a property.
-        self._cohort = cohort
-        self._slot = slot
-
-    @property
-    def server(self) -> "NetworkNode":
-        return self._cohort._targets[self._slot]
-
-    @server.setter
-    def server(self, node: "NetworkNode") -> None:
-        self._cohort._targets[self._slot] = node
-
-    def select(self, user: "NetworkNode", now: float, visit_index: int) -> "NetworkNode":
-        return self._cohort._targets[self._slot]
-
-
-class _CohortSwitchSelector(SwitchEveryVisitSelector):
-    """Shared view of a switch-mode cohort's selector state.
-
-    ``servers`` aliases the cohort's own list, so mutating it through
-    the view changes every slot's candidate set.  Per-slot ``_last``
-    state stays in the cohort arrays; this view's own ``_last`` is
-    unused.
-    """
-
-    def __init__(self, cohort: UserCohort) -> None:
-        stream = cohort._switch_stream
-        assert stream is not None
-        self.servers = cohort._switch_servers
-        self.stream = stream
-        self._last = None
-
-
-class _CohortUserView:
-    """Read-mostly actor-shaped view of one cohort slot.
-
-    Exposes the ``EndUserActor`` surface that tests and perturbations
-    touch: ``node``, ``selector``, ``observations``, ``failed_visits``,
-    a writable ``user_ttl_s`` (FlashCrowd / DiurnalModulation write it
-    mid-run) and a no-op ``start`` (the cohort manages its own timers).
-    """
-
-    __slots__ = ("_cohort", "_slot", "node", "content", "selector")
-
-    def __init__(self, cohort: UserCohort, slot: int) -> None:
-        self._cohort = cohort
-        self._slot = slot
-        self.node = cohort.nodes[slot]
-        self.content = cohort.content
-        if cohort._fixed:
-            self.selector: Any = _CohortFixedSelector(cohort, slot)
-        else:
-            self.selector = cohort._switch_view
-
-    @property
-    def user_ttl_s(self) -> float:
-        return float(self._cohort._ttl[self._slot])
-
-    @user_ttl_s.setter
-    def user_ttl_s(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError("user_ttl_s must be positive")
-        # Applies from the slot's next deadline push, exactly like the
-        # per-visit ``pooled_timeout(self.user_ttl_s)`` read of an
-        # EndUserActor.
-        self._cohort._ttl[self._slot] = value
-
-    @property
-    def start_offset_s(self) -> float:
-        return self._cohort._start_offsets[self._slot]
-
-    @property
-    def failed_visits(self) -> int:
-        return self._cohort.failed_visits_of(self._slot)
-
-    @property
-    def observations(self) -> List[Observation]:
-        return self._cohort.observations_of(self._slot)
-
-    def start(self) -> None:
-        """No-op: cohort slots are started by :meth:`UserCohort.start`."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -209,12 +209,6 @@ class Deployment:
             tracker = ServerLagTracker(content)
             self._server_trackers[server.node.node_id] = tracker
             server.on_apply_hooks.append(self._apply_hook(tracker))
-
-    @property
-    def users(self) -> Sequence:
-        """Actor-shaped views of the cohort's users (built lazily --
-        planet-scale collection never materialises them)."""
-        return self.cohort.users
 
     def _apply_hook(self, tracker: ServerLagTracker):
         env = self.env
@@ -489,6 +483,9 @@ def _base(
     content factory.  Returns the effective config last."""
     if cell is not None and cell.config_overrides:
         config = config.with_overrides(**dict(cell.config_overrides))
+    # Rebase the process-wide message counter so trace seq fields are a
+    # function of this run alone (see repro.network.message.reset_seq).
+    reset_seq()
     env = Environment(tracer=tracer, sanitizer=sanitizer)
     streams = StreamRegistry(config.seed)
     topology, path_cache = _placed_topology(env, streams, config)
@@ -650,9 +647,6 @@ def _build_deployment(
 ) -> Deployment:
     method = resolve_method(method).name
     infrastructure = resolve_infrastructure(infrastructure).name
-    # Rebase the process-wide message counter so trace seq fields are a
-    # function of this run alone (see repro.network.message.reset_seq).
-    reset_seq()
     resolved, cell = _resolve_scenario_cell(config, scenario, scenario_cell)
     env, streams, topology, fabric, content, config = _base(
         config, tracer=tracer, cell=cell, sanitizer=sanitizer

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Union
+from typing import TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Set, Union
 
 from .exemptions import is_exempt
 from .findings import Finding
@@ -130,10 +130,12 @@ def _iter_is_ordered(node: ast.Call) -> bool:
 
 
 class _ScopeTracker:
-    """Names bound to hash-ordered (set) values within one scope."""
+    """Names bound to hash-ordered (set) values within one scope, plus
+    the ``self.<attr>`` names the enclosing class binds to a set."""
 
-    def __init__(self) -> None:
+    def __init__(self, set_attrs: FrozenSet[str] = frozenset()) -> None:
         self.set_names: Set[str] = set()
+        self.set_attrs = set_attrs
 
     def observe_assign(self, node: Union[ast.Assign, ast.AnnAssign]) -> None:
         value = node.value
@@ -167,7 +169,36 @@ class _ScopeTracker:
             )
         if isinstance(value, ast.Name):
             return value.id in self.set_names
-        return False
+        return _self_attr(value) in self.set_attrs
+
+
+def _self_attr(node: ast.expr) -> Optional[str]:
+    """``attr`` when *node* is ``self.attr``, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _class_set_attrs(cls: ast.ClassDef) -> FrozenSet[str]:
+    """``self.<attr>`` names that any method of *cls* binds to a set."""
+    attrs: Set[str] = set()
+    for method in cls.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        scope = _ScopeTracker()
+        for node in ast.walk(method):
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            scope.observe_assign(node)
+            if node.value is None or not scope._is_set_valued(node.value):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            attrs.update(name for name in map(_self_attr, targets) if name is not None)
+    return frozenset(attrs)
 
 
 def _classify_iterable(
@@ -189,6 +220,8 @@ def _classify_iterable(
             if node.args:
                 return _classify_iterable(node.args[0], scope)
     if isinstance(node, ast.Name) and node.id in scope.set_names:
+        return "set"
+    if _self_attr(node) in scope.set_attrs:
         return "set"
     return None
 
@@ -232,9 +265,13 @@ class IterationOrder(FileRule):
         self, root: ast.AST, file: "SourceFile", scope: _ScopeTracker
     ) -> Iterator[Finding]:
         for node in ast.iter_child_nodes(root):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                # Fresh scope: locals do not leak across def/class bodies.
-                yield from self._walk(node, file, _ScopeTracker())
+            if isinstance(node, ast.ClassDef):
+                # Fresh scope: locals do not leak across def/class bodies,
+                # but a class's set-valued attributes reach its methods.
+                yield from self._walk(node, file, _ScopeTracker(_class_set_attrs(node)))
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._walk(node, file, _ScopeTracker(scope.set_attrs))
                 continue
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 scope.observe_assign(node)

@@ -62,7 +62,6 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     },
     "repro/cdn/cohort.py": {
         "UserCohort": "attribute reads per visit on the user plane",
-        "_CohortUserView": "one per user when views are materialised",
     },
     "repro/metrics/incremental.py": {
         "AggregateUserMetrics": "on_observe per user visit",

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cdn.client import Observation
+from ..cdn.cohort import Observation
 from ..cdn.content import LiveContent
 
 __all__ = [

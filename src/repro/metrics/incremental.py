@@ -97,7 +97,7 @@ class UserObservationTracker:
     """Running per-update lags and stale-visit count of one end user.
 
     ``on_observe`` must be called once per recorded
-    :class:`~repro.cdn.client.Observation`, in observation order.  Unlike server
+    :class:`~repro.cdn.cohort.Observation`, in observation order.  Unlike server
     applies, observed versions may regress (a redirection to a stale
     server); regressions below the running maximum count as stale visits
     and never advance coverage.

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, List, Tuple
 
-from ..cdn.client import EndUserActor, FixedSelector
 from ..cdn.server import schedule_absence
 from ..network.node import NetworkNode
 from ..sim.rng import RandomStream
@@ -83,16 +82,17 @@ class FlashCrowd(Perturbation):
 
     def install(self, deployment: "Deployment", stream: RandomStream) -> None:
         env = deployment.env
-        users = list(deployment.users)
+        cohort = deployment.cohort
+        slots = range(cohort.n_users)
 
         def surge():
             if self.start_s > 0:
                 yield env.pooled_timeout(self.start_s)
-            for user in users:
-                user.user_ttl_s = user.user_ttl_s / self.poll_accel
+            for slot in slots:
+                cohort.set_ttl(slot, cohort.ttl_of(slot) / self.poll_accel)
             yield env.pooled_timeout(self.duration_s)
-            for user in users:
-                user.user_ttl_s = user.user_ttl_s * self.poll_accel
+            for slot in slots:
+                cohort.set_ttl(slot, cohort.ttl_of(slot) * self.poll_accel)
 
         env.process(surge())
 
@@ -123,16 +123,16 @@ class DiurnalModulation(Perturbation):
 
     def install(self, deployment: "Deployment", stream: RandomStream) -> None:
         env = deployment.env
-        users = list(deployment.users)
-        base_ttls = [user.user_ttl_s for user in users]
+        cohort = deployment.cohort
+        base_ttls = [cohort.ttl_of(slot) for slot in range(cohort.n_users)]
 
         def modulate():
             while True:
                 factor = 1.0 + self.amplitude * math.sin(
                     2.0 * math.pi * env.now / self.period_s
                 )
-                for user, base in zip(users, base_ttls):
-                    user.user_ttl_s = base / factor
+                for slot, base in enumerate(base_ttls):
+                    cohort.set_ttl(slot, base / factor)
                 yield env.pooled_timeout(self.step_s)
 
         env.process(modulate())
@@ -215,23 +215,20 @@ class Reconfiguration(Perturbation):
 
     def install(self, deployment: "Deployment", stream: RandomStream) -> None:
         env = deployment.env
-        users = [
-            user
-            for user in deployment.users
-            if isinstance(user.selector, FixedSelector)
-        ]
+        cohort = deployment.cohort
+        n_users = cohort.n_users
         server_nodes = [server.node for server in deployment.servers]
-        if not users or len(server_nodes) < 2:
+        if not cohort.fixed or not n_users or len(server_nodes) < 2:
             return
-        k = max(1, round(len(users) * self.migrate_fraction))
+        k = max(1, round(n_users * self.migrate_fraction))
 
-        def migrate(moves: List[Tuple[EndUserActor, NetworkNode]], when: float):
+        def migrate(moves: List[Tuple[int, NetworkNode]], when: float):
             if when > 0:
                 yield env.pooled_timeout(when)
-            for user, node in moves:
-                user.selector.server = node
+            for slot, node in moves:
+                cohort.rehome(slot, node)
 
         for when in self.event_times_s:
-            movers = stream.sample(users, min(k, len(users)))
-            moves = [(user, stream.choice(server_nodes)) for user in movers]
+            movers = stream.sample(range(n_users), min(k, n_users))
+            moves = [(slot, stream.choice(server_nodes)) for slot in movers]
             env.process(migrate(moves, when))

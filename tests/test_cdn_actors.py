@@ -1,14 +1,13 @@
-"""Integration tests for provider / server / user actors."""
+"""Integration tests for the provider and server actors and the users
+that visit them."""
 
 import pytest
 
 from repro.cdn import (
-    EndUserActor,
-    FixedSelector,
     LiveContent,
     ProviderActor,
     ServerActor,
-    SwitchEveryVisitSelector,
+    UserCohort,
     schedule_absence,
 )
 from repro.consistency import PushPolicy, TTLPolicy, UnicastInfrastructure
@@ -91,18 +90,14 @@ class TestServerServing:
         )
         UnicastInfrastructure().wire(provider, [server])
         provider.use_push()
-        user = EndUserActor(
-            env,
-            topology.users[0][0],
-            fabric,
-            content,
-            FixedSelector(server.node),
-            user_ttl_s=10.0,
+        cohort = UserCohort(
+            env, fabric, content, [topology.users[0][0]],
+            user_ttl_s=10.0, start_offsets=[0.0], targets=[server.node],
         )
         server.start()
-        user.start()
+        cohort.start()
         env.run(until=65)
-        versions = [obs.version for obs in user.observations]
+        versions = [obs.version for obs in cohort.observations_of(0)]
         assert versions[0] == 0
         assert versions[-1] == 1
         assert versions == sorted(versions)
@@ -112,20 +107,16 @@ class TestServerServing:
         server = ServerActor(
             env, topology.servers[0], fabric, content, policy=PushPolicy()
         )
-        user = EndUserActor(
-            env,
-            topology.users[0][0],
-            fabric,
-            content,
-            FixedSelector(server.node),
-            user_ttl_s=5.0,
+        cohort = UserCohort(
+            env, fabric, content, [topology.users[0][0]],
+            user_ttl_s=5.0, start_offsets=[0.0], targets=[server.node],
             request_timeout_s=4.0,
         )
         schedule_absence(env, server.node, start=10.0, duration=20.0)
         server.start()
-        user.start()
+        cohort.start()
         env.run(until=60)
-        assert user.failed_visits >= 2
+        assert cohort.failed_visits_of(0) >= 2
         assert server.node.is_up  # recovered
 
     def test_absence_validation(self):
@@ -134,24 +125,37 @@ class TestServerServing:
             schedule_absence(env, topology.servers[0], start=0.0, duration=0.0)
 
 
-class TestSelectors:
-    def test_switch_selector_never_repeats(self):
-        env, streams, topology, fabric, content = make_world(n_servers=4)
-        stream = streams.stream("switch")
-        selector = SwitchEveryVisitSelector(topology.servers, stream)
-        previous = None
-        for i in range(50):
-            chosen = selector.select(topology.users[0][0], 0.0, i)
-            assert chosen is not previous
-            previous = chosen
-
-    def test_switch_selector_single_server(self):
-        env, streams, topology, fabric, content = make_world(n_servers=1)
-        selector = SwitchEveryVisitSelector(
-            topology.servers, streams.stream("switch")
+class TestSwitchEveryVisit:
+    @staticmethod
+    def visited(n_servers):
+        """Server ids one switch-every-visit user saw, in visit order."""
+        env, streams, topology, fabric, content = make_world(
+            n_servers=n_servers, updates=()
         )
-        assert selector.select(None, 0.0, 0) is topology.servers[0]
-        assert selector.select(None, 0.0, 1) is topology.servers[0]
+        servers = [
+            ServerActor(env, node, fabric, content, policy=PushPolicy())
+            for node in topology.servers
+        ]
+        cohort = UserCohort(
+            env, fabric, content, [topology.users[0][0]],
+            user_ttl_s=1.0, start_offsets=[0.0],
+            switch_servers=topology.servers, switch_stream=streams.stream("switch"),
+        )
+        for server in servers:
+            server.start()
+        cohort.start()
+        env.run(until=60)
+        return [obs.server_id for obs in cohort.observations_of(0)]
+
+    def test_never_visits_the_same_server_twice_in_a_row(self):
+        visited = self.visited(4)
+        assert len(visited) >= 40
+        assert all(a != b for a, b in zip(visited, visited[1:]))
+
+    def test_single_server_is_always_visited(self):
+        visited = self.visited(1)
+        assert len(visited) >= 40
+        assert set(visited) == {"server-0"}
 
 
 class TestRequestResponse:

@@ -4,8 +4,9 @@ notification dedup, push subscriptions, and poll/fetch answering."""
 import pytest
 
 from repro.cdn import LiveContent, ProviderActor, ServerActor
-from repro.consistency import InvalidationPolicy, TTLPolicy
+from repro.consistency import InvalidationPolicy, PushPolicy, TTLPolicy
 from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 
 
@@ -84,6 +85,35 @@ class TestSwitchProtocol:
         switch(provider, servers[0], "push", version=0)
         env.run(until=152.0)
         assert servers[0].cached_version == 1
+
+
+class TestPushSubscriptions:
+    def test_pushes_go_out_in_subscription_order(self):
+        """A set of nodes would iterate in hash order, which for a node is
+        its memory address; the send order, and every jitter draw after
+        it, must follow the order in which members subscribed."""
+        tracer = RecordingTracer()
+        env = Environment(tracer=tracer)
+        streams = StreamRegistry(41)
+        topology = TopologyBuilder(env, streams).build(n_servers=32, users_per_server=0)
+        fabric = NetworkFabric(env, streams=streams)
+        content = LiveContent("c", update_times=[])
+        provider = ProviderActor(env, topology.provider, fabric, content)
+        servers = [
+            ServerActor(env, node, fabric, content, policy=PushPolicy())
+            for node in topology.servers
+        ]
+        subscribers = servers[::-1]
+        for server in subscribers:
+            switch(provider, server, "push")
+        provider.serve_dynamic_members(1)
+        env.run()
+        pushed = [
+            event.detail["dst"]
+            for event in tracer.events(kinds=("msg_send",))
+            if event.detail["msg"] == MessageKind.PUSH_UPDATE.value
+        ]
+        assert pushed == [server.node.node_id for server in subscribers]
 
 
 class TestAdaptiveNotificationDedup:

@@ -5,13 +5,7 @@ from collections import Counter
 
 import pytest
 
-from repro.cdn import (
-    EndUserActor,
-    FixedSelector,
-    LiveContent,
-    ProviderActor,
-    ServerActor,
-)
+from repro.cdn import LiveContent, ProviderActor, ServerActor, UserCohort
 from repro.consistency import (
     AdaptiveTTLPolicy,
     InvalidationPolicy,
@@ -43,20 +37,20 @@ def deploy(method_factory, wire, updates, n_servers=3, seed=2, horizon=400.0,
     ]
     UnicastInfrastructure().wire(provider, servers)
     wire(provider)
-    user_actors = []
+    cohort = None
     if users:
-        for index, server in enumerate(servers):
-            user = EndUserActor(
-                env, topology.users[index][0], fabric, content,
-                FixedSelector(server.node), user_ttl_s=user_ttl,
-            )
-            user_actors.append(user)
+        cohort = UserCohort(
+            env, fabric, content, [group[0] for group in topology.users],
+            user_ttl_s=user_ttl,
+            start_offsets=[0.0] * n_servers,
+            targets=[server.node for server in servers],
+        )
     for server in servers:
         server.start()
-    for user in user_actors:
-        user.start()
+    if cohort is not None:
+        cohort.start()
     env.run(until=horizon)
-    return env, fabric, content, provider, servers, user_actors
+    return env, fabric, content, provider, servers, cohort
 
 
 class TestTTLPolicy:
@@ -90,14 +84,14 @@ class TestTTLPolicy:
         assert fabric.ledger.kind_totals(MessageKind.POLL).count == 0
 
     def test_lazy_mode_serves_fresh_after_expiry(self):
-        env, fabric, content, provider, servers, users = deploy(
+        env, fabric, content, provider, servers, cohort = deploy(
             lambda st: TTLPolicy(15.0, stream=st.stream("phase"), eager=False),
             lambda p: None,
             updates=(50.0,),
             n_servers=1,
             horizon=300.0,
         )
-        versions = [obs.version for obs in users[0].observations]
+        versions = [obs.version for obs in cohort.observations_of(0)]
         assert versions[-1] == 1
         assert fabric.ledger.kind_totals(MessageKind.POLL).count > 0
 
@@ -155,13 +149,13 @@ class TestInvalidationPolicy:
         assert fabric.ledger.kind_totals(MessageKind.FETCH).count == 1
 
     def test_users_never_see_stale_content(self):
-        env, fabric, content, provider, servers, users = deploy(
+        env, fabric, content, provider, servers, cohort = deploy(
             lambda st: InvalidationPolicy(),
             lambda p: p.use_invalidation(),
             updates=tuple(40.0 + 20.0 * i for i in range(10)),
         )
-        for user in users:
-            for obs in user.observations:
+        for slot in range(cohort.n_users):
+            for obs in cohort.observations_of(slot):
                 # A served version may lag only by in-flight delivery, so
                 # it must be at least the version current ~2 s earlier.
                 floor = content.version_at(obs.time - 2.0)

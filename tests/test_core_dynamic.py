@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.cdn import EndUserActor, FixedSelector, LiveContent, ProviderActor, ServerActor
+from repro.cdn import LiveContent, ProviderActor, ServerActor, UserCohort
 from repro.consistency import UnicastInfrastructure
 from repro.core import DynamicPolicy, MethodAdvisor, WorkloadProfile
 from repro.experiments import build_deployment, smoke_scale
@@ -144,19 +144,17 @@ def deploy_dynamic(updates, tolerance, horizon, n_servers=4, ttl=15.0,
     ]
     UnicastInfrastructure().wire(provider, servers)
     provider.use_dynamic()
-    users = [
-        EndUserActor(
-            env, topology.users[i][0], fabric, content,
-            FixedSelector(servers[i].node), user_ttl_s=user_ttl,
-        )
-        for i in range(n_servers)
-    ]
+    cohort = UserCohort(
+        env, fabric, content, [group[0] for group in topology.users],
+        user_ttl_s=user_ttl,
+        start_offsets=[0.0] * n_servers,
+        targets=[server.node for server in servers],
+    )
     for server in servers:
         server.start()
-    for user in users:
-        user.start()
+    cohort.start()
     env.run(until=horizon)
-    return env, fabric, content, provider, servers, users
+    return env, fabric, content, provider, servers, cohort
 
 
 class TestDynamicPolicy:

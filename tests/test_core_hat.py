@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn import EndUserActor, FixedSelector, LiveContent
+from repro.cdn import LiveContent, UserCohort
 from repro.core import HatConfig, HatSystem, form_clusters
 from repro.network import MessageKind, NetworkFabric, TopologyBuilder
 from repro.sim import Environment, StreamRegistry
@@ -96,16 +96,14 @@ class TestHatUpdateFlow:
         env, streams, topology, fabric, content, hat = build_hat(
             updates=(30.0, 45.0, 60.0)
         )
-        users = [
-            EndUserActor(
-                env, topology.users[i][0], fabric, content,
-                FixedSelector(topology.servers[i]), user_ttl_s=10.0,
-            )
-            for i in range(len(topology.servers))
-        ]
+        cohort = UserCohort(
+            env, fabric, content, [group[0] for group in topology.users],
+            user_ttl_s=10.0,
+            start_offsets=[0.0] * len(topology.servers),
+            targets=list(topology.servers),
+        )
         hat.start()
-        for user in users:
-            user.start()
+        cohort.start()
         env.run(until=400.0)
         for member in hat.members:
             assert member.cached_version == 3

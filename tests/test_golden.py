@@ -1,4 +1,4 @@
-"""Golden pins: the simulator's outputs on 70 fixed cells, bit for bit.
+"""Golden pins: the simulator's outputs on 79 fixed cells, bit for bit.
 
 Each cell is one small deployment.  ``tests/fixtures/golden/cells.json``
 pins, per cell:
@@ -19,15 +19,20 @@ The cells:
 - every method x infrastructure at seeds 0-2 on a tiny config (6
   servers, 2 users per server, 6 updates, a 200 s game, 3 HAT
   clusters);
-- ``ttl`` and ``push`` on four perturbation-heavy scenarios;
+- the Section 5 ``hat`` and ``hybrid`` systems at seeds 0-2;
+- ``ttl`` and ``push`` on five perturbation-heavy scenarios, and the
+  switch selector under ``cdn-reconfig``;
 - both user selectors at seeds 0-1, and aggregate user metrics;
 - three user-plane edge cases: no users, a 1 ms start window, and a
   2-server deployment whose first server is down from 80 s to 140 s.
 
-The pins were recorded while a generator-based transport, a per-event
-kernel and a per-user actor plane still existed beside the current
-ones, and each of those implementations reproduced every pin but
-``events_processed``, a count they did not share.
+The first 70 pins were recorded while a generator-based transport, a
+per-event kernel and a per-user actor plane still existed beside the
+current ones, and each of those implementations reproduced every pin
+but ``events_processed``, a count they did not share.  The ``system/*``,
+``@diurnal`` and ``switch-selector@cdn-reconfig`` pins were recorded
+before the last per-user actor class was deleted, and held across that
+deletion.
 
 After a change that is meant to move the outputs, re-pin, and say in
 the commit why they moved::
@@ -50,9 +55,13 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import pytest
 
-import repro.network.message as message_mod
 from repro.experiments.config import TestbedConfig
-from repro.experiments.testbed import INFRASTRUCTURES, METHODS, build_deployment
+from repro.experiments.testbed import (
+    INFRASTRUCTURES,
+    METHODS,
+    build_deployment,
+    build_system,
+)
 from repro.metrics.consistency import mean_update_lag, stale_observation_fraction
 from repro.obs.tracer import RecordingTracer
 
@@ -82,7 +91,8 @@ class Cell(NamedTuple):
     """One pinned deployment."""
 
     method: str
-    infrastructure: str
+    #: ``None`` builds *method* as a Section 5 system with ``build_system``.
+    infrastructure: Optional[str]
     seed: int = 0
     scenario: Optional[str] = None
     #: ``TestbedConfig`` fields that differ from the tiny config.
@@ -103,11 +113,20 @@ def _cells() -> Dict[str, Cell]:
                 cells[grid_label(method, infrastructure, seed)] = Cell(
                     method, infrastructure, seed
                 )
-    for scenario in ("paper-baseline", "failure-storm", "flash-crowd", "cdn-reconfig"):
+    for system in ("hat", "hybrid"):
+        for seed in (0, 1, 2):
+            cells["system/%s/seed%d" % (system, seed)] = Cell(system, None, seed)
+    for scenario in (
+        "paper-baseline", "failure-storm", "flash-crowd", "cdn-reconfig", "diurnal"
+    ):
         for method in ("ttl", "push"):
             cells["%s/unicast@%s" % (method, scenario)] = Cell(
                 method, "unicast", scenario=scenario
             )
+    cells["ttl/unicast/switch-selector@cdn-reconfig"] = Cell(
+        "ttl", "unicast", scenario="cdn-reconfig",
+        overrides=(("user_selector", "switch"),),
+    )
     for selector in ("fixed", "switch"):
         for seed in (0, 1):
             cells["ttl/unicast/%s-selector/seed%d" % (selector, seed)] = Cell(
@@ -161,11 +180,16 @@ def outcome(label: str) -> Outcome:
     """Run cell *label* (once per process)."""
     cell = CELLS[label]
     config = TestbedConfig(seed=cell.seed, **dict(_TINY, **dict(cell.overrides)))
-    message_mod._SEQ = 0
     tracer = RecordingTracer()
-    deployment = build_deployment(
-        config, cell.method, cell.infrastructure, tracer=tracer, scenario=cell.scenario
-    )
+    if cell.infrastructure is None:
+        deployment = build_system(
+            config, cell.method, tracer=tracer, scenario=cell.scenario
+        )
+    else:
+        deployment = build_deployment(
+            config, cell.method, cell.infrastructure, tracer=tracer,
+            scenario=cell.scenario,
+        )
     if cell.outage:
         deployment.env.process(_outage(deployment.env, deployment.servers[0].node))
     metrics = deployment.run()
@@ -176,9 +200,11 @@ def outcome(label: str) -> Outcome:
         for event in tracer.events(kinds=TRACE_KINDS)
     ]
     observations = None
+    cohort = deployment.cohort
     if deployment.config.user_metrics == "per-user":
         observations = {
-            user.node.node_id: list(user.observations) for user in deployment.users
+            node.node_id: cohort.observations_of(slot)
+            for slot, node in enumerate(cohort.nodes)
         }
     return Outcome(
         pins={
@@ -214,7 +240,7 @@ def assert_golden(label: str) -> None:
 # tests
 # ----------------------------------------------------------------------
 def test_golden_file_pins_every_cell():
-    assert len(CELLS) == 70
+    assert len(CELLS) == 79
     assert sorted(golden()) == sorted(CELLS)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn import EndUserActor, FixedSelector, LiveContent
+from repro.cdn import LiveContent, UserCohort
 from repro.core import HatConfig, HatSystem
 from repro.network import NetworkFabric, TopologyBuilder
 from repro.sim import Environment, StreamRegistry
@@ -25,16 +25,15 @@ def build_hat(n_servers=24, n_clusters=4, updates=None, seed=61, ttl=15.0,
         config=HatConfig(n_clusters=n_clusters, tree_arity=4,
                          server_ttl_s=ttl, member_method="self-adaptive"),
     )
-    user_actors = []
+    cohort = None
     if users:
-        for index in range(n_servers):
-            user_actors.append(
-                EndUserActor(
-                    env, topology.users[index][0], fabric, content,
-                    FixedSelector(topology.servers[index]), user_ttl_s=10.0,
-                )
-            )
-    return env, streams, topology, fabric, content, hat, user_actors
+        cohort = UserCohort(
+            env, fabric, content, [group[0] for group in topology.users],
+            user_ttl_s=10.0,
+            start_offsets=[0.0] * n_servers,
+            targets=list(topology.servers),
+        )
+    return env, streams, topology, fabric, content, hat, cohort
 
 
 class TestFailover:
@@ -45,7 +44,7 @@ class TestFailover:
         raise AssertionError("no cluster with members")
 
     def test_promotes_nearest_member(self):
-        env, streams, topology, fabric, content, hat, users = build_hat()
+        env, streams, topology, fabric, content, hat, cohort = build_hat()
         index, spec = self.pick_cluster_with_members(hat)
         old = hat.supernodes[index]
         old.node.is_up = False
@@ -62,13 +61,13 @@ class TestFailover:
             assert member.upstream is promotee.node
 
     def test_unknown_supernode_rejected(self):
-        env, streams, topology, fabric, content, hat, users = build_hat()
+        env, streams, topology, fabric, content, hat, cohort = build_hat()
         member = hat.members[0]
         with pytest.raises(KeyError):
             hat.handle_supernode_failure(member)
 
     def test_cluster_dissolves_when_all_members_down(self):
-        env, streams, topology, fabric, content, hat, users = build_hat()
+        env, streams, topology, fabric, content, hat, cohort = build_hat()
         index, spec = self.pick_cluster_with_members(hat)
         old = hat.supernodes[index]
         old.node.is_up = False
@@ -79,10 +78,9 @@ class TestFailover:
         assert len(hat.supernodes) == n_before - 1
 
     def test_cluster_converges_after_failover(self):
-        env, streams, topology, fabric, content, hat, users = build_hat()
+        env, streams, topology, fabric, content, hat, cohort = build_hat()
         hat.start()
-        for user in users:
-            user.start()
+        cohort.start()
         index, spec = self.pick_cluster_with_members(hat)
         victim = hat.supernodes[index]
 
@@ -105,12 +103,11 @@ class TestFailover:
     def test_invalidation_mode_members_survive_failover(self):
         # burst, then failover during silence, then one late update:
         # the re-announced members must still hear about it.
-        env, streams, topology, fabric, content, hat, users = build_hat(
+        env, streams, topology, fabric, content, hat, cohort = build_hat(
             updates=[40.0, 50.0, 60.0, 700.0]
         )
         hat.start()
-        for user in users:
-            user.start()
+        cohort.start()
         index, spec = self.pick_cluster_with_members(hat)
         victim = hat.supernodes[index]
 
@@ -129,11 +126,10 @@ class TestFailover:
             assert member.cached_version == 4
 
     def test_monitor_auto_recovers(self):
-        env, streams, topology, fabric, content, hat, users = build_hat()
+        env, streams, topology, fabric, content, hat, cohort = build_hat()
         hat.start()
         hat.start_monitor(heartbeat_s=10.0, failure_timeout_s=20.0)
-        for user in users:
-            user.start()
+        cohort.start()
         index, spec = self.pick_cluster_with_members(hat)
         victim = hat.supernodes[index]
 
@@ -152,14 +148,14 @@ class TestFailover:
             assert member.cached_version == final
 
     def test_monitor_validation(self):
-        env, streams, topology, fabric, content, hat, users = build_hat(users=False)
+        env, streams, topology, fabric, content, hat, cohort = build_hat(users=False)
         with pytest.raises(ValueError):
             hat.start_monitor(heartbeat_s=0)
         with pytest.raises(ValueError):
             hat.start_monitor(heartbeat_s=30.0, failure_timeout_s=10.0)
 
     def test_old_policy_processes_stopped(self):
-        env, streams, topology, fabric, content, hat, users = build_hat()
+        env, streams, topology, fabric, content, hat, cohort = build_hat()
         hat.start()
         env.run(until=100.0)
         index, spec = self.pick_cluster_with_members(hat)

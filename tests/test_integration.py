@@ -8,13 +8,7 @@ the headline statistic (mean inconsistency ~ TTL/2 + delivery noise).
 
 import numpy as np
 
-from repro.cdn import (
-    EndUserActor,
-    FixedSelector,
-    LiveContent,
-    ProviderActor,
-    ServerActor,
-)
+from repro.cdn import LiveContent, ProviderActor, ServerActor, UserCohort
 from repro.consistency import TTLPolicy, UnicastInfrastructure
 from repro.experiments import build_system
 from repro.experiments.section5 import section5_config
@@ -49,18 +43,15 @@ def run_des_crawl(n_servers=20, ttl=60.0, horizon=3000.0, seed=31):
     # Random crawler start offsets desynchronise the servers' lazy-TTL
     # refresh phases, exactly as organic demand does in the real CDN.
     offsets = streams.stream("crawler.offsets")
-    crawlers = [
-        EndUserActor(
-            env, topology.users[i][0], fabric, content,
-            FixedSelector(servers[i].node), user_ttl_s=10.0,
-            start_offset_s=offsets.uniform(0.0, ttl),
-        )
-        for i in range(n_servers)
-    ]
+    crawlers = UserCohort(
+        env, fabric, content, [group[0] for group in topology.users],
+        user_ttl_s=10.0,
+        start_offsets=[offsets.uniform(0.0, ttl) for _ in range(n_servers)],
+        targets=[server.node for server in servers],
+    )
     for server in servers:
         server.start()
-    for crawler in crawlers:
-        crawler.start()
+    crawlers.start()
     env.run(until=horizon)
 
     day = DayTrace(
@@ -69,11 +60,12 @@ def run_des_crawl(n_servers=20, ttl=60.0, horizon=3000.0, seed=31):
         update_times=np.asarray(content.update_times),
     )
     infos = {}
-    for server, crawler in zip(servers, crawlers):
+    for slot, server in enumerate(servers):
         sid = server.node.node_id
-        times = np.asarray([obs.time for obs in crawler.observations])
+        observations = crawlers.observations_of(slot)
+        times = np.asarray([obs.time for obs in observations])
         versions = np.maximum.accumulate(
-            np.asarray([obs.version for obs in crawler.observations], dtype=np.int64)
+            np.asarray([obs.version for obs in observations], dtype=np.int64)
         )
         day.polls[sid] = PollSeries(times=times, versions=versions)
         infos[sid] = ServerInfo(
@@ -150,8 +142,10 @@ class TestUserLagConsistency:
         deployment = build_system(smoke_config, "push")
         metrics = deployment.run()
         content = deployment.content
-        for user in deployment.users:
-            for obs in user.observations:
+        cohort = deployment.cohort
+        assert cohort.total_observations() > 0
+        for slot in range(cohort.n_users):
+            for obs in cohort.observations_of(slot):
                 assert obs.version <= content.version_at(obs.time)
 
     def test_server_apply_log_matches_update_lag_metric(self, smoke_config):

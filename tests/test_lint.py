@@ -332,6 +332,13 @@ class TestRep007IterationOrder(unittest.TestCase):
     def test_sorted_sink_free_and_set_to_set_are_clean(self):
         self.assertNotIn("good_order", codes_by_file(scan("rep007")))
 
+    def test_flags_set_valued_instance_attribute_loops(self):
+        # SetMembers binds self.members to a set in __init__ and loops
+        # over it in notify(); DictMembers does the same with a dict.
+        report = scan("rep007")
+        findings = [f for f in report.new if Path(f.path).stem == "attr_order"]
+        self.assertEqual([(f.code, f.line) for f in findings], [("REP007", 10)])
+
     def test_scope_excludes_unordered_areas(self):
         self.assertNotIn("out_of_scope", codes_by_file(scan("rep007")))
 
@@ -433,14 +440,15 @@ class TestNewRulesExemptionManifest(unittest.TestCase):
         report = self._scan_with_exemption(
             "REP007", "repro/sim/bad_order", "rep007"
         )
-        self.assertEqual([f.format() for f in report.new], [])
+        # Only the un-exempted attr_order fixture still fires.
+        self.assertEqual([Path(f.path).stem for f in report.new], ["attr_order"])
         # Without the carve-out the same scan fires (proved by
         # TestRep007IterationOrder); here prove a non-matching prefix
         # does not silence it.
         report = self._scan_with_exemption(
             "REP007", "repro/cdn/elsewhere", "rep007"
         )
-        self.assertEqual(len(report.new), 3)
+        self.assertEqual(len(report.new), 4)
 
     def test_rep008_honors_manifest_but_fires_outside(self):
         report = self._scan_with_exemption(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cdn.client import Observation
+from repro.cdn.cohort import Observation
 from repro.cdn.content import LiveContent
 from repro.metrics import (
     Cdf,

@@ -367,6 +367,20 @@ class TestTracer:
         assert tracer.count("msg_send") > 0
         assert metrics.mean_server_lag >= 0.0
 
+    def test_system_trace_does_not_depend_on_earlier_runs(self):
+        """``build_system`` rebases the process-wide message counter, so a
+        second build in the same process traces the same ``seq`` fields."""
+
+        def message_trace():
+            tracer = RecordingTracer()
+            build_system(smoke_scale(), "hat", tracer=tracer).run()
+            return [
+                (event.time, event.kind, event.node, event.detail)
+                for event in tracer.events(kinds=("msg_send", "msg_recv"))
+            ]
+
+        assert message_trace() == message_trace()
+
 
 # ----------------------------------------------------------------------
 # counters / metrics plumbing

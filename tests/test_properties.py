@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cdn.client import Observation
+from repro.cdn.cohort import Observation
 from repro.cdn.content import LiveContent
 from repro.consistency.hilbert import hilbert_number, hilbert_to_xy, xy_to_hilbert
 from repro.metrics.consistency import stale_observation_fraction, update_lags

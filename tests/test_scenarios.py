@@ -352,7 +352,7 @@ class TestPerturbations:
         baseline.run()
         crowd.run()
         def visits(d):
-            return sum(len(u.observations) for u in d.users)
+            return d.cohort.total_observations()
 
         assert visits(crowd) > visits(baseline)
 

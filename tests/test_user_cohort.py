@@ -46,7 +46,6 @@ class TestPopulationEdges:
         deployment, metrics = _run(_config(users_per_server=0))
         assert deployment.cohort is not None
         assert deployment.cohort.n_users == 0
-        assert list(deployment.cohort.users) == []
         assert metrics.user_lags == {}
         assert metrics.server_lags  # server plane unaffected
 
@@ -62,7 +61,7 @@ class TestPopulationEdges:
         assert len(metrics.user_lags) == 1
         (observations,) = [cohort.observations_of(0)]
         assert observations, "single user never observed anything"
-        assert observations == list(cohort.users[0].observations)
+        assert cohort.total_observations() == len(observations)
 
     def test_jitter_straddling_one_sweep_batch(self):
         """A tiny start window collapses every first visit into one or
@@ -121,28 +120,32 @@ class TestMidRunFailures:
 
 
 # ----------------------------------------------------------------------
-# cohort user views
+# per-slot reads and writes of cohort state
 # ----------------------------------------------------------------------
 class TestCohortViews:
-    def test_views_mirror_cohort_state(self):
-        deployment, metrics = _run(_config())
-        cohort = deployment.cohort
-        users = cohort.users
-        assert len(users) == cohort.n_users == 8
-        for slot, view in enumerate(users):
-            assert view.node is cohort.nodes[slot]
-            assert view.failed_visits == cohort.failed_visits_of(slot)
-            assert list(view.observations) == cohort.observations_of(slot)
-        # Deployment.users materialises the same views lazily.
-        assert deployment.users is users
+    def test_set_ttl_validates_and_writes_through(self):
+        cohort = build_deployment(_config(), "ttl").cohort
+        cohort.set_ttl(3, 5.0)
+        assert cohort.ttl_of(3) == 5.0
+        assert cohort.ttl_of(2) == _config().user_ttl_s
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                cohort.set_ttl(3, bad)
+        assert cohort.ttl_of(3) == 5.0
 
-    def test_ttl_setter_writes_through(self):
-        deployment, _ = _run(_config())
-        view = deployment.cohort.users[0]
-        view.user_ttl_s = 5.0
-        assert deployment.cohort.users[0].user_ttl_s == 5.0
-        with pytest.raises(ValueError):
-            view.user_ttl_s = 0.0
+    def test_rehome_redirects_later_visits(self):
+        deployment = build_deployment(_config(), "ttl")
+        cohort = deployment.cohort
+        assert cohort.fixed
+        new_home = deployment.servers[-1].node
+        cohort.rehome(0, new_home)
+        deployment.run()
+        visited = {obs.server_id for obs in cohort.observations_of(0)}
+        assert visited == {new_home.node_id}
+        switch = build_deployment(_config(user_selector="switch"), "ttl").cohort
+        assert not switch.fixed
+        with pytest.raises(RuntimeError):
+            switch.rehome(0, new_home)
 
     def test_aggregate_mode_has_no_per_user_observations(self):
         deployment, _ = _run(_config(user_metrics="aggregate"))
