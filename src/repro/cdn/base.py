@@ -105,9 +105,8 @@ class Actor:
             return response
         # The timer wheel succeeds the waiter with ``None`` at exactly
         # ``now + timeout`` unless the response (always a Message, never
-        # None) wins the race.  No Timeout or Condition allocation, no
-        # explicit cancel -- a won race leaves a lazily-skipped slot in
-        # the wheel.
+        # None) wins the race.  No timeout event, no explicit cancel --
+        # a won race leaves a lazily-skipped slot in the wheel.
         self.env.timers.arm(timeout, waiter)
         response = yield waiter
         if response is not None:

@@ -77,7 +77,7 @@ class ProviderActor(Actor, UpdateSourceMixin):
             when = update_time + self.staleness_s
             delay = when - self.env.now
             if delay > 0:
-                yield self.env.pooled_timeout(delay)
+                yield self.env.timeout(delay)
             self._version = index
             tracer = self.env.tracer
             if tracer.enabled:

@@ -233,9 +233,9 @@ def schedule_absence(env: Environment, node: NetworkNode, start: float, duration
 
     def injector():
         if start > env.now:
-            yield env.pooled_timeout(start - env.now)
+            yield env.timeout(start - env.now)
         node.mark_down()
-        yield env.pooled_timeout(duration)
+        yield env.timeout(duration)
         node.mark_up()
 
     return env.process(injector())

@@ -60,7 +60,7 @@ class TTLPolicy(ServerPolicy):
         env = self.server.env
         offset = self._initial_offset()
         if offset > 0:
-            yield env.pooled_timeout(offset)
+            yield env.timeout(offset)
         while True:
             # The sleep is measured from the *start* of the poll, so the
             # period stays anchored at one TTL even when the poll itself
@@ -71,7 +71,7 @@ class TTLPolicy(ServerPolicy):
             poll_started = env.now
             yield from self.poll_once()
             elapsed = env.now - poll_started
-            yield env.pooled_timeout(max(0.0, self.ttl_s - elapsed))
+            yield env.timeout(max(0.0, self.ttl_s - elapsed))
 
     def poll_once(self) -> Generator:
         """One poll round-trip; returns True if an update was received."""

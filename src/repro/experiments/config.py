@@ -14,6 +14,7 @@ runs; ``smoke_scale()`` is minimal.
 from __future__ import annotations
 
 import difflib
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -26,6 +27,16 @@ __all__ = ["TestbedConfig", "paper_scale", "ci_scale", "smoke_scale", "planet_sc
 #: way.  Still honoured for one release; the warning points at the
 #: replacement.
 DEPRECATED_WORKLOAD_KNOBS = ("game_duration_s", "n_updates", "update_start_s")
+
+#: Times (in seconds) that must be finite; ``horizon_s`` only when set.
+_FINITE_TIME_KNOBS = (
+    "server_ttl_s",
+    "user_ttl_s",
+    "game_duration_s",
+    "update_start_s",
+    "user_start_window_s",
+    "horizon_s",
+)
 
 
 @dataclass(kw_only=True)
@@ -88,6 +99,13 @@ class TestbedConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A NaN time lets the clock run backwards and an infinite one
+        # never ends the run, so times must be finite before any range
+        # check (every comparison with NaN is False).
+        for name in _FINITE_TIME_KNOBS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.n_servers <= 0:
             raise ValueError("n_servers must be positive")
         if self.users_per_server < 0:

@@ -34,7 +34,6 @@ from ..consistency.registry import (
 )
 from ..core.hat import HatConfig, HatSystem
 from ..metrics.incremental import ServerLagTracker, aggregate_user_rollup
-from ..metrics.timeseries import StalenessSeries, StalenessSeriesCache
 from ..metrics.traffic import TrafficLedger
 from ..network.link import NetworkFabric
 from ..network.message import reset_seq
@@ -198,9 +197,6 @@ class Deployment:
         #: The user plane; it keeps its own staleness accumulators.
         self.cohort = cohort
         self._ran = False
-        #: Memoized staleness-series derivations (keyed by replica and
-        #: apply-log length, so entries self-invalidate on new applies).
-        self.series_cache = StalenessSeriesCache(content)
         #: Running server lag sums updated at version-change events, so
         #: the collection pass is a cheap read instead of a full log
         #: re-scan.
@@ -236,36 +232,6 @@ class Deployment:
         for server in self.servers:
             yield server.node
         yield from self.cohort.nodes
-
-    # ------------------------------------------------------------------
-    # cached staleness series (see repro.metrics.timeseries)
-    # ------------------------------------------------------------------
-    def staleness_series_of(
-        self,
-        server_id: str,
-        horizon_s: Optional[float] = None,
-        step_s: float = 10.0,
-    ) -> StalenessSeries:
-        """One server's staleness-over-time series, memoized per
-        ``(server, log length, horizon, step)``."""
-        horizon = horizon_s if horizon_s is not None else self.config.run_horizon_s
-        for server in self.servers:
-            if server.node.node_id == server_id:
-                return self.series_cache.series(
-                    server_id, server.apply_log(), horizon, step_s
-                )
-        raise KeyError("unknown server %r" % server_id)
-
-    def fleet_staleness_series(
-        self, horizon_s: Optional[float] = None, step_s: float = 10.0
-    ) -> StalenessSeries:
-        """Mean staleness across all servers over time (memoized)."""
-        horizon = horizon_s if horizon_s is not None else self.config.run_horizon_s
-        return self.series_cache.fleet(
-            [(server.node.node_id, server.apply_log()) for server in self.servers],
-            horizon,
-            step_s,
-        )
 
     def _collect(self, horizon: float) -> DeploymentMetrics:
         ledger = self.fabric.ledger

@@ -29,9 +29,7 @@ __all__ = ["SlotsManifest", "KwOnlyConfigs", "SLOTS_MANIFEST"]
 #: package path -> {class name: why it is hot}.
 SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     "repro/sim/engine.py": {
-        "Event": "allocated per scheduled event",
-        "Timeout": "allocated per sleep on the hot loop",
-        "_PooledTimeout": "recycled per hot-loop sleep",
+        "Event": "allocated per scheduled event and per sleep",
         "Environment": "attribute reads in the inner event loop",
     },
     "repro/sim/process.py": {
@@ -59,6 +57,7 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     },
     "repro/sim/timers.py": {
         "CallbackLane": "swept per expiring deadline batch",
+        "_Lane": "one per timer-wheel delay, swept like CallbackLane",
     },
     "repro/cdn/cohort.py": {
         "UserCohort": "attribute reads per visit on the user plane",

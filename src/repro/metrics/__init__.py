@@ -14,7 +14,6 @@ from .stats import (
 from .incremental import ServerLagTracker, UserObservationTracker
 from .timeseries import (
     StalenessSeries,
-    StalenessSeriesCache,
     fleet_staleness_series,
     staleness_series,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "KindTotals",
     "TrafficLedger",
     "StalenessSeries",
-    "StalenessSeriesCache",
     "staleness_series",
     "fleet_staleness_series",
     "ServerLagTracker",

@@ -17,7 +17,6 @@ from ..cdn.content import LiveContent
 
 __all__ = [
     "StalenessSeries",
-    "StalenessSeriesCache",
     "staleness_series",
     "fleet_staleness_series",
 ]
@@ -103,65 +102,3 @@ def fleet_staleness_series(
         values=tuple(float(v) for v in stacked.mean(axis=0)),
     )
 
-
-class StalenessSeriesCache:
-    """Memoizes staleness-series derivations for one content object.
-
-    Apply logs are append-only (the cache layer only records strictly
-    newer versions), so ``(replica key, len(log), horizon, step)``
-    uniquely identifies a series: any later apply grows the log and
-    naturally misses the stale entry.  The testbed keeps one of these
-    per deployment so repeated series queries (reports, figures, tests)
-    vectorise each grid exactly once.
-    """
-
-    __slots__ = ("content", "_cache")
-
-    def __init__(self, content: LiveContent) -> None:
-        self.content = content
-        self._cache: dict = {}
-
-    def series(
-        self,
-        key: str,
-        apply_log: Sequence[Tuple[float, int]],
-        horizon_s: float,
-        step_s: float = 10.0,
-    ) -> StalenessSeries:
-        """Memoized :func:`staleness_series` for the replica *key*."""
-        cache_key = (key, len(apply_log), horizon_s, step_s)
-        hit = self._cache.get(cache_key)
-        if hit is None:
-            hit = staleness_series(self.content, apply_log, horizon_s, step_s)
-            self._cache[cache_key] = hit
-        return hit
-
-    def fleet(
-        self,
-        keyed_logs: Sequence[Tuple[str, Sequence[Tuple[float, int]]]],
-        horizon_s: float,
-        step_s: float = 10.0,
-    ) -> StalenessSeries:
-        """Memoized :func:`fleet_staleness_series` over ``(key, log)``
-        pairs, reusing each replica's cached series."""
-        if not keyed_logs:
-            raise ValueError("need at least one apply log")
-        cache_key = (
-            "__fleet__",
-            tuple(key for key, _ in keyed_logs),
-            tuple(len(log) for _, log in keyed_logs),
-            horizon_s,
-            step_s,
-        )
-        hit = self._cache.get(cache_key)
-        if hit is None:
-            series_list = [
-                self.series(key, log, horizon_s, step_s) for key, log in keyed_logs
-            ]
-            stacked = np.asarray([s.values for s in series_list])
-            hit = StalenessSeries(
-                times=series_list[0].times,
-                values=tuple(float(v) for v in stacked.mean(axis=0)),
-            )
-            self._cache[cache_key] = hit
-        return hit

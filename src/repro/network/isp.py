@@ -10,7 +10,7 @@ extra inter-domain delay when a message crosses ISP boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from ..sim.rng import RandomStream
 
@@ -50,9 +50,6 @@ class ISPRegistry:
                 self._all.append(isp)
             self._by_region[region] = isps
         return isps
-
-    def all_isps(self) -> Sequence[ISP]:
-        return tuple(self._all)
 
     def assign(self, region: str, stream: RandomStream) -> ISP:
         """Pick an ISP for a node in *region* (Zipf-ish skew: big ISPs

@@ -95,11 +95,6 @@ def _atomic_write_json(path: str, doc: Dict[str, Any]) -> None:
                 pass
 
 
-def _safe_label(label: str) -> str:
-    """A filesystem-safe heartbeat filename stem for *label*."""
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
-
-
 class Heartbeat:
     """One worker's live progress hook (engine ``progress`` callable).
 

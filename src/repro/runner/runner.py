@@ -288,10 +288,6 @@ class Runner:
         self.start_method = start_method
 
     # ------------------------------------------------------------------
-    def run_one(self, spec: RunSpec):
-        """Run a single spec (serially); returns its metrics."""
-        return self.run([spec]).metrics[0]
-
     def run(self, specs: Iterable[RunSpec]) -> RunOutcome:
         """Execute every spec; metrics come back in spec order.
 

@@ -87,10 +87,10 @@ class FlashCrowd(Perturbation):
 
         def surge():
             if self.start_s > 0:
-                yield env.pooled_timeout(self.start_s)
+                yield env.timeout(self.start_s)
             for slot in slots:
                 cohort.set_ttl(slot, cohort.ttl_of(slot) / self.poll_accel)
-            yield env.pooled_timeout(self.duration_s)
+            yield env.timeout(self.duration_s)
             for slot in slots:
                 cohort.set_ttl(slot, cohort.ttl_of(slot) * self.poll_accel)
 
@@ -133,7 +133,7 @@ class DiurnalModulation(Perturbation):
                 )
                 for slot, base in enumerate(base_ttls):
                     cohort.set_ttl(slot, base / factor)
-                yield env.pooled_timeout(self.step_s)
+                yield env.timeout(self.step_s)
 
         env.process(modulate())
 
@@ -224,7 +224,7 @@ class Reconfiguration(Perturbation):
 
         def migrate(moves: List[Tuple[int, NetworkNode]], when: float):
             if when > 0:
-                yield env.pooled_timeout(when)
+                yield env.timeout(when)
             for slot, node in moves:
                 cohort.rehome(slot, node)
 

@@ -57,10 +57,6 @@ class ScenarioOutcome:
             raise ValueError("a scenario outcome needs at least one cell")
 
     # ------------------------------------------------------------------
-    @property
-    def cell_labels(self) -> List[str]:
-        return [cell.label for cell in self.cells]
-
     def _weighted(self, values: List[float]) -> float:
         total = sum(cell.weight for cell in self.cells)
         if total <= 0.0:

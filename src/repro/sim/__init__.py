@@ -1,8 +1,9 @@
 """Discrete-event simulation substrate.
 
 A deterministic, generator-based simulation kernel built from scratch:
-events, timeouts, processes with interrupt (:mod:`repro.sim.process`),
-and the timer wheel with its callback lanes (:mod:`repro.sim.timers`).
+events (a timeout is an event scheduled with a delay), processes with
+interrupt (:mod:`repro.sim.process`), and the timer wheel with its
+callback lanes (:mod:`repro.sim.timers`).
 See :mod:`repro.sim.engine` for the core loop.
 """
 
@@ -13,7 +14,6 @@ from .engine import (
     NORMAL,
     SimulationError,
     StopSimulation,
-    Timeout,
     URGENT,
 )
 from .process import Interrupt, Process
@@ -24,7 +24,6 @@ from .simtime import TIME_EPS_S, is_zero_duration, times_close, times_equal
 __all__ = [
     "Environment",
     "Event",
-    "Timeout",
     "Process",
     "Interrupt",
     "Resource",

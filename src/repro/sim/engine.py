@@ -4,8 +4,8 @@ A small, deterministic, generator-based kernel.  Its vocabulary comes
 from simpy, but it keeps only what the simulator uses:
 
 - :class:`Environment` -- the event loop, simulation clock and scheduler.
-- :class:`Event` -- the basic synchronisation primitive.
-- :class:`Timeout` -- an event that fires after a simulated delay.
+- :class:`Event` -- the basic synchronisation primitive; a timeout
+  (:meth:`Environment.timeout`) is a plain event scheduled with a delay.
 
 Processes with interrupt live in :mod:`repro.sim.process`, and the
 timer wheel and its callback lanes in :mod:`repro.sim.timers`.
@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "Environment",
     "Event",
-    "Timeout",
     "SimulationError",
     "EmptySchedule",
     "StopSimulation",
@@ -144,35 +143,6 @@ class Event:
         return self
 
 
-class Timeout(Event):
-    """An event that fires after ``delay`` units of simulated time."""
-
-    __slots__ = ("_delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError("negative delay %s" % delay)
-        super().__init__(env)
-        self._delay = delay
-        self._ok = True
-        self._value = value
-        env.schedule(self, delay=delay)
-
-    def __repr__(self) -> str:
-        return "<Timeout(%s) object at 0x%x>" % (self._delay, id(self))
-
-
-class _PooledTimeout(Timeout):
-    """A :class:`Timeout` recycled through ``Environment._timeout_pool``.
-
-    Only ever created by :meth:`Environment.pooled_timeout`; the event
-    loop returns processed instances to the pool, so the caller must not
-    retain one past its firing (see ``pooled_timeout`` for the contract).
-    """
-
-    __slots__ = ()
-
-
 #: One scheduled entry in the event heap: ``(time, priority, seq, event)``.
 _QueueEntry = Tuple[float, int, int, Event]
 
@@ -194,15 +164,14 @@ class Environment:
         "_eid",
         "_events_processed",
         "_active_proc",
-        "_timeout_pool",
         "tracer",
         "timers",
         "sanitizer",
         "progress",
     )
 
-    #: Events between two progress-hook invocations (power of two: the
-    #: instrumented loop tests ``processed & MASK == 0``).
+    #: Events between two progress-hook invocations (power of two: with
+    #: a hook installed, the loop tests ``processed & MASK == 0``).
     PROGRESS_STRIDE = 4096
 
     def __init__(
@@ -219,17 +188,16 @@ class Environment:
         self._eid = 0
         self._events_processed = 0
         self._active_proc: Optional["Process"] = None
-        self._timeout_pool: List[_PooledTimeout] = []
         #: Observability hook; NULL_TRACER (a shared no-op) by default.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Schedule sanitizer (see :mod:`repro.sim.sanitize`); ``None``
         #: outside sanitize runs, fixed at construction.  Every push
-        #: site -- including the inlined ones in
-        #: ``run`` and the fast transport -- must honor it.
+        #: site -- including the inlined ones in the fast transport --
+        #: must honor it.
         self.sanitizer = sanitizer
         #: Optional live-progress hook ``f(sim_time, events_processed)``
-        #: (see :mod:`repro.obs.live`).  ``None`` keeps the hot loop
-        #: untouched; when set, ``run()`` invokes it every
+        #: (see :mod:`repro.obs.live`).  ``None`` costs the hot loop one
+        #: compare per event; when set, ``run()`` invokes it every
         #: :data:`PROGRESS_STRIDE` processed events.  Hooks are purely
         #: observational: they must never schedule events or draw RNG.
         self.progress: Optional[Callable[[float, int], None]] = None
@@ -288,7 +256,7 @@ class Environment:
 
         Float addition is not associative, so re-deriving a stored
         deadline as ``now + (deadline - now)`` can land one ulp away from
-        the original ``Timeout`` firing time.  Control-plane events that
+        the original timeout's firing time.  Control-plane events that
         must fire at an exact recorded deadline (the timer wheel's sweep
         events) schedule through this method instead.
         """
@@ -317,14 +285,9 @@ class Environment:
                     % (at, self._now)
                 )
             until = Event(self)
-            until._ok = True
             until._value = None
             # URGENT so the stop event runs before ordinary events at `at`.
-            if self.sanitizer is None:
-                self._eid += 1
-                _heappush(self._queue, (at, URGENT, self._eid, until))
-            else:
-                self.schedule_at(until, at, priority=URGENT)
+            self.schedule_at(until, at, priority=URGENT)
 
         if isinstance(until, Event):
             if until.callbacks is None:
@@ -337,45 +300,24 @@ class Environment:
 
         events_before = self._events_processed
         queue = self._queue
-        timeout_pool = self._timeout_pool
         progress = self.progress
         stride_mask = self.PROGRESS_STRIDE - 1
         try:
             with TELEMETRY.span("engine.run"):
                 # No per-event method call: one call per event is the
                 # largest fixed cost of the hot loop at CDN scale.
-                # Two copies of the loop: the second adds the live
-                # progress hook (one masked compare per event) and is
-                # taken only when a hook is installed, so the default
-                # path pays nothing.  Keep their bodies identical.
-                if progress is None:
-                    while queue:
-                        self._now, _, _, event = _heappop(queue)
-                        callbacks, event.callbacks = event.callbacks, None
-                        if callbacks is None:  # pragma: no cover - cancelled
-                            continue
-                        self._events_processed += 1
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                        if event.__class__ is _PooledTimeout:
-                            timeout_pool.append(event)
-                else:
-                    while queue:
-                        self._now, _, _, event = _heappop(queue)
-                        callbacks, event.callbacks = event.callbacks, None
-                        if callbacks is None:  # pragma: no cover - cancelled
-                            continue
-                        self._events_processed += 1
-                        if self._events_processed & stride_mask == 0:
-                            progress(self._now, self._events_processed)
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                        if event.__class__ is _PooledTimeout:
-                            timeout_pool.append(event)
+                while queue:
+                    self._now, _, _, event = _heappop(queue)
+                    callbacks, event.callbacks = event.callbacks, None
+                    if callbacks is None:  # pragma: no cover - cancelled
+                        continue
+                    self._events_processed += 1
+                    if progress is not None and self._events_processed & stride_mask == 0:
+                        progress(self._now, self._events_processed)
+                    for callback in callbacks:
+                        callback(event)
+                    if not event._ok and not event._defused:
+                        raise event._value
                 raise EmptySchedule()
         except StopSimulation as stop:
             return stop.args[0]
@@ -399,33 +341,14 @@ class Environment:
         """Create a new untriggered :class:`Event`."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` firing after *delay*."""
-        return Timeout(self, delay, value)
-
-    def pooled_timeout(self, delay: float, value: Any = None) -> Timeout:
-        """A :class:`Timeout` drawn from (and recycled back into) a pool.
-
-        Scheduling semantics are identical to :meth:`timeout` -- same
-        event ordering, same sequence-number allocation -- but processed
-        instances are reused, sparing one allocation per firing on hot
-        sleep loops.  Contract: the caller must ``yield`` the timeout
-        immediately and must not retain a reference past its firing (the
-        recycled object would be mutated under the holder).
-        """
-        pool = self._timeout_pool
-        if not pool:
-            return _PooledTimeout(self, delay, value)
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """An event that fires with *value* after *delay* time units."""
         if delay < 0:
             raise ValueError("negative delay %s" % delay)
-        timeout = pool.pop()
-        timeout.callbacks = []
-        timeout._ok = True
-        timeout._value = value
-        timeout._defused = False
-        timeout._delay = delay
-        self.schedule(timeout, delay=delay)
-        return timeout
+        event = Event(self)
+        event._value = value
+        self.schedule(event, delay=delay)
+        return event
 
     def process(self, generator: Generator[Event, Any, Any]) -> "Process":
         """Start a new :class:`~repro.sim.process.Process` from *generator*."""

@@ -91,10 +91,6 @@ class ScheduleSanitizer:
         # smoke-scale by design).
         self._tie_seen: Dict[Tuple[float, int], int] = {}
 
-    @property
-    def perturbs_ties(self) -> bool:
-        return self.tie_rng is not None
-
     def tie_key(self, time: float, priority: int, seq: int) -> TieKey:
         """The sequence-slot value for a new queue entry.
 

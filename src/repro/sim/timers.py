@@ -1,12 +1,12 @@
 """Batched timer wheel: one control event per sweep of expiring timers.
 
-A plain :class:`~repro.sim.engine.Timeout` race costs one timeout plus
-one condition per timed wait, and every expiry is its own heap pop.  At
-CDN scale the poll/request timers dominate the event queue, so the wheel
-batches them: waiters that share a *delay* (all ``30 s`` request
-timeouts, all ``ttl_s`` poll timers, ...) land in one *lane* -- a pair
-of parallel arrays (deadline floats aligned with waiter events).
-Because every entry in a lane is armed with the same delay, deadlines
+Racing a response against a plain timeout costs one timeout event per
+timed wait, and every expiry is its own heap pop.  At CDN scale the
+poll/request timers dominate the event queue, so timers are batched in
+*lanes*: a :class:`CallbackLane` holds the slots that share one *delay*
+(all ``30 s`` request timeouts, all ``ttl_s`` poll timers, ...) as a
+pair of parallel arrays (deadline floats aligned with payloads).
+Because every slot in a lane is armed with the same delay, deadlines
 are appended in non-decreasing order and a single binary search finds
 the expired prefix.  The arrays are plain Python lists swept with the C
 :func:`bisect.bisect_right`: at the typical batch size (one to a few
@@ -15,25 +15,30 @@ the same sorted-array algorithm.
 
 Each lane owns exactly one reusable control :class:`Event` on the heap.
 It is scheduled (via :meth:`Environment.schedule_at`, to hit the exact
-float deadline a ``Timeout`` would use) for the earliest
-pending deadline; when it pops, the sweep succeeds every expired waiter
-and re-arms the control event for the next deadline.  N timers cost one
-control pop per *batch* of identical deadlines instead of one pop per
-timer, and cancelled waiters (``callbacks is None`` or already
-triggered) are skipped lazily without ever touching the heap.
+float deadline a timeout would use) for the earliest pending deadline;
+when it pops, the sweep fires every expired slot and re-arms the
+control event for the next deadline.  N timers cost one control pop per
+*batch* of identical deadlines instead of one pop per timer, and dead
+slots are skipped lazily without ever touching the heap.
 
-Determinism: a waiter armed at time ``t`` with delay ``d`` is succeeded
-at exactly ``t + d`` (the same float a ``Timeout`` computes), and
-waiters expiring at the same instant are succeeded in arming order,
-which matches the sequence-number order per-timer events would pop in.  Waiter callbacks run through the heap
-(:meth:`Event.succeed` schedules), so user code can never push into a
-lane in the middle of its own sweep.
+The :class:`TimerWheel` keeps one lane per delay whose payloads are
+waiter events: expiry succeeds a waiter with ``None`` unless it has
+already triggered or been cancelled (``callbacks is None``).  The user
+cohort keeps its own lane of request timeouts.
+
+Determinism: a slot armed at time ``t`` with delay ``d`` expires at
+exactly ``t + d`` (the same float a timeout computes), and slots
+expiring at the same instant fire in arming order, which matches the
+sequence-number order per-timer events would pop in.  A wheel waiter's
+callbacks run through the heap (:meth:`Event.succeed` schedules), so
+user code can never push into a wheel lane in the middle of its own
+sweep.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from .engine import Environment, Event
 
@@ -44,99 +49,19 @@ __all__ = ["TimerWheel", "CallbackLane"]
 _COMPACT_SLACK = 1024
 
 
-class _Lane:
-    """All pending timers sharing one delay value (parallel arrays)."""
-
-    __slots__ = ("env", "wheel", "deadlines", "waiters", "head", "control")
-
-    def __init__(self, env: Environment, wheel: "TimerWheel") -> None:
-        self.env = env
-        self.wheel = wheel
-        self.deadlines: List[float] = []
-        self.waiters: List[Optional[Event]] = []
-        self.head = 0
-        # The lane's one reusable control event.  Pre-triggered so the
-        # engine never sees _PENDING; idle iff ``callbacks is None``.
-        control = Event(env)
-        control._ok = True
-        control._value = None
-        control.callbacks = None
-        self.control = control
-
-    def push(self, deadline: float, waiter: Event) -> None:
-        self.deadlines.append(deadline)
-        self.waiters.append(waiter)
-        control = self.control
-        if control.callbacks is None:
-            # Lane was drained: arm the control event at this deadline.
-            control.callbacks = [self._sweep]
-            self.env.schedule_at(control, deadline)
-        # Otherwise the control event is already scheduled at an earlier
-        # (or equal) deadline: same-delay arming keeps lanes monotone.
-
-    def _sweep(self, _event: Event) -> None:
-        """Control-event callback: fire every expired waiter in order."""
-        deadlines = self.deadlines
-        waiters = self.waiters
-        head = self.head
-        tail = len(deadlines)
-        cut = bisect_right(deadlines, self.env._now, head, tail)
-        wheel = self.wheel
-        for index in range(head, cut):
-            waiter = waiters[index]
-            waiters[index] = None
-            if waiter is None or waiter.callbacks is None or waiter.triggered:
-                wheel.cancelled += 1  # lazily-cancelled: never hit the heap
-            else:
-                waiter.succeed(None)
-                wheel.expired += 1
-        wheel.sweeps += 1
-        # Prune already-dead waiters *beyond* the expired prefix before
-        # re-arming.  Request timeouts are normally answered long before
-        # they fire, so by the time one control pop comes due, nearly
-        # the whole lane is cancelled: skipping those slots here means
-        # the control event re-arms at the first *live* deadline (often
-        # none at all) instead of popping once per dead batch.
-        while cut < tail:
-            waiter = waiters[cut]
-            if waiter is not None and waiter.callbacks is not None and not waiter.triggered:
-                break
-            waiters[cut] = None
-            wheel.cancelled += 1
-            cut += 1
-        if cut < tail:
-            if cut >= _COMPACT_SLACK and cut * 2 >= tail:
-                # Mostly dead slots at the front: reclaim the memory.
-                del deadlines[:cut]
-                del waiters[:cut]
-                cut = 0
-            self.head = cut
-            control = self.control
-            control.callbacks = [self._sweep]
-            self.env.schedule_at(control, deadlines[cut])
-        else:
-            # Drained: reset so the backing lists restart from slot 0.
-            deadlines.clear()
-            waiters.clear()
-            self.head = 0
-
-
 class CallbackLane:
     """A monotone-deadline lane that fires ``on_expire(payload)`` per slot.
 
-    Same sweep mechanics as the wheel's internal ``_Lane`` -- parallel
-    arrays, a bisect-swept expired prefix, one reusable control event,
-    lazy cancellation with dead-slot pruning -- but payload-carrying and
-    callback-driven, for subsystems that batch their own timers (the
-    user cohort's request timeouts).  Deadlines must be pushed in
-    non-decreasing order (one lane per fixed delay gives this for
-    free); ``is_dead(payload)`` lets already-answered slots be pruned
-    without ever touching the heap.
+    Parallel arrays, a bisect-swept expired prefix, one reusable control
+    event, lazy cancellation with dead-slot pruning (see the module
+    docstring).  Deadlines must be pushed in non-decreasing order (one
+    lane per fixed delay gives this for free); ``is_dead(payload)``
+    lets already-answered slots be pruned without ever touching the
+    heap.
 
-    Unlike waiter lanes, ``on_expire`` runs *inside* the control-event
-    callback rather than through a per-slot heap event.  Slots expiring
-    at the same instant fire in arming order, the order their per-timer
-    events would have popped in.
+    ``on_expire`` runs *inside* the control-event callback.  Slots
+    expiring at the same instant fire in arming order, the order their
+    per-timer events would have popped in.
     """
 
     __slots__ = (
@@ -147,7 +72,7 @@ class CallbackLane:
     def __init__(
         self,
         env: Environment,
-        on_expire: Callable[[Any], None],
+        on_expire: Callable[[Any], object],
         is_dead: Callable[[Any], bool],
     ) -> None:
         self.env = env
@@ -156,6 +81,8 @@ class CallbackLane:
         self.deadlines: List[float] = []
         self.payloads: List[Any] = []
         self.head = 0
+        # The lane's one reusable control event.  Pre-triggered so the
+        # engine never sees _PENDING; idle iff ``callbacks is None``.
         control = Event(env)
         control._ok = True
         control._value = None
@@ -221,7 +148,11 @@ class CallbackLane:
             self._sweeping = False
         self.sweeps += 1
         # ``on_expire`` may have pushed new slots: re-read the tail so
-        # the re-arm/drain decision below sees them.
+        # the re-arm/drain decision below sees them.  Dead slots beyond
+        # the expired prefix are pruned first: request timeouts are
+        # mostly answered long before they fire, so the control event
+        # re-arms at the first *live* deadline (often none at all)
+        # instead of popping once per dead batch.
         tail = len(deadlines)
         while cut < tail:
             payload = payloads[cut]
@@ -249,20 +180,33 @@ class CallbackLane:
         return len(self.deadlines) - self.head
 
 
-class TimerWheel:
-    """Per-environment registry of delay lanes (see module docstring)."""
+def _waiter_is_dead(waiter: Event) -> bool:
+    """A wheel waiter that already fired or was cancelled."""
+    return waiter.callbacks is None or waiter.triggered
 
-    __slots__ = ("env", "_lanes", "armed", "expired", "cancelled", "sweeps")
+
+class _Lane(CallbackLane):
+    """One wheel lane: waiter events sharing one delay."""
+
+    __slots__ = ()
+
+    # An own entry in vars(_Lane), which the e2e benchmark's tracer wraps.
+    _sweep = CallbackLane._sweep
+
+
+class TimerWheel:
+    """Per-environment registry of delay lanes (see module docstring).
+
+    The stats (for tests / docs) sum over the lanes: timers armed,
+    fired, lazily dropped, control-event sweeps executed, and slots
+    still queued (including dead waiters not yet swept).
+    """
+
+    __slots__ = ("env", "_lanes")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         self._lanes: Dict[float, _Lane] = {}
-        #: Stats (for tests / docs): timers armed, fired, lazily dropped,
-        #: and control-event sweeps executed.
-        self.armed = 0
-        self.expired = 0
-        self.cancelled = 0
-        self.sweeps = 0
 
     def arm(self, delay: float, waiter: Event) -> None:
         """Succeed *waiter* with ``None`` after *delay* unless it triggers
@@ -278,13 +222,26 @@ class TimerWheel:
         env = self.env
         lane = self._lanes.get(delay)
         if lane is None:
-            lane = self._lanes[delay] = _Lane(env, self)
-        # Same float arithmetic as ``Timeout``: now + delay.
+            lane = self._lanes[delay] = _Lane(env, Event.succeed, _waiter_is_dead)
+        # Same float arithmetic as ``Environment.timeout``: now + delay.
         lane.push(env._now + delay, waiter)
-        self.armed += 1
+
+    @property
+    def armed(self) -> int:
+        return sum(lane.armed for lane in self._lanes.values())
+
+    @property
+    def expired(self) -> int:
+        return sum(lane.expired for lane in self._lanes.values())
+
+    @property
+    def cancelled(self) -> int:
+        return sum(lane.cancelled for lane in self._lanes.values())
+
+    @property
+    def sweeps(self) -> int:
+        return sum(lane.sweeps for lane in self._lanes.values())
 
     @property
     def pending(self) -> int:
-        """Number of timer slots currently queued across all lanes
-        (including lazily-cancelled waiters not yet swept)."""
-        return sum(len(lane.deadlines) - lane.head for lane in self._lanes.values())
+        return sum(lane.pending for lane in self._lanes.values())

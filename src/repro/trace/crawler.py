@@ -74,8 +74,3 @@ class ClockModel:
         Leaves the residual ``true - estimated`` in every timestamp.
         """
         return np.asarray(skewed_times, dtype=float) - estimate.estimated_skew_s
-
-    def roundtrip(self, times: np.ndarray) -> np.ndarray:
-        """Convenience: skew then correct, returning corrected times."""
-        estimate = self.sample()
-        return self.correct_timestamps(self.skew_timestamps(times, estimate), estimate)

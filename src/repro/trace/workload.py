@@ -174,11 +174,6 @@ class BurstSilenceWorkload:
                 times.append(t)
         return times
 
-    @property
-    def expected_duration_s(self) -> float:
-        per_burst = self.silence_mean_s + self.updates_per_burst * self.burst_gap_mean_s
-        return self.start_s + self.n_bursts * per_burst
-
 
 @dataclass
 class FlashSaleWorkload:

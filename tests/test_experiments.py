@@ -1,6 +1,8 @@
 """Tests for the experiment configs, testbed builder, and figure drivers
 (at smoke scale -- the benchmarks run them at CI/paper scale)."""
 
+import warnings
+
 import pytest
 
 from repro.experiments import (
@@ -37,6 +39,28 @@ class TestConfig:
             TestbedConfig(user_selector="roulette")
         with pytest.raises(ValueError):
             TestbedConfig(server_ttl_s=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            "server_ttl_s",
+            "user_ttl_s",
+            "game_duration_s",
+            "update_start_s",
+            "user_start_window_s",
+            "horizon_s",
+        ],
+    )
+    def test_non_finite_times_rejected(self, knob, value):
+        # NaN passes every `<= 0` check, and a NaN heap key lets the
+        # clock run backwards; an infinite time never ends the run.
+        with pytest.raises(ValueError, match=knob):
+            TestbedConfig(**{knob: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(ValueError, match=knob):
+                smoke_scale().with_overrides(**{knob: value})
 
     def test_with_creates_modified_copy(self):
         config = ci_scale()

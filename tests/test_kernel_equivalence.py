@@ -18,7 +18,6 @@ import repro.experiments.testbed as testbed_mod
 import repro.network.message as message_mod
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import INFRASTRUCTURES, METHODS, build_deployment
-from repro.metrics.timeseries import fleet_staleness_series, staleness_series
 from repro.obs.telemetry import MetricsRegistry
 from repro.sim import Environment
 from tests.test_golden import assert_golden, grid_label
@@ -55,33 +54,6 @@ def test_scenario_cells_bit_identical(scenario):
     """Perturbation-heavy scenarios keep their pins too."""
     for method in ("ttl", "push"):
         assert_golden("%s/unicast@%s" % (method, scenario))
-
-
-def test_staleness_series_match_across_kernels():
-    """The cached staleness series equal the uncached module function,
-    per replica and fleet-wide, and repeat queries hit the cache."""
-    message_mod._SEQ = 0
-    deployment = build_deployment(_tiny_config(3), "ttl", "unicast")
-    deployment.run()
-    fleet = deployment.fleet_staleness_series()
-    direct = fleet_staleness_series(
-        deployment.content,
-        [server.apply_log() for server in deployment.servers],
-        deployment.config.run_horizon_s,
-    )
-    assert fleet.times == direct.times
-    assert fleet.values == direct.values
-    first = deployment.servers[0]
-    single = deployment.staleness_series_of(first.node.node_id)
-    direct = staleness_series(
-        deployment.content, first.apply_log(), deployment.config.run_horizon_s
-    )
-    assert single.times == direct.times
-    assert single.values == direct.values
-    # Repeat queries come from the cache (same object, not a rerun).
-    assert deployment.fleet_staleness_series() is fleet
-    with pytest.raises(KeyError):
-        deployment.staleness_series_of("no-such-server")
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +150,7 @@ class TestTimerWheel:
                 waiter = env.event()
                 waiter.callbacks.append(lambda ev, i=index: fired.append(i))
                 env.timers.arm(1.0, waiter)
-                yield env.pooled_timeout(0.25)
+                yield env.timeout(0.25)
 
         env.process(driver(env))
         env.run()
@@ -189,19 +161,19 @@ class TestTimerWheel:
 
     def test_deadline_matches_legacy_timeout_float(self):
         # The wheel computes `env._now + delay` -- the exact float a
-        # Timeout produces -- so both fire at the same instant even where
+        # timeout produces -- so both fire at the same instant even where
         # decimal arithmetic would disagree.
         env = Environment()
         out = []
 
         def driver(env):
-            yield env.pooled_timeout(0.1)
+            yield env.timeout(0.1)
             waiter = env.event()
             waiter.callbacks.append(lambda ev: out.append(env.now))
             env.timers.arm(0.2, waiter)
             timeout = env.timeout(0.2)
             timeout.callbacks.append(lambda ev: out.append(env.now))
-            yield env.pooled_timeout(1.0)
+            yield env.timeout(1.0)
 
         env.process(driver(env))
         env.run()
@@ -214,7 +186,7 @@ class TestTimerWheel:
         env.timers.arm(1.0, env.event())
 
         def driver(env):
-            yield env.pooled_timeout(0.5)
+            yield env.timeout(0.5)
             env.timers.arm(1.0, env.event())
 
         env.process(driver(env))

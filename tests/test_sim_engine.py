@@ -135,52 +135,3 @@ class TestEnvironment:
 
         assert build_and_run() == build_and_run()
 
-
-class TestPooledTimeout:
-    def test_behaves_like_timeout(self):
-        env = Environment()
-        seen = []
-
-        def proc(env):
-            value = yield env.pooled_timeout(2.5, value="tick")
-            seen.append((env.now, value))
-            yield env.pooled_timeout(1.0)
-            seen.append((env.now, None))
-
-        env.process(proc(env))
-        env.run()
-        assert seen == [(2.5, "tick"), (3.5, None)]
-
-    def test_recycles_fired_timeouts(self):
-        env = Environment()
-        instances = []
-
-        def proc(env):
-            for _ in range(4):
-                timeout = env.pooled_timeout(1.0)
-                instances.append(id(timeout))
-                yield timeout
-
-        env.process(proc(env))
-        env.run()
-        # A fired timeout is recycled after its callbacks finish, so the
-        # process's next sleep allocates one more object and the two then
-        # alternate forever: 4 sleeps touch only 2 distinct objects.
-        assert len(set(instances)) == 2
-        assert instances[0] == instances[2]
-        assert instances[1] == instances[3]
-
-    def test_negative_delay_rejected(self):
-        env = Environment()
-
-        def proc(env):
-            # Fresh allocation (empty pool) and the recycled path must
-            # both reject a negative delay.
-            with pytest.raises(ValueError):
-                env.pooled_timeout(-1.0)
-            yield env.pooled_timeout(1.0)  # fires, then lands in the pool
-            with pytest.raises(ValueError):
-                env.pooled_timeout(-1.0)
-
-        env.process(proc(env))
-        env.run()
