@@ -1,7 +1,7 @@
 """CDN substrate: content model, origin, edge servers and end users."""
 
 from .base import Actor, RESPONSE_KINDS, UpdateSourceMixin
-from .cache import CacheEntry, TTLCache
+from .cache import CacheEntry
 from .cohort import Observation, UserCohort
 from .content import DEFAULT_LIGHT_SIZE_KB, DEFAULT_UPDATE_SIZE_KB, LiveContent
 from .provider import ProviderActor
@@ -12,7 +12,6 @@ __all__ = [
     "UpdateSourceMixin",
     "RESPONSE_KINDS",
     "CacheEntry",
-    "TTLCache",
     "LiveContent",
     "DEFAULT_UPDATE_SIZE_KB",
     "DEFAULT_LIGHT_SIZE_KB",

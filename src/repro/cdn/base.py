@@ -14,7 +14,7 @@ version and knows how to push / invalidate / notify downstream nodes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..network.link import NetworkFabric
 from ..network.message import Message, MessageKind
@@ -22,6 +22,14 @@ from ..network.node import NetworkNode
 from ..sim.engine import Environment, Event
 
 __all__ = ["Actor", "UpdateSourceMixin", "RESPONSE_KINDS"]
+
+# Bound once: ``MessageKind.X`` is a slow lookup on Python 3.11 (see
+# repro.cdn.server), and the fan-outs below send one message per child.
+_PUSH_UPDATE = MessageKind.PUSH_UPDATE
+_INVALIDATE = MessageKind.INVALIDATE
+_POLL_RESPONSE = MessageKind.POLL_RESPONSE
+_POLL_NOT_MODIFIED = MessageKind.POLL_NOT_MODIFIED
+_FETCH_RESPONSE = MessageKind.FETCH_RESPONSE
 
 #: Kinds that answer an earlier request and carry ``payload["req"]``.
 RESPONSE_KINDS = frozenset(
@@ -71,13 +79,58 @@ class Actor:
         kind: MessageKind,
         size_kb: float,
         version: Optional[int] = None,
-        extra: Optional[dict] = None,
     ) -> Message:
         """Send a response correlated to *request*."""
-        payload = {"req": request.seq}
-        if extra:
-            payload.update(extra)
-        return self.send(kind, request.src, size_kb, version=version, payload=payload)
+        message = Message(
+            kind=kind, src=self.node, dst=request.src, size_kb=size_kb, version=version,
+            payload={"req": request.seq},
+        )
+        self.fabric.send(message)
+        return message
+
+    def open_request(
+        self,
+        kind: MessageKind,
+        dst: NetworkNode,
+        size_kb: float,
+        version: Optional[int] = None,
+        payload: Optional[dict] = None,
+        timeout: Optional[float] = None,
+    ) -> Tuple[Message, Event]:
+        """Send a request; returns it with the waiter its response will
+        trigger.
+
+        The response (always a Message) fires the waiter's callbacks
+        synchronously at its delivery; with a *timeout*, the timer wheel
+        succeeds the waiter with ``None`` at exactly ``now + timeout``
+        through the heap instead, unless the response wins the race.  No
+        timeout event, no explicit cancel -- a won race leaves a
+        lazily-skipped slot in the wheel.  Pass the waiter's value to
+        :meth:`close_request`.  *payload* is sent as given.
+        """
+        message = Message(
+            kind=kind, src=self.node, dst=dst, size_kb=size_kb, version=version, payload=payload
+        )
+        waiter = Event(self.env)
+        self._pending[message.seq] = waiter
+        self.fabric.send(message)
+        if timeout is not None:
+            self.env.timers.arm(timeout, waiter)
+        return message, waiter
+
+    def close_request(self, message: Message, response: Optional[Message]) -> Optional[Message]:
+        """Finish the request *message* with its waiter's value: a
+        ``None`` response (timed out) forgets the request, so a late
+        response is dropped, and is traced as ``msg_timeout``."""
+        if response is None:
+            self._pending.pop(message.seq, None)
+            tracer = self.env.tracer
+            if tracer.enabled:
+                tracer.emit(
+                    self.env.now, "msg_timeout", self.node.node_id,
+                    **message.trace_detail()
+                )
+        return response
 
     def request(
         self,
@@ -93,32 +146,11 @@ class Actor:
         A generator to be used with ``yield from``; returns the response
         :class:`Message`, or ``None`` if *timeout* elapses first.
         """
-        payload = dict(payload or {})
-        message = Message(
-            kind=kind, src=self.node, dst=dst, size_kb=size_kb, version=version, payload=payload
+        message, waiter = self.open_request(
+            kind, dst, size_kb, version, dict(payload or {}), timeout
         )
-        waiter = self.env.event()
-        self._pending[message.seq] = waiter
-        self.fabric.send(message)
-        if timeout is None:
-            response = yield waiter
-            return response
-        # The timer wheel succeeds the waiter with ``None`` at exactly
-        # ``now + timeout`` unless the response (always a Message, never
-        # None) wins the race.  No timeout event, no explicit cancel --
-        # a won race leaves a lazily-skipped slot in the wheel.
-        self.env.timers.arm(timeout, waiter)
         response = yield waiter
-        if response is not None:
-            return response
-        self._pending.pop(message.seq, None)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.env.now, "msg_timeout", self.node.node_id,
-                **message.trace_detail()
-            )
-        return None
+        return self.close_request(message, response)
 
     # ------------------------------------------------------------------
     # dispatch
@@ -198,7 +230,7 @@ class UpdateSourceMixin:
         """Push the new content body to every child (Push method)."""
         for child in self.children:
             self.send(
-                MessageKind.PUSH_UPDATE,
+                _PUSH_UPDATE,
                 child,
                 self.content.update_size_kb,
                 version=version,
@@ -208,7 +240,7 @@ class UpdateSourceMixin:
         """Send an invalidation notice to every child."""
         for child in self.children:
             self.send(
-                MessageKind.INVALIDATE, child, self.content.light_size_kb, version=version
+                _INVALIDATE, child, self.content.light_size_kb, version=version
             )
 
     def notify_adaptive_members(self, version: int) -> None:
@@ -220,7 +252,7 @@ class UpdateSourceMixin:
                 continue
             self.adaptive_members[member] = True
             self.send(
-                MessageKind.INVALIDATE, member, self.content.light_size_kb, version=version
+                _INVALIDATE, member, self.content.light_size_kb, version=version
             )
 
     def serve_dynamic_members(self, version: int) -> None:
@@ -229,7 +261,7 @@ class UpdateSourceMixin:
         TTL-mode members simply poll and need nothing here."""
         for member in list(self.push_members):
             self.send(
-                MessageKind.PUSH_UPDATE,
+                _PUSH_UPDATE,
                 member,
                 self.content.update_size_kb,
                 version=version,
@@ -246,14 +278,14 @@ class UpdateSourceMixin:
         if current > have:
             self.reply(
                 message,
-                MessageKind.POLL_RESPONSE,
+                _POLL_RESPONSE,
                 self.content.update_size_kb,
                 version=current,
             )
         else:
             self.reply(
                 message,
-                MessageKind.POLL_NOT_MODIFIED,
+                _POLL_NOT_MODIFIED,
                 self.content.light_size_kb,
                 version=current,
             )
@@ -262,7 +294,7 @@ class UpdateSourceMixin:
         """Answer an invalidation-triggered fetch: always the full body."""
         self.reply(
             message,
-            MessageKind.FETCH_RESPONSE,
+            _FETCH_RESPONSE,
             self.content.update_size_kb,
             version=self.source_version(),
         )
@@ -285,7 +317,7 @@ class UpdateSourceMixin:
             if self.source_version() > (message.version or 0):
                 self.adaptive_members[message.src] = True
                 self.send(
-                    MessageKind.INVALIDATE,
+                    _INVALIDATE,
                     message.src,
                     self.content.light_size_kb,
                     version=self.source_version(),
@@ -298,7 +330,7 @@ class UpdateSourceMixin:
             # Bring the new subscriber up to date immediately.
             if self.source_version() > (message.version or 0):
                 self.send(
-                    MessageKind.PUSH_UPDATE,
+                    _PUSH_UPDATE,
                     message.src,
                     self.content.update_size_kb,
                     version=self.source_version(),

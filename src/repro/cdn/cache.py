@@ -1,30 +1,37 @@
 """Edge-server cache bookkeeping.
 
-Tracks, per content object, the cached version, when it was fetched,
-when its TTL expires, and whether an invalidation notice has marked it
-stale.  It also keeps an *apply log* -- the (time, version) history of
-cache writes -- which is the raw material for all server-side
-inconsistency metrics.
+A server replicates one live content object, so its cache is one
+:class:`CacheEntry`: the cached version, when it was fetched, when its
+TTL expires, and whether an invalidation notice has marked it stale.  It
+also keeps an *apply log* -- the (time, version) history of cache
+writes -- which is the raw material for all server-side inconsistency
+metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-__all__ = ["CacheEntry", "TTLCache"]
+__all__ = ["CacheEntry"]
 
 
-@dataclass
 class CacheEntry:
-    """Cache state for one content object on one server."""
+    """One server's cached copy of the live content (version 0 at t=0)."""
 
-    version: int = 0
-    fetched_at: float = 0.0
-    expires_at: float = 0.0
-    invalidated: bool = False
-    #: (time, version) for every write, in time order.
-    apply_log: List[Tuple[float, int]] = field(default_factory=list)
+    __slots__ = ("version", "fetched_at", "expires_at", "invalidated", "apply_log")
+
+    def __init__(self) -> None:
+        self.version = 0
+        self.fetched_at = 0.0
+        self.expires_at = 0.0
+        self.invalidated = False
+        #: (time, version) for every write, in time order.
+        self.apply_log: List[Tuple[float, int]] = [(0.0, 0)]
+
+    def __repr__(self) -> str:
+        return "CacheEntry(version=%d, expires_at=%r, invalidated=%r)" % (
+            self.version, self.expires_at, self.invalidated,
+        )
 
     def is_expired(self, now: float) -> bool:
         return now >= self.expires_at
@@ -33,54 +40,30 @@ class CacheEntry:
         """Usable without refetch: TTL unexpired and not invalidated."""
         return not self.invalidated and not self.is_expired(now)
 
-
-class TTLCache:
-    """Per-server cache of live contents."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, CacheEntry] = {}
-
-    def entry(self, content_id: str) -> CacheEntry:
-        """The entry for *content_id*, created (version 0) on first use."""
-        entry = self._entries.get(content_id)
-        if entry is None:
-            entry = CacheEntry()
-            entry.apply_log.append((0.0, 0))
-            self._entries[content_id] = entry
-        return entry
-
-    def store(self, content_id: str, version: int, now: float, ttl: float) -> bool:
+    def store(self, version: int, now: float, ttl: float) -> bool:
         """Record a (re)fetch of *version* at time *now*.
 
         Returns ``True`` if the stored version is newer than the cached
         one.  A refetch of the same version still refreshes the TTL and
         clears any invalidation mark.
         """
-        entry = self.entry(content_id)
-        entry.fetched_at = now
-        entry.expires_at = now + ttl
-        entry.invalidated = False
-        if version > entry.version:
-            entry.version = version
-            entry.apply_log.append((now, version))
+        self.fetched_at = now
+        self.expires_at = now + ttl
+        self.invalidated = False
+        if version > self.version:
+            self.version = version
+            self.apply_log.append((now, version))
             return True
         return False
 
-    def invalidate(self, content_id: str, version: Optional[int] = None) -> bool:
+    def invalidate(self, version: Optional[int] = None) -> bool:
         """Mark the entry stale (server-based Invalidation).
 
         *version* is the superseding version from the notice; the mark is
         skipped if the cache already holds that version or newer.
         Returns ``True`` if the entry was (already or newly) stale.
         """
-        entry = self.entry(content_id)
-        if version is not None and entry.version >= version:
-            return entry.invalidated
-        entry.invalidated = True
+        if version is not None and self.version >= version:
+            return self.invalidated
+        self.invalidated = True
         return True
-
-    def version_of(self, content_id: str) -> int:
-        return self.entry(content_id).version
-
-    def apply_log(self, content_id: str) -> List[Tuple[float, int]]:
-        return list(self.entry(content_id).apply_log)

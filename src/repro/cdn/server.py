@@ -16,10 +16,22 @@ from ..network.message import Message, MessageKind
 from ..network.node import NetworkNode
 from ..sim.engine import Environment, Event
 from .base import Actor, UpdateSourceMixin
-from .cache import TTLCache
+from .cache import CacheEntry
 from .content import LiveContent
 
 __all__ = ["ServerActor", "schedule_absence"]
+
+# Message kinds bound once: ``MessageKind.X`` is a slow class-attribute
+# lookup on Python 3.11 (the enum metaclass defines ``__getattr__``),
+# and :meth:`ServerActor.handle` compares one per delivered message.
+_PUSH_UPDATE = MessageKind.PUSH_UPDATE
+_INVALIDATE = MessageKind.INVALIDATE
+_POLL = MessageKind.POLL
+_FETCH = MessageKind.FETCH
+_SWITCH_NOTICE = MessageKind.SWITCH_NOTICE
+_CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
+_TREE_MAINTENANCE = MessageKind.TREE_MAINTENANCE
+_CONTENT_RESPONSE = MessageKind.CONTENT_RESPONSE
 
 
 def _task_driver(
@@ -28,9 +40,9 @@ def _task_driver(
     """Drive *generator* (whose first yielded event is *first*) as a
     process, proxying both resume values and thrown exceptions.
 
-    Used by :meth:`ServerActor._start_task`: the task
-    body already ran up to its first ``yield``, so a plain ``yield from``
-    would re-run it.  Exceptions are forwarded with ``throw`` so
+    Used by :meth:`ServerActor._answer_after`: the task body already
+    ran up to its first ``yield``, so a plain ``yield from`` would
+    re-run it.  Exceptions are forwarded with ``throw`` so
     ``try``/``finally`` blocks inside the task (e.g. the invalidation
     policy's in-flight bookkeeping) behave exactly as under
     ``env.process(generator)``.
@@ -66,8 +78,8 @@ class ServerActor(Actor, UpdateSourceMixin):
         super().__init__(env, node, fabric)
         self.init_source()
         self.content = content
-        self.cache = TTLCache()
-        self.cache.entry(content.content_id)  # materialise version 0
+        #: The one cached copy (version 0 until the first store).
+        self.cache = CacheEntry()
         #: The node this server polls / fetches from (provider, tree
         #: parent, or HAT supernode).  Set by the infrastructure wiring.
         self.upstream = upstream
@@ -78,63 +90,43 @@ class ServerActor(Actor, UpdateSourceMixin):
         self.policy = policy
         policy.bind(self)
         self._started = False
-        self._policy_procs: List = []
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Launch the policy's background processes (idempotent)."""
+        """Start the policy's background loops (idempotent)."""
         if self._started:
             return
         self._started = True
-        self._launch_policy_processes()
-
-    def _launch_policy_processes(self) -> None:
-        self._policy_procs = [
-            self.env.process(self._supervise(generator))
-            for generator in self.policy.processes()
-        ]
-
-    def _supervise(self, generator):
-        """Run a policy process; a replace_policy interrupt ends it
-        cleanly instead of crashing the simulation."""
-        from ..sim.process import Interrupt
-
-        try:
-            yield from generator
-        except Interrupt:
-            return
+        self.policy.start()
 
     def replace_policy(self, policy) -> None:
         """Swap in a new update-method policy at runtime.
 
-        Stops the old policy's background processes, binds the new
-        policy, and (if the server was already started) launches the new
-        policy's processes.  Used by HAT supernode failover, where a
-        cluster member is promoted to a Push-fed supernode mid-run.
+        Stops the old policy's background loops, binds the new policy,
+        and (if the server was already started) starts the new one.
+        Used by HAT supernode failover, where a cluster member is
+        promoted to a Push-fed supernode mid-run.
         """
-        for process in self._policy_procs:
-            if process.is_alive:
-                process.interrupt("policy replaced")
-        self._policy_procs = []
+        self.policy.stop()
         policy.bind(self)
         self.policy = policy
         if self._started:
-            self._launch_policy_processes()
+            policy.start()
 
     @property
     def cached_version(self) -> int:
-        return self.cache.version_of(self.content.content_id)
+        return self.cache.version
 
     def source_version(self) -> int:
-        return self.cached_version
+        return self.cache.version
 
     @property
     def is_invalidated(self) -> bool:
-        return self.cache.entry(self.content.content_id).invalidated
+        return self.cache.invalidated
 
     def apply_version(self, version: int, ttl: float = float("inf")) -> bool:
         """Store *version*; returns ``True`` (and fires hooks) if newer."""
-        newer = self.cache.store(self.content.content_id, version, self.env.now, ttl)
+        newer = self.cache.store(version, self.env.now, ttl)
         tracer = self.env.tracer
         if tracer.enabled:
             tracer.emit(
@@ -147,7 +139,7 @@ class ServerActor(Actor, UpdateSourceMixin):
         return newer
 
     def mark_invalidated(self, version: Optional[int]) -> bool:
-        stale = self.cache.invalidate(self.content.content_id, version)
+        stale = self.cache.invalidate(version)
         tracer = self.env.tracer
         if tracer.enabled:
             tracer.emit(
@@ -158,61 +150,80 @@ class ServerActor(Actor, UpdateSourceMixin):
 
     def apply_log(self):
         """(time, version) cache-write history for metrics."""
-        return self.cache.apply_log(self.content.content_id)
-
-    def _start_task(self, generator: Generator[Event, Any, Any]) -> None:
-        """Run a message-triggered task (poll/fetch answer, serve).
-
-        The body runs synchronously up to its first ``yield`` -- the
-        common eager-TTL / push / fresh-invalidation case completes
-        without yielding at all, costing **zero** kernel events instead
-        of a process + ``_Initialize`` pop -- and only tasks that
-        actually wait get a driver process.
-        """
-        try:
-            first = next(generator)
-        except StopIteration:
-            return
-        self.env.process(_task_driver(generator, first))
+        return list(self.cache.apply_log)
 
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> None:
+        """Handle a non-response message at its delivery.
+
+        Polls, fetches and content requests are answered in this frame
+        when the policy can answer now (``ensure_fresh`` / ``serve``
+        return ``None``); only a replica that must refresh first starts
+        a task that answers once the refresh completes.
+        """
         kind = message.kind
-        if kind is MessageKind.PUSH_UPDATE:
+        if kind is _PUSH_UPDATE:
             self.policy.on_push(message)
-        elif kind is MessageKind.INVALIDATE:
+        elif kind is _INVALIDATE:
             self.policy.on_invalidate(message)
-        elif kind is MessageKind.POLL:
-            self._start_task(self._answer_poll(message))
-        elif kind is MessageKind.FETCH:
-            self._start_task(self._answer_fetch(message))
-        elif kind is MessageKind.SWITCH_NOTICE:
+        elif kind is _POLL:
+            # A stale intermediate (invalidation semantics) recovers
+            # before answering, so staleness does not silently cascade
+            # down a tree.
+            wait = self.policy.ensure_fresh()
+            if wait is None:
+                self.handle_poll(message)
+            else:
+                self._answer_after(wait, self.handle_poll, message)
+        elif kind is _FETCH:
+            wait = self.policy.ensure_fresh()
+            if wait is None:
+                self.handle_fetch(message)
+            else:
+                self._answer_after(wait, self.handle_fetch, message)
+        elif kind is _SWITCH_NOTICE:
             self.handle_switch(message)
-        elif kind is MessageKind.CONTENT_REQUEST:
-            self._start_task(self._serve(message))
-        elif kind is MessageKind.TREE_MAINTENANCE:
+        elif kind is _CONTENT_REQUEST:
+            wait = self.policy.serve(message)
+            if wait is None:
+                self._answer_content(message)
+            else:
+                self._answer_after(wait, self._answer_content, message)
+        elif kind is _TREE_MAINTENANCE:
             pass  # handled by the infrastructure's repair process
         else:
             raise NotImplementedError("server cannot handle %s" % kind)
 
-    def _answer_poll(self, message: Message):
-        # A stale intermediate (invalidation semantics) recovers before
-        # answering, so staleness does not silently cascade down a tree.
-        yield from self.policy.ensure_fresh()
-        self.handle_poll(message)
-
-    def _answer_fetch(self, message: Message):
-        yield from self.policy.ensure_fresh()
-        self.handle_fetch(message)
-
-    def _serve(self, message: Message):
-        version = yield from self.policy.serve(message)
+    def _answer_content(self, message: Message) -> None:
         self.reply(
-            message,
-            MessageKind.CONTENT_RESPONSE,
-            self.content.update_size_kb,
-            version=version,
+            message, _CONTENT_RESPONSE, self.content.update_size_kb, version=self.cache.version
         )
+
+    def _answer_after(
+        self,
+        wait: Generator[Event, Any, Any],
+        answer: Callable[[Message], None],
+        message: Message,
+    ) -> None:
+        """Run the refresh *wait*, then ``answer(message)``.
+
+        The refresh runs now, up to its first ``yield`` (its request
+        leaves in this frame); the rest runs in a process that resumes
+        on the event it yielded.
+        """
+        task = _answer_task(wait, answer, message)
+        try:
+            first = next(task)
+        except StopIteration:
+            return
+        self.env.process(_task_driver(task, first))
+
+
+def _answer_task(
+    wait: Generator[Event, Any, Any], answer: Callable[[Message], None], message: Message
+) -> Generator[Event, Any, None]:
+    yield from wait
+    answer(message)
 
 
 def schedule_absence(env: Environment, node: NetworkNode, start: float, duration: float):

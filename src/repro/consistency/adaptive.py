@@ -56,7 +56,6 @@ class SelfAdaptivePolicy(ServerPolicy):
         self.mode = MODE_TTL
         self._invalidated_ev: Optional[Event] = None
         self._recovered_ev: Optional[Event] = None
-        self._fetch_inflight: Optional[Event] = None
         #: Mode switches performed, for experiments/debugging.
         self.switches_to_invalidation = 0
         self.switches_to_ttl = 0
@@ -160,29 +159,24 @@ class SelfAdaptivePolicy(ServerPolicy):
         if self._invalidated_ev is not None and not self._invalidated_ev.triggered:
             self._invalidated_ev.succeed()
 
-    def ensure_fresh(self) -> Generator:
+    def ensure_fresh(self) -> Optional[Generator]:
         """Visit-triggered recovery fetch while in Invalidation mode."""
+        if not self.server.is_invalidated:
+            return None
+        return self._shared_refresh(self._fetch)
+
+    def _fetch(self) -> Generator:
         server = self.server
-        if not server.is_invalidated:
-            return
-        if self._fetch_inflight is not None:
-            yield self._fetch_inflight
-            return
-        self._fetch_inflight = server.env.event()
-        try:
-            response = yield from server.request(
-                MessageKind.FETCH,
-                server.upstream,
-                server.content.light_size_kb,
-                timeout=self.fetch_timeout_s,
-            )
-            if response is not None:
-                server.apply_version(response.version, ttl=self.ttl_s)
-                if self._recovered_ev is not None and not self._recovered_ev.triggered:
-                    self._recovered_ev.succeed()
-        finally:
-            inflight, self._fetch_inflight = self._fetch_inflight, None
-            inflight.succeed()
+        response = yield from server.request(
+            MessageKind.FETCH,
+            server.upstream,
+            server.content.light_size_kb,
+            timeout=self.fetch_timeout_s,
+        )
+        if response is not None:
+            server.apply_version(response.version, ttl=self.ttl_s)
+            if self._recovered_ev is not None and not self._recovered_ev.triggered:
+                self._recovered_ev.succeed()
 
 
 class AdaptiveTTLPolicy(ServerPolicy):

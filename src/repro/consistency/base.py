@@ -14,9 +14,11 @@ The paper factors consistency maintenance into two orthogonal choices:
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
 
 from ..network.message import Message
+from ..sim.engine import Event
+from ..sim.process import Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cdn.provider import ProviderActor
@@ -25,10 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ServerPolicy", "Infrastructure"]
 
 
-def _noop() -> Generator:
-    """An empty generator (for default no-op ``yield from`` hooks)."""
-    return
-    yield  # pragma: no cover - makes this a generator function
+def _supervise(generator: Generator) -> Generator:
+    """Run a policy process; the interrupt of :meth:`ServerPolicy.stop`
+    ends it cleanly instead of crashing the simulation."""
+    try:
+        yield from generator
+    except Interrupt:
+        return
 
 
 class ServerPolicy:
@@ -43,6 +48,9 @@ class ServerPolicy:
 
     def __init__(self) -> None:
         self.server: Optional["ServerActor"] = None
+        self._procs: List[Process] = []
+        #: Succeeds when the refresh in flight (if any) ends.
+        self._refreshing: Optional[Event] = None
 
     def bind(self, server: "ServerActor") -> None:
         """Attach the policy to its server (called by the server ctor)."""
@@ -51,10 +59,31 @@ class ServerPolicy:
         self.server = server
 
     # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Start the policy's background loops (the server calls this
+        once, when it starts): each of :meth:`processes` runs as a
+        process."""
+        env = self.server.env
+        self._procs = [env.process(_supervise(generator)) for generator in self.processes()]
+
+    def stop(self) -> None:
+        """End the background loops: the server is replacing this policy
+        (HAT supernode failover).  A loop stops at its current wait; a
+        response still in flight to it is dropped."""
+        for process in self._procs:
+            if process.is_alive:
+                process.interrupt("policy replaced")
+        self._procs = []
+
     def processes(self) -> Iterable[Generator]:
-        """Background processes to start with the server (e.g. poll loops)."""
+        """Background processes :meth:`start` runs (e.g. poll loops)."""
         return []
 
+    # ------------------------------------------------------------------
+    # message hooks
+    # ------------------------------------------------------------------
     def on_push(self, message: Message) -> None:
         """A pushed content body arrived."""
         # Unexpected for pull-only methods, but harmless: applying a
@@ -65,21 +94,36 @@ class ServerPolicy:
         """An invalidation notice arrived."""
         self.server.mark_invalidated(message.version)
 
-    def ensure_fresh(self) -> Generator:
+    def ensure_fresh(self) -> Optional[Generator]:
         """Bring the cache to a servable state before answering.
 
         Used both on the user-serving path and when answering a child's
-        poll/fetch (so staleness does not cascade down a tree).
+        poll/fetch (so staleness does not cascade down a tree).  Returns
+        ``None`` when the replica can answer now, else a generator that
+        refreshes it (to be run with ``yield from``); the server answers
+        when it finishes.
         """
-        return _noop()
+        return None
 
-    def serve(self, message: Message) -> Generator:
-        """Produce the version to serve for a user request.
+    def _shared_refresh(self, refresh: Callable[[], Generator]) -> Generator:
+        """Run ``refresh()`` as the one refresh in flight: triggers that
+        arrive meanwhile (several users, or a user plus a child's poll
+        or fetch) wait for it instead of duplicating it."""
+        if self._refreshing is not None:
+            yield self._refreshing
+            return
+        self._refreshing = self.server.env.event()
+        try:
+            yield from refresh()
+        finally:
+            done, self._refreshing = self._refreshing, None
+            done.succeed()
 
-        A generator (may wait on upstream fetches); returns the version.
-        """
-        yield from self.ensure_fresh()
-        return self.server.cached_version
+    def serve(self, message: Message) -> Optional[Generator]:
+        """Prepare to answer the user request *message*: the
+        :meth:`ensure_fresh` contract, called once per request.  The
+        server then answers with its cached version."""
+        return self.ensure_fresh()
 
 
 class Infrastructure:

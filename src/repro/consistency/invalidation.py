@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from ..network.message import Message, MessageKind
-from ..sim.engine import Event
 from .base import ServerPolicy
 
 __all__ = ["InvalidationPolicy"]
@@ -26,7 +25,6 @@ class InvalidationPolicy(ServerPolicy):
         super().__init__()
         self.forward = forward
         self.fetch_timeout_s = fetch_timeout_s
-        self._fetch_inflight: Optional[Event] = None
         #: Newest version this replica has relayed downstream.
         self._relayed_version = -1
 
@@ -41,34 +39,29 @@ class InvalidationPolicy(ServerPolicy):
             self._relayed_version = version
             self.server.invalidate_children(version)
 
-    def ensure_fresh(self) -> Generator:
+    def ensure_fresh(self) -> Optional[Generator]:
         """Fetch the current body from upstream if our copy is stale.
 
         Concurrent triggers (several users, or a user plus a child's
         fetch) share one in-flight fetch instead of duplicating it.
         """
+        if not self.server.is_invalidated:
+            return None
+        return self._shared_refresh(self._fetch)
+
+    def _fetch(self) -> Generator:
         server = self.server
-        if not server.is_invalidated:
-            return
-        if self._fetch_inflight is not None:
-            yield self._fetch_inflight
-            return
-        self._fetch_inflight = server.env.event()
-        try:
-            response = yield from server.request(
-                MessageKind.FETCH,
-                server.upstream,
-                server.content.light_size_kb,
-                timeout=self.fetch_timeout_s,
+        response = yield from server.request(
+            MessageKind.FETCH,
+            server.upstream,
+            server.content.light_size_kb,
+            timeout=self.fetch_timeout_s,
+        )
+        if response is not None:
+            server.apply_version(response.version)
+        tracer = server.env.tracer
+        if tracer.enabled:
+            tracer.emit(
+                server.env.now, "fetch_round", server.node.node_id,
+                recovered=response is not None,
             )
-            if response is not None:
-                server.apply_version(response.version)
-            tracer = server.env.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    server.env.now, "fetch_round", server.node.node_id,
-                    recovered=response is not None,
-                )
-        finally:
-            inflight, self._fetch_inflight = self._fetch_inflight, None
-            inflight.succeed()

@@ -11,17 +11,30 @@ Two flavours:
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Generator, Optional, Tuple
 
-from ..network.message import MessageKind
+from ..network.message import Message, MessageKind
+from ..sim.engine import Event
+from ..sim.process import kickoff
 from ..sim.rng import RandomStream
 from .base import ServerPolicy
 
 __all__ = ["TTLPolicy"]
 
+# Bound once: ``MessageKind.X`` is a slow lookup on Python 3.11 (see
+# repro.cdn.server), and every poll round reads both.
+_POLL = MessageKind.POLL
+_POLL_RESPONSE = MessageKind.POLL_RESPONSE
+
 
 class TTLPolicy(ServerPolicy):
-    """Poll the upstream whenever the TTL expires."""
+    """Poll the upstream whenever the TTL expires.
+
+    The eager loop runs as callbacks on the events a poll-loop process
+    would wait on -- a kickoff where the process would start, a timeout
+    per sleep, the request's waiter per poll -- so it schedules the same
+    heap events without resuming a generator at each.
+    """
 
     method_name = "ttl"
 
@@ -41,13 +54,24 @@ class TTLPolicy(ServerPolicy):
         #: Bound on how long one poll may hang (upstream down); defaults
         #: to the TTL itself so the poll loop can never stall for good.
         self.poll_timeout_s = poll_timeout_s if poll_timeout_s is not None else ttl_s
-        self._poll_inflight = None
+        #: Eager loop: running between start() and stop(); the poll in
+        #: flight and the time it started.
+        self._looping = False
+        self._round: Optional[Message] = None
+        self._round_started = 0.0
 
     # ------------------------------------------------------------------
-    def processes(self) -> Iterable[Generator]:
+    # eager loop
+    # ------------------------------------------------------------------
+    def start(self) -> None:
         if self.eager:
-            return [self._poll_loop()]
-        return []
+            self._looping = True
+            kickoff(self.server.env, self._first_poll)
+
+    def stop(self) -> None:
+        # Every loop step checks the flag first: a pending sleep ends
+        # the loop and a late poll response is dropped.
+        self._looping = False
 
     def _initial_offset(self) -> float:
         # Desynchronised first polls: each server starts at a random
@@ -56,42 +80,68 @@ class TTLPolicy(ServerPolicy):
             return 0.0
         return self.stream.uniform(0.0, self.ttl_s)
 
-    def _poll_loop(self) -> Generator:
-        env = self.server.env
+    def _first_poll(self, _event: Event) -> None:
+        if not self._looping:
+            return
         offset = self._initial_offset()
         if offset > 0:
-            yield env.timeout(offset)
-        while True:
-            # The sleep is measured from the *start* of the poll, so the
-            # period stays anchored at one TTL even when the poll itself
-            # takes time.  Sleeping a full TTL *after* a timed-out poll
-            # (default poll_timeout_s == ttl_s) used to double the
-            # effective period to ~2xTTL exactly when the upstream was
-            # absent -- the paper's Fig. 10 scenario.
-            poll_started = env.now
-            yield from self.poll_once()
-            elapsed = env.now - poll_started
-            yield env.timeout(max(0.0, self.ttl_s - elapsed))
+            self.server.env.timeout(offset).callbacks.append(self._poll)
+        else:
+            self._poll(_event)
 
+    def _poll(self, _event: Event) -> None:
+        """Open one poll round; :meth:`_on_poll_reply` closes it."""
+        if not self._looping:
+            return
+        self._round_started = self.server.env.now
+        self._round, waiter = self._open_round()
+        waiter.callbacks.append(self._on_poll_reply)
+
+    def _on_poll_reply(self, waiter: Event) -> None:
+        if not self._looping:
+            return
+        self._close_round(self._round, waiter.value)
+        # The sleep is measured from the *start* of the poll, so the
+        # period stays anchored at one TTL even when the poll itself
+        # takes time.  Sleeping a full TTL *after* a timed-out poll
+        # (default poll_timeout_s == ttl_s) used to double the
+        # effective period to ~2xTTL exactly when the upstream was
+        # absent -- the paper's Fig. 10 scenario.
+        env = self.server.env
+        elapsed = env.now - self._round_started
+        env.timeout(max(0.0, self.ttl_s - elapsed)).callbacks.append(self._poll)
+
+    # ------------------------------------------------------------------
+    # one poll round
+    # ------------------------------------------------------------------
     def poll_once(self) -> Generator:
         """One poll round-trip; returns True if an update was received."""
+        message, waiter = self._open_round()
+        response = yield waiter
+        return self._close_round(message, response)
+
+    def _open_round(self) -> Tuple[Message, Event]:
         server = self.server
-        response = yield from server.request(
-            MessageKind.POLL,
+        return server.open_request(
+            _POLL,
             server.upstream,
             server.content.light_size_kb,
-            payload={"have": server.cached_version},
+            payload={"have": server.cache.version},
             timeout=self.poll_timeout_s,
         )
+
+    def _close_round(self, message: Message, response: Optional[Message]) -> bool:
+        """Apply the poll's *response*; True if it carried an update."""
+        server = self.server
         tracer = server.env.tracer
-        if response is None:
+        if server.close_request(message, response) is None:
             if tracer.enabled:
                 tracer.emit(
                     server.env.now, "poll_round", server.node.node_id,
                     got_update=False, timed_out=True,
                 )
             return False
-        if response.kind is MessageKind.POLL_RESPONSE:
+        if response.kind is _POLL_RESPONSE:
             server.apply_version(response.version, ttl=self.ttl_s)
             if tracer.enabled:
                 tracer.emit(
@@ -100,12 +150,8 @@ class TTLPolicy(ServerPolicy):
                 )
             return True
         # Not modified: refresh the entry's TTL without a new body.
-        server.cache.store(
-            server.content.content_id,
-            server.cached_version,
-            server.env.now,
-            self.ttl_s,
-        )
+        entry = server.cache
+        entry.store(entry.version, server.env.now, self.ttl_s)
         if tracer.enabled:
             tracer.emit(
                 server.env.now, "poll_round", server.node.node_id,
@@ -114,35 +160,29 @@ class TTLPolicy(ServerPolicy):
         return False
 
     # ------------------------------------------------------------------
-    def ensure_fresh(self) -> Generator:
+    # lazy mode
+    # ------------------------------------------------------------------
+    def ensure_fresh(self) -> Optional[Generator]:
         """Lazy mode: refetch on demand once the TTL has expired.
 
         Concurrent requests while a poll is in flight share that poll
         rather than issuing duplicates.
         """
         if self.eager:
-            return
+            return None
         server = self.server
         tracer = server.env.tracer
-        entry = server.cache.entry(server.content.content_id)
+        entry = server.cache
         if entry.is_fresh(server.env.now):
             if tracer.enabled:
                 tracer.emit(
                     server.env.now, "cache_hit", server.node.node_id,
                     version=entry.version,
                 )
-            return
+            return None
         if tracer.enabled:
             tracer.emit(
                 server.env.now, "cache_expired", server.node.node_id,
                 version=entry.version,
             )
-        if self._poll_inflight is not None:
-            yield self._poll_inflight
-            return
-        self._poll_inflight = server.env.event()
-        try:
-            yield from self.poll_once()
-        finally:
-            inflight, self._poll_inflight = self._poll_inflight, None
-            inflight.succeed()
+        return self._shared_refresh(self.poll_once)

@@ -30,7 +30,6 @@ from typing import Generator, Iterable, List, Optional, Tuple
 
 from ..consistency.base import ServerPolicy
 from ..network.message import Message, MessageKind
-from ..sim.engine import Event
 from ..sim.rng import RandomStream
 
 __all__ = ["DynamicPolicy"]
@@ -72,7 +71,6 @@ class DynamicPolicy(ServerPolicy):
         self.mode_history: List[Tuple[float, str]] = []
         self._visits_in_window = 0
         self._updates_in_window = 0
-        self._fetch_inflight: Optional[Event] = None
         #: Debounce: a mode change needs two consecutive windows to
         #: agree, so borderline rate ratios do not flap the mode.
         self._pending_target: Optional[str] = None
@@ -171,29 +169,23 @@ class DynamicPolicy(ServerPolicy):
     def on_invalidate(self, message: Message) -> None:
         self.server.mark_invalidated(message.version)
 
-    def ensure_fresh(self) -> Generator:
+    def ensure_fresh(self) -> Optional[Generator]:
         """Invalidation-mode recovery fetch (shared in-flight)."""
-        server = self.server
-        if not server.is_invalidated:
-            return
-        if self._fetch_inflight is not None:
-            yield self._fetch_inflight
-            return
-        self._fetch_inflight = server.env.event()
-        try:
-            response = yield from server.request(
-                MessageKind.FETCH,
-                server.upstream,
-                server.content.light_size_kb,
-                timeout=self.fetch_timeout_s,
-            )
-            if response is not None:
-                server.apply_version(response.version, ttl=self.ttl_s)
-        finally:
-            inflight, self._fetch_inflight = self._fetch_inflight, None
-            inflight.succeed()
+        if not self.server.is_invalidated:
+            return None
+        return self._shared_refresh(self._fetch)
 
-    def serve(self, message: Message) -> Generator:
+    def _fetch(self) -> Generator:
+        server = self.server
+        response = yield from server.request(
+            MessageKind.FETCH,
+            server.upstream,
+            server.content.light_size_kb,
+            timeout=self.fetch_timeout_s,
+        )
+        if response is not None:
+            server.apply_version(response.version, ttl=self.ttl_s)
+
+    def serve(self, message: Message) -> Optional[Generator]:
         self._visits_in_window += 1
-        yield from self.ensure_fresh()
-        return self.server.cached_version
+        return self.ensure_fresh()

@@ -38,6 +38,10 @@ _FINITE_TIME_KNOBS = (
     "horizon_s",
 )
 
+#: Message sizes (KB): a non-positive or NaN size makes every traffic
+#: cost negative or NaN.
+_SIZE_KNOBS = ("update_size_kb", "light_size_kb")
+
 
 @dataclass(kw_only=True)
 class TestbedConfig:
@@ -106,6 +110,10 @@ class TestbedConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError("%s must be finite, got %r" % (name, value))
+        for name in _SIZE_KNOBS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and positive, got %r" % (name, value))
         if self.n_servers <= 0:
             raise ValueError("n_servers must be positive")
         if self.users_per_server < 0:

@@ -8,13 +8,14 @@ The paper measures consistency-maintenance *efficiency* two ways:
   load as total transmission distance in ``km``.
 
 :class:`TrafficLedger` records every message the fabric carries and can
-answer all of those queries, broken down by message kind and by sender.
+answer all of those queries, broken down by message kind, with message
+counts per sender.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from ..network.message import Message, MessageKind
@@ -43,8 +44,9 @@ class TrafficLedger:
 
     def __init__(self) -> None:
         self._by_kind: Dict[MessageKind, KindTotals] = defaultdict(KindTotals)
-        self._by_sender_kind: Dict[str, Dict[MessageKind, KindTotals]] = defaultdict(
-            lambda: defaultdict(KindTotals)
+        #: Messages per sender per kind: the per-sender queries only count.
+        self._sent_by: Dict[str, Dict[MessageKind, int]] = defaultdict(
+            lambda: defaultdict(int)
         )
 
     # ------------------------------------------------------------------
@@ -54,14 +56,13 @@ class TrafficLedger:
         """Record one delivered *message* that travelled *distance_km*."""
         if distance_km < 0:
             raise ValueError("distance_km must be >= 0")
-        # ``KindTotals.add`` inlined twice: this runs once per simulated
+        # ``KindTotals.add`` inlined: this runs once per simulated
         # message, and the call overhead is measurable at CDN scale.
         kind = message.kind
         size_kb = message.size_kb
-        km_kb = distance_km * size_kb
         totals = self._by_kind[kind]
         totals.count += 1
-        totals.km_kb += km_kb
+        totals.km_kb += distance_km * size_kb
         totals.km += distance_km
         totals.kb += size_kb
         src = message.src
@@ -69,11 +70,7 @@ class TrafficLedger:
             sender = src.node_id
         except AttributeError:
             sender = str(src)
-        totals = self._by_sender_kind[sender][kind]
-        totals.count += 1
-        totals.km_kb += km_kb
-        totals.km += distance_km
-        totals.kb += size_kb
+        self._sent_by[sender][kind] += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -142,21 +139,21 @@ class TrafficLedger:
         provider load)."""
         from ..network.message import UPDATE_KINDS
 
-        per_kind = self._by_sender_kind.get(sender_id)
+        per_kind = self._sent_by.get(sender_id)
         if not per_kind:
             return 0
-        return sum(t.count for k, t in per_kind.items() if k in UPDATE_KINDS)
+        return sum(n for k, n in per_kind.items() if k in UPDATE_KINDS)
 
     def responses_sent_by(self, sender_id: str) -> int:
         """Fig. 22 metric restricted to one sender (bodies + poll
         responses)."""
         from ..network.message import MessageKind, UPDATE_KINDS
 
-        per_kind = self._by_sender_kind.get(sender_id)
+        per_kind = self._sent_by.get(sender_id)
         if not per_kind:
             return 0
         kinds = set(UPDATE_KINDS) | {MessageKind.POLL_NOT_MODIFIED}
-        return sum(t.count for k, t in per_kind.items() if k in kinds)
+        return sum(n for k, n in per_kind.items() if k in kinds)
 
     def response_load_km(self) -> float:
         """Fig. 23 'update message' network load (km), using the same
@@ -179,11 +176,11 @@ class TrafficLedger:
         """All consistency messages sent by *sender_id*."""
         from ..network.message import LIGHT_KINDS, UPDATE_KINDS
 
-        per_kind = self._by_sender_kind.get(sender_id)
+        per_kind = self._sent_by.get(sender_id)
         if not per_kind:
             return 0
         interesting = UPDATE_KINDS | LIGHT_KINDS
-        return sum(t.count for k, t in per_kind.items() if k in interesting)
+        return sum(n for k, n in per_kind.items() if k in interesting)
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """A plain-dict view (for reports and serialisation)."""

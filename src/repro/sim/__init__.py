@@ -16,7 +16,7 @@ from .engine import (
     StopSimulation,
     URGENT,
 )
-from .process import Interrupt, Process
+from .process import Interrupt, Process, kickoff
 from .resources import Release, Request, Resource
 from .rng import RandomStream, StreamRegistry, derive_seed
 from .simtime import TIME_EPS_S, is_zero_duration, times_close, times_equal
@@ -26,6 +26,7 @@ __all__ = [
     "Event",
     "Process",
     "Interrupt",
+    "kickoff",
     "Resource",
     "Request",
     "Release",

@@ -343,7 +343,9 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Event:
         """An event that fires with *value* after *delay* time units."""
-        if delay < 0:
+        # ``not >=`` also rejects NaN, which compares false both ways and
+        # would otherwise set the clock to NaN when it fires.
+        if not delay >= 0:
             raise ValueError("negative delay %s" % delay)
         event = Event(self)
         event._value = value

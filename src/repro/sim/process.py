@@ -9,11 +9,11 @@ event's exception thrown into it if the event failed).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .engine import Environment, Event, URGENT, _PENDING
 
-__all__ = ["Process", "Interrupt"]
+__all__ = ["Process", "Interrupt", "kickoff"]
 
 
 class Interrupt(Exception):
@@ -29,16 +29,26 @@ class Interrupt(Exception):
 
 
 class _Initialize(Event):
-    """Internal event that starts the execution of a new process."""
+    """Internal event that starts a process (or a :func:`kickoff`
+    callback): URGENT at the current instant."""
 
     __slots__ = ()
 
-    def __init__(self, env: Environment, process: "Process") -> None:
+    def __init__(self, env: Environment, callback: Callable[[Event], None]) -> None:
         super().__init__(env)
-        self.callbacks = [process._resume]
+        self.callbacks = [callback]
         self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
+
+
+def kickoff(env: Environment, callback: Callable[[Event], None]) -> Event:
+    """Run ``callback(event)`` where a process started now would take its
+    first step: an URGENT event at the current instant, popped ahead of
+    the NORMAL events already queued for it.  A loop written as
+    callbacks starts through this to keep a process's place in the
+    event order."""
+    return _Initialize(env, callback)
 
 
 class _Interruption(Event):
@@ -85,7 +95,7 @@ class Process(Event):
             raise ValueError("%r is not a generator" % (generator,))
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = _Initialize(env, self)
+        self._target: Optional[Event] = _Initialize(env, self._resume)
 
     def __repr__(self) -> str:
         return "<Process(%s) object at 0x%x>" % (

@@ -22,15 +22,18 @@ seq element keeps the tuple totally ordered (REP008) even when two
 draws collide.
 
 URGENT entries are never perturbed: URGENT is the kernel's internal
-staging lane (process initialisation, ``run``'s stop event), and its
+staging lane (process initialisation and its callback twin
+:func:`~repro.sim.process.kickoff`, ``run``'s stop event), and its
 same-instant FIFO order *is*
 the documented contract -- "processes resume in registration order" --
 not an incidental tie.  Perturbing it would shuffle which same-instant
 ``send()`` claims a shared output port first, i.e. re-run the model
 under a different (equally arbitrary, explicitly specified) resumption
 order rather than expose a hidden dependence on an unspecified one.
-Model code never schedules URGENT (REP003's scheduling-call surface
-keeps it that way), so every model-visible tie is still perturbed.
+Model code never schedules URGENT itself (REP003's scheduling-call
+surface keeps it that way; a callback loop starts through ``kickoff``,
+exactly where a process would), so every model-visible tie is still
+perturbed.
 
 **Reentrancy traps.**  With traps enabled, the batched timer lanes
 (:mod:`repro.sim.timers`) verify after every ``on_expire`` callback

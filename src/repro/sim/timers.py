@@ -217,7 +217,7 @@ class TimerWheel:
         Callers therefore need no explicit cancel -- dropping the timer
         costs nothing on the heap.
         """
-        if delay < 0:
+        if not delay >= 0:  # NaN too: each NaN key would open a lane
             raise ValueError("negative delay %s" % delay)
         env = self.env
         lane = self._lanes.get(delay)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cdn.cache import TTLCache
+from repro.cdn.cache import CacheEntry
 from repro.cdn.content import LiveContent
 
 
@@ -49,56 +49,54 @@ class TestLiveContent:
 
 
 class TestTTLCache:
+    """A server's TTL cache: its one :class:`CacheEntry`."""
+
     def test_entry_starts_at_version_zero(self):
-        cache = TTLCache()
-        entry = cache.entry("c")
+        entry = CacheEntry()
         assert entry.version == 0
         assert entry.apply_log == [(0.0, 0)]
 
     def test_store_newer_version(self):
-        cache = TTLCache()
-        assert cache.store("c", 3, now=100.0, ttl=60.0) is True
-        entry = cache.entry("c")
+        entry = CacheEntry()
+        assert entry.store(3, now=100.0, ttl=60.0) is True
         assert entry.version == 3
         assert entry.expires_at == 160.0
         assert entry.apply_log[-1] == (100.0, 3)
 
     def test_store_same_version_refreshes_ttl_only(self):
-        cache = TTLCache()
-        cache.store("c", 3, now=100.0, ttl=60.0)
-        assert cache.store("c", 3, now=200.0, ttl=60.0) is False
-        entry = cache.entry("c")
+        entry = CacheEntry()
+        entry.store(3, now=100.0, ttl=60.0)
+        assert entry.store(3, now=200.0, ttl=60.0) is False
         assert entry.expires_at == 260.0
         assert len(entry.apply_log) == 2  # initial + one real write
 
     def test_store_clears_invalidation(self):
-        cache = TTLCache()
-        cache.invalidate("c", version=1)
-        assert cache.entry("c").invalidated
-        cache.store("c", 1, now=10.0, ttl=60.0)
-        assert not cache.entry("c").invalidated
+        entry = CacheEntry()
+        entry.invalidate(version=1)
+        assert entry.invalidated
+        entry.store(1, now=10.0, ttl=60.0)
+        assert not entry.invalidated
 
     def test_invalidate_skipped_when_already_newer(self):
-        cache = TTLCache()
-        cache.store("c", 5, now=1.0, ttl=60.0)
-        cache.invalidate("c", version=4)
-        assert not cache.entry("c").invalidated
-        cache.invalidate("c", version=6)
-        assert cache.entry("c").invalidated
+        entry = CacheEntry()
+        entry.store(5, now=1.0, ttl=60.0)
+        entry.invalidate(version=4)
+        assert not entry.invalidated
+        entry.invalidate(version=6)
+        assert entry.invalidated
 
     def test_freshness(self):
-        cache = TTLCache()
-        cache.store("c", 1, now=0.0, ttl=60.0)
-        entry = cache.entry("c")
+        entry = CacheEntry()
+        entry.store(1, now=0.0, ttl=60.0)
         assert entry.is_fresh(30.0)
         assert not entry.is_fresh(60.0)
-        cache.invalidate("c", version=2)
+        entry.invalidate(version=2)
         assert not entry.is_fresh(30.0)
 
     def test_version_monotonicity(self):
-        cache = TTLCache()
-        cache.store("c", 5, now=1.0, ttl=60.0)
-        cache.store("c", 3, now=2.0, ttl=60.0)  # stale arrival ignored
-        assert cache.version_of("c") == 5
-        versions = [v for _, v in cache.apply_log("c")]
+        entry = CacheEntry()
+        entry.store(5, now=1.0, ttl=60.0)
+        entry.store(3, now=2.0, ttl=60.0)  # stale arrival ignored
+        assert entry.version == 5
+        versions = [v for _, v in entry.apply_log]
         assert versions == sorted(versions)

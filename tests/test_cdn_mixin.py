@@ -135,7 +135,9 @@ class TestAdaptiveNotificationDedup:
 
         def fetcher(env):
             yield env.timeout(120.0)  # after update 1 + notice
-            yield from server.policy.ensure_fresh()
+            refresh = server.policy.ensure_fresh()  # None: fresh already
+            assert refresh is not None
+            yield from refresh
 
         env.process(fetcher(env))
         env.run(until=250.0)

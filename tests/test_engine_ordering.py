@@ -4,7 +4,7 @@
 from repro.cdn import LiveContent, ProviderActor, ServerActor
 from repro.consistency import SelfAdaptivePolicy, UnicastInfrastructure
 from repro.network import MessageKind, NetworkFabric, TopologyBuilder
-from repro.sim import Environment, StreamRegistry
+from repro.sim import Environment, StreamRegistry, kickoff
 from repro.sim.engine import NORMAL, URGENT
 
 
@@ -41,6 +41,27 @@ class TestSchedulingPriority:
         env.run()
         # the new process's _Initialize is URGENT: body runs first
         assert order == ["process-body", "timeout"]
+
+    def test_kickoff_takes_a_process_starts_place(self):
+        # A callback loop started with kickoff() runs where a process
+        # started at the same point would: URGENT, in registration order.
+        env = Environment()
+        order = []
+
+        def body(name):
+            order.append(name)
+            yield env.timeout(1)
+
+        def scheduler(env):
+            yield env.timeout(5)
+            env.timeout(0).callbacks.append(lambda e: order.append("timeout"))
+            env.process(body("process-1"))
+            kickoff(env, lambda e: order.append("kickoff"))
+            env.process(body("process-2"))
+
+        env.process(scheduler(env))
+        env.run()
+        assert order == ["process-1", "kickoff", "process-2", "timeout"]
 
     def test_run_until_time_excludes_events_at_that_instant(self):
         env = Environment()

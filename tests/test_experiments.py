@@ -62,6 +62,18 @@ class TestConfig:
             with pytest.raises(ValueError, match=knob):
                 smoke_scale().with_overrides(**{knob: value})
 
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("knob", ["update_size_kb", "light_size_kb"])
+    def test_bad_message_sizes_rejected(self, knob, value):
+        # A negative size makes every km*KB cost negative, NaN makes it
+        # NaN: the run would report a meaningless traffic cost.
+        with pytest.raises(ValueError, match=knob):
+            TestbedConfig(**{knob: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(ValueError, match=knob):
+                smoke_scale().with_overrides(**{knob: value})
+
     def test_with_creates_modified_copy(self):
         config = ci_scale()
         changed = config.with_(server_ttl_s=42.0)

@@ -5,12 +5,13 @@ import pytest
 from repro.cdn import LiveContent, UserCohort
 from repro.core import HatConfig, HatSystem
 from repro.network import NetworkFabric, TopologyBuilder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 
 
 def build_hat(n_servers=24, n_clusters=4, updates=None, seed=61, ttl=15.0,
-              users=True):
-    env = Environment()
+              users=True, member_method="self-adaptive", tracer=None):
+    env = Environment(tracer=tracer)
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(
         n_servers=n_servers, users_per_server=1 if users else 0
@@ -23,7 +24,7 @@ def build_hat(n_servers=24, n_clusters=4, updates=None, seed=61, ttl=15.0,
         provider_node=topology.provider,
         server_nodes=list(topology.servers),
         config=HatConfig(n_clusters=n_clusters, tree_arity=4,
-                         server_ttl_s=ttl, member_method="self-adaptive"),
+                         server_ttl_s=ttl, member_method=member_method),
     )
     cohort = None
     if users:
@@ -36,12 +37,24 @@ def build_hat(n_servers=24, n_clusters=4, updates=None, seed=61, ttl=15.0,
     return env, streams, topology, fabric, content, hat, cohort
 
 
+def pick_cluster_with_members(hat):
+    for index, spec in enumerate(hat.clusters):
+        if spec.members:
+            return index, spec
+    raise AssertionError("no cluster with members")
+
+
+def nearest_member(hat, spec, supernode):
+    """The member failover will promote (the nearest one to *supernode*)."""
+    return min(
+        (hat.server_by_node_id[node.node_id] for node in spec.members),
+        key=lambda member: member.node.distance_km(supernode.node),
+    )
+
+
 class TestFailover:
     def pick_cluster_with_members(self, hat):
-        for index, spec in enumerate(hat.clusters):
-            if spec.members:
-                return index, spec
-        raise AssertionError("no cluster with members")
+        return pick_cluster_with_members(hat)
 
     def test_promotes_nearest_member(self):
         env, streams, topology, fabric, content, hat, cohort = build_hat()
@@ -160,12 +173,71 @@ class TestFailover:
         env.run(until=100.0)
         index, spec = self.pick_cluster_with_members(hat)
         victim = hat.supernodes[index]
+        old_policy = nearest_member(hat, spec, victim).policy
+        old_procs = list(old_policy._procs)
+        assert old_procs and all(process.is_alive for process in old_procs)
         victim.node.is_up = False
         promotee = hat.handle_supernode_failure(victim)
-        old_procs = [p for p in promotee._policy_procs]
+        assert promotee.policy is not old_policy
+        assert old_policy._procs == []
         # the promotee's push policy has no background processes
-        assert promotee._policy_procs == []
+        assert promotee.policy._procs == []
         env.run(until=200.0)
-        # and the simulation keeps running without crashes (the old
-        # self-adaptive loop was interrupted cleanly)
+        # the old self-adaptive loop was interrupted cleanly
         assert env.now == 200.0
+        assert not any(process.is_alive for process in old_procs)
+
+
+class TestTTLMemberFailover:
+    """Failover in the Hybrid system: a promoted TTL member's poll loop
+    (callbacks, not a process) must end with its policy."""
+
+    def promote(self, in_flight):
+        tracer = RecordingTracer()
+        env, streams, topology, fabric, content, hat, cohort = build_hat(
+            users=False, member_method="ttl", tracer=tracer
+        )
+        hat.start()
+        env.run(until=100.0)
+        index, spec = pick_cluster_with_members(hat)
+        victim = hat.supernodes[index]
+        member = nearest_member(hat, spec, victim)
+        assert member.policy.method_name == "ttl"
+        if in_flight:
+            while not member._pending:
+                env.run(until=env.now + 0.001)
+            # The old supernode still answers this poll, after failover.
+            ((last_poll, waiter),) = member._pending.items()
+        else:
+            assert not member._pending  # sleeping between polls
+            last_poll, waiter = max(self.polls_sent(tracer, member)), None
+            victim.node.is_up = False
+        promoted_at = env.now
+        assert hat.handle_supernode_failure(victim) is member
+        env.run(until=400.0)  # many TTLs (15 s) later
+        return tracer, member, waiter, last_poll, promoted_at
+
+    def polls_sent(self, tracer, member):
+        """Sequence numbers of the POLLs *member* sent."""
+        return [
+            event.detail["seq"]
+            for event in tracer.events(node=member.node.node_id, kinds=("msg_send",))
+            if event.detail["msg"] == "poll"
+        ]
+
+    def test_sleeping_loop_sends_no_more_polls(self):
+        tracer, promotee, _, last_poll, promoted_at = self.promote(in_flight=False)
+        assert max(self.polls_sent(tracer, promotee)) == last_poll
+        assert tracer.events(node=promotee.node.node_id, kinds=("poll_round",),
+                             since=promoted_at) == []
+
+    def test_late_reply_to_poll_in_flight_is_dropped(self):
+        tracer, promotee, waiter, last_poll, promoted_at = self.promote(in_flight=True)
+        # the reply did arrive, after the promotion ...
+        assert waiter.triggered and waiter.value is not None
+        assert waiter.value.payload["req"] == last_poll
+        # ... and closed no poll round and started no new one
+        assert tracer.events(node=promotee.node.node_id, kinds=("poll_round",),
+                             since=promoted_at) == []
+        assert max(self.polls_sent(tracer, promotee)) == last_poll
+        assert promotee.policy.method_name == "push"

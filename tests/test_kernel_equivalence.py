@@ -140,6 +140,16 @@ class TestTimerWheel:
         with pytest.raises(ValueError, match="negative"):
             env.timers.arm(-0.1, env.event())
 
+    def test_nan_delay_rejected(self):
+        # Each NaN key is distinct in the lane dict (nan != nan), so
+        # every unchecked arm(nan) would open a lane of its own.
+        env = Environment()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="negative"):
+                env.timers.arm(float("nan"), env.event())
+        assert env.timers._lanes == {}
+        assert env.timers.armed == 0
+
     def test_lane_grows_past_initial_capacity(self):
         env = Environment()
         n = 300  # > _INITIAL_CAPACITY, forces growth/compaction

@@ -37,6 +37,18 @@ class TestTimeout:
         with pytest.raises(ValueError):
             env.timeout(-1)
 
+    def test_nan_delay_rejected(self):
+        # NaN compares false both ways: unchecked, it is scheduled among
+        # ordinary timeouts and sets the clock to NaN when it pops.
+        env = Environment()
+        fired = []
+        for delay in (3.0, 1.0, 2.0, 0.5):
+            env.timeout(delay).callbacks.append(lambda ev: fired.append(env.now))
+        with pytest.raises(ValueError, match="negative"):
+            env.timeout(float("nan"))
+        env.run()
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+
     def test_timeout_carries_value(self):
         env = Environment()
 
