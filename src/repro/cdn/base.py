@@ -17,29 +17,23 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..network.link import NetworkFabric
-from ..network.message import Message, MessageKind
+from ..network.message import (
+    CONTENT_RESPONSE,
+    FETCH_RESPONSE,
+    INVALIDATE,
+    POLL_NOT_MODIFIED,
+    POLL_RESPONSE,
+    PUSH_UPDATE,
+    Message,
+    MessageKind,
+)
 from ..network.node import NetworkNode
 from ..sim.engine import Environment, Event
 
 __all__ = ["Actor", "UpdateSourceMixin", "RESPONSE_KINDS"]
 
-# Bound once: ``MessageKind.X`` is a slow lookup on Python 3.11 (see
-# repro.cdn.server), and the fan-outs below send one message per child.
-_PUSH_UPDATE = MessageKind.PUSH_UPDATE
-_INVALIDATE = MessageKind.INVALIDATE
-_POLL_RESPONSE = MessageKind.POLL_RESPONSE
-_POLL_NOT_MODIFIED = MessageKind.POLL_NOT_MODIFIED
-_FETCH_RESPONSE = MessageKind.FETCH_RESPONSE
-
 #: Kinds that answer an earlier request and carry ``payload["req"]``.
-RESPONSE_KINDS = frozenset(
-    {
-        MessageKind.POLL_RESPONSE,
-        MessageKind.POLL_NOT_MODIFIED,
-        MessageKind.FETCH_RESPONSE,
-        MessageKind.CONTENT_RESPONSE,
-    }
-)
+RESPONSE_KINDS = frozenset({POLL_RESPONSE, POLL_NOT_MODIFIED, FETCH_RESPONSE, CONTENT_RESPONSE})
 
 
 class Actor:
@@ -67,9 +61,7 @@ class Actor:
         payload: Any = None,
     ) -> Message:
         """Fire-and-forget send; returns the message (already in flight)."""
-        message = Message(
-            kind=kind, src=self.node, dst=dst, size_kb=size_kb, version=version, payload=payload
-        )
+        message = Message(kind, self.node, dst, size_kb, version, payload)
         self.fabric.send(message)
         return message
 
@@ -81,10 +73,7 @@ class Actor:
         version: Optional[int] = None,
     ) -> Message:
         """Send a response correlated to *request*."""
-        message = Message(
-            kind=kind, src=self.node, dst=request.src, size_kb=size_kb, version=version,
-            payload={"req": request.seq},
-        )
+        message = Message(kind, self.node, request.src, size_kb, version, {"req": request.seq})
         self.fabric.send(message)
         return message
 
@@ -108,9 +97,7 @@ class Actor:
         lazily-skipped slot in the wheel.  Pass the waiter's value to
         :meth:`close_request`.  *payload* is sent as given.
         """
-        message = Message(
-            kind=kind, src=self.node, dst=dst, size_kb=size_kb, version=version, payload=payload
-        )
+        message = Message(kind, self.node, dst, size_kb, version, payload)
         waiter = Event(self.env)
         self._pending[message.seq] = waiter
         self.fabric.send(message)
@@ -228,20 +215,21 @@ class UpdateSourceMixin:
     # -- downstream actions ---------------------------------------------
     def push_children(self, version: int) -> None:
         """Push the new content body to every child (Push method)."""
+        # Built and sent here, with no ``Actor.send`` frame per child:
+        # a unicast provider runs the loop body once per server per update.
+        src = self.node
+        size_kb = self.content.update_size_kb
+        send = self.fabric.send
         for child in self.children:
-            self.send(
-                _PUSH_UPDATE,
-                child,
-                self.content.update_size_kb,
-                version=version,
-            )
+            send(Message(PUSH_UPDATE, src, child, size_kb, version))
 
     def invalidate_children(self, version: int) -> None:
         """Send an invalidation notice to every child."""
+        src = self.node
+        size_kb = self.content.light_size_kb
+        send = self.fabric.send
         for child in self.children:
-            self.send(
-                _INVALIDATE, child, self.content.light_size_kb, version=version
-            )
+            send(Message(INVALIDATE, src, child, size_kb, version))
 
     def notify_adaptive_members(self, version: int) -> None:
         """Invalidate members in Invalidation mode not yet notified."""
@@ -252,7 +240,7 @@ class UpdateSourceMixin:
                 continue
             self.adaptive_members[member] = True
             self.send(
-                _INVALIDATE, member, self.content.light_size_kb, version=version
+                INVALIDATE, member, self.content.light_size_kb, version=version
             )
 
     def serve_dynamic_members(self, version: int) -> None:
@@ -261,7 +249,7 @@ class UpdateSourceMixin:
         TTL-mode members simply poll and need nothing here."""
         for member in list(self.push_members):
             self.send(
-                _PUSH_UPDATE,
+                PUSH_UPDATE,
                 member,
                 self.content.update_size_kb,
                 version=version,
@@ -278,14 +266,14 @@ class UpdateSourceMixin:
         if current > have:
             self.reply(
                 message,
-                _POLL_RESPONSE,
+                POLL_RESPONSE,
                 self.content.update_size_kb,
                 version=current,
             )
         else:
             self.reply(
                 message,
-                _POLL_NOT_MODIFIED,
+                POLL_NOT_MODIFIED,
                 self.content.light_size_kb,
                 version=current,
             )
@@ -294,7 +282,7 @@ class UpdateSourceMixin:
         """Answer an invalidation-triggered fetch: always the full body."""
         self.reply(
             message,
-            _FETCH_RESPONSE,
+            FETCH_RESPONSE,
             self.content.update_size_kb,
             version=self.source_version(),
         )
@@ -317,7 +305,7 @@ class UpdateSourceMixin:
             if self.source_version() > (message.version or 0):
                 self.adaptive_members[message.src] = True
                 self.send(
-                    _INVALIDATE,
+                    INVALIDATE,
                     message.src,
                     self.content.light_size_kb,
                     version=self.source_version(),
@@ -330,7 +318,7 @@ class UpdateSourceMixin:
             # Bring the new subscriber up to date immediately.
             if self.source_version() > (message.version or 0):
                 self.send(
-                    _PUSH_UPDATE,
+                    PUSH_UPDATE,
                     message.src,
                     self.content.update_size_kb,
                     version=self.source_version(),

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..metrics.incremental import AggregateUserMetrics, UserObservationTracker
-from ..network.message import Message, MessageKind
+from ..network.message import CONTENT_REQUEST, Message
 from ..sim.engine import Environment, Event
 from ..sim.timers import CallbackLane
 from .base import RESPONSE_KINDS
@@ -69,7 +69,6 @@ __all__ = ["UserCohort", "Observation", "REQUEST_TIMEOUT_S"]
 REQUEST_TIMEOUT_S = 30.0
 
 _INF = float("inf")
-_CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
 
 
 @dataclass(frozen=True)
@@ -291,13 +290,7 @@ class UserCohort:
                     if target is not last:
                         self._switch_last[slot] = target
                         break
-        message = Message(
-            kind=_CONTENT_REQUEST,
-            src=node,
-            dst=target,
-            size_kb=self._light_kb,
-            payload={},
-        )
+        message = Message(CONTENT_REQUEST, node, target, self._light_kb, None, {})
         self._pending[message.seq] = (slot, message, target)
         self.fabric.send(message)
         self._timeouts.push(now + self._timeout_s, message.seq)

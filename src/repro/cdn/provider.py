@@ -11,7 +11,15 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..network.link import NetworkFabric
-from ..network.message import Message, MessageKind
+from ..network.message import (
+    CONTENT_REQUEST,
+    CONTENT_RESPONSE,
+    FETCH,
+    POLL,
+    SWITCH_NOTICE,
+    TREE_MAINTENANCE,
+    Message,
+)
 from ..network.node import NetworkNode
 from ..sim.engine import Environment
 from .base import Actor, UpdateSourceMixin
@@ -89,22 +97,23 @@ class ProviderActor(Actor, UpdateSourceMixin):
 
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> None:
-        if message.kind is MessageKind.POLL:
+        kind = message.kind
+        if kind is POLL:
             self.handle_poll(message)
-        elif message.kind is MessageKind.FETCH:
+        elif kind is FETCH:
             self.handle_fetch(message)
-        elif message.kind is MessageKind.SWITCH_NOTICE:
+        elif kind is SWITCH_NOTICE:
             self.handle_switch(message)
-        elif message.kind is MessageKind.CONTENT_REQUEST:
+        elif kind is CONTENT_REQUEST:
             # End-users normally hit edge servers, but the paper also
             # measures requests served directly by providers (Fig. 7).
             self.reply(
                 message,
-                MessageKind.CONTENT_RESPONSE,
+                CONTENT_RESPONSE,
                 self.content.update_size_kb,
                 version=self._version,
             )
-        elif message.kind is MessageKind.TREE_MAINTENANCE:
+        elif kind is TREE_MAINTENANCE:
             pass  # the provider is the tree root; nothing to repair
         else:
-            raise NotImplementedError("provider cannot handle %s" % message.kind)
+            raise NotImplementedError("provider cannot handle %s" % kind)

@@ -12,7 +12,17 @@ from __future__ import annotations
 from typing import Any, Callable, Generator, List, Optional
 
 from ..network.link import NetworkFabric
-from ..network.message import Message, MessageKind
+from ..network.message import (
+    CONTENT_REQUEST,
+    CONTENT_RESPONSE,
+    FETCH,
+    INVALIDATE,
+    POLL,
+    PUSH_UPDATE,
+    SWITCH_NOTICE,
+    TREE_MAINTENANCE,
+    Message,
+)
 from ..network.node import NetworkNode
 from ..sim.engine import Environment, Event
 from .base import Actor, UpdateSourceMixin
@@ -20,18 +30,6 @@ from .cache import CacheEntry
 from .content import LiveContent
 
 __all__ = ["ServerActor", "schedule_absence"]
-
-# Message kinds bound once: ``MessageKind.X`` is a slow class-attribute
-# lookup on Python 3.11 (the enum metaclass defines ``__getattr__``),
-# and :meth:`ServerActor.handle` compares one per delivered message.
-_PUSH_UPDATE = MessageKind.PUSH_UPDATE
-_INVALIDATE = MessageKind.INVALIDATE
-_POLL = MessageKind.POLL
-_FETCH = MessageKind.FETCH
-_SWITCH_NOTICE = MessageKind.SWITCH_NOTICE
-_CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
-_TREE_MAINTENANCE = MessageKind.TREE_MAINTENANCE
-_CONTENT_RESPONSE = MessageKind.CONTENT_RESPONSE
 
 
 def _task_driver(
@@ -85,7 +83,8 @@ class ServerActor(Actor, UpdateSourceMixin):
         self.upstream = upstream
         #: Hooks ``f(version)`` run when a strictly newer version lands
         #: in the cache (used by supernodes to notify cluster members,
-        #: and by experiments to record apply times).
+        #: and by the dynamic method to count updates).  Apply times need
+        #: none: ``cache.apply_log`` records every newer write.
         self.on_apply_hooks: List[Callable[[int], None]] = []
         self.policy = policy
         policy.bind(self)
@@ -126,11 +125,13 @@ class ServerActor(Actor, UpdateSourceMixin):
 
     def apply_version(self, version: int, ttl: float = float("inf")) -> bool:
         """Store *version*; returns ``True`` (and fires hooks) if newer."""
-        newer = self.cache.store(version, self.env.now, ttl)
-        tracer = self.env.tracer
+        env = self.env
+        now = env._now
+        newer = self.cache.store(version, now, ttl)
+        tracer = env.tracer
         if tracer.enabled:
             tracer.emit(
-                self.env.now, "cache_store", self.node.node_id,
+                now, "cache_store", self.node.node_id,
                 version=version, newer=newer,
             )
         if newer:
@@ -162,11 +163,11 @@ class ServerActor(Actor, UpdateSourceMixin):
         a task that answers once the refresh completes.
         """
         kind = message.kind
-        if kind is _PUSH_UPDATE:
+        if kind is PUSH_UPDATE:
             self.policy.on_push(message)
-        elif kind is _INVALIDATE:
+        elif kind is INVALIDATE:
             self.policy.on_invalidate(message)
-        elif kind is _POLL:
+        elif kind is POLL:
             # A stale intermediate (invalidation semantics) recovers
             # before answering, so staleness does not silently cascade
             # down a tree.
@@ -175,28 +176,28 @@ class ServerActor(Actor, UpdateSourceMixin):
                 self.handle_poll(message)
             else:
                 self._answer_after(wait, self.handle_poll, message)
-        elif kind is _FETCH:
+        elif kind is FETCH:
             wait = self.policy.ensure_fresh()
             if wait is None:
                 self.handle_fetch(message)
             else:
                 self._answer_after(wait, self.handle_fetch, message)
-        elif kind is _SWITCH_NOTICE:
+        elif kind is SWITCH_NOTICE:
             self.handle_switch(message)
-        elif kind is _CONTENT_REQUEST:
+        elif kind is CONTENT_REQUEST:
             wait = self.policy.serve(message)
             if wait is None:
                 self._answer_content(message)
             else:
                 self._answer_after(wait, self._answer_content, message)
-        elif kind is _TREE_MAINTENANCE:
+        elif kind is TREE_MAINTENANCE:
             pass  # handled by the infrastructure's repair process
         else:
             raise NotImplementedError("server cannot handle %s" % kind)
 
     def _answer_content(self, message: Message) -> None:
         self.reply(
-            message, _CONTENT_RESPONSE, self.content.update_size_kb, version=self.cache.version
+            message, CONTENT_RESPONSE, self.content.update_size_kb, version=self.cache.version
         )
 
     def _answer_after(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Optional
 
-from ..network.message import Message, MessageKind
+from ..network.message import FETCH, POLL, POLL_RESPONSE, SWITCH_NOTICE, Message
 from ..sim.engine import Event
 from ..sim.rng import RandomStream
 from .base import ServerPolicy
@@ -87,7 +87,7 @@ class SelfAdaptivePolicy(ServerPolicy):
                     mode=MODE_INVALIDATION,
                 )
             server.send(
-                MessageKind.SWITCH_NOTICE,
+                SWITCH_NOTICE,
                 server.upstream,
                 server.content.light_size_kb,
                 version=server.cached_version,
@@ -113,7 +113,7 @@ class SelfAdaptivePolicy(ServerPolicy):
                     env.now, "mode_switch", server.node.node_id, mode=MODE_TTL
                 )
             server.send(
-                MessageKind.SWITCH_NOTICE,
+                SWITCH_NOTICE,
                 server.upstream,
                 server.content.light_size_kb,
                 version=server.cached_version,
@@ -123,7 +123,7 @@ class SelfAdaptivePolicy(ServerPolicy):
     def _poll_once(self) -> Generator:
         server = self.server
         response = yield from server.request(
-            MessageKind.POLL,
+            POLL,
             server.upstream,
             server.content.light_size_kb,
             payload={"have": server.cached_version},
@@ -131,7 +131,7 @@ class SelfAdaptivePolicy(ServerPolicy):
         )
         if response is None:
             return False
-        if response.kind is MessageKind.POLL_RESPONSE:
+        if response.kind is POLL_RESPONSE:
             server.apply_version(response.version, ttl=self.ttl_s)
             return True
         return False
@@ -147,7 +147,7 @@ class SelfAdaptivePolicy(ServerPolicy):
         """
         if self.mode == MODE_INVALIDATION:
             self.server.send(
-                MessageKind.SWITCH_NOTICE,
+                SWITCH_NOTICE,
                 self.server.upstream,
                 self.server.content.light_size_kb,
                 version=self.server.cached_version,
@@ -168,7 +168,7 @@ class SelfAdaptivePolicy(ServerPolicy):
     def _fetch(self) -> Generator:
         server = self.server
         response = yield from server.request(
-            MessageKind.FETCH,
+            FETCH,
             server.upstream,
             server.content.light_size_kb,
             timeout=self.fetch_timeout_s,
@@ -221,13 +221,13 @@ class AdaptiveTTLPolicy(ServerPolicy):
         while True:
             yield env.timeout(self.current_ttl_s)
             response = yield from server.request(
-                MessageKind.POLL,
+                POLL,
                 server.upstream,
                 server.content.light_size_kb,
                 payload={"have": server.cached_version},
                 timeout=self.max_ttl_s,
             )
-            if response is not None and response.kind is MessageKind.POLL_RESPONSE:
+            if response is not None and response.kind is POLL_RESPONSE:
                 server.apply_version(response.version, ttl=self.current_ttl_s)
                 self.current_ttl_s = max(
                     self.min_ttl_s, self.current_ttl_s * self.shrink_factor

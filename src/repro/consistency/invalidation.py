@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from ..network.message import Message, MessageKind
+from ..network.message import FETCH, Message
 from .base import ServerPolicy
 
 __all__ = ["InvalidationPolicy"]
@@ -52,7 +52,7 @@ class InvalidationPolicy(ServerPolicy):
     def _fetch(self) -> Generator:
         server = self.server
         response = yield from server.request(
-            MessageKind.FETCH,
+            FETCH,
             server.upstream,
             server.content.light_size_kb,
             timeout=self.fetch_timeout_s,

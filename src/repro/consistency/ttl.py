@@ -13,18 +13,13 @@ from __future__ import annotations
 
 from typing import Generator, Optional, Tuple
 
-from ..network.message import Message, MessageKind
+from ..network.message import POLL, POLL_RESPONSE, Message
 from ..sim.engine import Event
 from ..sim.process import kickoff
 from ..sim.rng import RandomStream
 from .base import ServerPolicy
 
 __all__ = ["TTLPolicy"]
-
-# Bound once: ``MessageKind.X`` is a slow lookup on Python 3.11 (see
-# repro.cdn.server), and every poll round reads both.
-_POLL = MessageKind.POLL
-_POLL_RESPONSE = MessageKind.POLL_RESPONSE
 
 
 class TTLPolicy(ServerPolicy):
@@ -69,9 +64,13 @@ class TTLPolicy(ServerPolicy):
             kickoff(self.server.env, self._first_poll)
 
     def stop(self) -> None:
-        # Every loop step checks the flag first: a pending sleep ends
-        # the loop and a late poll response is dropped.
+        # Every loop step checks the flag first, so a pending sleep ends
+        # the loop.  The open poll's entry goes without a trace: a late
+        # response is dropped at dispatch, and the wheel still ends the
+        # waiter, whose callback finds the loop stopped.
         self._looping = False
+        if self._round is not None:
+            self.server._pending.pop(self._round.seq, None)
 
     def _initial_offset(self) -> float:
         # Desynchronised first polls: each server starts at a random
@@ -93,7 +92,7 @@ class TTLPolicy(ServerPolicy):
         """Open one poll round; :meth:`_on_poll_reply` closes it."""
         if not self._looping:
             return
-        self._round_started = self.server.env.now
+        self._round_started = self.server.env._now
         self._round, waiter = self._open_round()
         waiter.callbacks.append(self._on_poll_reply)
 
@@ -108,7 +107,7 @@ class TTLPolicy(ServerPolicy):
         # effective period to ~2xTTL exactly when the upstream was
         # absent -- the paper's Fig. 10 scenario.
         env = self.server.env
-        elapsed = env.now - self._round_started
+        elapsed = env._now - self._round_started
         env.timeout(max(0.0, self.ttl_s - elapsed)).callbacks.append(self._poll)
 
     # ------------------------------------------------------------------
@@ -123,7 +122,7 @@ class TTLPolicy(ServerPolicy):
     def _open_round(self) -> Tuple[Message, Event]:
         server = self.server
         return server.open_request(
-            _POLL,
+            POLL,
             server.upstream,
             server.content.light_size_kb,
             payload={"have": server.cache.version},
@@ -133,28 +132,29 @@ class TTLPolicy(ServerPolicy):
     def _close_round(self, message: Message, response: Optional[Message]) -> bool:
         """Apply the poll's *response*; True if it carried an update."""
         server = self.server
-        tracer = server.env.tracer
+        env = server.env
+        tracer = env.tracer
         if server.close_request(message, response) is None:
             if tracer.enabled:
                 tracer.emit(
-                    server.env.now, "poll_round", server.node.node_id,
+                    env._now, "poll_round", server.node.node_id,
                     got_update=False, timed_out=True,
                 )
             return False
-        if response.kind is _POLL_RESPONSE:
+        if response.kind is POLL_RESPONSE:
             server.apply_version(response.version, ttl=self.ttl_s)
             if tracer.enabled:
                 tracer.emit(
-                    server.env.now, "poll_round", server.node.node_id,
+                    env._now, "poll_round", server.node.node_id,
                     got_update=True, timed_out=False,
                 )
             return True
         # Not modified: refresh the entry's TTL without a new body.
         entry = server.cache
-        entry.store(entry.version, server.env.now, self.ttl_s)
+        entry.store(entry.version, env._now, self.ttl_s)
         if tracer.enabled:
             tracer.emit(
-                server.env.now, "poll_round", server.node.node_id,
+                env._now, "poll_round", server.node.node_id,
                 got_update=False, timed_out=False,
             )
         return False

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional, Tuple
 
 from ..consistency.base import ServerPolicy
-from ..network.message import Message, MessageKind
+from ..network.message import FETCH, POLL, POLL_RESPONSE, SWITCH_NOTICE, Message
 from ..sim.rng import RandomStream
 
 __all__ = ["DynamicPolicy"]
@@ -109,13 +109,13 @@ class DynamicPolicy(ServerPolicy):
     def _poll_once(self) -> Generator:
         server = self.server
         response = yield from server.request(
-            MessageKind.POLL,
+            POLL,
             server.upstream,
             server.content.light_size_kb,
             payload={"have": server.cached_version},
             timeout=self.ttl_s,
         )
-        if response is not None and response.kind is MessageKind.POLL_RESPONSE:
+        if response is not None and response.kind is POLL_RESPONSE:
             server.apply_version(response.version, ttl=self.ttl_s)
 
     # ------------------------------------------------------------------
@@ -153,7 +153,7 @@ class DynamicPolicy(ServerPolicy):
         self.mode = target
         self.mode_history.append((server.env.now, target))
         server.send(
-            MessageKind.SWITCH_NOTICE,
+            SWITCH_NOTICE,
             server.upstream,
             server.content.light_size_kb,
             version=server.cached_version,
@@ -178,7 +178,7 @@ class DynamicPolicy(ServerPolicy):
     def _fetch(self) -> Generator:
         server = self.server
         response = yield from server.request(
-            MessageKind.FETCH,
+            FETCH,
             server.upstream,
             server.content.light_size_kb,
             timeout=self.fetch_timeout_s,

@@ -197,22 +197,6 @@ class Deployment:
         #: The user plane; it keeps its own staleness accumulators.
         self.cohort = cohort
         self._ran = False
-        #: Running server lag sums updated at version-change events, so
-        #: the collection pass is a cheap read instead of a full log
-        #: re-scan.
-        self._server_trackers: Dict[str, ServerLagTracker] = {}
-        for server in servers:
-            tracker = ServerLagTracker(content)
-            self._server_trackers[server.node.node_id] = tracker
-            server.on_apply_hooks.append(self._apply_hook(tracker))
-
-    def _apply_hook(self, tracker: ServerLagTracker):
-        env = self.env
-
-        def hook(version: int) -> None:
-            tracker.on_apply(env.now, version)
-
-        return hook
 
     def run(self, horizon_s: Optional[float] = None) -> DeploymentMetrics:
         """Start all actors, run to the horizon, and summarise."""
@@ -245,10 +229,18 @@ class Deployment:
         TELEMETRY.count(
             "fabric.isp_crossing_messages", counters.isp_crossing_messages
         )
-        server_lags = {
-            server_id: tracker.mean_lag(horizon)
-            for server_id, tracker in self._server_trackers.items()
-        }
+        # Each server's apply log holds the (time, version) of every
+        # newer cache write, in order: replaying it through a tracker
+        # makes the same on_apply calls the writes would have made.
+        # ``apply_log[0]`` is the (0.0, 0) start, which covers no update.
+        times = list(self.content.update_times)
+        server_lags: Dict[str, float] = {}
+        for server in self.servers:
+            tracker = ServerLagTracker(self.content, times)
+            on_apply = tracker.on_apply
+            for now, version in server.cache.apply_log[1:]:
+                on_apply(now, version)
+            server_lags[server.node.node_id] = tracker.mean_lag(horizon)
         cohort = self.cohort
         if cohort.aggregate is not None:
             user_lags, stale = aggregate_user_rollup(

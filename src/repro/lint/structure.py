@@ -65,6 +65,9 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     "repro/metrics/incremental.py": {
         "AggregateUserMetrics": "on_observe per user visit",
     },
+    "repro/metrics/traffic.py": {
+        "KindTotals": "four attribute updates per delivered message",
+    },
 }
 
 

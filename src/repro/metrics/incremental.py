@@ -5,11 +5,12 @@ metric from scratch: it walks each server's full apply log and each
 user's full observation log through
 :func:`~repro.metrics.consistency.update_lags` (a ``searchsorted`` per
 update per replica).  These trackers maintain the same quantities
-*incrementally* -- a few float operations per version-change or visit
-event, hooked into :attr:`~repro.cdn.server.ServerActor.on_apply_hooks`
-and the user cohort's response path -- so collection is a cheap read
-of running state.  ``tests/test_golden.py`` checks them against the
-batch pass.
+*incrementally* -- a few float operations per version change or visit,
+with no search: the testbed's collection pass replays each server's
+apply log (:attr:`~repro.cdn.cache.CacheEntry.apply_log`) through a
+:class:`ServerLagTracker`, and the user cohort's response path feeds
+the user trackers as visits complete.  ``tests/test_golden.py`` checks
+them against the batch pass, which shares no code with them.
 
 Bit-identity with the batch pass is structural, not approximate:
 
@@ -48,10 +49,11 @@ __all__ = [
 class ServerLagTracker:
     """Running per-update lags of one server replica.
 
-    ``on_apply(now, version)`` must be called exactly when a strictly
-    newer *version* lands in the replica's cache (wire it to
-    ``ServerActor.on_apply_hooks``); versions across calls are therefore
-    strictly increasing.
+    ``on_apply(now, version)`` must be called once per strictly newer
+    *version* that landed in the replica's cache, at its write time and
+    in write order -- the entries of ``CacheEntry.apply_log`` after its
+    ``(0.0, 0)`` start; versions across calls are therefore strictly
+    increasing.
 
     *times* lets many trackers share one update-times list (the cohort
     plane builds hundreds of thousands of trackers per run); when given

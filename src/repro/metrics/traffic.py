@@ -8,8 +8,8 @@ The paper measures consistency-maintenance *efficiency* two ways:
   load as total transmission distance in ``km``.
 
 :class:`TrafficLedger` records every message the fabric carries and can
-answer all of those queries, broken down by message kind, with message
-counts per sender.
+answer all of those queries, broken down by message kind, with counts
+of consistency messages per sender.
 """
 
 from __future__ import annotations
@@ -18,12 +18,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from ..network.message import Message, MessageKind
+from ..network.message import LIGHT_KINDS, UPDATE_KINDS, Message, MessageKind
 
 __all__ = ["TrafficLedger", "KindTotals"]
 
+#: Consistency traffic: update and light kinds.  The per-sender table
+#: counts only these, since every per-sender query is restricted to them.
+_CONSISTENCY_KINDS = UPDATE_KINDS | LIGHT_KINDS
 
-@dataclass
+
+@dataclass(slots=True)
 class KindTotals:
     """Aggregated totals for one message kind."""
 
@@ -44,7 +48,8 @@ class TrafficLedger:
 
     def __init__(self) -> None:
         self._by_kind: Dict[MessageKind, KindTotals] = defaultdict(KindTotals)
-        #: Messages per sender per kind: the per-sender queries only count.
+        #: Consistency messages per sender per kind: the per-sender
+        #: queries only count.
         self._sent_by: Dict[str, Dict[MessageKind, int]] = defaultdict(
             lambda: defaultdict(int)
         )
@@ -65,12 +70,13 @@ class TrafficLedger:
         totals.km_kb += distance_km * size_kb
         totals.km += distance_km
         totals.kb += size_kb
-        src = message.src
-        try:
-            sender = src.node_id
-        except AttributeError:
-            sender = str(src)
-        self._sent_by[sender][kind] += 1
+        if kind in _CONSISTENCY_KINDS:
+            src = message.src
+            try:
+                sender = src.node_id
+            except AttributeError:
+                sender = str(src)
+            self._sent_by[sender][kind] += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -94,32 +100,22 @@ class TrafficLedger:
 
     def consistency_cost_km_kb(self) -> float:
         """Fig. 16/17-style cost: km*KB over all consistency messages."""
-        from ..network.message import LIGHT_KINDS, UPDATE_KINDS
-
-        return self.totals(UPDATE_KINDS | LIGHT_KINDS).km_kb
+        return self.totals(_CONSISTENCY_KINDS).km_kb
 
     def update_message_count(self) -> int:
         """Fig. 22a-style count of body-carrying update messages."""
-        from ..network.message import UPDATE_KINDS
-
         return self.totals(UPDATE_KINDS).count
 
     def light_message_count(self) -> int:
         """Count of light consistency-maintenance messages."""
-        from ..network.message import LIGHT_KINDS
-
         return self.totals(LIGHT_KINDS).count
 
     def update_load_km(self) -> float:
         """Fig. 23-style network load (km) of update messages."""
-        from ..network.message import UPDATE_KINDS
-
         return self.totals(UPDATE_KINDS).km
 
     def light_load_km(self) -> float:
         """Fig. 23-style network load (km) of light messages."""
-        from ..network.message import LIGHT_KINDS
-
         return self.totals(LIGHT_KINDS).km
 
     def response_message_count(self) -> int:
@@ -129,16 +125,12 @@ class TrafficLedger:
         network load including the polling responses and update
         messages" -- i.e. not-modified poll answers count too.
         """
-        from ..network.message import MessageKind, UPDATE_KINDS
-
         kinds = set(UPDATE_KINDS) | {MessageKind.POLL_NOT_MODIFIED}
         return self.totals(kinds).count
 
     def updates_sent_by(self, sender_id: str) -> int:
         """Update messages whose sender is *sender_id* (Fig. 22b:
         provider load)."""
-        from ..network.message import UPDATE_KINDS
-
         per_kind = self._sent_by.get(sender_id)
         if not per_kind:
             return 0
@@ -147,8 +139,6 @@ class TrafficLedger:
     def responses_sent_by(self, sender_id: str) -> int:
         """Fig. 22 metric restricted to one sender (bodies + poll
         responses)."""
-        from ..network.message import MessageKind, UPDATE_KINDS
-
         per_kind = self._sent_by.get(sender_id)
         if not per_kind:
             return 0
@@ -158,8 +148,6 @@ class TrafficLedger:
     def response_load_km(self) -> float:
         """Fig. 23 'update message' network load (km), using the same
         response-inclusive definition as :meth:`response_message_count`."""
-        from ..network.message import MessageKind, UPDATE_KINDS
-
         kinds = set(UPDATE_KINDS) | {MessageKind.POLL_NOT_MODIFIED}
         return self.totals(kinds).km
 
@@ -167,20 +155,16 @@ class TrafficLedger:
         """Fig. 23 'light message' load (km): everything consistency-
         related that is not a response (polls, fetch requests,
         invalidations, switch notices, tree maintenance)."""
-        from ..network.message import LIGHT_KINDS, MessageKind
-
         kinds = set(LIGHT_KINDS) - {MessageKind.POLL_NOT_MODIFIED}
         return self.totals(kinds).km
 
     def messages_sent_by(self, sender_id: str) -> int:
-        """All consistency messages sent by *sender_id*."""
-        from ..network.message import LIGHT_KINDS, UPDATE_KINDS
-
+        """All consistency messages sent by *sender_id* (the only kinds
+        the per-sender table counts)."""
         per_kind = self._sent_by.get(sender_id)
         if not per_kind:
             return 0
-        interesting = UPDATE_KINDS | LIGHT_KINDS
-        return sum(n for k, n in per_kind.items() if k in interesting)
+        return sum(per_kind.values())
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """A plain-dict view (for reports and serialisation)."""

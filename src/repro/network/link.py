@@ -192,9 +192,8 @@ class _FastTransfer(Event):
         transfer goes back to the pool.
 
         The counter increment and ``msg_recv`` trace run *before* the
-        handoff: the receiving actor's handler runs synchronously inside
-        ``deliver()``, and its own traces must follow the ``msg_recv``
-        that caused them.
+        handoff: the receiver's consumer runs synchronously here, and
+        its own traces must follow the ``msg_recv`` that caused them.
         """
         fabric = self.fabric
         message = self.message
@@ -214,7 +213,11 @@ class _FastTransfer(Event):
                 tracer.emit(
                     self.env.now, "msg_recv", dst.node_id, **message.trace_detail()
                 )
-            dst.deliver(message)
+            consumer = dst.consumer
+            if consumer is not None:
+                consumer(message)
+            else:
+                dst.deliver(message)  # raises, naming the node
         # Unbinding (rather than None-ing) the slot drops the reference
         # while pooled without widening the attribute type to Optional.
         del self.message

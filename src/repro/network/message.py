@@ -10,10 +10,14 @@ maintenance).  Every message in the simulation is tagged with a
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
-__all__ = ["MessageKind", "Message", "LIGHT_KINDS", "UPDATE_KINDS"]
+__all__ = [
+    "MessageKind", "Message", "LIGHT_KINDS", "UPDATE_KINDS",
+    "PUSH_UPDATE", "POLL_RESPONSE", "FETCH_RESPONSE", "POLL", "POLL_NOT_MODIFIED",
+    "INVALIDATE", "FETCH", "SWITCH_NOTICE", "TREE_MAINTENANCE",
+    "CONTENT_REQUEST", "CONTENT_RESPONSE",
+]
 
 
 class MessageKind(enum.Enum):
@@ -42,35 +46,37 @@ class MessageKind(enum.Enum):
     CONTENT_RESPONSE = "content_response"
 
 
+# Every kind bound once as a module global.  ``MessageKind.X`` is a slow
+# class-attribute lookup on Python 3.11 (the enum metaclass defines
+# ``__getattr__``); ``from repro.network.message import POLL`` binds a
+# global that the per-message dispatch and send paths read cheaply.
+PUSH_UPDATE = MessageKind.PUSH_UPDATE
+POLL_RESPONSE = MessageKind.POLL_RESPONSE
+FETCH_RESPONSE = MessageKind.FETCH_RESPONSE
+POLL = MessageKind.POLL
+POLL_NOT_MODIFIED = MessageKind.POLL_NOT_MODIFIED
+INVALIDATE = MessageKind.INVALIDATE
+FETCH = MessageKind.FETCH
+SWITCH_NOTICE = MessageKind.SWITCH_NOTICE
+TREE_MAINTENANCE = MessageKind.TREE_MAINTENANCE
+CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
+CONTENT_RESPONSE = MessageKind.CONTENT_RESPONSE
+
 #: Message kinds that carry a content body (the paper's "update messages").
-UPDATE_KINDS = frozenset(
-    {MessageKind.PUSH_UPDATE, MessageKind.POLL_RESPONSE, MessageKind.FETCH_RESPONSE}
-)
+UPDATE_KINDS = frozenset({PUSH_UPDATE, POLL_RESPONSE, FETCH_RESPONSE})
 
 #: Consistency-maintenance messages without a body ("light messages").
 LIGHT_KINDS = frozenset(
-    {
-        MessageKind.POLL,
-        MessageKind.POLL_NOT_MODIFIED,
-        MessageKind.INVALIDATE,
-        MessageKind.FETCH,
-        MessageKind.SWITCH_NOTICE,
-        MessageKind.TREE_MAINTENANCE,
-    }
+    {POLL, POLL_NOT_MODIFIED, INVALIDATE, FETCH, SWITCH_NOTICE, TREE_MAINTENANCE}
 )
 
-#: Process-wide message sequence counter.  Seq values never feed a
-#: simulated outcome (request/response pairing is per-message and the
-#: metrics never read them), but they do appear in trace details, so
-#: :func:`reset_seq` below rebases the counter per deployment build --
-#: traces are then a function of the run, not of process history.
+#: Process-wide message sequence counter: :class:`Message` numbers each
+#: message it builds.  Seq values never feed a simulated outcome
+#: (request/response pairing is per-message and the metrics never read
+#: them), but they do appear in trace details, so :func:`reset_seq`
+#: below rebases the counter per deployment build -- traces are then a
+#: function of the run, not of process history.
 _SEQ = 0
-
-
-def _next_seq() -> int:
-    global _SEQ  # repro: noqa REP010 -- counter is reset per deployment build (reset_seq); values never feed metrics
-    _SEQ += 1
-    return _SEQ
 
 
 def reset_seq() -> None:
@@ -85,24 +91,41 @@ def reset_seq() -> None:
     _SEQ = 0
 
 
-@dataclass(slots=True)
 class Message:
     """A single message in flight.
 
     ``version`` is the content-snapshot index the message refers to
     (``None`` when it refers to none, e.g. tree maintenance).
     ``payload`` carries protocol-specific extras (e.g. the poller's
-    reply inbox).
+    reply inbox).  ``seq`` numbers messages in construction order;
+    ``created_at`` is stamped when the fabric accepts the message.
+
+    Hot paths build messages positionally: on Python 3.11 a class call
+    with keyword arguments packs them into a fresh dict for
+    ``__init__``, once per message.
     """
 
-    kind: MessageKind
-    src: Any
-    dst: Any
-    size_kb: float
-    version: Optional[int] = None
-    payload: Any = None
-    created_at: float = 0.0
-    seq: int = field(default_factory=_next_seq)
+    __slots__ = ("kind", "src", "dst", "size_kb", "version", "payload", "created_at", "seq")
+
+    def __init__(
+        self,
+        kind: MessageKind,
+        src: Any,
+        dst: Any,
+        size_kb: float,
+        version: Optional[int] = None,
+        payload: Any = None,
+    ) -> None:
+        global _SEQ  # repro: noqa REP010 -- counter is reset per deployment build (reset_seq); values never feed metrics
+        _SEQ += 1
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.size_kb = size_kb
+        self.version = version
+        self.payload = payload
+        self.created_at = 0.0
+        self.seq = _SEQ
 
     @property
     def is_update(self) -> bool:

@@ -57,7 +57,7 @@ class NetworkNode:
         #: messages queue in ``port_waiters`` (FIFO).
         self.port_busy = False
         self.port_waiters: Optional[Deque[Any]] = None
-        #: The attached actor's handler: :meth:`deliver` calls it
+        #: The attached actor's handler: the fabric calls it
         #: synchronously at delivery time.
         self.consumer: Optional[Callable[[Any], None]] = None
         #: Number of currently active absences.  The node is up only
@@ -126,7 +126,9 @@ class NetworkNode:
             tracer.emit(now, "node_up" if up else "node_down", self.node_id)
 
     def deliver(self, message: Any) -> None:
-        """Hand a delivered *message* to the registered consumer."""
+        """Hand a delivered *message* to the registered consumer, or
+        raise, naming this node, if none is attached.  The fabric calls
+        the consumer directly and comes here only when there is none."""
         consumer = self.consumer
         if consumer is None:
             raise RuntimeError(

@@ -190,9 +190,10 @@ class TestFailover:
 
 class TestTTLMemberFailover:
     """Failover in the Hybrid system: a promoted TTL member's poll loop
-    (callbacks, not a process) must end with its policy."""
+    (callbacks, not a process) must end with its policy, and forget the
+    poll it had open."""
 
-    def promote(self, in_flight):
+    def promote(self, in_flight, victim_down):
         tracer = RecordingTracer()
         env, streams, topology, fabric, content, hat, cohort = build_hat(
             users=False, member_method="ttl", tracer=tracer
@@ -206,16 +207,20 @@ class TestTTLMemberFailover:
         if in_flight:
             while not member._pending:
                 env.run(until=env.now + 0.001)
-            # The old supernode still answers this poll, after failover.
             ((last_poll, waiter),) = member._pending.items()
         else:
             assert not member._pending  # sleeping between polls
             last_poll, waiter = max(self.polls_sent(tracer, member)), None
+        if victim_down:
             victim.node.is_up = False
         promoted_at = env.now
         assert hat.handle_supernode_failure(victim) is member
+        # The old policy's open poll, if any, is forgotten with it ...
+        assert not member._pending
         env.run(until=400.0)  # many TTLs (15 s) later
-        return tracer, member, waiter, last_poll, promoted_at
+        # ... and no entry comes back, answered or not.
+        assert not member._pending
+        return tracer, member, victim, waiter, last_poll, promoted_at
 
     def polls_sent(self, tracer, member):
         """Sequence numbers of the POLLs *member* sent."""
@@ -225,19 +230,46 @@ class TestTTLMemberFailover:
             if event.detail["msg"] == "poll"
         ]
 
-    def test_sleeping_loop_sends_no_more_polls(self):
-        tracer, promotee, _, last_poll, promoted_at = self.promote(in_flight=False)
+    def assert_loop_ended(self, tracer, promotee, last_poll, promoted_at):
         assert max(self.polls_sent(tracer, promotee)) == last_poll
         assert tracer.events(node=promotee.node.node_id, kinds=("poll_round",),
                              since=promoted_at) == []
+        assert promotee.policy.method_name == "push"
+
+    def test_sleeping_loop_sends_no_more_polls(self):
+        tracer, promotee, _, _, last_poll, promoted_at = self.promote(
+            in_flight=False, victim_down=True
+        )
+        self.assert_loop_ended(tracer, promotee, last_poll, promoted_at)
 
     def test_late_reply_to_poll_in_flight_is_dropped(self):
-        tracer, promotee, waiter, last_poll, promoted_at = self.promote(in_flight=True)
-        # the reply did arrive, after the promotion ...
-        assert waiter.triggered and waiter.value is not None
-        assert waiter.value.payload["req"] == last_poll
-        # ... and closed no poll round and started no new one
-        assert tracer.events(node=promotee.node.node_id, kinds=("poll_round",),
-                             since=promoted_at) == []
-        assert max(self.polls_sent(tracer, promotee)) == last_poll
-        assert promotee.policy.method_name == "push"
+        tracer, promotee, victim, waiter, last_poll, promoted_at = self.promote(
+            in_flight=True, victim_down=False
+        )
+        # The old supernode's reply still arrives after the promotion ...
+        replies = [
+            event
+            for event in tracer.events(node=promotee.node.node_id, kinds=("msg_recv",),
+                                       since=promoted_at)
+            if event.detail["src"] == victim.node.node_id
+            and event.detail["msg"] in ("poll_response", "poll_not_modified")
+        ]
+        assert len(replies) == 1
+        # ... but finds no pending request: the wheel ended the waiter,
+        # and no poll round closed or opened.
+        assert waiter.triggered and waiter.value is None
+        self.assert_loop_ended(tracer, promotee, last_poll, promoted_at)
+
+    def test_unanswered_poll_in_flight_is_forgotten(self):
+        # The old supernode is down while the poll is in flight: no reply
+        # ever comes, and the entry used to stay to the end of the run.
+        tracer, promotee, victim, waiter, last_poll, promoted_at = self.promote(
+            in_flight=True, victim_down=True
+        )
+        assert not any(
+            event.detail["src"] == victim.node.node_id
+            for event in tracer.events(node=promotee.node.node_id, kinds=("msg_recv",),
+                                       since=promoted_at)
+        )
+        assert waiter.triggered and waiter.value is None
+        self.assert_loop_ended(tracer, promotee, last_poll, promoted_at)

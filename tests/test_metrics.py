@@ -143,6 +143,35 @@ class TestTrafficLedger:
         assert ledger.messages_sent_by("provider") == 2
         assert ledger.updates_sent_by("nobody") == 0
 
+    def test_content_traffic_counts_in_totals_not_per_sender(self):
+        ledger = TrafficLedger()
+
+        class Node:
+            def __init__(self, node_id):
+                self.node_id = node_id
+
+        provider, server, user = Node("provider"), Node("server-1"), Node("user-1")
+        ledger.record(Message(MessageKind.PUSH_UPDATE, provider, server, 4.0), 10.0)
+        ledger.record(Message(MessageKind.CONTENT_REQUEST, user, provider, 1.0), 10.0)
+        ledger.record(Message(MessageKind.CONTENT_RESPONSE, provider, user, 4.0), 10.0)
+        ledger.record(Message(MessageKind.CONTENT_REQUEST, user, server, 1.0), 20.0)
+        ledger.record(Message(MessageKind.CONTENT_RESPONSE, server, user, 4.0), 20.0)
+        # Content traffic counts in the per-kind totals ...
+        assert ledger.totals().count == 5
+        assert ledger.totals().km == pytest.approx(70.0)
+        assert ledger.kind_totals(MessageKind.CONTENT_REQUEST).count == 2
+        assert ledger.kind_totals(MessageKind.CONTENT_RESPONSE).count == 2
+        assert ledger.kind_totals(MessageKind.CONTENT_RESPONSE).km_kb == pytest.approx(120.0)
+        # ... but moves no per-sender count, for the provider ...
+        assert ledger.updates_sent_by("provider") == 1
+        assert ledger.responses_sent_by("provider") == 1
+        assert ledger.messages_sent_by("provider") == 1
+        # ... nor for senders that sent only content.
+        for sender in ("server-1", "user-1"):
+            assert ledger.updates_sent_by(sender) == 0
+            assert ledger.responses_sent_by(sender) == 0
+            assert ledger.messages_sent_by(sender) == 0
+
     def test_content_traffic_not_in_consistency_cost(self):
         ledger = TrafficLedger()
         ledger.record(_msg(MessageKind.CONTENT_RESPONSE, size=100.0), 1000.0)

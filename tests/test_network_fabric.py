@@ -11,6 +11,7 @@ from repro.network import (
     TopologyBuilder,
 )
 from repro.network.geo import GeoPoint
+from repro.network.message import reset_seq
 from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 
@@ -50,6 +51,25 @@ class TestMessageTaxonomy:
         a = Message(MessageKind.POLL, None, None, 1.0)
         b = Message(MessageKind.POLL, None, None, 1.0)
         assert a.seq != b.seq
+
+    def test_reset_seq_numbers_from_one(self):
+        Message(MessageKind.POLL, None, None, 1.0)
+        reset_seq()
+        messages = [
+            Message(MessageKind.POLL, "a", "b", 1.0),
+            Message(kind=MessageKind.PUSH_UPDATE, src="a", dst="b", size_kb=2.0,
+                    version=3, payload={"k": 1}),
+            Message(MessageKind.POLL_RESPONSE, "b", "a", 2.0, 4, {"req": 1}),
+            Message(MessageKind.FETCH, "a", "b", 1.0, payload={}),
+        ]
+        assert [message.seq for message in messages] == [1, 2, 3, 4]
+        assert [message.created_at for message in messages] == [0.0] * 4
+        keyword, positional = messages[1], messages[2]
+        assert (keyword.kind, keyword.src, keyword.dst, keyword.size_kb,
+                keyword.version, keyword.payload) == (
+            MessageKind.PUSH_UPDATE, "a", "b", 2.0, 3, {"k": 1})
+        assert (positional.version, positional.payload) == (4, {"req": 1})
+        assert messages[0].version is None and messages[0].payload is None
 
 
 class TestNode:
