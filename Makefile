@@ -48,11 +48,12 @@ claims:
 		benchmarks/test_bench_section4.py benchmarks/test_bench_section5.py \
 		benchmarks/test_bench_ablations.py benchmarks/test_bench_future_work.py
 
-# Schedule sanitizer: for every default method x infrastructure cell,
-# perturb same-instant NORMAL-priority tie-breaking under a dedicated
-# seeded stream and assert metrics/counters/traces stay bit-identical
-# to the FIFO baseline.  A failure means results depend on incidental
-# event-queue order (see docs/static-analysis.md).
+# Schedule sanitizer: for every default cell (method x infrastructure
+# pairs and the HAT system), perturb same-instant NORMAL-priority
+# tie-breaking under a dedicated seeded stream and assert
+# metrics/counters/traces stay bit-identical to the FIFO baseline.  A
+# failure means results depend on incidental event-queue order (see
+# docs/static-analysis.md).
 sanitize-smoke:
 	PYTHONPATH=src python -m repro sanitize
 

@@ -1,11 +1,10 @@
 """Edge-server cache bookkeeping.
 
 A server replicates one live content object, so its cache is one
-:class:`CacheEntry`: the cached version, when it was fetched, when its
-TTL expires, and whether an invalidation notice has marked it stale.  It
-also keeps an *apply log* -- the (time, version) history of cache
-writes -- which is the raw material for all server-side inconsistency
-metrics.
+:class:`CacheEntry`: the cached version, when its TTL expires, and
+whether an invalidation notice has marked it stale.  It also keeps an
+*apply log* -- the (time, version) history of cache writes -- which is
+the raw material for all server-side inconsistency metrics.
 """
 
 from __future__ import annotations
@@ -18,11 +17,10 @@ __all__ = ["CacheEntry"]
 class CacheEntry:
     """One server's cached copy of the live content (version 0 at t=0)."""
 
-    __slots__ = ("version", "fetched_at", "expires_at", "invalidated", "apply_log")
+    __slots__ = ("version", "expires_at", "invalidated", "apply_log")
 
     def __init__(self) -> None:
         self.version = 0
-        self.fetched_at = 0.0
         self.expires_at = 0.0
         self.invalidated = False
         #: (time, version) for every write, in time order.
@@ -47,7 +45,6 @@ class CacheEntry:
         one.  A refetch of the same version still refreshes the TTL and
         clears any invalidation mark.
         """
-        self.fetched_at = now
         self.expires_at = now + ttl
         self.invalidated = False
         if version > self.version:
@@ -55,6 +52,12 @@ class CacheEntry:
             self.apply_log.append((now, version))
             return True
         return False
+
+    def renew(self, now: float, ttl: float) -> None:
+        """A poll found the copy current: it stays usable for *ttl* more
+        seconds.  An invalidation mark stays; only a stored body clears
+        it."""
+        self.expires_at = now + ttl
 
     def invalidate(self, version: Optional[int] = None) -> bool:
         """Mark the entry stale (server-based Invalidation).

@@ -9,7 +9,7 @@ and HAT supernodes) via :class:`~repro.cdn.base.UpdateSourceMixin`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+from typing import Callable, List, Optional
 
 from ..network.link import NetworkFabric
 from ..network.message import (
@@ -30,35 +30,6 @@ from .cache import CacheEntry
 from .content import LiveContent
 
 __all__ = ["ServerActor", "schedule_absence"]
-
-
-def _task_driver(
-    generator: Generator[Event, Any, Any], first: Event
-) -> Generator[Event, Any, None]:
-    """Drive *generator* (whose first yielded event is *first*) as a
-    process, proxying both resume values and thrown exceptions.
-
-    Used by :meth:`ServerActor._answer_after`: the task body already
-    ran up to its first ``yield``, so a plain ``yield from`` would
-    re-run it.  Exceptions are forwarded with ``throw`` so
-    ``try``/``finally`` blocks inside the task (e.g. the invalidation
-    policy's in-flight bookkeeping) behave exactly as under
-    ``env.process(generator)``.
-    """
-    event = first
-    while True:
-        try:
-            value = yield event
-        except BaseException as exc:  # noqa: BLE001 - full proxy semantics
-            try:
-                event = generator.throw(exc)
-            except StopIteration:
-                return
-        else:
-            try:
-                event = generator.send(value)
-            except StopIteration:
-                return
 
 
 class ServerActor(Actor, UpdateSourceMixin):
@@ -159,8 +130,8 @@ class ServerActor(Actor, UpdateSourceMixin):
 
         Polls, fetches and content requests are answered in this frame
         when the policy can answer now (``ensure_fresh`` / ``serve``
-        return ``None``); only a replica that must refresh first starts
-        a task that answers once the refresh completes.
+        return ``None``); a replica that must refresh first answers in
+        the frame where that refresh ends.
         """
         kind = message.kind
         if kind is PUSH_UPDATE:
@@ -171,25 +142,25 @@ class ServerActor(Actor, UpdateSourceMixin):
             # A stale intermediate (invalidation semantics) recovers
             # before answering, so staleness does not silently cascade
             # down a tree.
-            wait = self.policy.ensure_fresh()
-            if wait is None:
+            refresh = self.policy.ensure_fresh()
+            if refresh is None:
                 self.handle_poll(message)
             else:
-                self._answer_after(wait, self.handle_poll, message)
+                self._answer_after(refresh, self.handle_poll, message)
         elif kind is FETCH:
-            wait = self.policy.ensure_fresh()
-            if wait is None:
+            refresh = self.policy.ensure_fresh()
+            if refresh is None:
                 self.handle_fetch(message)
             else:
-                self._answer_after(wait, self.handle_fetch, message)
+                self._answer_after(refresh, self.handle_fetch, message)
         elif kind is SWITCH_NOTICE:
             self.handle_switch(message)
         elif kind is CONTENT_REQUEST:
-            wait = self.policy.serve(message)
-            if wait is None:
+            refresh = self.policy.serve(message)
+            if refresh is None:
                 self._answer_content(message)
             else:
-                self._answer_after(wait, self._answer_content, message)
+                self._answer_after(refresh, self._answer_content, message)
         elif kind is TREE_MAINTENANCE:
             pass  # handled by the infrastructure's repair process
         else:
@@ -200,31 +171,14 @@ class ServerActor(Actor, UpdateSourceMixin):
             message, CONTENT_RESPONSE, self.content.update_size_kb, version=self.cache.version
         )
 
+    @staticmethod
     def _answer_after(
-        self,
-        wait: Generator[Event, Any, Any],
-        answer: Callable[[Message], None],
-        message: Message,
+        refresh: Event, answer: Callable[[Message], None], message: Message
     ) -> None:
-        """Run the refresh *wait*, then ``answer(message)``.
-
-        The refresh runs now, up to its first ``yield`` (its request
-        leaves in this frame); the rest runs in a process that resumes
-        on the event it yielded.
-        """
-        task = _answer_task(wait, answer, message)
-        try:
-            first = next(task)
-        except StopIteration:
-            return
-        self.env.process(_task_driver(task, first))
-
-
-def _answer_task(
-    wait: Generator[Event, Any, Any], answer: Callable[[Message], None], message: Message
-) -> Generator[Event, Any, None]:
-    yield from wait
-    answer(message)
+        """Run ``answer(message)`` in the frame where *refresh* (the
+        policy's refresh in flight) ends: after the policy has applied
+        the body, and after the answers queued on it before this one."""
+        refresh.callbacks.append(lambda _refresh: answer(message))
 
 
 def schedule_absence(env: Environment, node: NetworkNode, start: float, duration: float):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Generator, Iterable, Optional
 
-from ..network.message import FETCH, POLL, POLL_RESPONSE, SWITCH_NOTICE, Message
+from ..network.message import SWITCH_NOTICE, Message
 from ..sim.engine import Event
 from ..sim.rng import RandomStream
 from .base import ServerPolicy
@@ -39,20 +39,12 @@ class SelfAdaptivePolicy(ServerPolicy):
 
     method_name = "self-adaptive"
 
-    def __init__(
-        self,
-        ttl_s: float,
-        stream: Optional[RandomStream] = None,
-        poll_timeout_s: Optional[float] = None,
-        fetch_timeout_s: Optional[float] = 60.0,
-    ) -> None:
+    def __init__(self, ttl_s: float, stream: Optional[RandomStream] = None) -> None:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
         super().__init__()
         self.ttl_s = ttl_s
         self.stream = stream
-        self.poll_timeout_s = poll_timeout_s if poll_timeout_s is not None else ttl_s
-        self.fetch_timeout_s = fetch_timeout_s
         self.mode = MODE_TTL
         self._invalidated_ev: Optional[Event] = None
         self._recovered_ev: Optional[Event] = None
@@ -74,7 +66,7 @@ class SelfAdaptivePolicy(ServerPolicy):
             self.mode = MODE_TTL
             while True:
                 yield env.timeout(self.ttl_s)
-                got_update = yield from self._poll_once()
+                got_update = yield from self.poll_once()
                 if not got_update:
                     break
 
@@ -120,22 +112,6 @@ class SelfAdaptivePolicy(ServerPolicy):
                 payload={"mode": "ttl"},
             )
 
-    def _poll_once(self) -> Generator:
-        server = self.server
-        response = yield from server.request(
-            POLL,
-            server.upstream,
-            server.content.light_size_kb,
-            payload={"have": server.cached_version},
-            timeout=self.poll_timeout_s,
-        )
-        if response is None:
-            return False
-        if response.kind is POLL_RESPONSE:
-            server.apply_version(response.version, ttl=self.ttl_s)
-            return True
-        return False
-
     # ------------------------------------------------------------------
     def reannounce(self) -> None:
         """Re-register the current mode with a *new* upstream.
@@ -159,24 +135,14 @@ class SelfAdaptivePolicy(ServerPolicy):
         if self._invalidated_ev is not None and not self._invalidated_ev.triggered:
             self._invalidated_ev.succeed()
 
-    def ensure_fresh(self) -> Optional[Generator]:
-        """Visit-triggered recovery fetch while in Invalidation mode."""
-        if not self.server.is_invalidated:
-            return None
-        return self._shared_refresh(self._fetch)
-
-    def _fetch(self) -> Generator:
-        server = self.server
-        response = yield from server.request(
-            FETCH,
-            server.upstream,
-            server.content.light_size_kb,
-            timeout=self.fetch_timeout_s,
-        )
-        if response is not None:
-            server.apply_version(response.version, ttl=self.ttl_s)
-            if self._recovered_ev is not None and not self._recovered_ev.triggered:
-                self._recovered_ev.succeed()
+    def _close_refresh(self, message: Message, response: Optional[Message]) -> None:
+        # The visit-triggered recovery fetch: once it lands, the control
+        # loop switches back to TTL -- after the answers waiting on the
+        # fetch, which run in this frame.
+        super()._close_refresh(message, response)
+        recovered = self._recovered_ev
+        if response is not None and recovered is not None and not recovered.triggered:
+            recovered.succeed()
 
 
 class AdaptiveTTLPolicy(ServerPolicy):
@@ -214,21 +180,14 @@ class AdaptiveTTLPolicy(ServerPolicy):
         return [self._poll_loop()]
 
     def _poll_loop(self) -> Generator:
-        server = self.server
-        env = server.env
+        env = self.server.env
         if self.stream is not None:
             yield env.timeout(self.stream.uniform(0.0, self.min_ttl_s))
         while True:
             yield env.timeout(self.current_ttl_s)
-            response = yield from server.request(
-                POLL,
-                server.upstream,
-                server.content.light_size_kb,
-                payload={"have": server.cached_version},
-                timeout=self.max_ttl_s,
-            )
-            if response is not None and response.kind is POLL_RESPONSE:
-                server.apply_version(response.version, ttl=self.current_ttl_s)
+            message, waiter = self._open_round(self.max_ttl_s)
+            response = yield waiter
+            if self._close_round(message, response, self.current_ttl_s):
                 self.current_ttl_s = max(
                     self.min_ttl_s, self.current_ttl_s * self.shrink_factor
                 )

@@ -14,9 +14,9 @@ The paper factors consistency maintenance into two orthogonal choices:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, List, Optional, TYPE_CHECKING
+from typing import Generator, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
-from ..network.message import Message
+from ..network.message import FETCH, POLL, POLL_RESPONSE, Message
 from ..sim.engine import Event
 from ..sim.process import Interrupt, Process
 
@@ -24,7 +24,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cdn.provider import ProviderActor
     from ..cdn.server import ServerActor
 
-__all__ = ["ServerPolicy", "Infrastructure"]
+__all__ = ["ServerPolicy", "Infrastructure", "FETCH_TIMEOUT_S"]
+
+#: Bound on how long a recovery fetch waits for its upstream (down, or
+#: the request or the reply lost): the replica then answers with what
+#: it holds, and the next trigger fetches again.
+FETCH_TIMEOUT_S = 60.0
 
 
 def _supervise(generator: Generator) -> Generator:
@@ -40,16 +45,21 @@ class ServerPolicy:
     """Server-side half of an update method.
 
     Subclasses override the hooks they need; the defaults describe a
-    purely passive replica (never refreshes, ignores notices).
+    replica that never polls and refetches its copy on demand once an
+    invalidation notice has marked it stale.
     """
 
     #: Human-readable method name ("ttl", "push", ...).
     method_name: str = "base"
 
+    #: TTL a refreshed body is stored with: a polling policy's period;
+    #: a replica that is only ever invalidated never expires its copy.
+    ttl_s: float = float("inf")
+
     def __init__(self) -> None:
         self.server: Optional["ServerActor"] = None
         self._procs: List[Process] = []
-        #: Succeeds when the refresh in flight (if any) ends.
+        #: The waiter of the refresh in flight (see :meth:`_refresh`).
         self._refreshing: Optional[Event] = None
 
     def bind(self, server: "ServerActor") -> None:
@@ -94,36 +104,116 @@ class ServerPolicy:
         """An invalidation notice arrived."""
         self.server.mark_invalidated(message.version)
 
-    def ensure_fresh(self) -> Optional[Generator]:
+    # ------------------------------------------------------------------
+    # on-demand refresh
+    # ------------------------------------------------------------------
+    def ensure_fresh(self) -> Optional[Event]:
         """Bring the cache to a servable state before answering.
 
         Used both on the user-serving path and when answering a child's
         poll/fetch (so staleness does not cascade down a tree).  Returns
-        ``None`` when the replica can answer now, else a generator that
-        refreshes it (to be run with ``yield from``); the server answers
-        when it finishes.
+        ``None`` when the replica can answer now, else the waiter of the
+        one refresh in flight (:meth:`_refresh`): the server appends its
+        answer to the waiter's callbacks.  By default an invalidated
+        copy is fetched again.
         """
-        return None
+        if not self.server.cache.invalidated:
+            return None
+        return self._refresh()
 
-    def _shared_refresh(self, refresh: Callable[[], Generator]) -> Generator:
-        """Run ``refresh()`` as the one refresh in flight: triggers that
-        arrive meanwhile (several users, or a user plus a child's poll
-        or fetch) wait for it instead of duplicating it."""
-        if self._refreshing is not None:
-            yield self._refreshing
-            return
-        self._refreshing = self.server.env.event()
-        try:
-            yield from refresh()
-        finally:
-            done, self._refreshing = self._refreshing, None
-            done.succeed()
-
-    def serve(self, message: Message) -> Optional[Generator]:
+    def serve(self, message: Message) -> Optional[Event]:
         """Prepare to answer the user request *message*: the
         :meth:`ensure_fresh` contract, called once per request.  The
         server then answers with its cached version."""
         return self.ensure_fresh()
+
+    def _refresh(self) -> Event:
+        """The one refresh in flight, opened by the first trigger that
+        finds none: triggers that arrive meanwhile (several users, or a
+        user plus a child's poll or fetch) share it.
+
+        Returns the request's waiter.  Its first callback closes the
+        round; the callbacks the triggers append after it -- the
+        server's answers -- run in the same frame, in the order they
+        were added, when the reply is delivered (or the wheel times the
+        request out).
+        """
+        waiter = self._refreshing
+        if waiter is None:
+            message, waiter = self._open_refresh()
+
+            def close(waiter: Event) -> None:
+                self._refreshing = None
+                self._close_refresh(message, waiter.value)
+
+            waiter.callbacks.append(close)
+            self._refreshing = waiter
+        return waiter
+
+    def _open_refresh(self) -> Tuple[Message, Event]:
+        """Send the on-demand refresh request: a FETCH of the body."""
+        server = self.server
+        return server.open_request(
+            FETCH,
+            server.upstream,
+            server.content.light_size_kb,
+            timeout=FETCH_TIMEOUT_S,
+        )
+
+    def _close_refresh(self, message: Message, response: Optional[Message]) -> None:
+        """Apply the refresh's *response* (``None``: timed out)."""
+        server = self.server
+        if server.close_request(message, response) is not None:
+            server.apply_version(response.version, ttl=self.ttl_s)
+        tracer = server.env.tracer
+        if tracer.enabled:
+            tracer.emit(
+                server.env._now, "fetch_round", server.node.node_id,
+                recovered=response is not None,
+            )
+
+    # ------------------------------------------------------------------
+    # one poll round
+    # ------------------------------------------------------------------
+    def poll_once(self) -> Generator:
+        """One poll round-trip, bounded by the TTL; returns True if an
+        update was received."""
+        message, waiter = self._open_round(self.ttl_s)
+        response = yield waiter
+        return self._close_round(message, response, self.ttl_s)
+
+    def _open_round(self, timeout: float) -> Tuple[Message, Event]:
+        """Poll the upstream with the cached version; the reply (or
+        ``None`` after *timeout*) fires the returned waiter."""
+        server = self.server
+        return server.open_request(
+            POLL,
+            server.upstream,
+            server.content.light_size_kb,
+            payload={"have": server.cache.version},
+            timeout=timeout,
+        )
+
+    def _close_round(self, message: Message, response: Optional[Message], ttl: float) -> bool:
+        """Apply the poll's *response*, storing a body with *ttl*; True
+        if it carried an update."""
+        server = self.server
+        env = server.env
+        timed_out = server.close_request(message, response) is None
+        got_update = not timed_out and response.kind is POLL_RESPONSE
+        if got_update:
+            server.apply_version(response.version, ttl=ttl)
+        elif not timed_out:
+            # Not modified: the copy is current for another TTL.  An
+            # invalidation mark, if any, stays: only a body clears it.
+            server.cache.renew(env._now, ttl)
+        tracer = env.tracer
+        if tracer.enabled:
+            tracer.emit(
+                env._now, "poll_round", server.node.node_id,
+                got_update=got_update, timed_out=timed_out,
+            )
+        return got_update
 
 
 class Infrastructure:

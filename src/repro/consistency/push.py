@@ -14,20 +14,15 @@ __all__ = ["PushPolicy"]
 
 
 class PushPolicy(ServerPolicy):
-    """Apply pushed bodies; optionally relay them downstream."""
+    """Apply pushed bodies and relay fresh ones downstream."""
 
     method_name = "push"
 
-    def __init__(self, forward: bool = True) -> None:
-        super().__init__()
-        #: Relay fresh bodies to ``server.children`` (multicast mode);
-        #: with no children this is a no-op, so it is safe to leave on.
-        self.forward = forward
-
     def on_push(self, message: Message) -> None:
-        newer = self.server.apply_version(message.version)
-        if newer and self.forward:
-            server = self.server
+        # Relay to ``server.children`` (multicast mode); with no
+        # children the relay is a no-op.
+        server = self.server
+        if server.apply_version(message.version):
             tracer = server.env.tracer
             if tracer.enabled and server.children:
                 tracer.emit(

@@ -81,12 +81,12 @@ METHOD_REGISTRY: Dict[str, MethodEntry] = {
     for entry in (
         MethodEntry(
             name="push",
-            factory=lambda ttl_s, stream: PushPolicy(forward=True),
+            factory=lambda ttl_s, stream: PushPolicy(),
             provider_hook="use_push",
         ),
         MethodEntry(
             name="invalidation",
-            factory=lambda ttl_s, stream: InvalidationPolicy(forward=True),
+            factory=lambda ttl_s, stream: InvalidationPolicy(),
             aliases=("inval",),
             provider_hook="use_invalidation",
         ),

@@ -11,9 +11,9 @@ Two flavours:
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..network.message import POLL, POLL_RESPONSE, Message
+from ..network.message import Message
 from ..sim.engine import Event
 from ..sim.process import kickoff
 from ..sim.rng import RandomStream
@@ -28,7 +28,8 @@ class TTLPolicy(ServerPolicy):
     The eager loop runs as callbacks on the events a poll-loop process
     would wait on -- a kickoff where the process would start, a timeout
     per sleep, the request's waiter per poll -- so it schedules the same
-    heap events without resuming a generator at each.
+    heap events without resuming a generator at each.  A poll waits at
+    most one TTL for its reply.
     """
 
     method_name = "ttl"
@@ -38,7 +39,6 @@ class TTLPolicy(ServerPolicy):
         ttl_s: float,
         stream: Optional[RandomStream] = None,
         eager: bool = True,
-        poll_timeout_s: Optional[float] = None,
     ) -> None:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
@@ -46,9 +46,6 @@ class TTLPolicy(ServerPolicy):
         self.ttl_s = ttl_s
         self.stream = stream
         self.eager = eager
-        #: Bound on how long one poll may hang (upstream down); defaults
-        #: to the TTL itself so the poll loop can never stall for good.
-        self.poll_timeout_s = poll_timeout_s if poll_timeout_s is not None else ttl_s
         #: Eager loop: running between start() and stop(); the poll in
         #: flight and the time it started.
         self._looping = False
@@ -93,77 +90,28 @@ class TTLPolicy(ServerPolicy):
         if not self._looping:
             return
         self._round_started = self.server.env._now
-        self._round, waiter = self._open_round()
+        self._round, waiter = self._open_round(self.ttl_s)
         waiter.callbacks.append(self._on_poll_reply)
 
     def _on_poll_reply(self, waiter: Event) -> None:
         if not self._looping:
             return
-        self._close_round(self._round, waiter.value)
+        self._close_round(self._round, waiter.value, self.ttl_s)
         # The sleep is measured from the *start* of the poll, so the
         # period stays anchored at one TTL even when the poll itself
         # takes time.  Sleeping a full TTL *after* a timed-out poll
-        # (default poll_timeout_s == ttl_s) used to double the
-        # effective period to ~2xTTL exactly when the upstream was
-        # absent -- the paper's Fig. 10 scenario.
+        # (which waits one TTL) used to double the effective period to
+        # ~2xTTL exactly when the upstream was absent -- the paper's
+        # Fig. 10 scenario.
         env = self.server.env
         elapsed = env._now - self._round_started
         env.timeout(max(0.0, self.ttl_s - elapsed)).callbacks.append(self._poll)
 
     # ------------------------------------------------------------------
-    # one poll round
-    # ------------------------------------------------------------------
-    def poll_once(self) -> Generator:
-        """One poll round-trip; returns True if an update was received."""
-        message, waiter = self._open_round()
-        response = yield waiter
-        return self._close_round(message, response)
-
-    def _open_round(self) -> Tuple[Message, Event]:
-        server = self.server
-        return server.open_request(
-            POLL,
-            server.upstream,
-            server.content.light_size_kb,
-            payload={"have": server.cache.version},
-            timeout=self.poll_timeout_s,
-        )
-
-    def _close_round(self, message: Message, response: Optional[Message]) -> bool:
-        """Apply the poll's *response*; True if it carried an update."""
-        server = self.server
-        env = server.env
-        tracer = env.tracer
-        if server.close_request(message, response) is None:
-            if tracer.enabled:
-                tracer.emit(
-                    env._now, "poll_round", server.node.node_id,
-                    got_update=False, timed_out=True,
-                )
-            return False
-        if response.kind is POLL_RESPONSE:
-            server.apply_version(response.version, ttl=self.ttl_s)
-            if tracer.enabled:
-                tracer.emit(
-                    env._now, "poll_round", server.node.node_id,
-                    got_update=True, timed_out=False,
-                )
-            return True
-        # Not modified: refresh the entry's TTL without a new body.
-        entry = server.cache
-        entry.store(entry.version, env._now, self.ttl_s)
-        if tracer.enabled:
-            tracer.emit(
-                env._now, "poll_round", server.node.node_id,
-                got_update=False, timed_out=False,
-            )
-        return False
-
-    # ------------------------------------------------------------------
     # lazy mode
     # ------------------------------------------------------------------
-    def ensure_fresh(self) -> Optional[Generator]:
-        """Lazy mode: refetch on demand once the TTL has expired.
+    def ensure_fresh(self) -> Optional[Event]:
+        """Lazy mode: poll on demand once the TTL has expired.
 
         Concurrent requests while a poll is in flight share that poll
         rather than issuing duplicates.
@@ -185,4 +133,10 @@ class TTLPolicy(ServerPolicy):
                 server.env.now, "cache_expired", server.node.node_id,
                 version=entry.version,
             )
-        return self._shared_refresh(self.poll_once)
+        return self._refresh()
+
+    def _open_refresh(self) -> Tuple[Message, Event]:
+        return self._open_round(self.ttl_s)
+
+    def _close_refresh(self, message: Message, response: Optional[Message]) -> None:
+        self._close_round(message, response, self.ttl_s)

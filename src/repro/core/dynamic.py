@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional, Tuple
 
 from ..consistency.base import ServerPolicy
-from ..network.message import FETCH, POLL, POLL_RESPONSE, SWITCH_NOTICE, Message
+from ..network.message import SWITCH_NOTICE, Message
+from ..sim.engine import Event
 from ..sim.rng import RandomStream
 
 __all__ = ["DynamicPolicy"]
@@ -50,7 +51,6 @@ class DynamicPolicy(ServerPolicy):
         staleness_tolerance_s: float,
         stream: Optional[RandomStream] = None,
         decision_interval_s: Optional[float] = None,
-        fetch_timeout_s: Optional[float] = 60.0,
     ) -> None:
         if ttl_s <= 0:
             raise ValueError("ttl_s must be positive")
@@ -65,7 +65,6 @@ class DynamicPolicy(ServerPolicy):
         )
         if self.decision_interval_s <= 0:
             raise ValueError("decision_interval_s must be positive")
-        self.fetch_timeout_s = fetch_timeout_s
         self.mode = MODE_TTL
         #: (switch time, new mode) history, for experiments.
         self.mode_history: List[Tuple[float, str]] = []
@@ -100,23 +99,11 @@ class DynamicPolicy(ServerPolicy):
                     yield env.timeout(min(self.ttl_s, window_end - env.now))
                     if env.now >= window_end:
                         break
-                    yield from self._poll_once()
+                    yield from self.poll_once()
             else:
                 # push / invalidation: passive, the dispatcher feeds us.
                 yield env.timeout(self.decision_interval_s)
             self._decide()
-
-    def _poll_once(self) -> Generator:
-        server = self.server
-        response = yield from server.request(
-            POLL,
-            server.upstream,
-            server.content.light_size_kb,
-            payload={"have": server.cached_version},
-            timeout=self.ttl_s,
-        )
-        if response is not None and response.kind is POLL_RESPONSE:
-            server.apply_version(response.version, ttl=self.ttl_s)
 
     # ------------------------------------------------------------------
     def _decide(self) -> None:
@@ -166,26 +153,6 @@ class DynamicPolicy(ServerPolicy):
     def on_push(self, message: Message) -> None:
         self.server.apply_version(message.version, ttl=self.ttl_s)
 
-    def on_invalidate(self, message: Message) -> None:
-        self.server.mark_invalidated(message.version)
-
-    def ensure_fresh(self) -> Optional[Generator]:
-        """Invalidation-mode recovery fetch (shared in-flight)."""
-        if not self.server.is_invalidated:
-            return None
-        return self._shared_refresh(self._fetch)
-
-    def _fetch(self) -> Generator:
-        server = self.server
-        response = yield from server.request(
-            FETCH,
-            server.upstream,
-            server.content.light_size_kb,
-            timeout=self.fetch_timeout_s,
-        )
-        if response is not None:
-            server.apply_version(response.version, ttl=self.ttl_s)
-
-    def serve(self, message: Message) -> Optional[Generator]:
+    def serve(self, message: Message) -> Optional[Event]:
         self._visits_in_window += 1
         return self.ensure_fresh()

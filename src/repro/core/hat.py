@@ -100,7 +100,7 @@ class HatSystem:
                 spec.supernode,
                 self.fabric,
                 self.content,
-                policy=PushPolicy(forward=True),
+                policy=PushPolicy(),
             )
             # A fresh body landing on the supernode must invalidate the
             # cluster members currently sitting in Invalidation mode.
@@ -250,7 +250,7 @@ class HatSystem:
 
         # 1-2. Promote: swap in a Push policy and join the tree as a new
         # supernode (nearest attachable parent with a free slot).
-        promotee.replace_policy(PushPolicy(forward=True))
+        promotee.replace_policy(PushPolicy())
         promotee.on_apply_hooks.append(promotee.notify_adaptive_members)
         self.tree.attach_new(promotee)
         self.supernodes[index] = promotee

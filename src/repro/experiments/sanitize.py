@@ -1,6 +1,7 @@
 """``repro sanitize``: drive the schedule sanitizer over real cells.
 
-For each requested ``method:infrastructure`` cell the driver runs one
+For each requested cell -- ``method:infrastructure``, or a Section 5
+system by name (``hat``, ``hybrid``) -- the driver runs one
 *baseline* deployment (sanitizer traps on, FIFO tie-breaking) and ``N``
 *perturbed replicas* (same seeds, same config, but same-instant event
 ties popped in seeded-random order -- see :mod:`repro.sim.sanitize`),
@@ -22,7 +23,8 @@ consumers, so per-consumer numbers change while the draw multiset does
 not (``tests/test_sanitize.py`` demonstrates the divergence in
 miniature, and the per-consumer ``StreamRegistry`` streams are the
 repo-wide fix that keeps the real cells immune).  The cells gated in CI
-(``make sanitize-smoke``) cover every update-method family.
+(``make sanitize-smoke``) cover every update-method family and the
+paper's HAT system.
 
 Only NORMAL-priority ties are perturbed: same-instant URGENT order is
 the kernel's registration-order contract (process resumption, transport
@@ -44,19 +46,28 @@ from ..consistency.registry import resolve_infrastructure, resolve_method
 from ..obs.tracer import RecordingTracer
 from ..sim.sanitize import ScheduleSanitizer
 from .config import TestbedConfig
-from .testbed import build_deployment
+from .testbed import Deployment, build_deployment, build_system
 
-__all__ = ["main", "build_parser", "run_cell", "CellReport"]
+__all__ = ["main", "build_parser", "driver_config", "run_cell", "CellReport"]
+
+#: Section 5 systems that are cells by name: neither is one method on
+#: one infrastructure.  (``self`` is the ``self-adaptive`` method alias,
+#: so ``self:unicast`` is its cell.)
+SYSTEM_CELLS = ("hat", "hybrid")
 
 #: Cells gated by ``make sanitize-smoke``: one cell per update-method
-#: family, plus push and invalidation on the broadcast graph, whose
-#: cycles are the relay protocols' hardest case.
+#: family, push and invalidation on the broadcast graph, whose cycles
+#: are the relay protocols' hardest case, and the self-adaptive method
+#: alone and inside HAT, whose on-demand refreshes race the mode
+#: switches.
 DEFAULT_CELLS = (
     "push:unicast",
     "push:broadcast",
     "invalidation:unicast",
     "ttl:unicast",
     "invalidation:broadcast",
+    "self-adaptive:unicast",
+    "hat",
 )
 
 _CanonicalTrace = List[Tuple[float, str, str, str]]
@@ -82,23 +93,35 @@ def _canonical_trace(tracer: RecordingTracer) -> _CanonicalTrace:
     )
 
 
+def _build(
+    cell: str,
+    config: TestbedConfig,
+    tracer: Optional[RecordingTracer],
+    sanitizer: ScheduleSanitizer,
+) -> Deployment:
+    if cell in SYSTEM_CELLS:
+        return build_system(config, cell, tracer=tracer, sanitizer=sanitizer)
+    method, infrastructure = _split_cell(cell)
+    return build_deployment(
+        config, method, infrastructure, tracer=tracer, sanitizer=sanitizer
+    )
+
+
 def run_cell(
     config: TestbedConfig,
-    method: str,
-    infrastructure: str,
+    cell: str,
     tie_seed: Optional[int],
     record_trace: bool = True,
 ) -> Tuple[Dict[str, object], Optional[_CanonicalTrace], int]:
-    """One sanitized run; returns (metrics dict, canonical trace, ties).
+    """One sanitized run of *cell*; returns (metrics dict, canonical
+    trace, ties).
 
     ``tie_seed=None`` runs the trap-only baseline (FIFO tie order);
     an integer runs a perturbed replica.
     """
     sanitizer = ScheduleSanitizer(tie_seed=tie_seed, traps=True)
     tracer = RecordingTracer() if record_trace else None
-    metrics = build_deployment(
-        config, method, infrastructure, tracer=tracer, sanitizer=sanitizer
-    ).run()
+    metrics = _build(cell, config, tracer, sanitizer).run()
     trace = _canonical_trace(tracer) if tracer is not None else None
     return metrics.to_dict(), trace, sanitizer.tie_collisions
 
@@ -167,17 +190,15 @@ def sanitize_cell(
     record_trace: bool = True,
 ) -> CellReport:
     """Baseline plus *replicas* perturbed runs; compare bit-for-bit."""
-    method, infrastructure = _split_cell(cell)
     base_metrics, base_trace, _ = run_cell(
-        config, method, infrastructure, tie_seed=None, record_trace=record_trace
+        config, cell, tie_seed=None, record_trace=record_trace
     )
     diffs: List[str] = []
     ties: List[int] = []
     for replica in range(replicas):
         metrics, trace, tie_count = run_cell(
             config,
-            method,
-            infrastructure,
+            cell,
             tie_seed=tie_seed_base + replica,
             record_trace=record_trace,
         )
@@ -204,8 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "cells", nargs="*", default=list(DEFAULT_CELLS),
-        metavar="METHOD:INFRA",
-        help="cells to sanitize (default: %s)" % " ".join(DEFAULT_CELLS),
+        metavar="METHOD:INFRA|SYSTEM",
+        help="cells to sanitize: a method on an infrastructure, or a "
+        "Section 5 system (%s) (default: %s)"
+        % (", ".join(SYSTEM_CELLS), " ".join(DEFAULT_CELLS)),
     )
     parser.add_argument("--servers", type=int, default=20)
     parser.add_argument("--users-per-server", type=int, default=2)
@@ -228,15 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
-    config = TestbedConfig(
+def driver_config(args: argparse.Namespace) -> TestbedConfig:
+    """The deployment every cell of one driver run is built from."""
+    return TestbedConfig(
         n_servers=args.servers,
         users_per_server=args.users_per_server,
         n_updates=args.updates,
         game_duration_s=args.duration,
         server_ttl_s=args.ttl,
         seed=args.seed,
+        # Read by the system cells only: one HAT cluster per five
+        # servers (4 at the default 20).  The config's 20 clusters would
+        # make every server a supernode, and the cell would tie once.
+        hat_clusters=max(1, args.servers // 5),
     )
+
+
+def run(args: argparse.Namespace, out=sys.stdout, err=sys.stderr) -> int:
+    config = driver_config(args)
     failed = False
     for cell in args.cells:
         report = sanitize_cell(
@@ -279,6 +311,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Reject every unknown cell before running any: a typo must not
     # cost a run and then exit like a DIVERGED cell.
     for cell in args.cells:
+        if cell in SYSTEM_CELLS:
+            continue
         method, infrastructure = _split_cell(cell)
         try:
             resolve_method(method)

@@ -645,9 +645,10 @@ def build_system(
     tracer: Optional[Tracer] = None,
     scenario=None,
     scenario_cell: int = 0,
+    sanitizer: Optional[ScheduleSanitizer] = None,
 ) -> Deployment:
-    """One Section 5 system (Figs. 22-24); *scenario* as in
-    :func:`build_deployment`."""
+    """One Section 5 system (Figs. 22-24); *scenario* and *sanitizer*
+    as in :func:`build_deployment`."""
     if system in ("push", "invalidation", "ttl"):
         return build_deployment(
             config,
@@ -656,6 +657,7 @@ def build_system(
             tracer=tracer,
             scenario=scenario,
             scenario_cell=scenario_cell,
+            sanitizer=sanitizer,
         )
     if system == "self":
         deployment = build_deployment(
@@ -665,6 +667,7 @@ def build_system(
             tracer=tracer,
             scenario=scenario,
             scenario_cell=scenario_cell,
+            sanitizer=sanitizer,
         )
         # Rename but keep any scenario suffix ("@name" / "@name/cell").
         _, sep, suffix = deployment.name.partition("@")
@@ -672,7 +675,9 @@ def build_system(
         return deployment
     if system in ("hybrid", "hat"):
         with span("testbed.build"):
-            return _build_hat_system(config, system, tracer, scenario, scenario_cell)
+            return _build_hat_system(
+                config, system, tracer, scenario, scenario_cell, sanitizer
+            )
     raise ValueError("unknown system %r (expected one of %s)" % (system, SYSTEMS))
 
 
@@ -682,10 +687,11 @@ def _build_hat_system(
     tracer: Optional[Tracer],
     scenario=None,
     scenario_cell: int = 0,
+    sanitizer: Optional[ScheduleSanitizer] = None,
 ) -> Deployment:
     resolved, cell = _resolve_scenario_cell(config, scenario, scenario_cell)
     env, streams, topology, fabric, content, config = _base(
-        config, tracer=tracer, cell=cell
+        config, tracer=tracer, cell=cell, sanitizer=sanitizer
     )
     hat = HatSystem(
         env,

@@ -36,12 +36,6 @@ class KindTotals:
     km: float = 0.0
     kb: float = 0.0
 
-    def add(self, distance_km: float, size_kb: float) -> None:
-        self.count += 1
-        self.km_kb += distance_km * size_kb
-        self.km += distance_km
-        self.kb += size_kb
-
 
 class TrafficLedger:
     """Accumulates per-message traffic statistics for one experiment run."""
@@ -61,8 +55,6 @@ class TrafficLedger:
         """Record one delivered *message* that travelled *distance_km*."""
         if distance_km < 0:
             raise ValueError("distance_km must be >= 0")
-        # ``KindTotals.add`` inlined: this runs once per simulated
-        # message, and the call overhead is measurable at CDN scale.
         kind = message.kind
         size_kb = message.size_kb
         totals = self._by_kind[kind]

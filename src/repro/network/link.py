@@ -200,7 +200,6 @@ class _FastTransfer(Event):
         dst: NetworkNode = message.dst
         tracer = self.env.tracer
         if dst._down_count:
-            fabric.dropped += 1
             fabric.counters.dropped_receiver_down += 1
             if tracer.enabled:
                 tracer.emit(
@@ -231,7 +230,6 @@ class NetworkFabric:
         "env",
         "ledger",
         "params",
-        "dropped",
         "counters",
         "_path_cache",
         "_transfer_pool",
@@ -260,8 +258,6 @@ class NetworkFabric:
         self.ledger = ledger if ledger is not None else TrafficLedger()
         self.params = params = params if params is not None else FabricParams()
         streams = streams if streams is not None else StreamRegistry(0)
-        #: Messages dropped because the sender or the receiver was down.
-        self.dropped = 0
         #: Always-on per-layer accounting (see :mod:`repro.obs.counters`).
         self.counters = FabricCounters()
         #: ``(src_id, dst_id) -> (distance_km, min_latency_s, link_key,
@@ -349,7 +345,6 @@ class NetworkFabric:
         message.created_at = now
         src: NetworkNode = message.src
         if src._down_count:
-            self.dropped += 1
             self.counters.dropped_sender_down += 1
             tracer = env.tracer
             if tracer.enabled:

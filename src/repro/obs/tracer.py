@@ -39,8 +39,8 @@ EVENT_KINDS = {
     "cache_invalidate": "an invalidation notice marked a cache entry stale",
     "cache_hit": "lazy-TTL serve path found the entry fresh",
     "cache_expired": "lazy-TTL serve path found the entry expired",
-    "poll_round": "one TTL poll round finished (detail: got_update, timed_out)",
-    "fetch_round": "an invalidation-triggered recovery fetch finished",
+    "poll_round": "one poll round finished, any polling policy (detail: got_update, timed_out)",
+    "fetch_round": "an on-demand recovery fetch finished, any policy (detail: recovered)",
     "push_relay": "a tree node relayed a fresh pushed body to its children",
     "mode_switch": "self-adaptive policy switched mode (detail.mode)",
     # provider / users

@@ -137,7 +137,7 @@ class TestAdaptiveNotificationDedup:
             yield env.timeout(120.0)  # after update 1 + notice
             refresh = server.policy.ensure_fresh()  # None: fresh already
             assert refresh is not None
-            yield from refresh
+            yield refresh
 
         env.process(fetcher(env))
         env.run(until=250.0)

@@ -16,7 +16,7 @@ from repro.consistency import (
 )
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
-from repro.network import MessageKind, NetworkFabric, TopologyBuilder
+from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
 from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 
@@ -252,6 +252,62 @@ class TestSelfAdaptive:
             lambda p: p.use_self_adaptive(),
         )
         assert adaptive_polls < ttl_polls / 2
+
+
+    def test_visits_during_one_recovery_fetch_share_it(self):
+        """Two visits that arrive while the recovery fetch is in flight
+        wait on that one fetch, and both answers enter the output port
+        before the switch notice back to TTL: the control loop wakes at
+        the fetch's instant, and that tie used to pick the order."""
+        tracer = RecordingTracer()
+        env = Environment(tracer=tracer)
+        streams = StreamRegistry(3)
+        topology = TopologyBuilder(env, streams).build(n_servers=1, users_per_server=2)
+        fabric = NetworkFabric(env, streams=streams)
+        content = LiveContent("game", update_times=[100.0])
+        provider = ProviderActor(env, topology.provider, fabric, content)
+        server = ServerActor(
+            env, topology.servers[0], fabric, content, policy=SelfAdaptivePolicy(20.0)
+        )
+        UnicastInfrastructure().wire(provider, [server])
+        provider.use_self_adaptive()
+        users = topology.users[0]
+        for user in users:
+            user.consumer = lambda message: None
+        policy = server.policy
+        refreshes = []
+        ensure_fresh = policy.ensure_fresh
+
+        def recording_ensure_fresh():
+            refreshes.append(ensure_fresh())
+            return refreshes[-1]
+
+        policy.ensure_fresh = recording_ensure_fresh
+
+        def visits(env):
+            yield env.timeout(150.0)
+            # Silent since the first poll; the update's notice arrived.
+            assert policy.mode == "invalidation" and server.is_invalidated
+            for user in users:
+                fabric.send(Message(MessageKind.CONTENT_REQUEST, user, server.node, 1.0))
+
+        server.start()
+        env.process(visits(env))
+        env.run(until=160.0)  # before the next poll
+        node = server.node.node_id
+        sent = [event.detail for event in tracer.events(node=node, kinds=("msg_send",), since=150.0)]
+        assert [detail["msg"] for detail in sent] == [
+            "fetch", "content_response", "content_response", "switch_notice",
+        ]
+        fetched = [
+            event.detail["version"]
+            for event in tracer.events(node=node, kinds=("msg_recv",))
+            if event.detail["msg"] == "fetch_response"
+        ]
+        assert fetched == [1]
+        assert [detail["version"] for detail in sent[1:3]] == [1, 1]
+        assert len(refreshes) == 2
+        assert refreshes[0] is not None and refreshes[0] is refreshes[1]
 
 
 class TestAdaptiveTTL:

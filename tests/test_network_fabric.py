@@ -134,7 +134,7 @@ class TestFabric:
         fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
         env.run()
         assert received == []
-        assert fabric.dropped == 1
+        assert fabric.counters.dropped_messages == 1
         assert fabric.counters.dropped_receiver_down == 1
         assert fabric.counters.messages_sent == 1
         drops = env.tracer.events(kinds=("msg_drop",))
@@ -161,7 +161,7 @@ class TestFabric:
         env.run()
         assert env.events_processed == 0
         assert received == []
-        assert fabric.dropped == 1
+        assert fabric.counters.dropped_messages == 1
         assert fabric.ledger.totals().count == 0
 
     def test_output_port_serialises_transmissions(self):

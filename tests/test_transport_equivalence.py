@@ -90,7 +90,7 @@ def _storm_with_absences(seed=5):
     env.process(driver(env))
     env.run()
     trace = env.tracer.events(kinds=_MESSAGE_KINDS)
-    return received, fabric.counters.to_dict(), fabric.dropped, trace
+    return received, fabric.counters.to_dict(), fabric.counters.dropped_messages, trace
 
 
 def test_failure_injection_equivalence():
@@ -267,7 +267,7 @@ def _sender_fails_while_queued(seed=11):
     env.run()
     assert _port_is_idle(provider)
     drops = _drops(env.tracer.events(kinds=_MESSAGE_KINDS))
-    return received, drops, fabric.counters.to_dict(), fabric.dropped
+    return received, drops, fabric.counters.to_dict(), fabric.counters.dropped_messages
 
 
 def test_sender_down_with_queued_transfers_equivalence():
