@@ -145,7 +145,7 @@ analyze-smoke:
 	@test -s .analysis-report.html
 
 report:
-	PYTHONPATH=src python examples/regenerate_experiments.py --scale small
+	PYTHONPATH=src python examples/regenerate_experiments.py --scale medium
 
 # One traced smoke deployment: poll rounds as JSONL plus the per-layer
 # cause-attribution table (stderr).

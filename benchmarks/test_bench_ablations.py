@@ -113,7 +113,7 @@ def test_failure_unicast_vs_unrepaired_tree(run_once):
 
         def killer(env):
             yield env.timeout(100.0)
-            victim.node.is_up = False
+            victim.node.mark_down()
 
         env.process(killer(env))
         env.run(until=620.0)
@@ -163,7 +163,7 @@ def test_tree_repair_restores_delivery(run_once):
 
         def kill_and_repair(env):
             yield env.timeout(100.0)
-            victim.node.is_up = False
+            victim.node.mark_down()
             yield env.timeout(30.0)  # detection delay
             tree.repair(victim)
 

@@ -1,8 +1,8 @@
 """Actor base classes.
 
 An :class:`Actor` owns a :class:`~repro.network.node.NetworkNode`,
-consumes the messages the fabric delivers to it, and provides a
-synchronous request/response helper (requests and their responses are
+consumes the messages the fabric delivers to it, and opens requests
+whose response fires a waiter (requests and their responses are
 correlated by the request's sequence number echoed in the response
 payload).
 
@@ -14,7 +14,7 @@ version and knows how to push / invalidate / notify downstream nodes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..network.link import NetworkFabric
 from ..network.message import (
@@ -118,26 +118,6 @@ class Actor:
                     **message.trace_detail()
                 )
         return response
-
-    def request(
-        self,
-        kind: MessageKind,
-        dst: NetworkNode,
-        size_kb: float,
-        version: Optional[int] = None,
-        payload: Optional[dict] = None,
-        timeout: Optional[float] = None,
-    ) -> Generator:
-        """Send a request and wait for the correlated response.
-
-        A generator to be used with ``yield from``; returns the response
-        :class:`Message`, or ``None`` if *timeout* elapses first.
-        """
-        message, waiter = self.open_request(
-            kind, dst, size_kb, version, dict(payload or {}), timeout
-        )
-        response = yield waiter
-        return self.close_request(message, response)
 
     # ------------------------------------------------------------------
     # dispatch

@@ -318,7 +318,7 @@ class UserCohort:
 
     def _consume(self, message: Message) -> None:
         """Fabric delivery hook shared by every user node of the cohort
-        (the response half of ``Actor._consume`` and ``Actor.request``)."""
+        (the response half of ``Actor._consume``)."""
         if message.kind not in RESPONSE_KINDS:
             raise NotImplementedError(
                 "UserCohort cannot handle %s" % (message.kind,)

@@ -63,7 +63,7 @@ class ServerActor(Actor, UpdateSourceMixin):
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the policy's background loops (idempotent)."""
+        """Start the policy's loop, if it has one (idempotent)."""
         if self._started:
             return
         self._started = True
@@ -72,7 +72,7 @@ class ServerActor(Actor, UpdateSourceMixin):
     def replace_policy(self, policy) -> None:
         """Swap in a new update-method policy at runtime.
 
-        Stops the old policy's background loops, binds the new policy,
+        Stops the old policy's loop, binds the new policy,
         and (if the server was already started) starts the new one.
         Used by HAT supernode failover, where a cluster member is
         promoted to a Push-fed supernode mid-run.

@@ -353,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report = sub.add_parser("report", help="regenerate the EXPERIMENTS.md report")
-    report.add_argument("--scale", choices=("small", "medium"), default="small")
+    report.add_argument(
+        "--scale", choices=("small", "medium"), default="medium",
+        help="report scale (default: medium, the committed EXPERIMENTS.md's)",
+    )
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--out", default="EXPERIMENTS.md")
     report.add_argument(

@@ -21,7 +21,7 @@ provider's single notice plus the first subsequent visit.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
+from typing import Optional
 
 from ..network.message import SWITCH_NOTICE, Message
 from ..sim.engine import Event
@@ -38,6 +38,7 @@ class SelfAdaptivePolicy(ServerPolicy):
     """Switch between TTL polling and Invalidation (Algorithm 1)."""
 
     method_name = "self-adaptive"
+    loops = True
 
     def __init__(self, ttl_s: float, stream: Optional[RandomStream] = None) -> None:
         if ttl_s <= 0:
@@ -53,64 +54,78 @@ class SelfAdaptivePolicy(ServerPolicy):
         self.switches_to_ttl = 0
 
     # ------------------------------------------------------------------
-    def processes(self) -> Iterable[Generator]:
-        return [self._control_loop()]
+    def _begin(self, event: Event) -> None:
+        if not self._looping:
+            return
+        if self.stream is None:
+            self._sleep(event)
+        else:
+            offset = self.stream.uniform(0.0, self.ttl_s)
+            self.server.env.timeout(offset).callbacks.append(self._sleep)
 
-    def _control_loop(self) -> Generator:
+    def _sleep(self, _event: Event) -> None:
+        """TTL phase: poll one TTL from now."""
+        if not self._looping:
+            return
+        self.server.env.timeout(self.ttl_s).callbacks.append(self._poll)
+
+    def _poll(self, _event: Event) -> None:
+        if not self._looping:
+            return
+        self._round, waiter = self._open_round(self.ttl_s)
+        waiter.callbacks.append(self._on_poll_reply)
+
+    def _on_poll_reply(self, waiter: Event) -> None:
+        if not self._looping:
+            return
+        if self._close_round(self._round, waiter.value, self.ttl_s):
+            self._sleep(waiter)  # updates keep arriving: poll on
+            return
+        # No update: switch to Invalidation and wait for a notice.
+        self.switches_to_invalidation += 1
+        self._switch(MODE_INVALIDATION)
+        if self.server.is_invalidated:
+            self._await_recovery(waiter)
+        else:
+            self._invalidated_ev = self.server.env.event()
+            self._invalidated_ev.callbacks.append(self._await_recovery)
+
+    def _await_recovery(self, event: Event) -> None:
+        """Invalidated: wait for a visit to complete the recovery fetch."""
+        self._invalidated_ev = None
+        if not self._looping:
+            return
+        if self.server.is_invalidated:
+            self._recovered_ev = self.server.env.event()
+            self._recovered_ev.callbacks.append(self._back_to_ttl)
+        else:
+            self._back_to_ttl(event)
+
+    def _back_to_ttl(self, event: Event) -> None:
+        self._recovered_ev = None
+        if not self._looping:
+            return
+        self.switches_to_ttl += 1
+        self._switch(MODE_TTL)
+        self._sleep(event)
+
+    def _switch(self, mode: str) -> None:
+        """Enter *mode* and send the upstream the switch notice."""
+        self.mode = mode
+        env = self.server.env
+        if env.tracer.enabled:
+            env.tracer.emit(env.now, "mode_switch", self.server.node.node_id, mode=mode)
+        self._notify(mode)
+
+    def _notify(self, mode: str) -> None:
         server = self.server
-        env = server.env
-        if self.stream is not None:
-            yield env.timeout(self.stream.uniform(0.0, self.ttl_s))
-        while True:
-            # --- TTL phase: poll while updates keep arriving ------------
-            self.mode = MODE_TTL
-            while True:
-                yield env.timeout(self.ttl_s)
-                got_update = yield from self.poll_once()
-                if not got_update:
-                    break
-
-            # --- switch to Invalidation --------------------------------
-            self.switches_to_invalidation += 1
-            self.mode = MODE_INVALIDATION
-            if env.tracer.enabled:
-                env.tracer.emit(
-                    env.now, "mode_switch", server.node.node_id,
-                    mode=MODE_INVALIDATION,
-                )
-            server.send(
-                SWITCH_NOTICE,
-                server.upstream,
-                server.content.light_size_kb,
-                version=server.cached_version,
-                payload={"mode": "invalidation"},
-            )
-
-            # --- wait for an invalidation notice ------------------------
-            if not server.is_invalidated:
-                self._invalidated_ev = server.env.event()
-                yield self._invalidated_ev
-                self._invalidated_ev = None
-
-            # --- wait for a visit to complete the recovery fetch --------
-            if server.is_invalidated:
-                self._recovered_ev = server.env.event()
-                yield self._recovered_ev
-                self._recovered_ev = None
-
-            # --- back to TTL --------------------------------------------
-            self.switches_to_ttl += 1
-            if env.tracer.enabled:
-                env.tracer.emit(
-                    env.now, "mode_switch", server.node.node_id, mode=MODE_TTL
-                )
-            server.send(
-                SWITCH_NOTICE,
-                server.upstream,
-                server.content.light_size_kb,
-                version=server.cached_version,
-                payload={"mode": "ttl"},
-            )
+        server.send(
+            SWITCH_NOTICE,
+            server.upstream,
+            server.content.light_size_kb,
+            version=server.cached_version,
+            payload={"mode": mode},
+        )
 
     # ------------------------------------------------------------------
     def reannounce(self) -> None:
@@ -122,13 +137,7 @@ class SelfAdaptivePolicy(ServerPolicy):
         does not know to send.
         """
         if self.mode == MODE_INVALIDATION:
-            self.server.send(
-                SWITCH_NOTICE,
-                self.server.upstream,
-                self.server.content.light_size_kb,
-                version=self.server.cached_version,
-                payload={"mode": "invalidation"},
-            )
+            self._notify(MODE_INVALIDATION)
 
     def on_invalidate(self, message: Message) -> None:
         self.server.mark_invalidated(message.version)
@@ -136,8 +145,8 @@ class SelfAdaptivePolicy(ServerPolicy):
             self._invalidated_ev.succeed()
 
     def _close_refresh(self, message: Message, response: Optional[Message]) -> None:
-        # The visit-triggered recovery fetch: once it lands, the control
-        # loop switches back to TTL -- after the answers waiting on the
+        # The visit-triggered recovery fetch: once it lands, the loop
+        # switches back to TTL -- after the answers waiting on the
         # fetch, which run in this frame.
         super()._close_refresh(message, response)
         recovered = self._recovered_ev
@@ -155,6 +164,7 @@ class AdaptiveTTLPolicy(ServerPolicy):
     """
 
     method_name = "adaptive-ttl"
+    loops = True
 
     def __init__(
         self,
@@ -176,22 +186,35 @@ class AdaptiveTTLPolicy(ServerPolicy):
         self.shrink_factor = shrink_factor
         self.current_ttl_s = min_ttl_s
 
-    def processes(self) -> Iterable[Generator]:
-        return [self._poll_loop()]
+    def _begin(self, event: Event) -> None:
+        if not self._looping:
+            return
+        if self.stream is None:
+            self._sleep(event)
+        else:
+            offset = self.stream.uniform(0.0, self.min_ttl_s)
+            self.server.env.timeout(offset).callbacks.append(self._sleep)
 
-    def _poll_loop(self) -> Generator:
-        env = self.server.env
-        if self.stream is not None:
-            yield env.timeout(self.stream.uniform(0.0, self.min_ttl_s))
-        while True:
-            yield env.timeout(self.current_ttl_s)
-            message, waiter = self._open_round(self.max_ttl_s)
-            response = yield waiter
-            if self._close_round(message, response, self.current_ttl_s):
-                self.current_ttl_s = max(
-                    self.min_ttl_s, self.current_ttl_s * self.shrink_factor
-                )
-            else:
-                self.current_ttl_s = min(
-                    self.max_ttl_s, self.current_ttl_s * self.grow_factor
-                )
+    def _sleep(self, _event: Event) -> None:
+        if not self._looping:
+            return
+        self.server.env.timeout(self.current_ttl_s).callbacks.append(self._poll)
+
+    def _poll(self, _event: Event) -> None:
+        if not self._looping:
+            return
+        self._round, waiter = self._open_round(self.max_ttl_s)
+        waiter.callbacks.append(self._on_poll_reply)
+
+    def _on_poll_reply(self, waiter: Event) -> None:
+        if not self._looping:
+            return
+        if self._close_round(self._round, waiter.value, self.current_ttl_s):
+            self.current_ttl_s = max(
+                self.min_ttl_s, self.current_ttl_s * self.shrink_factor
+            )
+        else:
+            self.current_ttl_s = min(
+                self.max_ttl_s, self.current_ttl_s * self.grow_factor
+            )
+        self._sleep(waiter)

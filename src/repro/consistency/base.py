@@ -14,11 +14,11 @@ The paper factors consistency maintenance into two orthogonal choices:
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
 
 from ..network.message import FETCH, POLL, POLL_RESPONSE, Message
 from ..sim.engine import Event
-from ..sim.process import Interrupt, Process
+from ..sim.process import kickoff
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cdn.provider import ProviderActor
@@ -32,21 +32,20 @@ __all__ = ["ServerPolicy", "Infrastructure", "FETCH_TIMEOUT_S"]
 FETCH_TIMEOUT_S = 60.0
 
 
-def _supervise(generator: Generator) -> Generator:
-    """Run a policy process; the interrupt of :meth:`ServerPolicy.stop`
-    ends it cleanly instead of crashing the simulation."""
-    try:
-        yield from generator
-    except Interrupt:
-        return
-
-
 class ServerPolicy:
     """Server-side half of an update method.
 
     Subclasses override the hooks they need; the defaults describe a
     replica that never polls and refetches its copy on demand once an
     invalidation notice has marked it stale.
+
+    A *looping* policy (``loops``) polls on its own schedule.  Its loop
+    runs as callbacks on the events a process would wait on -- a kickoff
+    where the process would start, a timeout per sleep, the request's
+    waiter per poll, an event per notice it awaits -- so it schedules
+    the same heap events without resuming a generator at each.  Every
+    step returns at once when ``_looping`` is clear: that flag is how
+    :meth:`stop` ends the loop.
     """
 
     #: Human-readable method name ("ttl", "push", ...).
@@ -56,11 +55,16 @@ class ServerPolicy:
     #: a replica that is only ever invalidated never expires its copy.
     ttl_s: float = float("inf")
 
+    #: Whether :meth:`start` runs a loop (:meth:`_begin` is its first step).
+    loops: bool = False
+
     def __init__(self) -> None:
         self.server: Optional["ServerActor"] = None
-        self._procs: List[Process] = []
         #: The waiter of the refresh in flight (see :meth:`_refresh`).
         self._refreshing: Optional[Event] = None
+        #: The loop runs between start() and stop(); the poll it opened last.
+        self._looping = False
+        self._round: Optional[Message] = None
 
     def bind(self, server: "ServerActor") -> None:
         """Attach the policy to its server (called by the server ctor)."""
@@ -72,24 +76,26 @@ class ServerPolicy:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the policy's background loops (the server calls this
-        once, when it starts): each of :meth:`processes` runs as a
-        process."""
-        env = self.server.env
-        self._procs = [env.process(_supervise(generator)) for generator in self.processes()]
+        """Start the policy's loop, if it has one (the server calls this
+        once, when it starts): :meth:`_begin` runs at a kickoff, where a
+        process started now would take its first step."""
+        if self.loops:
+            self._looping = True
+            kickoff(self.server.env, self._begin)
 
     def stop(self) -> None:
-        """End the background loops: the server is replacing this policy
-        (HAT supernode failover).  A loop stops at its current wait; a
-        response still in flight to it is dropped."""
-        for process in self._procs:
-            if process.is_alive:
-                process.interrupt("policy replaced")
-        self._procs = []
+        """End the loop: the server is replacing this policy (HAT
+        supernode failover).  The loop stops at its current wait.  The
+        open poll's entry goes without a trace: a late response is
+        dropped at dispatch, and the wheel still ends the waiter, whose
+        callback finds the loop stopped."""
+        self._looping = False
+        if self._round is not None:
+            self.server._pending.pop(self._round.seq, None)
 
-    def processes(self) -> Iterable[Generator]:
-        """Background processes :meth:`start` runs (e.g. poll loops)."""
-        return []
+    def _begin(self, _event: Event) -> None:
+        """A looping policy's first step."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # message hooks
@@ -176,8 +182,8 @@ class ServerPolicy:
     # one poll round
     # ------------------------------------------------------------------
     def poll_once(self) -> Generator:
-        """One poll round-trip, bounded by the TTL; returns True if an
-        update was received."""
+        """One poll round-trip, bounded by the TTL, for a process to
+        ``yield from``; returns True if an update was received."""
         message, waiter = self._open_round(self.ttl_s)
         response = yield waiter
         return self._close_round(message, response, self.ttl_s)

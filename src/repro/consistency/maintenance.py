@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..network.link import NetworkFabric
-from ..network.message import Message, MessageKind
+from ..network.message import TREE_MAINTENANCE, Message
 from ..sim.engine import Environment
 from .multicast import MulticastTreeInfrastructure
 
@@ -85,12 +85,7 @@ class TreeMaintainer:
                 continue
             self.heartbeats_sent += 1
             self.fabric.send(
-                Message(
-                    MessageKind.TREE_MAINTENANCE,
-                    server.node,
-                    parent.node,
-                    server.content.light_size_kb,
-                )
+                Message(TREE_MAINTENANCE, server.node, parent.node, server.content.light_size_kb)
             )
             if parent.node.is_up:
                 self._last_ok[parent.node.node_id] = now
@@ -112,4 +107,4 @@ class TreeMaintainer:
     # ------------------------------------------------------------------
     def maintenance_messages(self) -> int:
         """TREE_MAINTENANCE messages carried so far (heartbeats + joins)."""
-        return self.fabric.ledger.kind_totals(MessageKind.TREE_MAINTENANCE).count
+        return self.fabric.ledger.kind_totals(TREE_MAINTENANCE).count

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..network.link import NetworkFabric
-from ..network.message import MessageKind
+from ..network.message import TREE_MAINTENANCE
 from .base import Infrastructure
 
 __all__ = ["MulticastTreeInfrastructure"]
@@ -77,6 +77,7 @@ class MulticastTreeInfrastructure(Infrastructure):
             attachable.append(server)
 
     def _nearest_attachable(self, server, attachable: List):
+        """The candidate with a free child slot that scores lowest."""
         best = None
         best_score = float("inf")
         for candidate in attachable:
@@ -88,8 +89,11 @@ class MulticastTreeInfrastructure(Infrastructure):
             if score < best_score:
                 best = candidate
                 best_score = score
-        if best is None:  # pragma: no cover - cannot happen for arity >= 1
-            raise RuntimeError("no attachable node found")
+        if best is None:
+            # Every live node is full (never while wiring, where the last
+            # attached server is empty): allow overflow at the provider
+            # rather than partitioning the overlay.
+            return self._provider
         return best
 
     def _depth_or_zero(self, actor) -> int:
@@ -144,12 +148,10 @@ class MulticastTreeInfrastructure(Infrastructure):
         attachable = [self._provider] + [
             s for s in self._servers if s.node.is_up and s is not server
         ]
-        parent = self._nearest_attachable_live(server, attachable)
+        parent = self._nearest_attachable(server, attachable)
         self._servers.append(server)
         self._attach(server, parent)
-        server.send(
-            MessageKind.TREE_MAINTENANCE, parent.node, server.content.light_size_kb
-        )
+        server.send(TREE_MAINTENANCE, parent.node, server.content.light_size_kb)
 
     # ------------------------------------------------------------------
     # failure repair
@@ -179,13 +181,9 @@ class MulticastTreeInfrastructure(Infrastructure):
                 if s is not failed and s is not orphan and s.node.is_up
                 and not self._is_descendant(s, orphan)
             ]
-            new_parent = self._nearest_attachable_live(orphan, attachable)
+            new_parent = self._nearest_attachable(orphan, attachable)
             self._attach(orphan, new_parent)
-            orphan.send(
-                MessageKind.TREE_MAINTENANCE,
-                new_parent.node,
-                orphan.content.light_size_kb,
-            )
+            orphan.send(TREE_MAINTENANCE, new_parent.node, orphan.content.light_size_kb)
             moved += 1
         return moved
 
@@ -198,21 +196,3 @@ class MulticastTreeInfrastructure(Infrastructure):
             if parent is ancestor:
                 return True
             current = parent
-
-    def _nearest_attachable_live(self, server, attachable: List):
-        best = None
-        best_score = float("inf")
-        for candidate in attachable:
-            if len(self._children.get(candidate.node.node_id, ())) >= self.arity:
-                continue
-            score = self.fabric.min_latency_s(
-                candidate.node, server.node
-            ) + self.depth_penalty_s * self._depth_or_zero(candidate)
-            if score < best_score:
-                best = candidate
-                best_score = score
-        if best is None:
-            # Every live node is full: allow overflow at the provider
-            # rather than partitioning the overlay.
-            return self._provider
-        return best

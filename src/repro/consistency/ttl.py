@@ -15,7 +15,6 @@ from typing import Optional, Tuple
 
 from ..network.message import Message
 from ..sim.engine import Event
-from ..sim.process import kickoff
 from ..sim.rng import RandomStream
 from .base import ServerPolicy
 
@@ -25,11 +24,9 @@ __all__ = ["TTLPolicy"]
 class TTLPolicy(ServerPolicy):
     """Poll the upstream whenever the TTL expires.
 
-    The eager loop runs as callbacks on the events a poll-loop process
-    would wait on -- a kickoff where the process would start, a timeout
-    per sleep, the request's waiter per poll -- so it schedules the same
-    heap events without resuming a generator at each.  A poll waits at
-    most one TTL for its reply.
+    The eager mode loops (see :class:`ServerPolicy`): sleep, poll, sleep
+    again one TTL after the poll started.  A poll waits at most one TTL
+    for its reply.
     """
 
     method_name = "ttl"
@@ -45,30 +42,14 @@ class TTLPolicy(ServerPolicy):
         super().__init__()
         self.ttl_s = ttl_s
         self.stream = stream
-        self.eager = eager
-        #: Eager loop: running between start() and stop(); the poll in
-        #: flight and the time it started.
-        self._looping = False
-        self._round: Optional[Message] = None
+        #: Eager mode loops; lazy mode polls on demand.
+        self.loops = eager
+        #: When the eager loop's last poll started.
         self._round_started = 0.0
 
     # ------------------------------------------------------------------
     # eager loop
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self.eager:
-            self._looping = True
-            kickoff(self.server.env, self._first_poll)
-
-    def stop(self) -> None:
-        # Every loop step checks the flag first, so a pending sleep ends
-        # the loop.  The open poll's entry goes without a trace: a late
-        # response is dropped at dispatch, and the wheel still ends the
-        # waiter, whose callback finds the loop stopped.
-        self._looping = False
-        if self._round is not None:
-            self.server._pending.pop(self._round.seq, None)
-
     def _initial_offset(self) -> float:
         # Desynchronised first polls: each server starts at a random
         # phase in [0, TTL), exactly the paper's assumption in Sec 3.4.1.
@@ -76,7 +57,7 @@ class TTLPolicy(ServerPolicy):
             return 0.0
         return self.stream.uniform(0.0, self.ttl_s)
 
-    def _first_poll(self, _event: Event) -> None:
+    def _begin(self, _event: Event) -> None:
         if not self._looping:
             return
         offset = self._initial_offset()
@@ -116,7 +97,7 @@ class TTLPolicy(ServerPolicy):
         Concurrent requests while a poll is in flight share that poll
         rather than issuing duplicates.
         """
-        if self.eager:
+        if self.loops:
             return None
         server = self.server
         tracer = server.env.tracer

@@ -26,7 +26,7 @@ push-subscribers and invalidates invalidation-mode members.
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..consistency.base import ServerPolicy
 from ..network.message import SWITCH_NOTICE, Message
@@ -41,9 +41,16 @@ MODE_PUSH = "push"
 
 
 class DynamicPolicy(ServerPolicy):
-    """Per-replica mode switching driven by measured rates."""
+    """Per-replica mode switching driven by measured rates.
+
+    The loop runs one decision window after another: in TTL mode it
+    polls every TTL inside the window, in push and invalidation modes it
+    sleeps through it; at the window's end :meth:`_decide` re-picks the
+    mode.
+    """
 
     method_name = "dynamic"
+    loops = True
 
     def __init__(
         self,
@@ -73,6 +80,7 @@ class DynamicPolicy(ServerPolicy):
         #: Debounce: a mode change needs two consecutive windows to
         #: agree, so borderline rate ratios do not flap the mode.
         self._pending_target: Optional[str] = None
+        self._window_end = 0.0
 
     # ------------------------------------------------------------------
     def bind(self, server) -> None:
@@ -83,27 +91,59 @@ class DynamicPolicy(ServerPolicy):
         self._updates_in_window += 1
 
     # ------------------------------------------------------------------
-    def processes(self) -> Iterable[Generator]:
-        return [self._control_loop()]
+    def _begin(self, event: Event) -> None:
+        if not self._looping:
+            return
+        if self.stream is None:
+            self._first_window(event)
+        else:
+            offset = self.stream.uniform(0.0, self.ttl_s)
+            self.server.env.timeout(offset).callbacks.append(self._first_window)
 
-    def _control_loop(self) -> Generator:
-        server = self.server
-        env = server.env
-        if self.stream is not None:
-            yield env.timeout(self.stream.uniform(0.0, self.ttl_s))
-        self.mode_history.append((env.now, self.mode))
-        while True:
-            window_end = env.now + self.decision_interval_s
-            if self.mode == MODE_TTL:
-                while env.now < window_end:
-                    yield env.timeout(min(self.ttl_s, window_end - env.now))
-                    if env.now >= window_end:
-                        break
-                    yield from self.poll_once()
-            else:
-                # push / invalidation: passive, the dispatcher feeds us.
-                yield env.timeout(self.decision_interval_s)
-            self._decide()
+    def _first_window(self, event: Event) -> None:
+        if not self._looping:
+            return
+        self.mode_history.append((self.server.env.now, self.mode))
+        self._open_window(event)
+
+    def _open_window(self, event: Event) -> None:
+        env = self.server.env
+        self._window_end = env.now + self.decision_interval_s
+        if self.mode == MODE_TTL:
+            self._sleep(event)
+        else:
+            # push / invalidation: passive, the dispatcher feeds us.
+            env.timeout(self.decision_interval_s).callbacks.append(self._end_window)
+
+    def _sleep(self, event: Event) -> None:
+        """TTL mode: poll every TTL until the window ends."""
+        env = self.server.env
+        if env.now < self._window_end:
+            delay = min(self.ttl_s, self._window_end - env.now)
+            env.timeout(delay).callbacks.append(self._poll)
+        else:
+            self._end_window(event)
+
+    def _poll(self, event: Event) -> None:
+        if not self._looping:
+            return
+        if self.server.env.now >= self._window_end:
+            self._end_window(event)
+            return
+        self._round, waiter = self._open_round(self.ttl_s)
+        waiter.callbacks.append(self._on_poll_reply)
+
+    def _on_poll_reply(self, waiter: Event) -> None:
+        if not self._looping:
+            return
+        self._close_round(self._round, waiter.value, self.ttl_s)
+        self._sleep(waiter)
+
+    def _end_window(self, event: Event) -> None:
+        if not self._looping:
+            return
+        self._decide()
+        self._open_window(event)
 
     # ------------------------------------------------------------------
     def _decide(self) -> None:

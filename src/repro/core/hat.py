@@ -29,6 +29,7 @@ from ..consistency.multicast import MulticastTreeInfrastructure
 from ..consistency.push import PushPolicy
 from ..consistency.ttl import TTLPolicy
 from ..network.link import NetworkFabric
+from ..network.message import TREE_MAINTENANCE
 from ..network.node import NetworkNode
 from ..sim.engine import Environment
 from ..sim.rng import StreamRegistry
@@ -139,7 +140,7 @@ class HatSystem:
         return self.supernodes + self.members
 
     def start(self) -> None:
-        """Launch all server background processes."""
+        """Start every server's policy loop."""
         for server in self.servers:
             server.start()
 
@@ -172,8 +173,6 @@ class HatSystem:
         self.env.process(self._monitor_loop(heartbeat_s, timeout))
 
     def _monitor_loop(self, heartbeat_s: float, failure_timeout_s: float):
-        from ..network.message import MessageKind
-
         down_since: Dict[str, float] = {}
         while True:
             yield self.env.timeout(heartbeat_s)
@@ -186,11 +185,7 @@ class HatSystem:
                         prober = self.server_by_node_id[node.node_id]
                         break
                 if prober is not None:
-                    prober.send(
-                        MessageKind.TREE_MAINTENANCE,
-                        supernode.node,
-                        self.content.light_size_kb,
-                    )
+                    prober.send(TREE_MAINTENANCE, supernode.node, self.content.light_size_kb)
                 node_id = supernode.node.node_id
                 if supernode.node.is_up:
                     down_since.pop(node_id, None)

@@ -61,6 +61,7 @@ _ORDER_SINKS = frozenset(
         "pooled_timeout",
         "all_of",
         "any_of",
+        "kickoff",
         "succeed",
         "fail",
         "trigger",

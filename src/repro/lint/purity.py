@@ -7,8 +7,9 @@ what makes the transport-equivalence and determinism tests meaningful.
 
 That holds only if no code reachable from ``repro.obs`` ever
 
-- schedules kernel events (``Environment.schedule`` / ``process`` /
-  ``timeout`` / ``pooled_timeout`` / ``all_of`` / ``any_of``, or
+- schedules kernel events (``Environment.schedule`` / ``schedule_at``
+  / ``process`` / ``timeout`` / ``pooled_timeout`` / ``all_of`` /
+  ``any_of``, a callback loop's ``kickoff``, a timer-wheel ``arm``, or
   triggering events via ``succeed`` / ``fail`` / ``trigger`` /
   ``interrupt``), or
 - draws randomness (``RandomStream`` draw methods or the ``random``
@@ -43,11 +44,14 @@ __all__ = ["ObserverPurity"]
 _SCHEDULING_CALLS = frozenset(
     {
         "schedule",
+        "schedule_at",
         "process",
         "timeout",
         "pooled_timeout",
         "all_of",
         "any_of",
+        "kickoff",
+        "arm",
         "succeed",
         "fail",
         "trigger",

@@ -33,9 +33,8 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
         "Environment": "attribute reads in the inner event loop",
     },
     "repro/sim/process.py": {
-        "Process": "allocated per policy loop and waiting server task",
-        "_Initialize": "allocated per process start",
-        "_Interruption": "allocated per interrupt",
+        "Process": "allocated per provider, scenario and maintenance loop",
+        "_Initialize": "allocated per process or callback-loop start",
     },
     "repro/sim/resources.py": {
         "Request": "allocated per resource claim",

@@ -82,32 +82,18 @@ class NetworkNode:
         sends nor receives."""
         return self._down_count == 0
 
-    @is_up.setter
-    def is_up(self, value: bool) -> None:
-        """Force the node's state (legacy direct flips, e.g. permanent
-        HAT supernode failures).  Prefer :meth:`mark_down` /
-        :meth:`mark_up` for nestable absence windows."""
-        if value:
-            if self._down_count:
-                self._down_count = 0
-                self._transition(up=True)
-        else:
-            if self._down_count == 0:
-                self._down_count = 1
-                self._transition(up=False)
-
     def mark_down(self) -> None:
-        """Begin one absence window (nests with overlapping windows)."""
+        """Begin one absence window (nests with overlapping windows; a
+        permanent failure is a window that never ends)."""
         self._down_count += 1
         if self._down_count == 1:
             self._transition(up=False)
 
     def mark_up(self) -> None:
         """End one absence window; the node revives only when every
-        active window has ended (tolerates a forced ``is_up = True``
-        having already cleared the count)."""
+        active window has ended."""
         if self._down_count == 0:
-            return
+            raise RuntimeError("%s has no absence window to end" % self.node_id)
         self._down_count -= 1
         if self._down_count == 0:
             self._transition(up=True)

@@ -1,9 +1,9 @@
 """Discrete-event simulation substrate.
 
 A deterministic, generator-based simulation kernel built from scratch:
-events (a timeout is an event scheduled with a delay), processes with
-interrupt (:mod:`repro.sim.process`), and the timer wheel with its
-callback lanes (:mod:`repro.sim.timers`).
+events (a timeout is an event scheduled with a delay), processes and
+the ``kickoff`` that starts a callback loop (:mod:`repro.sim.process`),
+and the timer wheel with its callback lanes (:mod:`repro.sim.timers`).
 See :mod:`repro.sim.engine` for the core loop.
 """
 
@@ -16,7 +16,7 @@ from .engine import (
     StopSimulation,
     URGENT,
 )
-from .process import Interrupt, Process, kickoff
+from .process import Process, kickoff
 from .resources import Release, Request, Resource
 from .rng import RandomStream, StreamRegistry, derive_seed
 from .simtime import TIME_EPS_S, is_zero_duration, times_close, times_equal
@@ -25,7 +25,6 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "Interrupt",
     "kickoff",
     "Resource",
     "Request",

@@ -7,8 +7,9 @@ from simpy, but it keeps only what the simulator uses:
 - :class:`Event` -- the basic synchronisation primitive; a timeout
   (:meth:`Environment.timeout`) is a plain event scheduled with a delay.
 
-Processes with interrupt live in :mod:`repro.sim.process`, and the
-timer wheel and its callback lanes in :mod:`repro.sim.timers`.
+Processes and :func:`~repro.sim.process.kickoff` (a callback loop's
+start) live in :mod:`repro.sim.process`, and the timer wheel and its
+callback lanes in :mod:`repro.sim.timers`.
 
 Determinism: events scheduled for the same simulated time are ordered by
 ``(time, priority, sequence)`` where ``sequence`` is a monotonically
@@ -100,9 +101,9 @@ class Event:
         #: ``None`` once the event has been processed.
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
-        #: Only the kernel fails an event (a crashed process, an
-        #: interrupt); ``_defused`` marks a failure a waiter has handled,
-        #: which ``run()`` then does not re-raise.
+        #: Only the kernel fails an event (a crashed process);
+        #: ``_defused`` marks a failure a waiter has handled, which
+        #: ``run()`` then does not re-raise.
         self._ok: bool = True
         self._defused: bool = False
 
@@ -163,7 +164,6 @@ class Environment:
         "_queue",
         "_eid",
         "_events_processed",
-        "_active_proc",
         "tracer",
         "timers",
         "sanitizer",
@@ -187,7 +187,6 @@ class Environment:
         self._queue: List[_QueueEntry] = []
         self._eid = 0
         self._events_processed = 0
-        self._active_proc: Optional["Process"] = None
         #: Observability hook; NULL_TRACER (a shared no-op) by default.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Schedule sanitizer (see :mod:`repro.sim.sanitize`); ``None``
@@ -211,12 +210,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional["Process"]:
-        """The process currently being resumed (or ``None``); an
-        interrupt reads it to reject a process interrupting itself."""
-        return self._active_proc
 
     @property
     def events_processed(self) -> int:

@@ -5,27 +5,21 @@ behaviour of an actor over simulated time by ``yield``-ing events; the
 process resumes when the yielded event is processed, receiving the
 event's value as the result of the ``yield`` expression (or having the
 event's exception thrown into it if the event failed).
+
+Processes run the loops that never stop early: provider update
+schedules, scenario perturbations, absence windows, tree maintenance
+and the HAT monitor.  A loop that must be stopped -- a server policy's
+-- runs as callbacks on the same events instead, started through
+:func:`kickoff` (see :class:`repro.consistency.base.ServerPolicy`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Callable, Generator
 
 from .engine import Environment, Event, URGENT, _PENDING
 
-__all__ = ["Process", "Interrupt", "kickoff"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process when :meth:`Process.interrupt` is called."""
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return "Interrupt(%r)" % (self.cause,)
+__all__ = ["Process", "kickoff"]
 
 
 class _Initialize(Event):
@@ -51,51 +45,18 @@ def kickoff(env: Environment, callback: Callable[[Event], None]) -> Event:
     return _Initialize(env, callback)
 
 
-class _Interruption(Event):
-    """Internal event delivering an :class:`Interrupt` to a process."""
-
-    __slots__ = ("_process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        if process.triggered:
-            raise RuntimeError("%r has terminated and cannot be interrupted" % process)
-        if process is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        self.callbacks = [self._interrupt]
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self._process = process
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        process = self._process
-        if process.triggered:
-            return  # the process terminated before the interrupt arrived
-        # Detach the process from whatever event it is waiting on so the
-        # interrupt, not the stale event, resumes it.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - already detached
-                pass
-        process._resume(event)
-
-
 class Process(Event):
     """A process wrapping a generator; it is also an event that fires
     (with the generator's return value) when the generator terminates."""
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: Environment, generator: Generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise ValueError("%r is not a generator" % (generator,))
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = _Initialize(env, self._resume)
+        _Initialize(env, self._resume)
 
     def __repr__(self) -> str:
         return "<Process(%s) object at 0x%x>" % (
@@ -108,15 +69,9 @@ class Process(Event):
         """``True`` until the wrapped generator terminates."""
         return self._value is _PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` (with *cause*) into the process."""
-        _Interruption(self, cause)
-
     def _resume(self, event: Event) -> None:
         """Resume the generator with the state of *event*."""
         env = self.env
-        env._active_proc = self
-
         while True:
             try:
                 if event._ok:
@@ -153,10 +108,7 @@ class Process(Event):
             if next_event.callbacks is not None:
                 # Not yet processed: register and suspend.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
 
             # Already processed: loop around and resume immediately with it.
             event = next_event
-
-        env._active_proc = None

@@ -14,3 +14,8 @@ def drain(env, waiting):
 
 def jitter_draws(rng, jitter_by_node):
     return [rng.random() for node in jitter_by_node.values()]  # RNG sink
+
+
+def start_loops(env, steps_by_node):
+    for node, step in steps_by_node.items():  # dict view + loop kickoff sink
+        kickoff(env, step)

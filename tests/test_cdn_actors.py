@@ -166,7 +166,7 @@ class TestRequestResponse:
             env, topology.servers[0], fabric, content,
             policy=TTLPolicy(30.0), upstream=topology.provider,
         )
-        provider.node.is_up = False
+        provider.node.mark_down()
         results = []
 
         def probe(env):

@@ -171,10 +171,11 @@ class TestPollAnswering:
         results = []
 
         def fetcher(env):
-            response = yield from server.request(
+            message, waiter = server.open_request(
                 MessageKind.FETCH, provider.node, 1.0, timeout=10.0
             )
-            results.append(response)
+            response = yield waiter
+            results.append(server.close_request(message, response))
 
         env.process(fetcher(env))
         env.run(until=50.0)

@@ -120,7 +120,7 @@ class TestMulticastTree:
         victim = max(servers, key=lambda s: len(tree.children_of(s)))
         orphans = tree.children_of(victim)
         assert orphans  # pick a node that actually has children
-        victim.node.is_up = False
+        victim.node.mark_down()
         moved = tree.repair(victim)
         assert moved == len(orphans)
         for orphan in orphans:

@@ -14,6 +14,7 @@ from repro.consistency import (
     TTLPolicy,
     UnicastInfrastructure,
 )
+from repro.core import DynamicPolicy
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
 from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
@@ -340,3 +341,47 @@ class TestAdaptiveTTL:
             horizon=800.0,
         )
         assert servers[0].policy.current_ttl_s <= 20.0
+
+
+class TestLoopLifecycle:
+    """A looping policy that no HAT member runs ends in ``stop()`` too:
+    no poll after it, and the open poll is forgotten."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda st: AdaptiveTTLPolicy(10.0, 160.0, stream=st.stream("phase")),
+            lambda st: DynamicPolicy(15.0, 30.0, stream=st.stream("phase")),
+        ],
+        ids=["adaptive-ttl", "dynamic"],
+    )
+    def test_stop_ends_the_loop_and_forgets_its_poll(self, factory):
+        tracer = RecordingTracer()
+        env = Environment(tracer=tracer)
+        streams = StreamRegistry(5)
+        topology = TopologyBuilder(env, streams).build(n_servers=1, users_per_server=0)
+        fabric = NetworkFabric(env, streams=streams)
+        # One update every 5 s: both policies keep polling.
+        content = LiveContent("game", update_times=[5.0 * (i + 1) for i in range(80)])
+        provider = ProviderActor(env, topology.provider, fabric, content)
+        server = ServerActor(env, topology.servers[0], fabric, content, policy=factory(streams))
+        UnicastInfrastructure().wire(provider, [server])
+        server.start()
+        env.run(until=100.0)
+        while not server._pending:  # until a poll is in flight
+            env.run(until=env.now + 0.001)
+        (last_poll,) = server._pending
+        old_policy = server.policy
+        stopped_at = env.now
+        server.replace_policy(PushPolicy())
+        assert not old_policy._looping and not server._pending
+        env.run(until=400.0)
+        node = server.node.node_id
+        assert not server._pending
+        polls = [
+            event.detail["seq"]
+            for event in tracer.events(node=node, kinds=("msg_send",))
+            if event.detail["msg"] == "poll"
+        ]
+        assert max(polls) == last_poll
+        assert tracer.events(node=node, kinds=("poll_round",), since=stopped_at) == []

@@ -60,7 +60,7 @@ class TestFailover:
         env, streams, topology, fabric, content, hat, cohort = build_hat()
         index, spec = self.pick_cluster_with_members(hat)
         old = hat.supernodes[index]
-        old.node.is_up = False
+        old.node.mark_down()
         promotee = hat.handle_supernode_failure(old)
         assert promotee is not None
         assert promotee.node in [spec.supernode] + spec.members or promotee.node is spec.supernode
@@ -83,9 +83,9 @@ class TestFailover:
         env, streams, topology, fabric, content, hat, cohort = build_hat()
         index, spec = self.pick_cluster_with_members(hat)
         old = hat.supernodes[index]
-        old.node.is_up = False
+        old.node.mark_down()
         for node in spec.members:
-            node.is_up = False
+            node.mark_down()
         n_before = len(hat.supernodes)
         assert hat.handle_supernode_failure(old) is None
         assert len(hat.supernodes) == n_before - 1
@@ -99,7 +99,7 @@ class TestFailover:
 
         def kill_and_recover(env):
             yield env.timeout(200.0)
-            victim.node.is_up = False
+            victim.node.mark_down()
             yield env.timeout(20.0)  # detection delay
             hat.handle_supernode_failure(victim)
 
@@ -126,7 +126,7 @@ class TestFailover:
 
         def kill_and_recover(env):
             yield env.timeout(400.0)  # mid-silence: members are in inv mode
-            victim.node.is_up = False
+            victim.node.mark_down()
             yield env.timeout(20.0)
             hat.handle_supernode_failure(victim)
 
@@ -148,7 +148,7 @@ class TestFailover:
 
         def killer(env):
             yield env.timeout(200.0)
-            victim.node.is_up = False
+            victim.node.mark_down()
 
         env.process(killer(env))
         env.run(until=900.0)
@@ -168,42 +168,61 @@ class TestFailover:
             hat.start_monitor(heartbeat_s=30.0, failure_timeout_s=10.0)
 
     def test_old_policy_processes_stopped(self):
-        env, streams, topology, fabric, content, hat, cohort = build_hat()
+        tracer = RecordingTracer()
+        # One update every 5 s keeps the self-adaptive members polling.
+        env, streams, topology, fabric, content, hat, cohort = build_hat(
+            tracer=tracer, updates=[5.0 * (i + 1) for i in range(80)]
+        )
         hat.start()
         env.run(until=100.0)
         index, spec = self.pick_cluster_with_members(hat)
         victim = hat.supernodes[index]
-        old_policy = nearest_member(hat, spec, victim).policy
-        old_procs = list(old_policy._procs)
-        assert old_procs and all(process.is_alive for process in old_procs)
-        victim.node.is_up = False
-        promotee = hat.handle_supernode_failure(victim)
-        assert promotee.policy is not old_policy
-        assert old_policy._procs == []
-        # the promotee's push policy has no background processes
-        assert promotee.policy._procs == []
+        member = nearest_member(hat, spec, victim)
+        old_policy = member.policy
+        assert old_policy.method_name == "self-adaptive" and old_policy._looping
+        assert old_policy.mode == "ttl"
+        victim.node.mark_down()
+        promoted_at = env.now
+        in_flight = set(member._pending)
+        assert hat.handle_supernode_failure(victim) is member
+        assert member.policy is not old_policy
+        assert not old_policy._looping
+        # the promotee's push policy has no loop
+        assert not member.policy.loops and not member.policy._looping
         env.run(until=200.0)
-        # the old self-adaptive loop was interrupted cleanly
+        # the old self-adaptive loop ended with its policy: no new POLL
+        # (one opened before may still leave), no round
         assert env.now == 200.0
-        assert not any(process.is_alive for process in old_procs)
+        assert {
+            event.detail["seq"]
+            for event in tracer.events(node=member.node.node_id, kinds=("msg_send",),
+                                       since=promoted_at)
+            if event.detail["msg"] == "poll"
+        } <= in_flight
+        assert tracer.events(node=member.node.node_id, kinds=("poll_round",),
+                             since=promoted_at) == []
 
 
 class TestTTLMemberFailover:
     """Failover in the Hybrid system: a promoted TTL member's poll loop
-    (callbacks, not a process) must end with its policy, and forget the
-    poll it had open."""
+    must end with its policy, and forget the poll it had open."""
+
+    member_method = "ttl"
 
     def promote(self, in_flight, victim_down):
         tracer = RecordingTracer()
+        # One update every 5 s: every poll brings one, so a self-adaptive
+        # member stays in TTL mode and is polling at t = 100 s too.
         env, streams, topology, fabric, content, hat, cohort = build_hat(
-            users=False, member_method="ttl", tracer=tracer
+            users=False, member_method=self.member_method, tracer=tracer,
+            updates=[5.0 * (i + 1) for i in range(80)],
         )
         hat.start()
         env.run(until=100.0)
         index, spec = pick_cluster_with_members(hat)
         victim = hat.supernodes[index]
         member = nearest_member(hat, spec, victim)
-        assert member.policy.method_name == "ttl"
+        assert member.policy.method_name == self.member_method
         if in_flight:
             while not member._pending:
                 env.run(until=env.now + 0.001)
@@ -212,7 +231,7 @@ class TestTTLMemberFailover:
             assert not member._pending  # sleeping between polls
             last_poll, waiter = max(self.polls_sent(tracer, member)), None
         if victim_down:
-            victim.node.is_up = False
+            victim.node.mark_down()
         promoted_at = env.now
         assert hat.handle_supernode_failure(victim) is member
         # The old policy's open poll, if any, is forgotten with it ...
@@ -273,3 +292,10 @@ class TestTTLMemberFailover:
         )
         assert waiter.triggered and waiter.value is None
         self.assert_loop_ended(tracer, promotee, last_poll, promoted_at)
+
+
+class TestSelfAdaptiveMemberFailover(TestTTLMemberFailover):
+    """The same failover for a HAT member: Algorithm 1's loop ends the
+    way TTL's does."""
+
+    member_method = "self-adaptive"

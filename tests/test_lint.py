@@ -71,8 +71,10 @@ class TestRep003ObserverPurity(unittest.TestCase):
     def test_flags_scheduling_and_rng_in_obs(self):
         report = scan("rep003")
         messages = [f.message for f in report.new if Path(f.path).stem == "bad_observer"]
-        self.assertEqual(len(messages), 3)  # schedule, timeout, random draw
-        self.assertTrue(any("schedule" in message for message in messages))
+        # schedule, timeout, schedule_at, kickoff, arm, random draw
+        self.assertEqual(len(messages), 6)
+        for name in ("schedule", "timeout", "schedule_at", "kickoff", "arm"):
+            self.assertTrue(any("`%s(...)`" % name in message for message in messages), name)
         self.assertTrue(any("RNG draw" in message for message in messages))
 
     def test_pure_observer_is_clean(self):
@@ -326,8 +328,8 @@ class TestRep007IterationOrder(unittest.TestCase):
         report = scan("rep007")
         findings = [f for f in report.new if Path(f.path).stem == "bad_order"]
         # set loop; dict-view loop with a schedule sink; dict-view
-        # comprehension with an RNG sink.
-        self.assertEqual([f.code for f in findings], ["REP007"] * 3)
+        # comprehension with an RNG sink; dict-view loop with a kickoff.
+        self.assertEqual([f.code for f in findings], ["REP007"] * 4)
 
     def test_sorted_sink_free_and_set_to_set_are_clean(self):
         self.assertNotIn("good_order", codes_by_file(scan("rep007")))
@@ -448,7 +450,7 @@ class TestNewRulesExemptionManifest(unittest.TestCase):
         report = self._scan_with_exemption(
             "REP007", "repro/cdn/elsewhere", "rep007"
         )
-        self.assertEqual(len(report.new), 4)
+        self.assertEqual(len(report.new), 5)
 
     def test_rep008_honors_manifest_but_fires_outside(self):
         report = self._scan_with_exemption(

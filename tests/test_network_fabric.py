@@ -130,7 +130,7 @@ class TestFabric:
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
         received = record_deliveries(servers[0])
-        servers[0].is_up = False
+        servers[0].mark_down()
         fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
         env.run()
         assert received == []
@@ -150,7 +150,7 @@ class TestFabric:
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
         received = record_deliveries(servers[0])
-        provider.is_up = False
+        provider.mark_down()
         fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
         # Dropped inside send(): no heap event, no traffic.
         assert fabric.counters.dropped_sender_down == 1

@@ -88,36 +88,16 @@ class TestNestedAbsences:
         assert node.down_transitions == 2
         assert node.downtime_s() == pytest.approx(10.0)
 
-    def test_legacy_is_up_assignment_still_forces_state(self):
+    def test_unmatched_mark_up_rejected(self):
         env, node = _one_node()
-
-        def script():
-            yield env.timeout(10.0)
-            node.is_up = False
-            node.is_up = False  # idempotent
-            yield env.timeout(15.0)
-            node.is_up = True  # forced revival clears every window
-            assert node.is_up
-
-        env.process(script())
-        env.run(until=60.0)
+        with pytest.raises(RuntimeError):
+            node.mark_up()
+        node.mark_down()
+        node.mark_up()
         assert node.is_up
-        assert node.downtime_s() == pytest.approx(15.0)
-        assert node.down_transitions == 1
-
-    def test_forced_revival_tolerated_by_pending_mark_up(self):
-        env, node = _one_node()
-        schedule_absence(env, node, start=5.0, duration=30.0)
-
-        def force():
-            yield env.timeout(10.0)
-            node.is_up = True  # e.g. a failover handler forcing recovery
-
-        env.process(force())
-        # The absence window's mark_up at t=35 must not underflow.
-        env.run(until=50.0)
-        assert node.is_up
-        assert node.downtime_s() == pytest.approx(5.0)
+        with pytest.raises(RuntimeError):
+            node.mark_up()
+        assert node.is_up and node.down_transitions == 1
 
     def test_open_absence_counts_into_downtime(self):
         env, node = _one_node()
@@ -248,7 +228,7 @@ class TestTTLPollCadence:
     def test_period_stays_one_ttl_when_upstream_absent(self):
         tracer = RecordingTracer()
         # Provider down for the whole run: every poll times out after
-        # poll_timeout_s (== ttl_s by default).
+        # one TTL, the longest a poll waits for its reply.
         _ttl_deployment(tracer, ttl_s=10.0, horizon=100.0, absence=(0.0, 1000.0))
         rounds = [e.time for e in tracer.events(kinds=("poll_round",))]
         assert len(rounds) >= 8  # ~one per TTL; the old bug gave ~one per 2xTTL

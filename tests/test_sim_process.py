@@ -1,8 +1,8 @@
-"""Tests for processes and interrupts."""
+"""Tests for processes."""
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 class TestProcess:
@@ -96,65 +96,3 @@ class TestProcess:
         process = env.process(proc(env))
         assert env.run(until=process) == (5, "early")
 
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                return (env.now, interrupt.cause)
-
-        process = env.process(sleeper(env))
-
-        def killer(env):
-            yield env.timeout(3)
-            process.interrupt("reason")
-
-        env.process(killer(env))
-        assert env.run(until=process) == (3, "reason")
-
-    def test_interrupted_process_can_keep_running(self):
-        env = Environment()
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt:
-                pass
-            yield env.timeout(10)
-            return env.now
-
-        process = env.process(sleeper(env))
-
-        def killer(env):
-            yield env.timeout(5)
-            process.interrupt()
-
-        env.process(killer(env))
-        assert env.run(until=process) == 15
-
-    def test_cannot_interrupt_dead_process(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            process.interrupt()
-
-    def test_self_interrupt_rejected(self):
-        env = Environment()
-        holder = {}
-
-        def selfish(env):
-            holder["me"].interrupt()
-            yield env.timeout(1)
-
-        holder["me"] = env.process(selfish(env))
-        with pytest.raises(RuntimeError):
-            env.run()

@@ -79,7 +79,7 @@ class TestFailureRecovery:
 
         def killer(env):
             yield env.timeout(100.0)
-            victim.node.is_up = False
+            victim.node.mark_down()
 
         env.process(killer(env))
         env.run(until=600.0)
@@ -108,7 +108,7 @@ class TestFailureRecovery:
 
             def killer(env):
                 yield env.timeout(100.0)
-                victim.node.is_up = False
+                victim.node.mark_down()
 
             env.process(killer(env))
             env.run(until=560.0)
