@@ -1,10 +1,9 @@
 """Shared fixtures for the per-figure benchmarks.
 
 Benchmarks run the real experiment drivers at a reduced-but-same-shape
-scale (the full paper scale is available through
-``examples/regenerate_experiments.py``).  Each benchmark asserts the
-paper's qualitative claim for its figure -- who wins, in which order,
-and roughly by what factor.
+scale (``python -m repro report`` runs them at the report's scale).
+Each benchmark asserts the paper's qualitative claim for its figure --
+who wins, in which order, and roughly by what factor.
 """
 
 import pytest

@@ -10,11 +10,11 @@ A pair is one time-boxed run of BENCHMARK.json's command
 with ``T`` its ``run_seconds``) in each checkout, one after the other,
 each from its own ``src``.  Odd pairs run the parent first and even
 pairs the change, so a host whose speed drifts while the pairs run
-slows both sides alike.  Each pair prints one line as it ends.  Give
-both checkouts the same bytecode state, e.g. two fresh ``git archive``
-copies: a checkout whose ``__pycache__`` holds compiled modules imports
-faster, which lowers its ``setup_s`` and ``wall_s`` (by about 0.05 s on
-a 2-vCPU VM).
+slows both sides alike.  Each pair prints one line as it ends.  Before
+the first pair, both checkouts' ``src`` and ``benchmarks/e2e`` are
+byte-compiled, so both sides import from ``.pyc`` files: a side that
+compiles every module on each import reads a higher ``setup_s`` that is
+not the program's.
 
 Then, for every end-to-end metric of BENCHMARK.json, the summary gives
 each side's median and quartiles over the pairs whose two runs were
@@ -36,6 +36,7 @@ result), else 0; the verdicts are printed, not signalled.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import subprocess
@@ -70,6 +71,13 @@ def run_side(spec: Dict, checkout: str, workload: str, seed: int) -> Dict:
         return json.loads(lines[-1])
     except (IndexError, ValueError):
         return {"correct": False, "metrics": {}, "error": proc.stderr.strip()[-500:]}
+
+
+def compile_checkout(checkout: str) -> None:
+    """Byte-compile the code a run of *checkout* imports.  ``compileall``
+    writes the ``.pyc`` files even under ``PYTHONDONTWRITEBYTECODE``."""
+    for part in ("src", os.path.join("benchmarks", "e2e")):
+        compileall.compile_dir(os.path.join(checkout, part), quiet=1)
 
 
 def values(result: Dict) -> Dict[str, float]:
@@ -187,6 +195,8 @@ def main(argv=None) -> int:
     for checkout in (args.parent, args.change):
         if not os.path.isfile(os.path.join(checkout, "benchmarks", "e2e", "run.py")):
             parser.error("%s holds no benchmarks/e2e/run.py" % checkout)
+    for checkout in (args.parent, args.change):
+        compile_checkout(checkout)
 
     pairs: List[Pair] = []
     correct = True

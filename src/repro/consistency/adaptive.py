@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..network.message import SWITCH_NOTICE, Message
+from ..network.message import Message
 from ..sim.engine import Event
 from ..sim.rng import RandomStream
 from .base import ServerPolicy
@@ -33,19 +33,25 @@ __all__ = ["SelfAdaptivePolicy", "AdaptiveTTLPolicy"]
 MODE_TTL = "ttl"
 MODE_INVALIDATION = "invalidation"
 
+#: Adaptive TTL's back-off: a poll that finds no update doubles the
+#: period, one that finds an update halves it.
+GROW_FACTOR = 2.0
+SHRINK_FACTOR = 0.5
+
 
 class SelfAdaptivePolicy(ServerPolicy):
-    """Switch between TTL polling and Invalidation (Algorithm 1)."""
+    """Switch between TTL polling and Invalidation (Algorithm 1).
+
+    The :class:`ServerPolicy` loop is the TTL phase: it polls on while
+    updates arrive; a poll without one switches to Invalidation, whose
+    recovery fetch switches back to the loop.
+    """
 
     method_name = "self-adaptive"
     loops = True
 
     def __init__(self, ttl_s: float, stream: Optional[RandomStream] = None) -> None:
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
-        super().__init__()
-        self.ttl_s = ttl_s
-        self.stream = stream
+        super().__init__(ttl_s, stream)
         self.mode = MODE_TTL
         self._invalidated_ev: Optional[Event] = None
         self._recovered_ev: Optional[Event] = None
@@ -54,38 +60,15 @@ class SelfAdaptivePolicy(ServerPolicy):
         self.switches_to_ttl = 0
 
     # ------------------------------------------------------------------
-    def _begin(self, event: Event) -> None:
-        if not self._looping:
-            return
-        if self.stream is None:
-            self._sleep(event)
-        else:
-            offset = self.stream.uniform(0.0, self.ttl_s)
-            self.server.env.timeout(offset).callbacks.append(self._sleep)
-
-    def _sleep(self, _event: Event) -> None:
-        """TTL phase: poll one TTL from now."""
-        if not self._looping:
-            return
-        self.server.env.timeout(self.ttl_s).callbacks.append(self._poll)
-
-    def _poll(self, _event: Event) -> None:
-        if not self._looping:
-            return
-        self._round, waiter = self._open_round(self.ttl_s)
-        waiter.callbacks.append(self._on_poll_reply)
-
-    def _on_poll_reply(self, waiter: Event) -> None:
-        if not self._looping:
-            return
-        if self._close_round(self._round, waiter.value, self.ttl_s):
-            self._sleep(waiter)  # updates keep arriving: poll on
+    def _after_poll(self, got_update: bool, event: Event) -> None:
+        if got_update:
+            self._sleep(event)  # updates keep arriving: poll on
             return
         # No update: switch to Invalidation and wait for a notice.
         self.switches_to_invalidation += 1
         self._switch(MODE_INVALIDATION)
         if self.server.is_invalidated:
-            self._await_recovery(waiter)
+            self._await_recovery(event)
         else:
             self._invalidated_ev = self.server.env.event()
             self._invalidated_ev.callbacks.append(self._await_recovery)
@@ -115,17 +98,7 @@ class SelfAdaptivePolicy(ServerPolicy):
         env = self.server.env
         if env.tracer.enabled:
             env.tracer.emit(env.now, "mode_switch", self.server.node.node_id, mode=mode)
-        self._notify(mode)
-
-    def _notify(self, mode: str) -> None:
-        server = self.server
-        server.send(
-            SWITCH_NOTICE,
-            server.upstream,
-            server.content.light_size_kb,
-            version=server.cached_version,
-            payload={"mode": mode},
-        )
+        self._announce(mode)
 
     # ------------------------------------------------------------------
     def reannounce(self) -> None:
@@ -137,7 +110,7 @@ class SelfAdaptivePolicy(ServerPolicy):
         does not know to send.
         """
         if self.mode == MODE_INVALIDATION:
-            self._notify(MODE_INVALIDATION)
+            self._announce(MODE_INVALIDATION)
 
     def on_invalidate(self, message: Message) -> None:
         self.server.mark_invalidated(message.version)
@@ -157,10 +130,11 @@ class SelfAdaptivePolicy(ServerPolicy):
 class AdaptiveTTLPolicy(ServerPolicy):
     """Adaptive-TTL baseline ([6], [22], [24]; Alex-style backoff).
 
-    The TTL shrinks multiplicatively when a poll finds an update and
-    grows when it does not.  The paper argues (Section 5.1) that such
-    prediction misfires on irregular update patterns; this policy exists
-    so the ablation benchmarks can quantify that claim.
+    The polling period (``ttl_s``) shrinks multiplicatively when a poll
+    finds an update and grows when it does not, within ``[min_ttl_s,
+    max_ttl_s]``.  The paper argues (Section 5.1) that such prediction
+    misfires on irregular update patterns; this policy exists so the
+    ablation benchmarks can quantify that claim.
     """
 
     method_name = "adaptive-ttl"
@@ -171,50 +145,17 @@ class AdaptiveTTLPolicy(ServerPolicy):
         min_ttl_s: float,
         max_ttl_s: float,
         stream: Optional[RandomStream] = None,
-        grow_factor: float = 2.0,
-        shrink_factor: float = 0.5,
     ) -> None:
         if not 0 < min_ttl_s <= max_ttl_s:
             raise ValueError("need 0 < min_ttl_s <= max_ttl_s")
-        if grow_factor <= 1.0 or not 0.0 < shrink_factor < 1.0:
-            raise ValueError("grow_factor > 1 and 0 < shrink_factor < 1 required")
-        super().__init__()
+        super().__init__(min_ttl_s, stream)
         self.min_ttl_s = min_ttl_s
         self.max_ttl_s = max_ttl_s
-        self.stream = stream
-        self.grow_factor = grow_factor
-        self.shrink_factor = shrink_factor
-        self.current_ttl_s = min_ttl_s
+        self.poll_timeout_s = max_ttl_s
 
-    def _begin(self, event: Event) -> None:
-        if not self._looping:
-            return
-        if self.stream is None:
-            self._sleep(event)
+    def _after_poll(self, got_update: bool, event: Event) -> None:
+        if got_update:
+            self.ttl_s = max(self.min_ttl_s, self.ttl_s * SHRINK_FACTOR)
         else:
-            offset = self.stream.uniform(0.0, self.min_ttl_s)
-            self.server.env.timeout(offset).callbacks.append(self._sleep)
-
-    def _sleep(self, _event: Event) -> None:
-        if not self._looping:
-            return
-        self.server.env.timeout(self.current_ttl_s).callbacks.append(self._poll)
-
-    def _poll(self, _event: Event) -> None:
-        if not self._looping:
-            return
-        self._round, waiter = self._open_round(self.max_ttl_s)
-        waiter.callbacks.append(self._on_poll_reply)
-
-    def _on_poll_reply(self, waiter: Event) -> None:
-        if not self._looping:
-            return
-        if self._close_round(self._round, waiter.value, self.current_ttl_s):
-            self.current_ttl_s = max(
-                self.min_ttl_s, self.current_ttl_s * self.shrink_factor
-            )
-        else:
-            self.current_ttl_s = min(
-                self.max_ttl_s, self.current_ttl_s * self.grow_factor
-            )
-        self._sleep(waiter)
+            self.ttl_s = min(self.max_ttl_s, self.ttl_s * GROW_FACTOR)
+        self._sleep(event)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
 
-from ..network.message import FETCH, POLL, POLL_RESPONSE, Message
+from ..network.message import FETCH, POLL, POLL_RESPONSE, SWITCH_NOTICE, Message
 from ..sim.engine import Event
 from ..sim.process import kickoff
+from ..sim.rng import RandomStream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cdn.provider import ProviderActor
@@ -39,27 +40,38 @@ class ServerPolicy:
     replica that never polls and refetches its copy on demand once an
     invalidation notice has marked it stale.
 
-    A *looping* policy (``loops``) polls on its own schedule.  Its loop
-    runs as callbacks on the events a process would wait on -- a kickoff
+    A *looping* policy (``loops``) polls on its own schedule, and every
+    polling method shares one loop: :meth:`_begin` waits a random phase,
+    then takes the policy's :meth:`_first_step`; :meth:`_sleep` waits
+    one ``ttl_s``, then :meth:`_poll` opens a round bounded by
+    ``poll_timeout_s``; :meth:`_on_poll_reply` closes it and hands the
+    outcome to :meth:`_after_poll`, the policy's decision.  The steps
+    run as callbacks on the events a process would wait on -- a kickoff
     where the process would start, a timeout per sleep, the request's
-    waiter per poll, an event per notice it awaits -- so it schedules
-    the same heap events without resuming a generator at each.  Every
-    step returns at once when ``_looping`` is clear: that flag is how
-    :meth:`stop` ends the loop.
+    waiter per poll -- so the loop schedules the same heap events
+    without resuming a generator at each.  Every step returns at once
+    when ``_looping`` is clear: that flag is how :meth:`stop` ends the
+    loop.
     """
 
     #: Human-readable method name ("ttl", "push", ...).
     method_name: str = "base"
 
-    #: TTL a refreshed body is stored with: a polling policy's period;
-    #: a replica that is only ever invalidated never expires its copy.
-    ttl_s: float = float("inf")
-
     #: Whether :meth:`start` runs a loop (:meth:`_begin` is its first step).
     loops: bool = False
 
-    def __init__(self) -> None:
+    def __init__(self, ttl_s: float = float("inf"), stream: Optional[RandomStream] = None) -> None:
+        if ttl_s <= 0:
+            raise ValueError("ttl_s must be positive")
         self.server: Optional["ServerActor"] = None
+        #: The polling period, which is also the TTL a refreshed body is
+        #: stored with; a replica that is only ever invalidated never
+        #: expires its copy.
+        self.ttl_s = ttl_s
+        #: Draws the loop's phase (``None``: the loop starts at once).
+        self.stream = stream
+        #: How long the loop's poll waits for its reply.
+        self.poll_timeout_s = ttl_s
         #: The waiter of the refresh in flight (see :meth:`_refresh`).
         self._refreshing: Optional[Event] = None
         #: The loop runs between start() and stop(); the poll it opened last.
@@ -93,9 +105,62 @@ class ServerPolicy:
         if self._round is not None:
             self.server._pending.pop(self._round.seq, None)
 
-    def _begin(self, _event: Event) -> None:
-        """A looping policy's first step."""
-        raise NotImplementedError
+    # ------------------------------------------------------------------
+    # the poll loop
+    # ------------------------------------------------------------------
+    def _begin(self, event: Event) -> None:
+        """Wait a random phase in ``[0, ttl_s)`` -- replicas poll out of
+        step, the paper's assumption in Sec. 3.4.1 -- then take the
+        policy's :meth:`_first_step`."""
+        if not self._looping:
+            return
+        if self.stream is None:
+            self._first_step(event)
+        else:
+            phase = self.stream.uniform(0.0, self.ttl_s)
+            self.server.env.timeout(phase).callbacks.append(self._first_step)
+
+    def _first_step(self, event: Event) -> None:
+        """The loop's step once its phase has passed: by default, sleep
+        one period and poll."""
+        self._sleep(event)
+
+    def _sleep(self, _event: Event) -> None:
+        """Poll one ``ttl_s`` from now."""
+        if not self._looping:
+            return
+        self.server.env.timeout(self.ttl_s).callbacks.append(self._poll)
+
+    def _poll(self, _event: Event) -> None:
+        """Open one poll round; :meth:`_on_poll_reply` closes it."""
+        if not self._looping:
+            return
+        self._round, waiter = self._open_round(self.poll_timeout_s)
+        waiter.callbacks.append(self._on_poll_reply)
+
+    def _on_poll_reply(self, waiter: Event) -> None:
+        """Close the round, then let the policy decide what follows."""
+        if not self._looping:
+            return
+        self._after_poll(self._close_round(self._round, waiter.value, self.ttl_s), waiter)
+
+    def _after_poll(self, got_update: bool, event: Event) -> None:
+        """The policy's decision once a round has closed (*got_update*:
+        the reply carried a new body).  By default, poll on."""
+        self._sleep(event)
+
+    def _announce(self, mode: str) -> None:
+        """Send the upstream the switch notice: this replica now runs in
+        *mode*, which tells the upstream whether to push to it, notify
+        it, or leave it to poll."""
+        server = self.server
+        server.send(
+            SWITCH_NOTICE,
+            server.upstream,
+            server.content.light_size_kb,
+            version=server.cached_version,
+            payload={"mode": mode},
+        )
 
     # ------------------------------------------------------------------
     # message hooks

@@ -24,9 +24,9 @@ __all__ = ["TTLPolicy"]
 class TTLPolicy(ServerPolicy):
     """Poll the upstream whenever the TTL expires.
 
-    The eager mode loops (see :class:`ServerPolicy`): sleep, poll, sleep
-    again one TTL after the poll started.  A poll waits at most one TTL
-    for its reply.
+    The eager mode runs the :class:`ServerPolicy` loop: poll at the
+    phase, then sleep one TTL from the start of each poll.  A poll waits
+    at most one TTL for its reply.
     """
 
     method_name = "ttl"
@@ -37,56 +37,27 @@ class TTLPolicy(ServerPolicy):
         stream: Optional[RandomStream] = None,
         eager: bool = True,
     ) -> None:
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
-        super().__init__()
-        self.ttl_s = ttl_s
-        self.stream = stream
+        super().__init__(ttl_s, stream)
         #: Eager mode loops; lazy mode polls on demand.
         self.loops = eager
-        #: When the eager loop's last poll started.
-        self._round_started = 0.0
 
     # ------------------------------------------------------------------
     # eager loop
     # ------------------------------------------------------------------
-    def _initial_offset(self) -> float:
-        # Desynchronised first polls: each server starts at a random
-        # phase in [0, TTL), exactly the paper's assumption in Sec 3.4.1.
-        if self.stream is None:
-            return 0.0
-        return self.stream.uniform(0.0, self.ttl_s)
+    def _first_step(self, event: Event) -> None:
+        self._poll(event)
 
-    def _begin(self, _event: Event) -> None:
-        if not self._looping:
-            return
-        offset = self._initial_offset()
-        if offset > 0:
-            self.server.env.timeout(offset).callbacks.append(self._poll)
-        else:
-            self._poll(_event)
-
-    def _poll(self, _event: Event) -> None:
-        """Open one poll round; :meth:`_on_poll_reply` closes it."""
-        if not self._looping:
-            return
-        self._round_started = self.server.env._now
-        self._round, waiter = self._open_round(self.ttl_s)
-        waiter.callbacks.append(self._on_poll_reply)
-
-    def _on_poll_reply(self, waiter: Event) -> None:
-        if not self._looping:
-            return
-        self._close_round(self._round, waiter.value, self.ttl_s)
+    def _after_poll(self, got_update: bool, event: Event) -> None:
         # The sleep is measured from the *start* of the poll, so the
         # period stays anchored at one TTL even when the poll itself
         # takes time.  Sleeping a full TTL *after* a timed-out poll
         # (which waits one TTL) used to double the effective period to
         # ~2xTTL exactly when the upstream was absent -- the paper's
-        # Fig. 10 scenario.
+        # Fig. 10 scenario.  The round's ``created_at`` is when the poll
+        # was sent.
         env = self.server.env
-        elapsed = env._now - self._round_started
-        env.timeout(max(0.0, self.ttl_s - elapsed)).callbacks.append(self._poll)
+        delay = self.ttl_s - (env._now - self._round.created_at)
+        env.timeout(delay if delay > 0.0 else 0.0).callbacks.append(self._poll)
 
     # ------------------------------------------------------------------
     # lazy mode

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..consistency.base import ServerPolicy
-from ..network.message import SWITCH_NOTICE, Message
+from ..network.message import Message
 from ..sim.engine import Event
 from ..sim.rng import RandomStream
 
@@ -43,10 +43,10 @@ MODE_PUSH = "push"
 class DynamicPolicy(ServerPolicy):
     """Per-replica mode switching driven by measured rates.
 
-    The loop runs one decision window after another: in TTL mode it
-    polls every TTL inside the window, in push and invalidation modes it
-    sleeps through it; at the window's end :meth:`_decide` re-picks the
-    mode.
+    The :class:`ServerPolicy` loop runs one decision window after
+    another: in TTL mode it polls every TTL inside the window, in push
+    and invalidation modes it sleeps through it; at the window's end
+    :meth:`_decide` re-picks the mode.
     """
 
     method_name = "dynamic"
@@ -59,14 +59,10 @@ class DynamicPolicy(ServerPolicy):
         stream: Optional[RandomStream] = None,
         decision_interval_s: Optional[float] = None,
     ) -> None:
-        if ttl_s <= 0:
-            raise ValueError("ttl_s must be positive")
+        super().__init__(ttl_s, stream)
         if staleness_tolerance_s < 0:
             raise ValueError("staleness_tolerance_s must be >= 0")
-        super().__init__()
-        self.ttl_s = ttl_s
         self.staleness_tolerance_s = staleness_tolerance_s
-        self.stream = stream
         self.decision_interval_s = (
             decision_interval_s if decision_interval_s is not None else 5.0 * ttl_s
         )
@@ -91,16 +87,7 @@ class DynamicPolicy(ServerPolicy):
         self._updates_in_window += 1
 
     # ------------------------------------------------------------------
-    def _begin(self, event: Event) -> None:
-        if not self._looping:
-            return
-        if self.stream is None:
-            self._first_window(event)
-        else:
-            offset = self.stream.uniform(0.0, self.ttl_s)
-            self.server.env.timeout(offset).callbacks.append(self._first_window)
-
-    def _first_window(self, event: Event) -> None:
+    def _first_step(self, event: Event) -> None:
         if not self._looping:
             return
         self.mode_history.append((self.server.env.now, self.mode))
@@ -125,19 +112,11 @@ class DynamicPolicy(ServerPolicy):
             self._end_window(event)
 
     def _poll(self, event: Event) -> None:
-        if not self._looping:
-            return
+        """A poll due at the window's end ends the window instead."""
         if self.server.env.now >= self._window_end:
             self._end_window(event)
-            return
-        self._round, waiter = self._open_round(self.ttl_s)
-        waiter.callbacks.append(self._on_poll_reply)
-
-    def _on_poll_reply(self, waiter: Event) -> None:
-        if not self._looping:
-            return
-        self._close_round(self._round, waiter.value, self.ttl_s)
-        self._sleep(waiter)
+        else:
+            super()._poll(event)
 
     def _end_window(self, event: Event) -> None:
         if not self._looping:
@@ -171,21 +150,11 @@ class DynamicPolicy(ServerPolicy):
             self._pending_target = None
         elif target == self._pending_target:
             self._pending_target = None
-            self._switch_to(target)
+            self.mode = target
+            self.mode_history.append((self.server.env.now, target))
+            self._announce(target)
         else:
             self._pending_target = target
-
-    def _switch_to(self, target: str) -> None:
-        server = self.server
-        self.mode = target
-        self.mode_history.append((server.env.now, target))
-        server.send(
-            SWITCH_NOTICE,
-            server.upstream,
-            server.content.light_size_kb,
-            version=server.cached_version,
-            payload={"mode": target},
-        )
 
     # ------------------------------------------------------------------
     # message handling

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from ..consistency.hilbert import DEFAULT_ORDER, cluster_by_hilbert
+from ..consistency.hilbert import cluster_by_hilbert
 from ..network.node import NetworkNode
 from ..sim.rng import RandomStream
 
@@ -39,7 +39,6 @@ def form_clusters(
     server_nodes: Sequence[NetworkNode],
     n_clusters: int,
     stream: RandomStream,
-    order: int = DEFAULT_ORDER,
 ) -> List[ClusterSpec]:
     """Partition *server_nodes* into proximity clusters and elect
     supernodes.
@@ -49,9 +48,7 @@ def form_clusters(
     """
     if not server_nodes:
         raise ValueError("need at least one server node")
-    groups = cluster_by_hilbert(
-        server_nodes, n_clusters, key=lambda node: node.point, order=order
-    )
+    groups = cluster_by_hilbert(server_nodes, n_clusters, key=lambda node: node.point)
     specs: List[ClusterSpec] = []
     for index, group in enumerate(groups):
         if not group:

@@ -2,8 +2,8 @@
 
 ``generate_report()`` runs all Section 3/4/5 figure drivers at a chosen
 scale and returns the EXPERIMENTS.md markdown; the repository's
-EXPERIMENTS.md is produced by exactly this code (see
-``examples/regenerate_experiments.py``).
+EXPERIMENTS.md is produced by exactly this code (``python -m repro
+report``).
 """
 
 from __future__ import annotations
@@ -130,12 +130,100 @@ def _pct(value: float) -> str:
     return "%.1f%%" % (100.0 * value)
 
 
+def _run_statistics(sweep_figures: List, workers: int) -> List[str]:
+    """The sweeps' run statistics: per-figure wall time, events/s and
+    peak RSS, the worker count and the harness span table."""
+    lines: List[str] = []
+    out = lines.append
+    out("## Run statistics")
+    out("")
+    out(
+        "| figure | deployments | cache hits | hit rate | wall time (s) "
+        "| sim events | events/s | peak RSS (MB) |"
+    )
+    out("|---|---|---|---|---|---|---|---|")
+    totals = dict(
+        n_specs=0, executed=0, cache_hits=0, wall_time_s=0.0,
+        busy_time_s=0.0, events_processed=0,
+    )
+    peak_rss_kb = 0
+    phase_rollup: Dict[str, Dict[str, float]] = {}
+    for figure in sweep_figures:
+        stats = figure.to_dict().get("stats", {})
+        out(
+            "| %s | %d | %d | %.0f%% | %.2f | %d | %.0f | %.1f |"
+            % (
+                figure.name,
+                stats.get("executed", 0),
+                stats.get("cache_hits", 0),
+                100.0 * stats.get("registry_hit_rate", 0.0),
+                stats.get("wall_time_s", 0.0),
+                stats.get("events_processed", 0),
+                stats.get("events_per_s", 0.0),
+                stats.get("peak_rss_kb", 0) / 1024.0,
+            )
+        )
+        for key in totals:
+            totals[key] += stats.get(key, 0)
+        peak_rss_kb = max(peak_rss_kb, stats.get("peak_rss_kb", 0) or 0)
+        telemetry = stats.get("telemetry") or {}
+        for name, data in telemetry.get("spans", {}).items():
+            phase = phase_rollup.setdefault(
+                name, {"count": 0, "cum_s": 0.0, "self_s": 0.0}
+            )
+            phase["count"] += data["count"]
+            phase["cum_s"] += data["cum_s"]
+            phase["self_s"] += data["self_s"]
+    total_hit_rate = (
+        totals["cache_hits"] / totals["n_specs"] if totals["n_specs"] else 0.0
+    )
+    total_events_per_s = (
+        totals["events_processed"] / totals["busy_time_s"]
+        if totals["busy_time_s"]
+        else 0.0
+    )
+    out(
+        "| total | %d | %d | %.0f%% | %.2f | %d | %.0f | %.1f |"
+        % (
+            totals["executed"],
+            totals["cache_hits"],
+            100.0 * total_hit_rate,
+            totals["wall_time_s"],
+            totals["events_processed"],
+            total_events_per_s,
+            peak_rss_kb / 1024.0,
+        )
+    )
+    out("")
+    out("Workers: %d." % workers)
+    out("")
+    if phase_rollup:
+        out("Per-phase wall time (harness telemetry spans, all sweeps merged):")
+        out("")
+        out("| phase | count | self (s) | cumulative (s) |")
+        out("|---|---|---|---|")
+        for name in sorted(
+            phase_rollup, key=lambda k: phase_rollup[k]["self_s"], reverse=True
+        ):
+            data = phase_rollup[name]
+            out(
+                "| %s | %d | %.2f | %.2f |"
+                % (name, data["count"], data["self_s"], data["cum_s"])
+            )
+        out("")
+    return lines
+
+
 def generate_report(
     scale: Optional[ReportScale] = None,
     log: Optional[TextIO] = None,
     runner: Optional[Runner] = None,
 ) -> str:
     """Run everything; return the EXPERIMENTS.md markdown.
+
+    The markdown is a function of the scale and seed alone: progress
+    lines and the run statistics (timings, peak RSS, workers, span
+    table) go to ``log`` (default: stderr).
 
     ``runner`` is threaded into every Section 4/5 sweep; pass one with
     ``workers > 1`` to run the deployments in parallel, and one with a
@@ -162,7 +250,7 @@ def generate_report(
     out("")
     out("Scale: %s. Absolute numbers are not expected to match the paper's" % scale.label)
     out("PlanetLab testbed; orderings, trends and crossovers are. Regenerate with")
-    out("`python examples/regenerate_experiments.py`.")
+    out("`python -m repro report`.")
     out("")
 
     # ------------------------------------------------------------------
@@ -521,82 +609,9 @@ def generate_report(
     out("")
 
     # ------------------------------------------------------------------
-    out("## Run statistics")
-    out("")
-    out(
-        "| figure | deployments | cache hits | hit rate | wall time (s) "
-        "| sim events | events/s | peak RSS (MB) |"
-    )
-    out("|---|---|---|---|---|---|---|---|")
-    totals = dict(
-        n_specs=0, executed=0, cache_hits=0, wall_time_s=0.0,
-        busy_time_s=0.0, events_processed=0,
-    )
-    peak_rss_kb = 0
-    phase_rollup: Dict[str, Dict[str, float]] = {}
-    for figure in sweep_figures:
-        stats = figure.to_dict().get("stats", {})
-        out(
-            "| %s | %d | %d | %.0f%% | %.2f | %d | %.0f | %.1f |"
-            % (
-                figure.name,
-                stats.get("executed", 0),
-                stats.get("cache_hits", 0),
-                100.0 * stats.get("registry_hit_rate", 0.0),
-                stats.get("wall_time_s", 0.0),
-                stats.get("events_processed", 0),
-                stats.get("events_per_s", 0.0),
-                stats.get("peak_rss_kb", 0) / 1024.0,
-            )
-        )
-        for key in totals:
-            totals[key] += stats.get(key, 0)
-        peak_rss_kb = max(peak_rss_kb, stats.get("peak_rss_kb", 0) or 0)
-        telemetry = stats.get("telemetry") or {}
-        for name, data in telemetry.get("spans", {}).items():
-            phase = phase_rollup.setdefault(
-                name, {"count": 0, "cum_s": 0.0, "self_s": 0.0}
-            )
-            phase["count"] += data["count"]
-            phase["cum_s"] += data["cum_s"]
-            phase["self_s"] += data["self_s"]
-    total_hit_rate = (
-        totals["cache_hits"] / totals["n_specs"] if totals["n_specs"] else 0.0
-    )
-    total_events_per_s = (
-        totals["events_processed"] / totals["busy_time_s"]
-        if totals["busy_time_s"]
-        else 0.0
-    )
-    out(
-        "| total | %d | %d | %.0f%% | %.2f | %d | %.0f | %.1f |"
-        % (
-            totals["executed"],
-            totals["cache_hits"],
-            100.0 * total_hit_rate,
-            totals["wall_time_s"],
-            totals["events_processed"],
-            total_events_per_s,
-            peak_rss_kb / 1024.0,
-        )
-    )
-    out("")
-    out("Workers: %d." % runner.workers)
-    out("")
-    if phase_rollup:
-        out("Per-phase wall time (harness telemetry spans, all sweeps merged):")
-        out("")
-        out("| phase | count | self (s) | cumulative (s) |")
-        out("|---|---|---|---|")
-        for name in sorted(
-            phase_rollup, key=lambda k: phase_rollup[k]["self_s"], reverse=True
-        ):
-            data = phase_rollup[name]
-            out(
-                "| %s | %d | %.2f | %.2f |"
-                % (name, data["count"], data["self_s"], data["cum_s"])
-            )
-        out("")
+    for line in _run_statistics(sweep_figures, runner.workers):
+        log.write(line + "\n")
+    log.flush()
 
     out("---")
     out("Generated by `repro.experiments.report.generate_report` (seed-deterministic).")

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from .telemetry import TELEMETRY, peak_rss_kb
+from .telemetry import TELEMETRY, atomic_write_json, peak_rss_kb
 
 __all__ = [
     "PROGRESS_FORMAT",
@@ -73,26 +72,6 @@ def heartbeat_dir(progress_path: str) -> str:
     if base.endswith(".json"):
         base = base[: -len(".json")]
     return base + ".d"
-
-
-def _atomic_write_json(path: str, doc: Dict[str, Any]) -> None:
-    """Write *doc* to *path* via tempfile + rename, so readers never see
-    a torn file (the same idiom as ``append_run_entry``)."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(doc, handle)
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):  # pragma: no cover - error path
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
 
 
 class Heartbeat:
@@ -165,7 +144,7 @@ class Heartbeat:
             "peak_rss_kb": peak_rss_kb(),
             "counters": counters,
         }
-        _atomic_write_json(self.path, doc)
+        atomic_write_json(self.path, doc)
         self.writes += 1
 
 
@@ -236,7 +215,7 @@ class ProgressTracker:
         self._last_write_wall = now_wall
         self._doc["updated_unix"] = now_wall
         self._doc["elapsed_s"] = now_wall - self._started_wall
-        _atomic_write_json(self.path, self._doc)
+        atomic_write_json(self.path, self._doc)
 
 
 # ----------------------------------------------------------------------

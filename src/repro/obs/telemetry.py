@@ -69,6 +69,7 @@ __all__ = [
     "span_total_s",
     "default_artifact_path",
     "load_artifact",
+    "atomic_write_json",
     "append_run_entry",
     "merged_rollup",
 ]
@@ -482,6 +483,25 @@ def load_artifact(path: str) -> Dict[str, Any]:
     return data
 
 
+def atomic_write_json(path: str, doc: Any) -> None:
+    """Write *doc* as JSON to *path* through a temporary file in the
+    same directory and ``os.replace``, so a reader never sees a torn
+    file.  Creates the directory if needed."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=directory)
+    try:
+        with os.fdopen(fd, "w") as handle:
+            json.dump(doc, handle)
+        os.replace(tmp_path, path)
+    finally:
+        if os.path.exists(tmp_path):  # pragma: no cover - error path
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+
+
 def append_run_entry(
     path: str, entry: Dict[str, Any], max_entries: int = 500
 ) -> int:
@@ -499,19 +519,7 @@ def append_run_entry(
     runs = artifact["runs"]
     runs.append(entry)
     del runs[:-max_entries]
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=os.path.basename(path) + ".", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(artifact, handle)
-        os.replace(tmp_path, path)
-    finally:
-        if os.path.exists(tmp_path):  # pragma: no cover - error path
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+    atomic_write_json(path, artifact)
     return len(runs)
 
 

@@ -28,11 +28,10 @@ import hashlib
 import json
 import logging
 import os
-import tempfile
 import time
 from typing import Dict, Optional
 
-from ..obs.telemetry import TELEMETRY, span
+from ..obs.telemetry import TELEMETRY, atomic_write_json, span
 from .spec import RunSpec
 
 __all__ = ["RunRegistry", "code_version"]
@@ -175,21 +174,6 @@ class RunRegistry:
                 "run registry %s: merged %d concurrent entr%s from disk",
                 self.path, merged, "y" if merged == 1 else "ies",
             )
-        directory = os.path.dirname(self.path) or "."
-        os.makedirs(directory, exist_ok=True)
-        payload = {"format": _FORMAT, "runs": self._runs}
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", dir=directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp_path, self.path)
-        finally:
-            if os.path.exists(tmp_path):  # pragma: no cover - error path
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
+        atomic_write_json(self.path, {"format": _FORMAT, "runs": self._runs})
         self._dirty = False
         return merged

@@ -265,9 +265,9 @@ class Runner:
     trace:
         :class:`TraceSettings` to stream a sampled trace of every
         executed spec; ``None`` (the default) traces nothing.
-    start_method:
-        ``multiprocessing`` start method; defaults to ``fork`` where
-        available (cheap on Linux) and the platform default elsewhere.
+
+    The pool starts its workers with ``fork`` where available (cheap on
+    Linux) and the platform default elsewhere.
     """
 
     def __init__(
@@ -275,17 +275,12 @@ class Runner:
         workers: Union[int, str] = 1,
         registry: Union[RunRegistry, str, None] = None,
         trace: Optional[TraceSettings] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         if isinstance(registry, str):
             registry = RunRegistry(registry)
         self.registry: Optional[RunRegistry] = registry
         self.trace = trace
-        if start_method is None:
-            available = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in available else available[0]
-        self.start_method = start_method
 
     # ------------------------------------------------------------------
     def run(self, specs: Iterable[RunSpec]) -> RunOutcome:
@@ -431,7 +426,8 @@ class Runner:
         beats_dir = self._heartbeat_dir(tracker)
         tasks = [(spec, beats_dir, self.trace) for spec in specs]
         if self.workers > 1 and len(specs) > 1:
-            context = multiprocessing.get_context(self.start_method)
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if fork else None)
             pool_size = min(self.workers, len(specs))
             with context.Pool(pool_size) as pool:
                 if tracker is None:

@@ -317,8 +317,6 @@ class TestAdaptiveTTL:
             AdaptiveTTLPolicy(min_ttl_s=0, max_ttl_s=10)
         with pytest.raises(ValueError):
             AdaptiveTTLPolicy(min_ttl_s=20, max_ttl_s=10)
-        with pytest.raises(ValueError):
-            AdaptiveTTLPolicy(min_ttl_s=1, max_ttl_s=10, grow_factor=0.5)
 
     def test_ttl_backs_off_during_silence(self):
         env, fabric, content, provider, servers, _ = deploy(
@@ -329,7 +327,7 @@ class TestAdaptiveTTL:
             users=False,
             horizon=1000.0,
         )
-        assert servers[0].policy.current_ttl_s == 160.0
+        assert servers[0].policy.ttl_s == 160.0
 
     def test_ttl_shrinks_under_updates(self):
         env, fabric, content, provider, servers, _ = deploy(
@@ -340,7 +338,7 @@ class TestAdaptiveTTL:
             users=False,
             horizon=800.0,
         )
-        assert servers[0].policy.current_ttl_s <= 20.0
+        assert servers[0].policy.ttl_s <= 20.0
 
 
 class TestLoopLifecycle:

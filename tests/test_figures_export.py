@@ -82,9 +82,13 @@ class TestExportAll:
 
 
 class TestReportGeneration:
-    def test_micro_report_contains_every_figure(self, micro_scale):
+    @pytest.fixture(scope="class")
+    def micro_report(self, micro_scale):
         log = io.StringIO()
-        markdown = generate_report(micro_scale, log=log)
+        return generate_report(micro_scale, log=log), log.getvalue()
+
+    def test_micro_report_contains_every_figure(self, micro_report):
+        markdown, log = micro_report
         for figure in (
             "Fig. 3", "Fig. 4", "Fig. 5", "Fig. 6", "Fig. 7", "Fig. 8",
             "Fig. 9", "Fig. 10", "Fig. 11", "Fig. 12", "Fig. 14", "Fig. 15",
@@ -94,7 +98,14 @@ class TestReportGeneration:
             assert figure in markdown, "missing %s" % figure
         assert "micro (test scale)" in markdown
         assert "paper" in markdown
-        assert "## Run statistics" in markdown
-        # progress lines went to the log, not the report
-        assert "[report]" in log.getvalue()
+        # progress lines and the run statistics went to the log, not
+        # the report
+        assert "[report]" in log
+        assert "## Run statistics" in log and "Workers: 1." in log
         assert "[report]" not in markdown
+        assert "## Run statistics" not in markdown
+
+    def test_rebuild_is_byte_identical(self, micro_scale, micro_report):
+        # Timings stay out of the markdown, so rebuilding the report
+        # from the same scale and seed rewrites nothing.
+        assert generate_report(micro_scale, log=io.StringIO()) == micro_report[0]

@@ -1,5 +1,6 @@
 """Tests for the alternating A/B pair runner (benchmarks/pairs.py)."""
 
+import importlib.util
 import os
 import sys
 
@@ -171,3 +172,31 @@ def test_main_leaves_a_pair_with_an_incorrect_run_out(monkeypatch, tmp_path, cap
     out = capsys.readouterr().out
     assert "pair 4: change run not correct" in out
     assert "9/9  not claimed" in out and out.endswith("msgs_per_s: not claimed\n")
+
+
+def test_main_compiles_both_checkouts_before_the_first_pair(monkeypatch, tmp_path):
+    parent = _fake_checkout(tmp_path / "parent", _result(True, 100.0))
+    change = _fake_checkout(tmp_path / "change", _result(True, 100.0))
+    sources = []
+    for checkout in (parent, change):
+        module = os.path.join(checkout, "src", "mod.py")
+        os.makedirs(os.path.dirname(module))
+        with open(module, "w") as handle:
+            handle.write("X = 1\n")
+        sources += [module, os.path.join(checkout, "benchmarks", "e2e", "run.py")]
+    compiled_at_first_run = []
+
+    def run_side(spec, checkout, workload, seed):
+        if not compiled_at_first_run:
+            compiled_at_first_run.extend(
+                os.path.exists(importlib.util.cache_from_source(path)) for path in sources
+            )
+        return _result(True, 100.0)
+
+    # As under PYTHONDONTWRITEBYTECODE=1: an import would write no .pyc.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    argv = ["--parent", parent, "--change", change, "--workload", "push-fanout",
+            "--seed", "5", "--pairs", "1"]
+    assert pairs.main(argv) == 0
+    assert compiled_at_first_run == [True] * 4

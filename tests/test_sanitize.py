@@ -7,8 +7,11 @@ CI-scale proof lives in ``make sanitize-smoke``.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import unittest
+
+import pytest
 
 from repro.experiments.config import TestbedConfig
 from repro.experiments.sanitize import (
@@ -309,6 +312,26 @@ class TestRefreshCells(unittest.TestCase):
                 report = sanitize_cell(cell, config, replicas=1, tie_seed_base=1000)
                 self.assertTrue(report.identical, report.diffs)
                 self.assertFalse(report.vacuous)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="same-instant transmit-dones of distinct senders draw from the "
+    "fabric-wide fabric.jitter/fabric.isp streams in tie order; keyed "
+    "per-link draws (ROADMAP item 4 step 1) will make this pass",
+)
+def test_simultaneous_user_sends_are_tie_order_independent():
+    # With no start window all 40 users send at t = 0: their requests'
+    # transmit-dones tie, and a perturbed tie order hands each message
+    # another message's jitter draw.  The default cells' users start at
+    # random offsets, so no two sends coincide and they cannot see this.
+    config = dataclasses.replace(
+        driver_config(build_parser().parse_args([])), user_start_window_s=0.0
+    )
+    report = sanitize_cell(
+        "push:unicast", config, replicas=1, tie_seed_base=1000, record_trace=False
+    )
+    assert report.ok, report.diffs
 
 
 class TestDriverCli(_TinyCells):
