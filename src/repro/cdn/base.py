@@ -2,9 +2,8 @@
 
 An :class:`Actor` owns a :class:`~repro.network.node.NetworkNode`,
 consumes the messages the fabric delivers to it, and opens requests
-whose response fires a waiter (requests and their responses are
-correlated by the request's sequence number echoed in the response
-payload).
+whose response fires a waiter (a response's ``payload`` is the ``seq``
+of the request it answers).
 
 :class:`UpdateSourceMixin` is shared by the provider and by content
 servers that serve updates to others (multicast-tree parents, HAT
@@ -32,7 +31,7 @@ from ..sim.engine import Environment, Event
 
 __all__ = ["Actor", "UpdateSourceMixin", "RESPONSE_KINDS"]
 
-#: Kinds that answer an earlier request and carry ``payload["req"]``.
+#: Kinds that answer an earlier request; the ``payload`` is its ``seq``.
 RESPONSE_KINDS = frozenset({POLL_RESPONSE, POLL_NOT_MODIFIED, FETCH_RESPONSE, CONTENT_RESPONSE})
 
 
@@ -73,7 +72,7 @@ class Actor:
         version: Optional[int] = None,
     ) -> Message:
         """Send a response correlated to *request*."""
-        message = Message(kind, self.node, request.src, size_kb, version, {"req": request.seq})
+        message = Message(kind, self.node, request.src, size_kb, version, request.seq)
         self.fabric.send(message)
         return message
 
@@ -83,7 +82,7 @@ class Actor:
         dst: NetworkNode,
         size_kb: float,
         version: Optional[int] = None,
-        payload: Optional[dict] = None,
+        payload: Any = None,
         timeout: Optional[float] = None,
     ) -> Tuple[Message, Event]:
         """Send a request; returns it with the waiter its response will
@@ -131,10 +130,7 @@ class Actor:
             self.handle(message)
 
     def _dispatch_response(self, message: Message) -> None:
-        req_seq = None
-        if isinstance(message.payload, dict):
-            req_seq = message.payload.get("req")
-        waiter = self._pending.pop(req_seq, None) if req_seq is not None else None
+        waiter = self._pending.pop(message.payload, None)
         if waiter is not None and not waiter.triggered:
             # Fire the waiter synchronously instead of round-tripping
             # through the heap.  We are already inside the delivery
@@ -146,7 +142,6 @@ class Actor:
             callbacks = waiter.callbacks
             if callbacks is None:  # pragma: no cover - cancelled waiter
                 return
-            waiter._ok = True
             waiter._value = message
             waiter.callbacks = None
             for callback in callbacks:
@@ -240,10 +235,7 @@ class UpdateSourceMixin:
     def handle_poll(self, message: Message) -> None:
         """Answer a TTL poll: full body if the poller is behind."""
         current = self.source_version()
-        have = -1
-        if isinstance(message.payload, dict):
-            have = message.payload.get("have", -1)
-        if current > have:
+        if current > message.payload:
             self.reply(
                 message,
                 POLL_RESPONSE,
@@ -275,9 +267,7 @@ class UpdateSourceMixin:
 
     def handle_switch(self, message: Message) -> None:
         """Track a member switching between TTL and Invalidation modes."""
-        mode = None
-        if isinstance(message.payload, dict):
-            mode = message.payload.get("mode")
+        mode = message.payload
         if mode == "invalidation":
             self.push_members.pop(message.src, None)
             # If the member is behind already (an update happened while
@@ -307,4 +297,4 @@ class UpdateSourceMixin:
             self.adaptive_members.pop(message.src, None)
             self.push_members.pop(message.src, None)
         else:
-            raise ValueError("malformed switch notice: %r" % (message.payload,))
+            raise ValueError("malformed switch notice: %r" % (mode,))

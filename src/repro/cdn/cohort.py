@@ -143,6 +143,11 @@ class UserCohort:
         n = len(nodes)
         if len(start_offsets) != n:
             raise ValueError("start_offsets must have one entry per node")
+        offsets = [float(offset) for offset in start_offsets]
+        # start() pushes the offsets as absolute deadlines: one below 0
+        # (or NaN) would run the clock backwards.
+        if not all(offset >= 0.0 for offset in offsets):
+            raise ValueError("start_offsets must be >= 0")
         if (targets is None) == (switch_servers is None):
             raise ValueError("give exactly one of targets / switch_servers")
         if targets is not None and len(targets) != n:
@@ -159,7 +164,7 @@ class UserCohort:
         self.user_metrics = user_metrics
         self._ttl = np.full(n, user_ttl_s, dtype=np.float64)
         self._failed = np.zeros(n, dtype=np.int64)
-        self._start_offsets = [float(offset) for offset in start_offsets]
+        self._start_offsets = offsets
         self._fixed = targets is not None
         self._targets: List["NetworkNode"] = list(targets) if targets is not None else []
         self._switch_servers: List["NetworkNode"] = (
@@ -242,7 +247,6 @@ class UserCohort:
             prev.callbacks = None
         env = self.env
         event = Event(env)
-        event._ok = True
         event._value = None
         event.callbacks = [self._sweep_visits]
         env.schedule_at(event, deadline)
@@ -290,7 +294,7 @@ class UserCohort:
                     if target is not last:
                         self._switch_last[slot] = target
                         break
-        message = Message(CONTENT_REQUEST, node, target, self._light_kb, None, {})
+        message = Message(CONTENT_REQUEST, node, target, self._light_kb)
         self._pending[message.seq] = (slot, message, target)
         self.fabric.send(message)
         self._timeouts.push(now + self._timeout_s, message.seq)
@@ -323,9 +327,7 @@ class UserCohort:
             raise NotImplementedError(
                 "UserCohort cannot handle %s" % (message.kind,)
             )
-        payload = message.payload
-        req_seq = payload.get("req") if isinstance(payload, dict) else None
-        entry = self._pending.pop(req_seq, None) if req_seq is not None else None
+        entry = self._pending.pop(message.payload, None)
         if entry is None:
             # No matching request (timed out / restarted): dropped,
             # matching an Actor's UDP-style semantics.

@@ -159,7 +159,7 @@ class ServerPolicy:
             server.upstream,
             server.content.light_size_kb,
             version=server.cached_version,
-            payload={"mode": mode},
+            payload=mode,
         )
 
     # ------------------------------------------------------------------
@@ -261,7 +261,7 @@ class ServerPolicy:
             POLL,
             server.upstream,
             server.content.light_size_kb,
-            payload={"have": server.cache.version},
+            payload=server.cache.version,
             timeout=timeout,
         )
 

@@ -110,6 +110,12 @@ class TestbedConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError("%s must be finite, got %r" % (name, value))
+        if self.user_start_window_s < 0:
+            # Users start at offsets drawn in [0, window]: a negative
+            # window puts first visits before the clock starts at 0.
+            raise ValueError(
+                "user_start_window_s must be >= 0, got %r" % self.user_start_window_s
+            )
         for name in _SIZE_KNOBS:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

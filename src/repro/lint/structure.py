@@ -34,7 +34,6 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     },
     "repro/sim/process.py": {
         "Process": "allocated per provider, scenario and maintenance loop",
-        "_Initialize": "allocated per process or callback-loop start",
     },
     "repro/sim/resources.py": {
         "Request": "allocated per resource claim",

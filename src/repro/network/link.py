@@ -95,8 +95,7 @@ class _FastTransfer(Event):
 
     def __init__(self, fabric: "NetworkFabric") -> None:
         super().__init__(fabric.env)
-        # Processed and idle until a stage arms it; ``Event`` set the
-        # ``_ok`` that the event loop checks after every callback.
+        # Processed and idle until a stage arms it.
         self.callbacks = None
         self._value = None
         self.fabric = fabric

@@ -96,8 +96,10 @@ class Message:
 
     ``version`` is the content-snapshot index the message refers to
     (``None`` when it refers to none, e.g. tree maintenance).
-    ``payload`` carries protocol-specific extras (e.g. the poller's
-    reply inbox).  ``seq`` numbers messages in construction order;
+    ``payload`` is the one value the kind needs: a response's is the
+    ``seq`` of the request it answers, a POLL's the version the poller
+    holds, a SWITCH_NOTICE's the replica's new mode; every other
+    message's is ``None``.  ``seq`` numbers messages in construction order;
     ``created_at`` is stamped when the fabric accepts the message.
 
     Hot paths build messages positionally: on Python 3.11 a class call

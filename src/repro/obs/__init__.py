@@ -21,7 +21,7 @@ package gives the simulator the same per-event visibility:
   Figs. 6-10 breakdown.
 - :mod:`repro.obs.telemetry` -- *harness* telemetry (as opposed to the
   simulated CDN): the process-wide :data:`TELEMETRY` metrics registry
-  (counters / gauges / histograms) and the ``span("phase")`` profiler,
+  (counters / gauges) and the ``span("phase")`` profiler,
   rolled up across Runner workers into a ``telemetry.json`` artifact and
   surfaced by ``repro metrics`` / ``repro profile``.
 - :mod:`repro.obs.sampling` -- planet-scale tracing:

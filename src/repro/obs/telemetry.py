@@ -7,15 +7,13 @@ deliberate exception to lint rule REP002 (no wall-clock reads): harness
 telemetry legitimately reads wall clocks, and the exemption is scoped to
 exactly this module in :data:`repro.lint.exemptions.EXEMPTIONS`.
 
-Three instrument families, all held in one process-wide
+Two instrument families, both held in one process-wide
 :class:`MetricsRegistry` (:data:`TELEMETRY`):
 
 - **counters** -- monotonically increasing totals (``registry.cache_hits``,
   ``fabric.messages_sent``); merged across workers by *summing*;
 - **gauges** -- last-written values (``runner.workers``); merged by
-  *last write wins*;
-- **histograms** -- fixed-bucket-schema distributions
-  (``spec.elapsed_s``); merged *bucket-wise* (schemas must match).
+  *last write wins*.
 
 Plus the **span profiler**: ``with span("phase"):`` context managers
 instrument harness phases (engine hot loop, registry load/save, testbed
@@ -46,17 +44,13 @@ import os
 import sys
 import tempfile
 import time
-from bisect import bisect_right
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Optional, TypeVar
 
 __all__ = [
     "TELEMETRY",
     "SNAPSHOT_FORMAT",
     "ARTIFACT_FORMAT",
-    "BUCKETS_SECONDS",
-    "BUCKETS_COUNT",
-    "Histogram",
     "MetricsRegistry",
     "span",
     "profiled",
@@ -80,15 +74,6 @@ SNAPSHOT_FORMAT = 1
 #: Version tag of the ``telemetry.json`` artifact shape.
 ARTIFACT_FORMAT = 1
 
-#: Fixed bucket schema for second-valued histograms (upper edges; the
-#: implicit final bucket collects everything at or above the last edge).
-BUCKETS_SECONDS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
-)
-
-#: Fixed bucket schema for count-valued histograms.
-BUCKETS_COUNT: Tuple[float, ...] = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
-
 _F = TypeVar("_F", bound=Callable[..., Any])
 
 
@@ -108,32 +93,6 @@ def peak_rss_kb() -> int:
     return int(usage)
 
 
-class Histogram:
-    """Fixed-bucket histogram; ``counts`` has ``len(edges) + 1`` slots
-    (the last collects values at or above the final edge)."""
-
-    __slots__ = ("edges", "counts", "total", "sum")
-
-    def __init__(self, edges: Sequence[float]) -> None:
-        self.edges: Tuple[float, ...] = tuple(float(edge) for edge in edges)
-        self.counts: List[int] = [0] * (len(self.edges) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        self.counts[bisect_right(self.edges, value)] += 1
-        self.total += 1
-        self.sum += value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum": self.sum,
-        }
-
-
 class MetricsRegistry:
     """One process's telemetry state (see the module docstring).
 
@@ -147,7 +106,6 @@ class MetricsRegistry:
         self.enabled = enabled
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
-        self._histograms: Dict[str, Histogram] = {}
         #: name -> [count, cum_s, self_s]
         self._spans: Dict[str, List[float]] = {}
         #: Active-span stack: [name, start_s, child_s] frames.
@@ -169,17 +127,6 @@ class MetricsRegistry:
         if not self.enabled:
             return
         self._gauges[name] = float(value)
-
-    def observe(
-        self, name: str, value: float, edges: Sequence[float] = BUCKETS_SECONDS
-    ) -> None:
-        """Record *value* into histogram *name* (merge: bucket-wise)."""
-        if not self.enabled:
-            return
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = self._histograms[name] = Histogram(edges)
-        histogram.observe(value)
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -220,10 +167,6 @@ class MetricsRegistry:
             "format": SNAPSHOT_FORMAT,
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
-            "histograms": {
-                name: histogram.to_dict()
-                for name, histogram in self._histograms.items()
-            },
             "spans": {
                 name: {"count": int(stats[0]), "cum_s": stats[1], "self_s": stats[2]}
                 for name, stats in self._spans.items()
@@ -240,7 +183,6 @@ class MetricsRegistry:
         """Drop all recorded data (open span frames survive)."""
         self._counters.clear()
         self._gauges.clear()
-        self._histograms.clear()
         self._spans.clear()
 
 
@@ -276,7 +218,6 @@ def empty_snapshot() -> Dict[str, Any]:
         "format": SNAPSHOT_FORMAT,
         "counters": {},
         "gauges": {},
-        "histograms": {},
         "spans": {},
         "peak_rss_kb": 0,
     }
@@ -285,33 +226,13 @@ def empty_snapshot() -> Dict[str, Any]:
 def merge_snapshots(into: Dict[str, Any], other: Dict[str, Any]) -> Dict[str, Any]:
     """Merge *other* into *into* (mutated and returned).
 
-    Counter-sum, gauge-last, histogram bucket-merge (bucket schemas must
-    match), span-sum; ``peak_rss_kb`` merges by max (a per-process
-    high-water mark, not a sum).
+    Counter-sum, gauge-last, span-sum; ``peak_rss_kb`` merges by max (a
+    per-process high-water mark, not a sum).
     """
     counters = into.setdefault("counters", {})
     for name, value in other.get("counters", {}).items():
         counters[name] = counters.get(name, 0.0) + value
     into.setdefault("gauges", {}).update(other.get("gauges", {}))
-    histograms = into.setdefault("histograms", {})
-    for name, data in other.get("histograms", {}).items():
-        mine = histograms.get(name)
-        if mine is None:
-            histograms[name] = {
-                "edges": list(data["edges"]),
-                "counts": list(data["counts"]),
-                "total": data["total"],
-                "sum": data["sum"],
-            }
-            continue
-        if list(mine["edges"]) != list(data["edges"]):
-            raise ValueError(
-                "histogram %r bucket schemas differ: %r vs %r"
-                % (name, mine["edges"], data["edges"])
-            )
-        mine["counts"] = [a + b for a, b in zip(mine["counts"], data["counts"])]
-        mine["total"] += data["total"]
-        mine["sum"] += data["sum"]
     spans = into.setdefault("spans", {})
     for name, data in other.get("spans", {}).items():
         mine = spans.get(name)
@@ -339,25 +260,6 @@ def delta_snapshots(
         if changed:
             delta["counters"][name] = changed
     delta["gauges"] = dict(after.get("gauges", {}))
-    before_hists = before.get("histograms", {})
-    for name, data in after.get("histograms", {}).items():
-        base = before_hists.get(name)
-        if base is None:
-            delta["histograms"][name] = {
-                "edges": list(data["edges"]),
-                "counts": list(data["counts"]),
-                "total": data["total"],
-                "sum": data["sum"],
-            }
-            continue
-        counts = [a - b for a, b in zip(data["counts"], base["counts"])]
-        if any(counts):
-            delta["histograms"][name] = {
-                "edges": list(data["edges"]),
-                "counts": counts,
-                "total": data["total"] - base["total"],
-                "sum": data["sum"] - base["sum"],
-            }
     before_spans = before.get("spans", {})
     for name, data in after.get("spans", {}).items():
         base = before_spans.get(name, {"count": 0, "cum_s": 0.0, "self_s": 0.0})
@@ -392,17 +294,6 @@ def prometheus_exposition(snapshot: Dict[str, Any]) -> str:
     rss = snapshot.get("peak_rss_kb", 0)
     lines.append("# TYPE repro_peak_rss_kb gauge")
     lines.append("repro_peak_rss_kb %g" % rss)
-    for name in sorted(snapshot.get("histograms", {})):
-        data = snapshot["histograms"][name]
-        metric = "repro_%s" % _prom_name(name)
-        lines.append("# TYPE %s histogram" % metric)
-        cumulative = 0
-        for edge, bucket in zip(data["edges"], data["counts"]):
-            cumulative += bucket
-            lines.append('%s_bucket{le="%g"} %d' % (metric, edge, cumulative))
-        lines.append('%s_bucket{le="+Inf"} %d' % (metric, data["total"]))
-        lines.append("%s_sum %g" % (metric, data["sum"]))
-        lines.append("%s_count %d" % (metric, data["total"]))
     for name in sorted(snapshot.get("spans", {})):
         data = snapshot["spans"][name]
         label = name.replace("\\", "\\\\").replace('"', '\\"')

@@ -95,7 +95,7 @@ class RunStats:
     #: that executed a deployment in this batch, in KiB (0 if unknown).
     peak_rss_kb: int = 0
     #: Harness-telemetry rollup for this batch (worker deltas merged
-    #: counter-sum / gauge-last / histogram bucket-wise); ``None`` when
+    #: counter-sum / gauge-last / span-sum); ``None`` when
     #: telemetry is disabled (``TELEMETRY.enabled = False``).
     telemetry: Optional[Dict[str, Any]] = field(default=None, repr=False)
 

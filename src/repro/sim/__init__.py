@@ -1,21 +1,15 @@
 """Discrete-event simulation substrate.
 
 A deterministic, generator-based simulation kernel built from scratch:
-events (a timeout is an event scheduled with a delay), processes and
-the ``kickoff`` that starts a callback loop (:mod:`repro.sim.process`),
-and the timer wheel with its callback lanes (:mod:`repro.sim.timers`).
+events that only succeed (a timeout is an event scheduled with a delay,
+and an error raised while one is processed propagates out of ``run()``),
+processes and the ``kickoff`` that starts a callback loop
+(:mod:`repro.sim.process`), and the timer wheel with its callback lanes
+(:mod:`repro.sim.timers`).
 See :mod:`repro.sim.engine` for the core loop.
 """
 
-from .engine import (
-    EmptySchedule,
-    Environment,
-    Event,
-    NORMAL,
-    SimulationError,
-    StopSimulation,
-    URGENT,
-)
+from .engine import Environment, Event, NORMAL, StopSimulation, URGENT
 from .process import Process, kickoff
 from .resources import Release, Request, Resource
 from .rng import RandomStream, StreamRegistry, derive_seed
@@ -36,8 +30,6 @@ __all__ = [
     "times_equal",
     "times_close",
     "is_zero_duration",
-    "SimulationError",
-    "EmptySchedule",
     "StopSimulation",
     "NORMAL",
     "URGENT",

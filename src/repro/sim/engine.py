@@ -7,6 +7,11 @@ from simpy, but it keeps only what the simulator uses:
 - :class:`Event` -- the basic synchronisation primitive; a timeout
   (:meth:`Environment.timeout`) is a plain event scheduled with a delay.
 
+An event only succeeds.  simpy's failed events, their defusing and its
+``EmptySchedule`` signal are not kept: an exception raised in a
+callback or a process leaves :meth:`Environment.run` from the frame
+that raised it, and ``run()`` returns when the queue drains.
+
 Processes and :func:`~repro.sim.process.kickoff` (a callback loop's
 start) live in :mod:`repro.sim.process`, and the timer wheel and its
 callback lanes in :mod:`repro.sim.timers`.
@@ -38,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 __all__ = [
     "Environment",
     "Event",
-    "SimulationError",
-    "EmptySchedule",
     "StopSimulation",
     "URGENT",
     "NORMAL",
@@ -56,14 +59,6 @@ URGENT = 0
 NORMAL = 1
 
 
-class SimulationError(Exception):
-    """Base class for errors raised by the simulation kernel."""
-
-
-class EmptySchedule(SimulationError):
-    """Raised inside :meth:`Environment.run` when no more events exist."""
-
-
 class StopSimulation(Exception):
     """Raised internally to stop :meth:`Environment.run` at a target event
     (``run(until=event)``, which drives a process to its end)."""
@@ -71,9 +66,7 @@ class StopSimulation(Exception):
     @classmethod
     def callback(cls, event: "Event") -> None:
         """Event callback that stops the simulation when *event* fires."""
-        if event.ok:
-            raise cls(event.value)
-        raise event.value  # pragma: no cover - defensive re-raise
+        raise cls(event._value)
 
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -83,17 +76,15 @@ _PENDING = object()
 class Event:
     """An event that may happen at some point in simulated time.
 
-    An event has three observable states:
-
-    - *untriggered*: not yet scheduled; ``triggered`` is ``False``.
-    - *triggered*: scheduled with a value; ``triggered`` is ``True``.
-    - *processed*: its callbacks have run; ``processed`` is ``True``.
+    An event is *untriggered* until it is scheduled with a value
+    (``triggered`` is then ``True``), and its ``callbacks`` are ``None``
+    once it has been processed.  It has no failed state.
 
     Processes wait for events by ``yield``-ing them.  Multiple processes
     may wait on the same event.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+    __slots__ = ("env", "callbacks", "_value")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -101,11 +92,6 @@ class Event:
         #: ``None`` once the event has been processed.
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
-        #: Only the kernel fails an event (a crashed process);
-        #: ``_defused`` marks a failure a waiter has handled, which
-        #: ``run()`` then does not re-raise.
-        self._ok: bool = True
-        self._defused: bool = False
 
     def __repr__(self) -> str:
         return "<%s object at 0x%x>" % (type(self).__name__, id(self))
@@ -116,18 +102,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """``True`` if the event's callbacks have already been run."""
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded (valid once triggered)."""
-        if not self.triggered:
-            raise AttributeError("value of %r is not yet available" % self)
-        return self._ok
-
-    @property
     def value(self) -> Any:
         """The event's value (valid once triggered)."""
         if self._value is _PENDING:
@@ -135,10 +109,9 @@ class Event:
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
-        """Schedule the event as successful with an optional *value*."""
+        """Schedule the event with an optional *value*."""
         if self.triggered:
             raise RuntimeError("%r has already been triggered" % self)
-        self._ok = True
         self._value = value
         self.env.schedule(self)
         return self
@@ -309,21 +282,17 @@ class Environment:
                         progress(self._now, self._events_processed)
                     for callback in callbacks:
                         callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                raise EmptySchedule()
         except StopSimulation as stop:
             return stop.args[0]
-        except EmptySchedule:
-            if isinstance(until, Event) and not until.triggered:
-                raise RuntimeError(
-                    "no scheduled events left but \"until\" event was not triggered"
-                ) from None
         finally:
             if progress is not None:
                 progress(self._now, self._events_processed)
             TELEMETRY.count(
                 "engine.events", self._events_processed - events_before
+            )
+        if isinstance(until, Event) and not until.triggered:
+            raise RuntimeError(
+                "no scheduled events left but \"until\" event was not triggered"
             )
         return None
 

@@ -3,8 +3,9 @@
 A *process* wraps a Python generator.  The generator describes the
 behaviour of an actor over simulated time by ``yield``-ing events; the
 process resumes when the yielded event is processed, receiving the
-event's value as the result of the ``yield`` expression (or having the
-event's exception thrown into it if the event failed).
+event's value as the result of the ``yield`` expression.  Events only
+succeed, so nothing is ever thrown into a generator; an exception the
+generator raises propagates out of :meth:`Environment.run` at once.
 
 Processes run the loops that never stop early: provider update
 schedules, scenario perturbations, absence windows, tree maintenance
@@ -22,27 +23,17 @@ from .engine import Environment, Event, URGENT, _PENDING
 __all__ = ["Process", "kickoff"]
 
 
-class _Initialize(Event):
-    """Internal event that starts a process (or a :func:`kickoff`
-    callback): URGENT at the current instant."""
-
-    __slots__ = ()
-
-    def __init__(self, env: Environment, callback: Callable[[Event], None]) -> None:
-        super().__init__(env)
-        self.callbacks = [callback]
-        self._ok = True
-        self._value = None
-        env.schedule(self, priority=URGENT)
-
-
 def kickoff(env: Environment, callback: Callable[[Event], None]) -> Event:
     """Run ``callback(event)`` where a process started now would take its
     first step: an URGENT event at the current instant, popped ahead of
     the NORMAL events already queued for it.  A loop written as
     callbacks starts through this to keep a process's place in the
     event order."""
-    return _Initialize(env, callback)
+    event = Event(env)
+    event.callbacks = [callback]
+    event._value = None
+    env.schedule(event, priority=URGENT)
+    return event
 
 
 class Process(Event):
@@ -52,11 +43,11 @@ class Process(Event):
     __slots__ = ("_generator",)
 
     def __init__(self, env: Environment, generator: Generator) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if not hasattr(generator, "send"):
             raise ValueError("%r is not a generator" % (generator,))
         super().__init__(env)
         self._generator = generator
-        _Initialize(env, self._resume)
+        kickoff(env, self._resume)
 
     def __repr__(self) -> str:
         return "<Process(%s) object at 0x%x>" % (
@@ -70,45 +61,29 @@ class Process(Event):
         return self._value is _PENDING
 
     def _resume(self, event: Event) -> None:
-        """Resume the generator with the state of *event*."""
-        env = self.env
+        """Resume the generator with the value of *event*.
+
+        An exception the generator raises propagates from here, out of
+        :meth:`Environment.run`, in the frame that raised it."""
         while True:
             try:
-                if event._ok:
-                    next_event = self._generator.send(event._value)
-                else:
-                    # The process handles (or propagates) the failure.
-                    event._defused = True
-                    exc = event._value
-                    next_event = self._generator.throw(exc)
+                next_event = self._generator.send(event._value)
             except StopIteration as stop:
-                # Generator finished: the process event succeeds.
-                self._ok = True
-                self._value = getattr(stop, "value", None)
-                env.schedule(self)
-                break
-            except BaseException as exc:
-                # Generator crashed: the process event fails.
-                self._ok = False
-                self._value = exc
-                env.schedule(self)
-                break
+                # Generator finished: the process event fires.
+                self._value = stop.value
+                self.env.schedule(self)
+                return
 
             # The generator yielded `next_event`: wait for it.
             if not isinstance(next_event, Event):
-                exc = RuntimeError(
+                raise RuntimeError(
                     "invalid yield value %r (expected an Event)" % (next_event,)
                 )
-                event = Event(env)
-                event._ok = False
-                event._value = exc
-                event._defused = True
-                continue
 
             if next_event.callbacks is not None:
                 # Not yet processed: register and suspend.
                 next_event.callbacks.append(self._resume)
-                break
+                return
 
             # Already processed: loop around and resume immediately with it.
             event = next_event

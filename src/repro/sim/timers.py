@@ -84,7 +84,6 @@ class CallbackLane:
         # The lane's one reusable control event.  Pre-triggered so the
         # engine never sees _PENDING; idle iff ``callbacks is None``.
         control = Event(env)
-        control._ok = True
         control._value = None
         control.callbacks = None
         self.control = control

@@ -29,7 +29,7 @@ def world():
 def switch(provider, server, mode, version=0):
     message = Message(
         MessageKind.SWITCH_NOTICE, server.node, provider.node, 1.0,
-        version=version, payload={"mode": mode},
+        version=version, payload=mode,
     )
     provider.handle_switch(message)
 
@@ -65,7 +65,7 @@ class TestSwitchProtocol:
         env, fabric, content, provider, servers = world
         message = Message(
             MessageKind.SWITCH_NOTICE, servers[0].node, provider.node, 1.0,
-            payload={"mode": "carrier-pigeon"},
+            payload="carrier-pigeon",
         )
         with pytest.raises(ValueError):
             provider.handle_switch(message)

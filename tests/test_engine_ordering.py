@@ -17,7 +17,6 @@ class TestSchedulingPriority:
         urgent = env.event()
         normal.callbacks.append(lambda e: order.append("normal"))
         urgent.callbacks.append(lambda e: order.append("urgent"))
-        normal._ok = urgent._ok = True
         normal._value = urgent._value = None
         env.schedule(normal, priority=NORMAL, delay=5.0)
         env.schedule(urgent, priority=URGENT, delay=5.0)
@@ -39,7 +38,7 @@ class TestSchedulingPriority:
 
         env.process(scheduler(env))
         env.run()
-        # the new process's _Initialize is URGENT: body runs first
+        # the new process's start event is URGENT: body runs first
         assert order == ["process-body", "timeout"]
 
     def test_kickoff_takes_a_process_starts_place(self):

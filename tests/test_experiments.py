@@ -74,6 +74,17 @@ class TestConfig:
             with pytest.raises(ValueError, match=knob):
                 smoke_scale().with_overrides(**{knob: value})
 
+    def test_negative_start_window_rejected(self):
+        # Users start at offsets drawn in [0, window]: a negative window
+        # would put first visits before the clock starts at 0.
+        with pytest.raises(ValueError, match="user_start_window_s"):
+            TestbedConfig(user_start_window_s=-50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(ValueError, match="user_start_window_s"):
+                smoke_scale().with_overrides(user_start_window_s=-50.0)
+        assert TestbedConfig(user_start_window_s=0.0).user_start_window_s == 0.0
+
     def test_with_creates_modified_copy(self):
         config = ci_scale()
         changed = config.with_(server_ttl_s=42.0)

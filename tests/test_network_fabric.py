@@ -59,7 +59,7 @@ class TestMessageTaxonomy:
             Message(MessageKind.POLL, "a", "b", 1.0),
             Message(kind=MessageKind.PUSH_UPDATE, src="a", dst="b", size_kb=2.0,
                     version=3, payload={"k": 1}),
-            Message(MessageKind.POLL_RESPONSE, "b", "a", 2.0, 4, {"req": 1}),
+            Message(MessageKind.POLL_RESPONSE, "b", "a", 2.0, 4, 1),
             Message(MessageKind.FETCH, "a", "b", 1.0, payload={}),
         ]
         assert [message.seq for message in messages] == [1, 2, 3, 4]
@@ -68,7 +68,7 @@ class TestMessageTaxonomy:
         assert (keyword.kind, keyword.src, keyword.dst, keyword.size_kb,
                 keyword.version, keyword.payload) == (
             MessageKind.PUSH_UPDATE, "a", "b", 2.0, 3, {"k": 1})
-        assert (positional.version, positional.payload) == (4, {"req": 1})
+        assert (positional.version, positional.payload) == (4, 1)
         assert messages[0].version is None and messages[0].payload is None
 
 

@@ -77,7 +77,6 @@ class TestEnginePerturbation(unittest.TestCase):
             event.callbacks.append(
                 lambda _ev, name=name: order.append(name)
             )
-            event._ok = True
             event._value = None
             env.schedule(event, delay=1.0)
         env.run()
@@ -104,7 +103,6 @@ class TestEnginePerturbation(unittest.TestCase):
             event.callbacks.append(
                 lambda _ev, name=name: order.append(name)
             )
-            event._ok = True
             event._value = None
             env.schedule(event, delay=delay)
         env.run()
@@ -139,7 +137,6 @@ class TestDivergenceDetection(unittest.TestCase):
                     name, model_rng.random()
                 )
             )
-            event._ok = True
             event._value = None
             env.schedule(event, delay=1.0)
         env.run()
@@ -174,7 +171,6 @@ class TestDivergenceDetection(unittest.TestCase):
                         name, rng.random()
                     )
                 )
-                event._ok = True
                 event._value = None
                 env.schedule(event, delay=1.0)
             env.run()

@@ -12,15 +12,12 @@ class TestEvent:
         assert not event.triggered
         with pytest.raises(AttributeError):
             _ = event.value
-        with pytest.raises(AttributeError):
-            _ = event.ok
 
     def test_succeed_sets_value_and_ok(self):
         env = Environment()
         event = env.event()
         event.succeed(41)
         assert event.triggered
-        assert event.ok
         assert event.value == 41
 
     def test_double_succeed_raises(self):

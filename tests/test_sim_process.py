@@ -58,21 +58,27 @@ class TestProcess:
         with pytest.raises(ValueError, match="inner"):
             env.run()
 
-    def test_exception_catchable_by_waiter(self):
+    def test_crash_stops_the_run_at_the_raise(self):
+        # The error leaves run() from the frame that raised it: a
+        # bystander resuming at the same instant, queued after the
+        # crashing process's timeout, never runs.
         env = Environment()
+        resumed = []
 
         def bad(env):
             yield env.timeout(1)
             raise ValueError("inner")
 
-        def waiter(env):
-            try:
-                yield env.process(bad(env))
-            except ValueError as exc:
-                return "caught %s" % exc
+        def bystander(env):
+            yield env.timeout(1)
+            resumed.append(env.now)
 
-        process = env.process(waiter(env))
-        assert env.run(until=process) == "caught inner"
+        env.process(bad(env))
+        env.process(bystander(env))
+        with pytest.raises(ValueError, match="inner"):
+            env.run()
+        assert env.now == 1
+        assert resumed == []
 
     def test_yielding_non_event_fails_the_process(self):
         env = Environment()

@@ -1,10 +1,9 @@
 """Tests for harness telemetry (repro.obs.telemetry) and its surfaces:
 
-- metrics-registry semantics (counters / gauges / fixed-bucket
-  histograms, disabled no-ops);
+- metrics-registry semantics (counters / gauges, disabled no-ops);
 - span profiler self/cumulative attribution (nesting, recursion);
-- snapshot algebra: delta, counter-sum / gauge-last / histogram-merge /
-  peak-RSS-max merges, schema-mismatch rejection;
+- snapshot algebra: delta, counter-sum / gauge-last / span-sum /
+  peak-RSS-max merges;
 - Runner integration: per-worker deltas rolled into RunStats, the
   ``telemetry.json`` artifact next to the run registry, and the two
   acceptance criteria from ISSUE 5 (span-table total within 5% of the
@@ -22,9 +21,7 @@ from repro.cli import main as cli_main
 from repro.experiments.config import smoke_scale
 from repro.experiments.section4 import fig14_unicast_inconsistency
 from repro.obs.telemetry import (
-    BUCKETS_SECONDS,
     TELEMETRY,
-    Histogram,
     MetricsRegistry,
     append_run_entry,
     default_artifact_path,
@@ -67,36 +64,15 @@ class TestMetricsRegistry:
         reg.gauge("workers", 2)
         assert reg.snapshot()["gauges"] == {"workers": 2.0}
 
-    def test_histogram_fixed_buckets(self):
-        hist = Histogram((1.0, 10.0))
-        for value in (0.5, 0.9, 5.0, 10.0, 99.0):
-            hist.observe(value)
-        data = hist.to_dict()
-        assert data["edges"] == [1.0, 10.0]
-        # 2 below 1.0; 1 in [1, 10); 2 at/above 10.0 (upper edge
-        # exclusive: 10.0 lands in the overflow bucket).
-        assert data["counts"] == [2, 1, 2]
-        assert data["total"] == 5
-        assert data["sum"] == pytest.approx(115.4)
-
-    def test_observe_uses_seconds_schema_by_default(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.observe("elapsed", 0.2)
-        data = reg.snapshot()["histograms"]["elapsed"]
-        assert tuple(data["edges"]) == BUCKETS_SECONDS
-        assert data["total"] == 1
-
     def test_disabled_registry_is_inert(self):
         reg = MetricsRegistry(enabled=False)
         reg.count("a")
         reg.gauge("g", 1)
-        reg.observe("h", 1.0)
         with reg.span("s"):
             pass
         snap = reg.snapshot()
         assert snap["counters"] == {}
         assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
         assert snap["spans"] == {}
 
     def test_peak_rss_positive_on_linux(self):
@@ -175,7 +151,6 @@ class TestSnapshotAlgebra:
         reg = MetricsRegistry(enabled=True)
         reg.count("c", 2)
         reg.gauge("g", 7)
-        reg.observe("h", 0.3, edges=(1.0,))
         with reg.span("s"):
             pass
         return reg.snapshot()
@@ -183,8 +158,6 @@ class TestSnapshotAlgebra:
     def test_merge_sums_counters_and_histograms(self):
         merged = merge_snapshots(self._sample(), self._sample())
         assert merged["counters"]["c"] == 4
-        assert merged["histograms"]["h"]["counts"] == [2, 0]
-        assert merged["histograms"]["h"]["total"] == 2
         assert merged["spans"]["s"]["count"] == 2
 
     def test_merge_gauge_last_and_rss_max(self):
@@ -194,12 +167,6 @@ class TestSnapshotAlgebra:
         merged = merge_snapshots(a, b)
         assert merged["gauges"]["g"] == 3.0
         assert merged["peak_rss_kb"] == 100
-
-    def test_merge_rejects_mismatched_bucket_schemas(self):
-        a, b = self._sample(), self._sample()
-        b["histograms"]["h"]["edges"] = [2.0]
-        with pytest.raises(ValueError, match="bucket schemas differ"):
-            merge_snapshots(a, b)
 
     def test_merge_identity(self):
         sample = self._sample()
@@ -222,7 +189,6 @@ class TestSnapshotAlgebra:
         snap = self._sample()
         delta = delta_snapshots(snap, snap)
         assert delta["counters"] == {}
-        assert delta["histograms"] == {}
         assert delta["spans"] == {}
 
     def test_merge_empty_shard_is_identity_both_ways(self):
@@ -234,7 +200,6 @@ class TestSnapshotAlgebra:
         assert left == original
         right = merge_snapshots(empty_snapshot(), sample)
         assert right["counters"] == original["counters"]
-        assert right["histograms"] == original["histograms"]
         assert right["spans"] == original["spans"]
 
     def test_merge_zero_activity_enabled_registry(self):
@@ -246,18 +211,6 @@ class TestSnapshotAlgebra:
         merged = merge_snapshots(sample, idle)
         assert merged["counters"] == self._sample()["counters"]
         assert merged["peak_rss_kb"] == expected_rss
-
-    def test_merge_disjoint_histogram_keys(self):
-        a, b = self._sample(), self._sample()
-        b["histograms"] = {
-            "other": {"edges": [5.0], "counts": [1, 0], "total": 1,
-                      "sum": 2.5},
-        }
-        merged = merge_snapshots(a, b)
-        assert set(merged["histograms"]) == {"h", "other"}
-        # The adopted histogram is a copy, not an alias into b.
-        merged["histograms"]["other"]["counts"][0] = 99
-        assert b["histograms"]["other"]["counts"][0] == 1
 
     def test_merge_peak_rss_max_with_missing_keys(self):
         a, b = self._sample(), self._sample()
@@ -308,15 +261,10 @@ class TestPrometheus:
         reg = MetricsRegistry(enabled=True)
         reg.count("registry.cache_hits", 3)
         reg.gauge("runner.workers", 2)
-        reg.observe("spec.elapsed_s", 0.02, edges=(0.01, 0.1))
         text = prometheus_exposition(reg.snapshot())
         assert "# TYPE repro_registry_cache_hits_total counter" in text
         assert "repro_registry_cache_hits_total 3" in text
         assert "repro_runner_workers 2" in text
-        assert 'repro_spec_elapsed_s_bucket{le="0.01"} 0' in text
-        assert 'repro_spec_elapsed_s_bucket{le="0.1"} 1' in text
-        assert 'repro_spec_elapsed_s_bucket{le="+Inf"} 1' in text
-        assert "repro_spec_elapsed_s_count 1" in text
         assert text.endswith("\n")
 
     def test_span_series(self):

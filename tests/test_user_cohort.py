@@ -11,6 +11,7 @@ import pytest
 
 import repro.experiments.testbed as testbed_mod
 import repro.network.message as message_mod
+from repro.cdn.cohort import UserCohort
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
 from repro.sim import Environment
@@ -146,6 +147,17 @@ class TestCohortViews:
         assert not switch.fixed
         with pytest.raises(RuntimeError):
             switch.rehome(0, new_home)
+
+    def test_negative_start_offset_rejected(self):
+        # start() pushes offsets as absolute deadlines: a hand-wired
+        # cohort must not schedule a first visit before t = 0.
+        deployment = build_deployment(_config(), "ttl")
+        with pytest.raises(ValueError, match="start_offsets"):
+            UserCohort(
+                deployment.env, deployment.fabric, deployment.content,
+                [deployment.cohort.nodes[0]], user_ttl_s=10.0,
+                start_offsets=[-1.0], targets=[deployment.servers[0].node],
+            )
 
     def test_aggregate_mode_has_no_per_user_observations(self):
         deployment, _ = _run(_config(user_metrics="aggregate"))
