@@ -22,21 +22,42 @@ Quickstart::
 
     metrics = build_system(ci_scale(server_ttl_s=60.0), "hat").run()
     print(metrics.mean_server_lag, metrics.response_messages)
+
+Importing the package loads only ``__version__``; each subpackage and
+named re-export below loads on first use (PEP 562 ``__getattr__``).  A
+deployment's import path (:mod:`repro.experiments.testbed` and the
+simulator under it) loads no numpy: numpy serves the Section 3 trace
+analyses and the figure drivers only.
 """
 
-from . import cdn, consistency, core, experiments, metrics, network, sim, trace
-from .core import HatConfig, HatSystem
-from .experiments import (
-    TestbedConfig,
-    build_deployment,
-    build_system,
-    ci_scale,
-    generate_report,
-    paper_scale,
-)
-from .trace import SynthesisConfig, TraceSynthesizer, synthesize_trace
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
+
+_SUBPACKAGES = (
+    "sim",
+    "network",
+    "cdn",
+    "consistency",
+    "core",
+    "trace",
+    "metrics",
+    "experiments",
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBPACKAGES:
+        return importlib.import_module("." + name, __name__)
+    if name in __all__:
+        from . import core, experiments, trace
+
+        for module in (core, experiments, trace):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "sim",

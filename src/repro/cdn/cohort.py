@@ -8,12 +8,10 @@ frame, a pending-request dict and a waiter event per request -- at
 planet scale (1M+ users) those objects dominate memory and GC time.
 
 - Per-slot state lives in parallel arrays: the poll TTL and the
-  failed-visit count in unboxed numpy arrays (``_ttl``, ``_failed``),
-  plus the home server of each slot (``_targets``) or, for
-  switch-every-visit users, the server each slot visited last
-  (``_switch_last``).  Scalar reads off numpy arrays return numpy
-  scalars, so every caller coerces with ``float()``/``int()`` before the
-  value can reach the event heap or a metrics dict.
+  failed-visit count in unboxed :mod:`array` columns (``_ttl``,
+  ``_failed``), plus the home server of each slot (``_targets``) or,
+  for switch-every-visit users, the server each slot visited last
+  (``_switch_last``).
 - Visit deadlines live in one binary heap swept by a single control
   event, scheduled with :meth:`~repro.sim.engine.Environment.schedule_at`
   at the earliest deadline.
@@ -44,11 +42,10 @@ What keeps them there:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..metrics.incremental import AggregateUserMetrics, UserObservationTracker
 from ..network.message import CONTENT_REQUEST, Message
@@ -144,8 +141,9 @@ class UserCohort:
         if len(start_offsets) != n:
             raise ValueError("start_offsets must have one entry per node")
         offsets = [float(offset) for offset in start_offsets]
-        # start() pushes the offsets as absolute deadlines: one below 0
-        # (or NaN) would run the clock backwards.
+        # start() arms each first visit this many seconds after the
+        # current time: an offset below 0 (or NaN) would run the clock
+        # backwards.
         if not all(offset >= 0.0 for offset in offsets):
             raise ValueError("start_offsets must be >= 0")
         if (targets is None) == (switch_servers is None):
@@ -162,8 +160,8 @@ class UserCohort:
         self.content = content
         self.nodes = list(nodes)
         self.user_metrics = user_metrics
-        self._ttl = np.full(n, user_ttl_s, dtype=np.float64)
-        self._failed = np.zeros(n, dtype=np.int64)
+        self._ttl = array("d", [user_ttl_s]) * n
+        self._failed = array("q", [0]) * n
         self._start_offsets = offsets
         self._fixed = targets is not None
         self._targets: List["NetworkNode"] = list(targets) if targets is not None else []
@@ -214,12 +212,14 @@ class UserCohort:
         return len(self.nodes)
 
     def start(self) -> None:
-        """Arm every slot's first visit (idempotent)."""
+        """Arm every slot's first visit, its start offset after the
+        current time (idempotent)."""
         if self._started:
             return
         self._started = True
+        now = self.env.now
         heap = [
-            (offset, slot, slot)
+            (now + offset, slot, slot)
             for slot, offset in enumerate(self._start_offsets)
         ]
         heapify(heap)
@@ -318,7 +318,7 @@ class UserCohort:
             tracer.emit(now, "msg_timeout", node_id, **message.trace_detail())
             tracer.emit(now, "visit_timeout", node_id, server=target.node_id)
         self._failed[slot] += 1
-        self._push_visit(now + float(self._ttl[slot]), slot)
+        self._push_visit(now + self._ttl[slot], slot)
 
     def _consume(self, message: Message) -> None:
         """Fabric delivery hook shared by every user node of the cohort
@@ -350,7 +350,7 @@ class UserCohort:
                 now, "visit", message.dst.node_id,
                 server=target.node_id, version=version,
             )
-        self._push_visit(now + float(self._ttl[slot]), slot)
+        self._push_visit(now + self._ttl[slot], slot)
 
     # ------------------------------------------------------------------
     # per-slot access (perturbations, tests)
@@ -363,7 +363,7 @@ class UserCohort:
 
     def ttl_of(self, slot: int) -> float:
         """The seconds between *slot*'s visits."""
-        return float(self._ttl[slot])
+        return self._ttl[slot]
 
     def set_ttl(self, slot: int, ttl_s: float) -> None:
         """Change *slot*'s visit period from its next visit deadline on."""
@@ -393,14 +393,14 @@ class UserCohort:
         ]
 
     def failed_visits_of(self, slot: int) -> int:
-        return int(self._failed[slot])
+        return self._failed[slot]
 
     def total_failed_visits(self) -> int:
-        return int(sum(self._failed))
+        return sum(self._failed)
 
     def total_observations(self) -> int:
         if self.aggregate is not None:
-            return int(sum(self.aggregate._total))
+            return sum(self.aggregate._total)
         observations = self._observations
         assert observations is not None
         return sum(len(slot_obs) for slot_obs in observations)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import numpy as np
 
 __all__ = ["LiveContent", "DEFAULT_UPDATE_SIZE_KB", "DEFAULT_LIGHT_SIZE_KB"]
 
@@ -86,7 +87,11 @@ class LiveContent:
         ``versions[i]`` is the held version at instant ``times[i]``;
         returns a float array equal element-wise (bit-identically) to
         ``[self.staleness(int(v), float(t)) for v, t in zip(...)]``.
+        Only the analyses call it, so numpy is imported here rather
+        than on the simulator's import path.
         """
+        import numpy as np
+
         versions = np.asarray(versions, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         update_times = np.asarray(self.update_times, dtype=np.float64)

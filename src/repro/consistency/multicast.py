@@ -67,14 +67,30 @@ class MulticastTreeInfrastructure(Infrastructure):
 
         # Process servers nearest-to-root first so upper tree layers are
         # close to the provider (proximity awareness).
+        min_latency_s = self.fabric.min_latency_s
         ordered = sorted(
-            servers, key=lambda s: self.fabric.min_latency_s(provider.node, s.node)
+            servers, key=lambda s: min_latency_s(provider.node, s.node)
         )
-        attachable = [provider]
+        # The candidates with a free child slot, in attach order, each
+        # with its depth: a node's depth is fixed once it is attached,
+        # so it is scored without walking the parent chain, and a full
+        # parent leaves the list for good.  The scores and the strict
+        # ``<`` are those of _nearest_attachable, so the tree is too.
+        penalty = self.depth_penalty_s
+        open_slots = [(provider, 0)]
         for server in ordered:
-            parent = self._nearest_attachable(server, attachable)
+            best = 0
+            best_score = float("inf")
+            for index, (candidate, depth) in enumerate(open_slots):
+                score = min_latency_s(candidate.node, server.node) + penalty * depth
+                if score < best_score:
+                    best = index
+                    best_score = score
+            parent, depth = open_slots[best]
             self._attach(server, parent)
-            attachable.append(server)
+            if len(self._children[parent.node.node_id]) >= self.arity:
+                del open_slots[best]
+            open_slots.append((server, depth + 1))
 
     def _nearest_attachable(self, server, attachable: List):
         """The candidate with a free child slot that scores lowest."""

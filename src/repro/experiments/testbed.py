@@ -20,8 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..cdn.cohort import UserCohort
 from ..cdn.content import LiveContent
 from ..cdn.provider import ProviderActor
@@ -33,7 +31,11 @@ from ..consistency.registry import (
     resolve_method,
 )
 from ..core.hat import HatConfig, HatSystem
-from ..metrics.incremental import ServerLagTracker, aggregate_user_rollup
+from ..metrics.incremental import (
+    ServerLagTracker,
+    aggregate_user_rollup,
+    pairwise_mean,
+)
 from ..metrics.traffic import TrafficLedger
 from ..network.link import NetworkFabric
 from ..network.message import reset_seq
@@ -156,17 +158,19 @@ class DeploymentMetrics:
 
     @property
     def mean_server_lag(self) -> float:
-        return float(np.mean(list(self.server_lags.values())))
+        return pairwise_mean(list(self.server_lags.values()))
 
     @property
     def mean_user_lag(self) -> float:
-        return float(np.mean(list(self.user_lags.values())))
+        return pairwise_mean(list(self.user_lags.values()))
 
     @property
     def mean_stale_fraction(self) -> float:
-        return float(np.mean(list(self.user_stale_fractions.values())))
+        return pairwise_mean(list(self.user_stale_fractions.values()))
 
     def server_lag_percentiles(self, qs=(5.0, 50.0, 95.0)) -> List[float]:
+        import numpy as np  # analysis only: not on the run path
+
         values = np.asarray(list(self.server_lags.values()))
         return [float(np.percentile(values, q)) for q in qs]
 

@@ -19,19 +19,21 @@ Bit-identity with the batch pass is structural, not approximate:
   max reaches update ``i`` is exactly the apply that covered ``i``; the
   tracker scores ``i`` at that moment with the same float subtraction.
 - Covered updates form a prefix ``1..V_final`` and censored updates the
-  tail, in both implementations, so the lag list feeding ``np.mean``
-  has the same values in the same order (pairwise summation is
-  order-sensitive, so order is part of the contract).
+  tail, in both implementations, so the lag list has the same values in
+  the same order (pairwise summation is order-sensitive, so order is
+  part of the contract).
+- The batch pass averages with ``np.mean``; the trackers average with
+  :func:`pairwise_mean`, numpy's pairwise summation order in pure
+  Python, so the simulator's run path never imports numpy.
 - The stale-visit count compares each observation against the running
   maximum seen *before* it, with the same strict ``<``.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (the cdn
     # package imports the metrics package at module load, so importing
@@ -39,11 +41,59 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports (the cdn
     from ..cdn.content import LiveContent
 
 __all__ = [
+    "pairwise_mean",
     "ServerLagTracker",
     "UserObservationTracker",
     "AggregateUserMetrics",
     "aggregate_user_rollup",
 ]
+
+
+def _pairwise_sum(values: Sequence[float], start: int, n: int) -> float:
+    """Sum of ``values[start:start + n]`` in numpy's pairwise order
+    (``pairwise_sum`` in numpy's ``loops_utils.h``)."""
+    if n < 8:
+        total = 0.0
+        for index in range(start, start + n):
+            total += values[index]
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        end = start + n - n % 8
+        for index in range(start + 8, end, 8):
+            r0 += values[index]
+            r1 += values[index + 1]
+            r2 += values[index + 2]
+            r3 += values[index + 3]
+            r4 += values[index + 4]
+            r5 += values[index + 5]
+            r6 += values[index + 6]
+            r7 += values[index + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for index in range(end, start + n):
+            total += values[index]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, n - half
+    )
+
+
+def pairwise_mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))`` bit for bit, without numpy.
+
+    numpy reduces a float64 array by pairwise summation: fewer than 8
+    values in order, up to 128 with 8 accumulators over blocks of 8,
+    and above that by halves split at a multiple of 8.  The reduction
+    starts from ``0.0`` and the sum is divided by the count.  An empty
+    *values* gives ``nan``, as ``np.mean([])`` does (without its
+    warning).
+    """
+    n = len(values)
+    if not n:
+        return math.nan
+    return (0.0 + _pairwise_sum(values, 0, n)) / n
 
 
 class ServerLagTracker:
@@ -92,7 +142,7 @@ class ServerLagTracker:
         ]
         if not lags:
             return 0.0
-        return float(np.mean(lags))
+        return pairwise_mean(lags)
 
 
 class UserObservationTracker:
@@ -141,7 +191,7 @@ class UserObservationTracker:
         ]
         if not lags:
             return 0.0
-        return float(np.mean(lags))
+        return pairwise_mean(lags)
 
     def stale_fraction(self) -> float:
         """Equals ``stale_observation_fraction`` on the observation log."""
@@ -162,9 +212,9 @@ class AggregateUserMetrics:
 
     The aggregate mode is its own metrics layout, not a bit-compatible
     re-expression of the per-user mode: lag sums accumulate left to
-    right (the per-user tracker feeds ``np.mean``'s pairwise
-    summation), and the reported dicts are keyed by home server.
-    Sharded runs merge deterministically (see
+    right (the per-user tracker sums pairwise, see
+    :func:`pairwise_mean`), and the reported dicts are keyed by home
+    server.  Sharded runs merge deterministically (see
     ``repro.experiments.sharding``).
 
     ``on_observe`` mirrors :meth:`UserObservationTracker.on_observe`

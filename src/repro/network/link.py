@@ -32,15 +32,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush as _heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from ..metrics.traffic import TrafficLedger
 from ..obs.counters import FabricCounters
 from ..sim.engine import Environment, Event, NORMAL
 from ..sim.rng import StreamRegistry
 from .isp import InterISPModel
 from .message import Message
 from .node import NetworkNode
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import: the
+    # traffic ledger imports this package's messages, so a module-level
+    # import here would close a cycle
+    from ..metrics.traffic import TrafficLedger
 
 __all__ = ["FabricParams", "NetworkFabric", "SPEED_OF_LIGHT_FIBRE_KM_S"]
 
@@ -253,6 +257,8 @@ class NetworkFabric:
         streams: Optional[StreamRegistry] = None,
         path_cache: Optional[Dict[Tuple[str, str], Tuple[float, float, str, bool]]] = None,
     ) -> None:
+        from ..metrics.traffic import TrafficLedger
+
         self.env = env
         self.ledger = ledger if ledger is not None else TrafficLedger()
         self.params = params = params if params is not None else FabricParams()

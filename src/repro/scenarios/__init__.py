@@ -6,7 +6,12 @@ perturbations.  Scenarios resolve by name through a registry shaped
 like :mod:`repro.consistency.registry`, expand into per-object
 :class:`ScenarioCell` deployments, and run through the standard
 :class:`~repro.runner.Runner` machinery (see :mod:`repro.scenarios.run`).
+The run helpers import the runner, so they load on first use (PEP 562
+``__getattr__``): building a deployment with a scenario never needs
+them.
 """
+
+from typing import Any
 
 from .base import (
     PERTURBATION_STREAM,
@@ -33,7 +38,18 @@ from .registry import (
     scenario_choices,
     scenario_names,
 )
-from .run import ScenarioOutcome, compare_scenarios, run_scenario, scenario_specs
+
+
+def __getattr__(name: str) -> Any:
+    # The import system probes a package with hasattr() for ``from .
+    # import submodule`` (as below), so only the names in ``__all__``
+    # import anything.
+    if name in __all__:
+        from . import run
+
+        return getattr(run, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "PERTURBATION_STREAM",

@@ -1,68 +1,50 @@
-"""Section 3 reproduction: trace synthesis, crawling, and analysis."""
+"""Section 3 reproduction: trace synthesis, crawling, and analysis.
 
-from .analysis import (
-    all_inconsistencies,
-    alpha_times,
-    consistency_ratio,
-    day_inconsistencies,
-    episode_lengths,
-    inconsistent_server_fraction,
-    provider_inconsistencies,
-    server_max_inconsistency,
-    server_mean_inconsistencies,
-)
-from .causes import (
-    DistanceAnalysis,
-    IspClusterResult,
-    absence_impact,
-    consistency_vs_distance,
-    inconsistency_around_absences,
-    isp_inconsistency_analysis,
-    observed_absence_lengths,
-    provider_inconsistency_sample,
-    provider_response_times,
-)
-from .clustering import distance_bands, geo_clusters, isp_clusters
-from .crawler import ClockModel, SkewEstimate
-from .records import CdnTrace, DayTrace, PollSeries, ServerInfo
-from .synthesize import (
-    SynthesisConfig,
-    TraceSynthesizer,
-    UserDaySeries,
-    UserTrace,
-    synthesize_trace,
-)
-from .tree_inference import (
-    TreeEvidence,
-    cluster_daily_means,
-    cluster_mean_spread,
-    max_inconsistency_fractions,
-    normalized_rank_churn,
-    rank_trajectories,
-    tree_existence_analysis,
-)
-from .ttl_inference import (
-    TtlInference,
-    deviation_curve,
-    infer_ttl,
-    refinement_deviation,
-    theory_rmse,
-)
-from .validation import (
-    AbsenceDetectionReport,
-    absence_detection,
-    alpha_bias,
-    ttl_recovery_error,
-)
-from .user_view import (
-    all_continuous_times,
-    continuous_times,
-    daily_inconsistent_server_fractions,
-    inconsistency_vs_poll_interval,
-    observation_flags,
-    redirected_fractions,
-)
+The arrival workloads load with the package: the testbed and the
+scenarios draw their update schedules from them.  The synthesizer and
+every estimator import numpy, so they load on first use (PEP 562
+``__getattr__``).
+"""
+
+from typing import Any
+
 from .workload import BurstSilenceWorkload, LiveGameWorkload, PoissonWorkload
+
+
+def __getattr__(name: str) -> Any:
+    # The import system probes a package with hasattr() for ``from .
+    # import submodule`` (as below), so only the names in ``__all__``
+    # import anything.
+    if name in __all__:
+        from . import (
+            analysis,
+            causes,
+            clustering,
+            crawler,
+            records,
+            synthesize,
+            tree_inference,
+            ttl_inference,
+            user_view,
+            validation,
+        )
+
+        for module in (
+            analysis,
+            causes,
+            clustering,
+            crawler,
+            records,
+            synthesize,
+            tree_inference,
+            ttl_inference,
+            user_view,
+            validation,
+        ):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     # records

@@ -387,6 +387,18 @@ class TestRep010CrossShardState(unittest.TestCase):
         self.assertNotIn("memo", found)
         self.assertIn("shared_cache", found)
 
+    def test_live_reach_follows_lazy_package_exports(self):
+        """The package inits' first-use re-exports sit in ``__getattr__``
+        bodies and stay edges: the sharded path still reaches the figure
+        drivers and the Section 3 analyses through them."""
+        from repro.lint.imports import module_map, reachable_modules
+        from repro.lint.sharedstate import _SEEDS
+
+        report = lint_paths([REPO_ROOT / "src"], codes=["REP010"])
+        reachable = reachable_modules(module_map(report.files), _SEEDS)
+        self.assertIn("repro.experiments.section4", reachable)
+        self.assertIn("repro.trace.analysis", reachable)
+
     def test_live_manifest_entries_have_reasons(self):
         from repro.lint.exemptions import EXEMPTIONS
 

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import math
+import random
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +10,7 @@ from repro.cdn.cohort import Observation
 from repro.cdn.content import LiveContent
 from repro.consistency.hilbert import hilbert_number, hilbert_to_xy, xy_to_hilbert
 from repro.metrics.consistency import stale_observation_fraction, update_lags
+from repro.metrics.incremental import pairwise_mean
 from repro.metrics.stats import Cdf
 from repro.network.geo import GeoPoint, haversine_km
 from repro.sim import Environment, derive_seed
@@ -123,6 +127,31 @@ def test_update_lags_censoring_scores_every_update(pair, censor):
     lags = update_lags(content, log, censor_at=censor)
     assert len(lags) == content.n_updates
     assert all(lag >= 0.0 for lag in lags)
+
+
+# ----------------------------------------------------------------------
+# pairwise mean (the trackers' numpy-free np.mean)
+# ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=1100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pairwise_mean_is_numpy_mean_at_every_length(n, seed):
+    # Lengths 1-1100 cover numpy's three branches: in order below 8,
+    # eight accumulators up to 128, halving above; lags span 1e-3-1e4 s.
+    rng = random.Random(seed)
+    values = [10.0 ** rng.uniform(-3.0, 4.0) for _ in range(n)]
+    assert pairwise_mean(values) == float(np.mean(values))
+
+
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1, max_size=300))
+def test_pairwise_mean_is_numpy_mean_on_drawn_values(values):
+    assert pairwise_mean(values) == float(np.mean(values))
+
+
+def test_pairwise_mean_of_nothing_is_nan():
+    assert math.isnan(pairwise_mean([]))
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,13 @@ import pytest
 
 import repro.experiments.testbed as testbed_mod
 import repro.network.message as message_mod
+from repro.cdn import LiveContent, ProviderActor, ServerActor
 from repro.cdn.cohort import UserCohort
+from repro.consistency import PushPolicy, UnicastInfrastructure
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
-from repro.sim import Environment
+from repro.network import NetworkFabric, TopologyBuilder
+from repro.sim import Environment, StreamRegistry
 from repro.sim.timers import CallbackLane
 from tests.test_golden import assert_golden
 
@@ -149,8 +152,8 @@ class TestCohortViews:
             switch.rehome(0, new_home)
 
     def test_negative_start_offset_rejected(self):
-        # start() pushes offsets as absolute deadlines: a hand-wired
-        # cohort must not schedule a first visit before t = 0.
+        # start() arms each first visit its offset after the current
+        # time: a negative offset would schedule it in the past.
         deployment = build_deployment(_config(), "ttl")
         with pytest.raises(ValueError, match="start_offsets"):
             UserCohort(
@@ -158,6 +161,33 @@ class TestCohortViews:
                 [deployment.cohort.nodes[0]], user_ttl_s=10.0,
                 start_offsets=[-1.0], targets=[deployment.servers[0].node],
             )
+
+    def test_late_start_arms_first_visit_after_now(self):
+        env = Environment()
+        streams = StreamRegistry(1)
+        topology = TopologyBuilder(env, streams).build(
+            n_servers=1, users_per_server=1
+        )
+        fabric = NetworkFabric(env, streams=streams)
+        content = LiveContent("game", update_times=[30.0])
+        provider = ProviderActor(env, topology.provider, fabric, content)
+        server = ServerActor(
+            env, topology.servers[0], fabric, content, policy=PushPolicy()
+        )
+        UnicastInfrastructure().wire(provider, [server])
+        provider.use_push()
+        server.start()
+        env.run(until=100)
+        cohort = UserCohort(
+            env, fabric, content, [topology.users[0][0]],
+            user_ttl_s=10.0, start_offsets=[5.0], targets=[server.node],
+        )
+        cohort.start()
+        env.run(until=130)
+        times = [obs.time for obs in cohort.observations_of(0)]
+        assert len(times) == 3
+        assert times[0] >= 105.0
+        assert times == sorted(times)
 
     def test_aggregate_mode_has_no_per_user_observations(self):
         deployment, _ = _run(_config(user_metrics="aggregate"))
