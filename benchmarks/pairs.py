@@ -3,7 +3,8 @@
 Usage::
 
     python3 benchmarks/pairs.py --parent ../parent --change . \\
-        --workload push-fanout --seed 23 --pairs 10 --claim msgs_per_s
+        --workload push-fanout --seed 23 --pairs 10 --claim msgs_per_s \\
+        [--cold]
 
 A pair is one time-boxed run of BENCHMARK.json's command
 (``benchmarks/e2e/run.py --workload W --seed S --seconds T --trace 0``,
@@ -15,6 +16,13 @@ the first pair, both checkouts' ``src`` and ``benchmarks/e2e`` are
 byte-compiled, so both sides import from ``.pyc`` files: a side that
 compiles every module on each import reads a higher ``setup_s`` that is
 not the program's.
+
+``--cold`` measures the other way round: both checkouts lose every
+``__pycache__`` under ``src`` and ``benchmarks/e2e`` before the first
+pair, and both sides run under ``PYTHONDONTWRITEBYTECODE=1``, so every
+benchmark child compiles the ``repro`` modules it imports and
+``setup_s`` includes that.  That is how a fresh checkout runs; the
+standard library keeps its installed bytecode either way.
 
 Then, for every end-to-end metric of BENCHMARK.json, the summary gives
 each side's median and quartiles over the pairs whose two runs were
@@ -39,6 +47,7 @@ import argparse
 import compileall
 import json
 import os
+import shutil
 import subprocess
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,15 +66,22 @@ Pair = Tuple[Dict[str, float], Dict[str, float]]
 MIN_CLAIM_PAIRS = 10
 
 
-def run_side(spec: Dict, checkout: str, workload: str, seed: int) -> Dict:
+#: The parts of a checkout whose bytecode a benchmark run imports.
+CODE_DIRS = ("src", os.path.join("benchmarks", "e2e"))
+
+
+def run_side(
+    spec: Dict, checkout: str, workload: str, seed: int, cold: bool = False
+) -> Dict:
     """One time-boxed benchmark run in *checkout*, as long as the spec's
-    ``run_seconds``; its one-line result, or an incorrect result with no
-    metrics if it printed none."""
+    ``run_seconds`` (*cold*: writing no bytecode); its one-line result,
+    or an incorrect result with no metrics if it printed none."""
     cmd = list(spec["command"]) + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(spec["run_seconds"]), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1") if cold else None
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
@@ -76,8 +92,18 @@ def run_side(spec: Dict, checkout: str, workload: str, seed: int) -> Dict:
 def compile_checkout(checkout: str) -> None:
     """Byte-compile the code a run of *checkout* imports.  ``compileall``
     writes the ``.pyc`` files even under ``PYTHONDONTWRITEBYTECODE``."""
-    for part in ("src", os.path.join("benchmarks", "e2e")):
+    for part in CODE_DIRS:
         compileall.compile_dir(os.path.join(checkout, part), quiet=1)
+
+
+def clear_bytecode(checkout: str) -> None:
+    """Remove every ``__pycache__`` directory under the code a run of
+    *checkout* imports."""
+    for part in CODE_DIRS:
+        for root, dirs, _ in os.walk(os.path.join(checkout, part)):
+            if "__pycache__" in dirs:
+                dirs.remove("__pycache__")
+                shutil.rmtree(os.path.join(root, "__pycache__"))
 
 
 def values(result: Dict) -> Dict[str, float]:
@@ -183,6 +209,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="workload seed")
     parser.add_argument("--pairs", type=int, default=10, help="pairs to run (default 10)")
     parser.add_argument("--claim", help="end-to-end metric the change claims to improve")
+    parser.add_argument(
+        "--cold", action="store_true",
+        help="remove both sides' bytecode and run them writing none",
+    )
     args = parser.parse_args(argv)
 
     spec = load_spec()
@@ -196,7 +226,7 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(checkout, "benchmarks", "e2e", "run.py")):
             parser.error("%s holds no benchmarks/e2e/run.py" % checkout)
     for checkout in (args.parent, args.change):
-        compile_checkout(checkout)
+        (clear_bytecode if args.cold else compile_checkout)(checkout)
 
     pairs: List[Pair] = []
     correct = True
@@ -205,7 +235,7 @@ def main(argv=None) -> int:
         sides = [("parent", args.parent), ("change", args.change)]
         results = {}
         for side, checkout in sides if parent_first else reversed(sides):
-            result = run_side(spec, checkout, args.workload, args.seed)
+            result = run_side(spec, checkout, args.workload, args.seed, args.cold)
             if result.get("correct", False):
                 results[side] = values(result)
             else:

@@ -4,11 +4,16 @@ A server replicates one live content object, so its cache is one
 :class:`CacheEntry`: the cached version, when its TTL expires, and
 whether an invalidation notice has marked it stale.  It also keeps an
 *apply log* -- the (time, version) history of cache writes -- which is
-the raw material for all server-side inconsistency metrics.
+the raw material for all server-side inconsistency metrics.  The log
+is two unboxed columns, an ``array("d")`` of times and an
+``array("q")`` of versions: 16 bytes a write, where a listed
+``(time, version)`` tuple and its boxed float take 88.
+:attr:`CacheEntry.apply_log` builds that list for the analyses.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
 __all__ = ["CacheEntry"]
@@ -17,14 +22,22 @@ __all__ = ["CacheEntry"]
 class CacheEntry:
     """One server's cached copy of the live content (version 0 at t=0)."""
 
-    __slots__ = ("version", "expires_at", "invalidated", "apply_log")
+    __slots__ = ("version", "expires_at", "invalidated", "apply_times", "apply_versions")
 
     def __init__(self) -> None:
         self.version = 0
         self.expires_at = 0.0
         self.invalidated = False
-        #: (time, version) for every write, in time order.
-        self.apply_log: List[Tuple[float, int]] = [(0.0, 0)]
+        #: The apply log's columns: the time and version of every newer
+        #: write, in time order.
+        self.apply_times = array("d")
+        self.apply_versions = array("q")
+
+    @property
+    def apply_log(self) -> List[Tuple[float, int]]:
+        """``(time, version)`` for every write, in time order, after the
+        ``(0.0, 0)`` start (a new list on each read)."""
+        return [(0.0, 0)] + list(zip(self.apply_times, self.apply_versions))
 
     def __repr__(self) -> str:
         return "CacheEntry(version=%d, expires_at=%r, invalidated=%r)" % (
@@ -49,7 +62,8 @@ class CacheEntry:
         self.invalidated = False
         if version > self.version:
             self.version = version
-            self.apply_log.append((now, version))
+            self.apply_times.append(now)
+            self.apply_versions.append(version)
             return True
         return False
 

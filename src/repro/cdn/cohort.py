@@ -23,6 +23,10 @@ planet scale (1M+ users) those objects dominate memory and GC time.
   slot in ``per-user`` mode, or through
   :class:`~repro.metrics.incremental.AggregateUserMetrics` scalar
   accumulators in ``aggregate`` mode (no observation retention at all).
+  Per-user mode also logs every visit in four cohort-wide columns, in
+  visit order: slot, time and version in unboxed arrays, and the
+  server's (shared) id string; :meth:`UserCohort.observations_of`
+  reads one slot's visits back.
 
 Determinism contract: the ``tests/test_golden.py`` pins hold the
 cohort's metrics, fabric counters and message/visit trace bit for bit.
@@ -112,7 +116,10 @@ class UserCohort:
         "_timeouts",
         "_timeout_s",
         "_light_kb",
-        "_observations",
+        "_obs_slots",
+        "_obs_times",
+        "_obs_versions",
+        "_obs_servers",
         "_started",
         "sweeps",
         "visits_started",
@@ -186,20 +193,23 @@ class UserCohort:
         #: Stats for tests / docs: control-event sweeps and visits begun.
         self.sweeps = 0
         self.visits_started = 0
+        times = list(content.update_times)
         if user_metrics == "aggregate":
-            times = list(content.update_times)
             self.aggregate: Optional[AggregateUserMetrics] = AggregateUserMetrics(
                 content, n, times=times
             )
             self.trackers: List[UserObservationTracker] = []
-            self._observations: Optional[List[List[Tuple[float, int, str]]]] = None
         else:
-            times = list(content.update_times)
             self.aggregate = None
             self.trackers = [
                 UserObservationTracker(content, times=times) for _ in range(n)
             ]
-            self._observations = [[] for _ in range(n)]
+        #: The per-user visit log, one entry per successful visit in
+        #: visit order (empty in aggregate mode).
+        self._obs_slots = array("q")
+        self._obs_times = array("d")
+        self._obs_versions = array("q")
+        self._obs_servers: List[str] = []
         self._started = False
         for node in self.nodes:
             node.consumer = self._consume
@@ -340,9 +350,10 @@ class UserCohort:
         if aggregate is not None:
             aggregate.on_observe(slot, now, version)
         else:
-            observations = self._observations
-            assert observations is not None
-            observations[slot].append((now, version, target.node_id))
+            self._obs_slots.append(slot)
+            self._obs_times.append(now)
+            self._obs_versions.append(version)
+            self._obs_servers.append(target.node_id)
             self.trackers[slot].on_observe(now, version)
         tracer = env.tracer
         if tracer.enabled:
@@ -379,17 +390,19 @@ class UserCohort:
         self._targets[slot] = server
 
     def observations_of(self, slot: int) -> List[Observation]:
-        """Materialise slot observations as :class:`Observation` objects
-        (per-user mode only; aggregate mode retains no observations)."""
-        observations = self._observations
-        if observations is None:
+        """*slot*'s visits as :class:`Observation` objects, in visit
+        order (per-user mode only; aggregate mode retains no
+        observations).  Each call scans the cohort's whole visit log."""
+        if self.aggregate is not None:
             raise RuntimeError(
                 "observations are not retained in aggregate user-metrics "
                 "mode; use user_metrics='per-user' to keep per-visit logs"
             )
+        times, versions, servers = self._obs_times, self._obs_versions, self._obs_servers
         return [
-            Observation(time=time, version=version, server_id=server_id)
-            for time, version, server_id in observations[slot]
+            Observation(time=times[i], version=versions[i], server_id=servers[i])
+            for i, visitor in enumerate(self._obs_slots)
+            if visitor == slot
         ]
 
     def failed_visits_of(self, slot: int) -> int:
@@ -401,6 +414,4 @@ class UserCohort:
     def total_observations(self) -> int:
         if self.aggregate is not None:
             return sum(self.aggregate._total)
-        observations = self._observations
-        assert observations is not None
-        return sum(len(slot_obs) for slot_obs in observations)
+        return len(self._obs_slots)

@@ -9,7 +9,7 @@ and HAT supernodes) via :class:`~repro.cdn.base.UpdateSourceMixin`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..network.link import NetworkFabric
 from ..network.message import (
@@ -55,7 +55,7 @@ class ServerActor(Actor, UpdateSourceMixin):
         #: Hooks ``f(version)`` run when a strictly newer version lands
         #: in the cache (used by supernodes to notify cluster members,
         #: and by the dynamic method to count updates).  Apply times need
-        #: none: ``cache.apply_log`` records every newer write.
+        #: none: the cache's apply log records every newer write.
         self.on_apply_hooks: List[Callable[[int], None]] = []
         self.policy = policy
         policy.bind(self)
@@ -120,9 +120,9 @@ class ServerActor(Actor, UpdateSourceMixin):
             )
         return stale
 
-    def apply_log(self):
+    def apply_log(self) -> List[Tuple[float, int]]:
         """(time, version) cache-write history for metrics."""
-        return list(self.cache.apply_log)
+        return self.cache.apply_log
 
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> None:

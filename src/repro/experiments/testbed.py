@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cdn.cohort import UserCohort
 from ..cdn.content import LiveContent
@@ -46,9 +46,12 @@ from ..obs.telemetry import TELEMETRY, span
 from ..obs.tracer import Tracer
 from ..sim.engine import Environment
 from ..sim.rng import StreamRegistry
-from ..sim.sanitize import ScheduleSanitizer
 from ..trace.workload import LiveGameWorkload
 from .config import TestbedConfig
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import: only
+    # ``repro sanitize`` runs build a sanitizer, and they import it
+    from ..sim.sanitize import ScheduleSanitizer
 
 __all__ = [
     "METHODS",
@@ -233,16 +236,17 @@ class Deployment:
         TELEMETRY.count(
             "fabric.isp_crossing_messages", counters.isp_crossing_messages
         )
-        # Each server's apply log holds the (time, version) of every
-        # newer cache write, in order: replaying it through a tracker
-        # makes the same on_apply calls the writes would have made.
-        # ``apply_log[0]`` is the (0.0, 0) start, which covers no update.
+        # Each server's apply-log columns hold the time and version of
+        # every newer cache write, in order: replaying them through a
+        # tracker makes the same on_apply calls the writes would have
+        # made.
         times = list(self.content.update_times)
         server_lags: Dict[str, float] = {}
         for server in self.servers:
             tracker = ServerLagTracker(self.content, times)
             on_apply = tracker.on_apply
-            for now, version in server.cache.apply_log[1:]:
+            cache = server.cache
+            for now, version in zip(cache.apply_times, cache.apply_versions):
                 on_apply(now, version)
             server_lags[server.node.node_id] = tracker.mean_lag(horizon)
         cohort = self.cohort
@@ -318,9 +322,12 @@ class _Placement:
     ``topology.place`` / ``topology.isp`` streams, so sweep points that
     share ``(seed, n_servers, users_per_server, provider_city)`` place
     identical nodes; rebuilding nodes from the snapshot (instead of
-    re-drawing) is bit-identical and skips the catalog sampling, ISP
-    assignment, and -- via the shared ``path_cache`` -- the per-pair
-    great-circle trigonometry of every later run.
+    re-drawing) is bit-identical and skips the catalog sampling and ISP
+    assignment.  The shared ``path_cache`` holds the path entries of
+    the pairs that earlier runs sent messages over, so a later run
+    reuses their trigonometry; a latency probe (tree or flood wiring)
+    stores nothing and recomputes its one great-circle distance in
+    every run.
     """
 
     provider: _NodeSpec

@@ -7,7 +7,8 @@ user's full observation log through
 update per replica).  These trackers maintain the same quantities
 *incrementally* -- a few float operations per version change or visit,
 with no search: the testbed's collection pass replays each server's
-apply log (:attr:`~repro.cdn.cache.CacheEntry.apply_log`) through a
+apply log (the columns behind
+:attr:`~repro.cdn.cache.CacheEntry.apply_log`) through a
 :class:`ServerLagTracker`, and the user cohort's response path feeds
 the user trackers as visits complete.  ``tests/test_golden.py`` checks
 them against the batch pass, which shares no code with them.

@@ -266,12 +266,14 @@ class NetworkFabric:
         #: Always-on per-layer accounting (see :mod:`repro.obs.counters`).
         self.counters = FabricCounters()
         #: ``(src_id, dst_id) -> (distance_km, min_latency_s, link_key,
-        #: same_isp)``.  Node positions, ISP homes, and fabric params are
-        #: fixed for a run, so the trig, stretch arithmetic, and link-key
-        #: string happen once per directed pair.  The testbed passes a
-        #: shared dict here for sweep points that reuse a topology (the
-        #: entries are pure derived geometry, valid for any run over the
-        #: same placement and default params).
+        #: same_isp)`` for each directed pair that has carried a message.
+        #: Node positions, ISP homes, and fabric params are fixed for a
+        #: run, so the trig, stretch arithmetic, and link-key string
+        #: happen once per such pair; a latency probe that no message
+        #: follows stores nothing.  The testbed passes a shared dict here
+        #: for sweep points that reuse a topology (the entries are pure
+        #: derived geometry, valid for any run over the same placement
+        #: and default params).
         self._path_cache: Dict[Tuple[str, str], Tuple[float, float, str, bool]] = (
             path_cache if path_cache is not None else {}
         )
@@ -308,18 +310,24 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # delay model
     # ------------------------------------------------------------------
+    def _latency_s(self, distance_km: float) -> float:
+        """The jitter-free one-way latency over *distance_km*: the one
+        expression both the memo and a probe evaluate, so the two agree
+        bit for bit."""
+        params = self.params
+        return params.base_latency_s + distance_km * params.path_stretch / params.speed_km_per_s
+
     def _path(self, src: NetworkNode, dst: NetworkNode) -> Tuple[float, float, str, bool]:
-        """Memoised ``(distance_km, min_latency_s, link_key, same_isp)``."""
+        """Memoised ``(distance_km, min_latency_s, link_key, same_isp)``
+        of a pair that carries a message."""
         key = (src.node_id, dst.node_id)
         entry = self._path_cache.get(key)
         if entry is None:
             distance = src.distance_km(dst)
-            params = self.params
             entry = (
                 distance,
-                params.base_latency_s
-                + distance * params.path_stretch / params.speed_km_per_s,
-                "%s->%s" % (src.node_id, dst.node_id),
+                self._latency_s(distance),
+                "%s->%s" % key,
                 src.isp.isp_id == dst.isp.isp_id,
             )
             self._path_cache[key] = entry
@@ -329,9 +337,11 @@ class NetworkFabric:
         """Deterministic one-way latency (no jitter, no queueing).
 
         Used by proximity-aware tree building as the "inter-ping latency"
-        measure of Section 4.
+        measure of Section 4.  A probe leaves the memo alone: wiring a
+        tree probes most server pairs, and only the pairs that then
+        carry traffic need an entry.
         """
-        return self._path(src, dst)[1]
+        return self._latency_s(src.distance_km(dst))
 
     # ------------------------------------------------------------------
     # transport

@@ -33,12 +33,16 @@ package gives the simulator the same per-event visibility:
   :class:`Heartbeat` snapshots and the Runner-side
   :class:`ProgressTracker` behind ``<registry>.progress.json`` and the
   ``repro watch`` CLI.
+
+The tracer, the counters and telemetry load with the package: every
+deployment run uses them.  Attribution, sampling and live progress load
+on first use (PEP 562 ``__getattr__``), so a run that uses none of them
+does not import them.
 """
 
-from .attribution import attribution_components, format_attribution_table
+from typing import Any
+
 from .counters import FabricCounters, staleness_histogram
-from .live import Heartbeat, ProgressTracker, default_progress_path
-from .sampling import JsonlTraceSink, SamplingTracer, StreamTracer
 from .telemetry import (
     TELEMETRY,
     MetricsRegistry,
@@ -52,6 +56,20 @@ from .tracer import (
     Tracer,
     TraceEvent,
 )
+
+
+def __getattr__(name: str) -> Any:
+    # The import system probes a package with hasattr() for ``from .
+    # import submodule`` (as below), so only the names in ``__all__``
+    # import anything.
+    if name in __all__:
+        from . import attribution, live, sampling
+
+        for module in (attribution, live, sampling):
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "Tracer",

@@ -3,7 +3,9 @@
 Section 3's estimators need numpy; Section 4's testbed does not.  The
 package inits load their analysis re-exports on first use (PEP 562), so
 importing :mod:`repro.experiments.testbed` and running deployments
-leaves numpy, the runner and the Section 3 stack unloaded.  Each check
+leaves numpy, the runner and the Section 3 stack unloaded, and with
+them the trace sampler, live progress, attribution, the generic
+resource and the schedule sanitizer.  Each check
 runs in a fresh interpreter, because this test process has already
 imported everything.
 """
@@ -29,6 +31,11 @@ ANALYSIS_ONLY = (
     "repro.runner",
     "repro.trace.analysis",
     "repro.experiments.section3",
+    "repro.obs.attribution",
+    "repro.obs.live",
+    "repro.obs.sampling",
+    "repro.sim.resources",
+    "repro.sim.sanitize",
 )
 
 
@@ -112,7 +119,15 @@ def test_every_module_imports_first():
 
 @pytest.mark.parametrize(
     "package",
-    ["repro", "repro.experiments", "repro.trace", "repro.metrics", "repro.scenarios"],
+    [
+        "repro",
+        "repro.experiments",
+        "repro.trace",
+        "repro.metrics",
+        "repro.scenarios",
+        "repro.obs",
+        "repro.sim",
+    ],
 )
 def test_public_names_resolve(package):
     module = importlib.import_module(package)

@@ -1,0 +1,43 @@
+"""Smoke test of the per-module memory report (benchmarks/memory.py)."""
+
+import os
+import sys
+from collections import OrderedDict
+
+import pytest
+
+import repro.experiments.testbed as testbed
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
+if BENCH_DIR not in sys.path:
+    sys.path.insert(0, BENCH_DIR)
+
+import memory  # noqa: E402
+
+
+def test_report_names_the_modules_that_hold_memory(monkeypatch, capsys):
+    monkeypatch.setattr(testbed, "_PLACEMENT_CACHE", OrderedDict())
+    assert memory.main(["ttl-tree-storm", "0", "--smoke"]) == 0
+    out = capsys.readouterr().out
+    header, columns, *rows = out.strip().splitlines()
+    assert header.startswith("cell ttl/multicast@failure-storm: path memo ")
+    assert "ru_maxrss" in header
+    assert columns.split() == ["KiB", "held", "module"]
+    held = {line.split(None, 1)[1]: float(line.split(None, 1)[0]) for line in rows}
+    assert held["network/link.py"] > 0 and held["cdn/cache.py"] > 0
+    parts = sum(size for name, size in held.items() if name != "total")
+    assert held["total"] == pytest.approx(parts, abs=0.1 * len(held))
+
+
+def test_measure_counts_the_memo_the_run_left(monkeypatch):
+    monkeypatch.setattr(testbed, "_PLACEMENT_CACHE", OrderedDict())
+    cells = memory.measure("fig16-grid", 0, smoke=True)
+    assert [cell.label for cell in cells] == [
+        "push/unicast", "invalidation/unicast", "ttl/unicast",
+        "push/multicast", "invalidation/multicast", "ttl/multicast",
+    ]
+    for cell in cells:
+        assert 0 < cell.path_memo
+        assert cell.peak_rss_kib > 0
+        assert all(size > 0 for size in cell.held.values())
+        assert memory.OUTSIDE in cell.held

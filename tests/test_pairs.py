@@ -146,7 +146,7 @@ def _scripted_runs(monkeypatch, tmp_path, incorrect_change_runs):
     change = _fake_checkout(tmp_path / "change", _result(True, 0.0))
     change_runs = []
 
-    def run_side(spec, checkout, workload, seed):
+    def run_side(spec, checkout, workload, seed, cold=False):
         if checkout == parent:
             return _result(True, 100.0)
         change_runs.append(seed)
@@ -186,7 +186,7 @@ def test_main_compiles_both_checkouts_before_the_first_pair(monkeypatch, tmp_pat
         sources += [module, os.path.join(checkout, "benchmarks", "e2e", "run.py")]
     compiled_at_first_run = []
 
-    def run_side(spec, checkout, workload, seed):
+    def run_side(spec, checkout, workload, seed, cold=False):
         if not compiled_at_first_run:
             compiled_at_first_run.extend(
                 os.path.exists(importlib.util.cache_from_source(path)) for path in sources
@@ -200,3 +200,70 @@ def test_main_compiles_both_checkouts_before_the_first_pair(monkeypatch, tmp_pat
             "--seed", "5", "--pairs", "1"]
     assert pairs.main(argv) == 0
     assert compiled_at_first_run == [True] * 4
+
+
+def _checkout_with_bytecode(root):
+    """A fake checkout whose ``src`` and ``benchmarks/e2e`` each hold a
+    module and its compiled ``__pycache__``; returns the cache paths."""
+    import py_compile
+
+    checkout = _fake_checkout(root, _result(True, 100.0))
+    caches = []
+    for part in ("src", os.path.join("src", "pkg"), os.path.join("benchmarks", "e2e")):
+        module = os.path.join(checkout, part, "mod.py")
+        os.makedirs(os.path.dirname(module), exist_ok=True)
+        with open(module, "w") as handle:
+            handle.write("X = 1\n")
+        caches.append(py_compile.compile(module, doraise=True))
+    return checkout, caches
+
+
+def test_cold_removes_bytecode_and_runs_writing_none(monkeypatch, tmp_path):
+    parent, parent_caches = _checkout_with_bytecode(tmp_path / "parent")
+    change, change_caches = _checkout_with_bytecode(tmp_path / "change")
+    caches = parent_caches + change_caches
+    assert all(os.path.exists(path) for path in caches)
+    seen = []
+
+    def run_side(spec, checkout, workload, seed, cold=False):
+        seen.append((cold, [os.path.exists(path) for path in caches]))
+        return _result(True, 100.0)
+
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    argv = ["--parent", parent, "--change", change, "--workload", "push-fanout",
+            "--seed", "5", "--pairs", "1"]
+    assert pairs.main(argv + ["--cold"]) == 0
+    # No __pycache__ is left, and nothing was compiled in its place.
+    assert seen == [(True, [False] * 6)] * 2
+    for checkout in (parent, change):
+        for root, dirs, _ in os.walk(checkout):
+            assert "__pycache__" not in dirs, root
+    # Without --cold both sides are compiled first.
+    seen.clear()
+    assert pairs.main(argv) == 0
+    assert seen == [(False, [True] * 6)] * 2
+
+
+def _env_checkout(root):
+    """A fake checkout whose run reports its PYTHONDONTWRITEBYTECODE."""
+    script = root / "benchmarks" / "e2e" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(
+        "import json, os\n"
+        "flag = os.environ.get('PYTHONDONTWRITEBYTECODE')\n"
+        "print(json.dumps({'correct': True, 'metrics': {'msgs_per_s': "
+        "{'value': 1.0 if flag == '1' else 0.0, 'unit': '1/s'}}}))\n"
+    )
+    return str(root)
+
+
+def test_a_cold_side_runs_under_dont_write_bytecode(monkeypatch, tmp_path):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    checkout = _env_checkout(tmp_path / "side")
+    spec = {"command": [sys.executable, "benchmarks/e2e/run.py"], "run_seconds": 1}
+    assert pairs.values(pairs.run_side(spec, checkout, "push-fanout", 5, cold=True)) == {
+        "msgs_per_s": 1.0
+    }
+    assert pairs.values(pairs.run_side(spec, checkout, "push-fanout", 5)) == {
+        "msgs_per_s": 0.0
+    }
