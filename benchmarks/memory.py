@@ -3,7 +3,7 @@ still holds when a cell's run ends.
 
 Usage::
 
-    python3 benchmarks/memory.py WORKLOAD SEED [--smoke]
+    python3 benchmarks/memory.py WORKLOAD SEED [--smoke] [--lines N]
 
 For each cell of the e2e benchmark's WORKLOAD (``benchmarks/e2e/
 workloads.py``), this builds the deployment and runs it with
@@ -11,9 +11,11 @@ workloads.py``), this builds the deployment and runs it with
 ``Deployment.run`` returns, with the deployment and its metrics still
 alive, it prints the bytes still held by the allocations that each
 ``src/repro`` module made during that cell, largest first, then the
-traced bytes allocated anywhere else and the total.  Each cell also
-reports the fabric's path-memo entries and the process's peak RSS so
-far (``ru_maxrss``, which includes tracing's own overhead).
+traced bytes allocated anywhere else and the total.  With ``--lines
+N`` it then prints the N ``src/repro`` lines holding the most bytes,
+with the number of live allocations each made.  Each cell also reports
+the fabric's path-memo entries and the process's peak RSS so far
+(``ru_maxrss``, which includes tracing's own overhead).
 
 A module is charged for what a line of it allocated, whoever holds it
 now: a tuple appended to a log belongs to the module that appended it.
@@ -30,7 +32,7 @@ import os
 import resource
 import sys
 import tracemalloc
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
@@ -50,6 +52,9 @@ class CellMemory(NamedTuple):
     held: Dict[str, int]
     path_memo: int
     peak_rss_kib: int
+    #: The ``src/repro`` lines holding the most bytes, largest first, as
+    #: ``(module:line, bytes, allocations)``; empty unless asked for.
+    top_lines: Tuple[Tuple[str, int, int], ...] = ()
 
 
 def held_by_module(snapshot: tracemalloc.Snapshot, package_dir: str) -> Dict[str, int]:
@@ -64,8 +69,29 @@ def held_by_module(snapshot: tracemalloc.Snapshot, package_dir: str) -> Dict[str
     return held
 
 
-def measure(workload: str, seed: int, smoke: bool = False) -> List[CellMemory]:
-    """Run every cell of *workload* under tracing, one after another."""
+def held_by_line(
+    snapshot: tracemalloc.Snapshot, package_dir: str, n: int
+) -> Tuple[Tuple[str, int, int], ...]:
+    """The *n* lines under *package_dir* holding the most bytes, largest
+    first: ``(relative path:line, bytes, allocations)``."""
+    prefix = package_dir + os.sep
+    top = []
+    # statistics() sorts by size, largest first.
+    for stat in snapshot.statistics("lineno"):
+        if len(top) >= n:
+            break
+        frame = stat.traceback[0]
+        filename = os.path.abspath(frame.filename)
+        if filename.startswith(prefix):
+            top.append(("%s:%d" % (filename[len(prefix):], frame.lineno), stat.size, stat.count))
+    return tuple(top)
+
+
+def measure(
+    workload: str, seed: int, smoke: bool = False, lines: int = 0
+) -> List[CellMemory]:
+    """Run every cell of *workload* under tracing, one after another;
+    keep each cell's *lines* largest ``src/repro`` lines."""
     import repro.experiments.testbed as testbed
 
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(testbed.__file__)))
@@ -85,6 +111,7 @@ def measure(workload: str, seed: int, smoke: bool = False) -> List[CellMemory]:
             held=held_by_module(snapshot, package_dir),
             path_memo=len(deployment.fabric._path_cache),
             peak_rss_kib=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+            top_lines=held_by_line(snapshot, package_dir, lines),
         ))
         del deployment, metrics, snapshot
     return out
@@ -101,6 +128,10 @@ def report(cell: CellMemory) -> str:
     for size, module in inside + [(cell.held.get(OUTSIDE, 0), OUTSIDE)]:
         lines.append("%12.1f  %s" % (size / 1024.0, module))
     lines.append("%12.1f  %s" % (sum(cell.held.values()) / 1024.0, "total"))
+    if cell.top_lines:
+        lines.append("%12s  %9s  %s" % ("KiB held", "allocs", "line"))
+        for where, size, count in cell.top_lines:
+            lines.append("%12.1f  %9d  %s" % (size / 1024.0, count, where))
     return "\n".join(lines)
 
 
@@ -112,8 +143,14 @@ def main(argv=None) -> int:
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("seed", type=int)
     parser.add_argument("--smoke", action="store_true", help="test-size workload")
+    parser.add_argument(
+        "--lines", type=int, default=0, metavar="N",
+        help="also print the N src/repro lines holding the most bytes",
+    )
     args = parser.parse_args(argv)
-    for cell in measure(args.workload, args.seed, smoke=args.smoke):
+    if args.lines < 0:
+        parser.error("--lines must be >= 0")
+    for cell in measure(args.workload, args.seed, smoke=args.smoke, lines=args.lines):
         print(report(cell) + "\n", flush=True)
     return 0
 

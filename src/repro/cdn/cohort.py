@@ -22,11 +22,9 @@ planet scale (1M+ users) those objects dominate memory and GC time.
 - Observations feed the incremental staleness trackers directly -- per
   slot in ``per-user`` mode, or through
   :class:`~repro.metrics.incremental.AggregateUserMetrics` scalar
-  accumulators in ``aggregate`` mode (no observation retention at all).
-  Per-user mode also logs every visit in four cohort-wide columns, in
-  visit order: slot, time and version in unboxed arrays, and the
-  server's (shared) id string; :meth:`UserCohort.observations_of`
-  reads one slot's visits back.
+  accumulators in ``aggregate`` mode -- and the cohort keeps no visit
+  log in either mode.  A tracer's ``visit`` events carry each visit's
+  time, version and server, in visit order.
 
 Determinism contract: the ``tests/test_golden.py`` pins hold the
 cohort's metrics, fabric counters and message/visit trace bit for bit.
@@ -74,7 +72,8 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class Observation:
-    """One successful content visit by one user."""
+    """One successful content visit by one user: the record the batch
+    pass in :mod:`repro.metrics.consistency` reads."""
 
     time: float
     version: int
@@ -116,10 +115,6 @@ class UserCohort:
         "_timeouts",
         "_timeout_s",
         "_light_kb",
-        "_obs_slots",
-        "_obs_times",
-        "_obs_versions",
-        "_obs_servers",
         "_started",
         "sweeps",
         "visits_started",
@@ -181,7 +176,7 @@ class UserCohort:
         )
         #: In-flight requests: message seq -> (slot, request, target).
         #: The request message is retained for ``msg_timeout`` trace
-        #: detail; the target for the visit traces and observations.
+        #: detail; the target for the visit traces.
         self._pending: Dict[int, Tuple[int, Message, "NetworkNode"]] = {}
         self._visit_heap: List[Tuple[float, int, int]] = []
         self._order = 0
@@ -204,15 +199,10 @@ class UserCohort:
             self.trackers = [
                 UserObservationTracker(content, times=times) for _ in range(n)
             ]
-        #: The per-user visit log, one entry per successful visit in
-        #: visit order (empty in aggregate mode).
-        self._obs_slots = array("q")
-        self._obs_times = array("d")
-        self._obs_versions = array("q")
-        self._obs_servers: List[str] = []
         self._started = False
+        consume = self._consume
         for node in self.nodes:
-            node.consumer = self._consume
+            node.consumer = consume
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -350,10 +340,6 @@ class UserCohort:
         if aggregate is not None:
             aggregate.on_observe(slot, now, version)
         else:
-            self._obs_slots.append(slot)
-            self._obs_times.append(now)
-            self._obs_versions.append(version)
-            self._obs_servers.append(target.node_id)
             self.trackers[slot].on_observe(now, version)
         tracer = env.tracer
         if tracer.enabled:
@@ -389,29 +375,8 @@ class UserCohort:
             raise RuntimeError("switch-every-visit users have no home server")
         self._targets[slot] = server
 
-    def observations_of(self, slot: int) -> List[Observation]:
-        """*slot*'s visits as :class:`Observation` objects, in visit
-        order (per-user mode only; aggregate mode retains no
-        observations).  Each call scans the cohort's whole visit log."""
-        if self.aggregate is not None:
-            raise RuntimeError(
-                "observations are not retained in aggregate user-metrics "
-                "mode; use user_metrics='per-user' to keep per-visit logs"
-            )
-        times, versions, servers = self._obs_times, self._obs_versions, self._obs_servers
-        return [
-            Observation(time=times[i], version=versions[i], server_id=servers[i])
-            for i, visitor in enumerate(self._obs_slots)
-            if visitor == slot
-        ]
-
     def failed_visits_of(self, slot: int) -> int:
         return self._failed[slot]
 
     def total_failed_visits(self) -> int:
         return sum(self._failed)
-
-    def total_observations(self) -> int:
-        if self.aggregate is not None:
-            return sum(self.aggregate._total)
-        return len(self._obs_slots)

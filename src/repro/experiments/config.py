@@ -13,7 +13,6 @@ runs; ``smoke_scale()`` is minimal.
 
 from __future__ import annotations
 
-import difflib
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -85,11 +84,11 @@ class TestbedConfig:
     user_selector: str = "fixed"
 
     # --- planet-scale user plane (see docs/scalability.md) -----------------
-    #: "per-user": per-user observation logs, trackers and metrics-dict
-    #: entries (the legacy layout).  "aggregate": O(1)-per-user scalar
+    #: "per-user": a staleness tracker and a metrics-dict entry per user
+    #: (the legacy layout).  "aggregate": O(1)-per-user scalar
     #: accumulators, metrics grouped by home server at collection --
-    #: required for sharded merges; per-visit observations are not
-    #: retained.
+    #: required for sharded merges.  Neither mode retains per-visit
+    #: observations.
     user_metrics: str = "per-user"
     #: Deterministic population sharding: this run simulates only the
     #: users whose per-server index u satisfies u % user_shards ==
@@ -157,6 +156,8 @@ class TestbedConfig:
         valid = {f.name for f in fields(self)}
         unknown = sorted(set(overrides) - valid)
         if unknown:
+            import difflib  # error path only: kept off the import path
+
             hints = []
             for name in unknown:
                 close = difflib.get_close_matches(name, valid, n=1)

@@ -288,7 +288,9 @@ class Deployment:
             isp_penalty_s=counters.isp_penalty_s,
             propagation_s=counters.propagation_s,
             queueing_s=counters.queueing_s,
-            link_bytes_kb=dict(counters.link_bytes_kb),
+            # A deployment runs once, so the fabric's table is final:
+            # the metrics take it over instead of copying it.
+            link_bytes_kb=counters.link_bytes_kb,
             node_downtime_s=sum(
                 node.downtime_s(horizon) for node in self._all_nodes()
             ),
@@ -303,7 +305,7 @@ class Deployment:
 # ----------------------------------------------------------------------
 # shared construction pieces
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _NodeSpec:
     """Environment-free snapshot of one placed node."""
 

@@ -46,6 +46,12 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     "repro/network/message.py": {
         "Message": "one per message sent through the fabric",
     },
+    "repro/network/node.py": {
+        "NetworkNode": "one per simulated host, users included; read per message",
+    },
+    "repro/network/geo.py": {
+        "GeoPoint": "one per placed node; read per haversine",
+    },
     "repro/obs/tracer.py": {
         "Tracer": "enabled-guard read on every instrumented site",
         "RecordingTracer": "emit() on every instrumented site",

@@ -149,11 +149,15 @@ class ServerLagTracker:
 class UserObservationTracker:
     """Running per-update lags and stale-visit count of one end user.
 
-    ``on_observe`` must be called once per recorded
-    :class:`~repro.cdn.cohort.Observation`, in observation order.  Unlike server
-    applies, observed versions may regress (a redirection to a stale
-    server); regressions below the running maximum count as stale visits
-    and never advance coverage.
+    ``on_observe`` must be called once per successful visit, at its
+    response time and in visit order.  Unlike server applies, observed
+    versions may regress (a redirection to a stale server); regressions
+    below the running maximum count as stale visits and never advance
+    coverage.
+
+    A tracker lives for the whole run, one per user, so its lags are an
+    unboxed ``array("d")`` column (8 bytes a lag, where a list holds a
+    pointer and a boxed float).
     """
 
     __slots__ = ("_times", "_lags", "_seen", "_stale", "_total")
@@ -162,7 +166,7 @@ class UserObservationTracker:
         self, content: LiveContent, times: Optional[List[float]] = None
     ) -> None:
         self._times = times if times is not None else list(content.update_times)
-        self._lags: List[float] = []
+        self._lags = array("d")
         #: Running maximum observed version (-1 before any visit).
         self._seen = -1
         self._stale = 0
@@ -186,10 +190,10 @@ class UserObservationTracker:
         ``mean_update_lag`` on the user's full observation log."""
         times = self._times
         covered = min(max(self._seen, 0), len(times))
-        lags = self._lags + [
+        lags = self._lags + array("d", [
             max(0.0, censor_at - times[index - 1])
             for index in range(covered + 1, len(times) + 1)
-        ]
+        ])
         if not lags:
             return 0.0
         return pairwise_mean(lags)
@@ -204,7 +208,7 @@ class UserObservationTracker:
 class AggregateUserMetrics:
     """O(1)-per-user staleness accumulators for planet-scale runs.
 
-    The per-user tracker keeps a lag *list* per user (and the testbed
+    The per-user tracker keeps a lag column per user (and the testbed
     keys one metrics-dict entry per user), which is the wrong memory
     shape for a million users.  This class keeps four unboxed scalars
     per user slot -- running max version, lag sum, stale count, visit

@@ -27,7 +27,7 @@ __all__ = [
 EARTH_RADIUS_KM = 6371.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """A point on the globe (degrees).
 

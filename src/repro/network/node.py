@@ -36,6 +36,22 @@ DEFAULT_PROVIDER_UPLINK_KBPS = 6_250.0
 class NetworkNode:
     """A host in the simulated network."""
 
+    __slots__ = (
+        "env",
+        "node_id",
+        "point",
+        "isp",
+        "uplink_kbps",
+        "city_name",
+        "port_busy",
+        "port_waiters",
+        "consumer",
+        "_down_count",
+        "_down_since",
+        "_downtime_s",
+        "down_transitions",
+    )
+
     def __init__(
         self,
         env: Environment,

@@ -12,11 +12,13 @@ from repro.cdn import (
 )
 from repro.consistency import PushPolicy, TTLPolicy, UnicastInfrastructure
 from repro.network import NetworkFabric, TopologyBuilder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
+from tests.test_golden import visit_observations
 
 
 def make_world(n_servers=3, updates=(50.0, 100.0, 150.0), seed=1, users_per_server=1):
-    env = Environment()
+    env = Environment(tracer=RecordingTracer())
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(
         n_servers=n_servers, users_per_server=users_per_server
@@ -97,7 +99,7 @@ class TestServerServing:
         server.start()
         cohort.start()
         env.run(until=65)
-        versions = [obs.version for obs in cohort.observations_of(0)]
+        versions = [obs.version for obs in visit_observations(env.tracer, cohort)[0]]
         assert versions[0] == 0
         assert versions[-1] == 1
         assert versions == sorted(versions)
@@ -145,7 +147,7 @@ class TestSwitchEveryVisit:
             server.start()
         cohort.start()
         env.run(until=60)
-        return [obs.server_id for obs in cohort.observations_of(0)]
+        return [obs.server_id for obs in visit_observations(env.tracer, cohort)[0]]
 
     def test_never_visits_the_same_server_twice_in_a_row(self):
         visited = self.visited(4)

@@ -20,11 +20,12 @@ from repro.experiments.testbed import build_deployment
 from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
 from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
+from tests.test_golden import visit_observations
 
 
 def deploy(method_factory, wire, updates, n_servers=3, seed=2, horizon=400.0,
            users=True, user_ttl=10.0):
-    env = Environment()
+    env = Environment(tracer=RecordingTracer())
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(
         n_servers=n_servers, users_per_server=1 if users else 0
@@ -92,7 +93,7 @@ class TestTTLPolicy:
             n_servers=1,
             horizon=300.0,
         )
-        versions = [obs.version for obs in cohort.observations_of(0)]
+        versions = [obs.version for obs in visit_observations(env.tracer, cohort)[0]]
         assert versions[-1] == 1
         assert fabric.ledger.kind_totals(MessageKind.POLL).count > 0
 
@@ -155,8 +156,10 @@ class TestInvalidationPolicy:
             lambda p: p.use_invalidation(),
             updates=tuple(40.0 + 20.0 * i for i in range(10)),
         )
-        for slot in range(cohort.n_users):
-            for obs in cohort.observations_of(slot):
+        observations = visit_observations(env.tracer, cohort)
+        assert all(observations)
+        for visits in observations:
+            for obs in visits:
                 # A served version may lag only by in-flight delivery, so
                 # it must be at least the version current ~2 s earlier.
                 floor = content.version_at(obs.time - 2.0)

@@ -55,6 +55,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import pytest
 
+from repro.cdn.cohort import Observation
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import (
     INFRASTRUCTURES,
@@ -159,8 +160,22 @@ class Outcome(NamedTuple):
     horizon: float
     #: ``server id -> apply log``.
     apply_logs: Dict[str, List[Tuple[float, int]]]
-    #: ``user id -> observations``; ``None`` with aggregate user metrics.
+    #: ``user id -> observations``, built from the ``visit`` events;
+    #: ``None`` with aggregate user metrics.
     observations: Optional[Dict[str, list]]
+
+
+def visit_observations(tracer: RecordingTracer, cohort: Any) -> List[List[Observation]]:
+    """Each *cohort* slot's successful visits, in visit order, built from
+    the ``visit`` events *tracer* recorded (a visit event's node is the
+    user's node, its detail the version and the server)."""
+    slot_of = {node.node_id: slot for slot, node in enumerate(cohort.nodes)}
+    observations: List[List[Observation]] = [[] for _ in cohort.nodes]
+    for event in tracer.events(kinds=("visit",)):
+        observations[slot_of[event.node]].append(
+            Observation(event.time, event.detail["version"], event.detail["server"])
+        )
+    return observations
 
 
 def _sha256(value: Any) -> str:
@@ -203,8 +218,8 @@ def outcome(label: str) -> Outcome:
     cohort = deployment.cohort
     if deployment.config.user_metrics == "per-user":
         observations = {
-            node.node_id: cohort.observations_of(slot)
-            for slot, node in enumerate(cohort.nodes)
+            node.node_id: visits
+            for node, visits in zip(cohort.nodes, visit_observations(tracer, cohort))
         }
     return Outcome(
         pins={

@@ -5,9 +5,10 @@ package inits load their analysis re-exports on first use (PEP 562), so
 importing :mod:`repro.experiments.testbed` and running deployments
 leaves numpy, the runner and the Section 3 stack unloaded, and with
 them the trace sampler, live progress, attribution, the generic
-resource and the schedule sanitizer.  Each check
-runs in a fresh interpreter, because this test process has already
-imported everything.
+resource and the schedule sanitizer, and ``difflib``, which only the
+unknown-knob error of ``TestbedConfig.with_overrides`` needs.  Each
+check runs in a fresh interpreter, because this test process has
+already imported everything.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ SRC = REPO_ROOT / "src"
 #: Modules the simulator's run path must not load.
 ANALYSIS_ONLY = (
     "numpy",
+    "difflib",
     "repro.runner",
     "repro.trace.analysis",
     "repro.experiments.section3",

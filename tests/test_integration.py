@@ -14,16 +14,18 @@ from repro.experiments import build_system
 from repro.experiments.section5 import section5_config
 from repro.metrics.consistency import update_lags
 from repro.network import NetworkFabric, TopologyBuilder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 from repro.trace import SynthesisConfig, TraceSynthesizer, all_inconsistencies
 from repro.trace.records import CdnTrace, DayTrace, PollSeries, ServerInfo
 from repro.trace.workload import LiveGameWorkload
+from tests.test_golden import visit_observations
 
 
 def run_des_crawl(n_servers=20, ttl=60.0, horizon=3000.0, seed=31):
     """A DES CDN with lazy TTL + a 10 s crawler per server; returns a
     CdnTrace built from what the crawler observed."""
-    env = Environment()
+    env = Environment(tracer=RecordingTracer())
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(n_servers=n_servers, users_per_server=1)
     fabric = NetworkFabric(env, streams=streams)
@@ -60,9 +62,10 @@ def run_des_crawl(n_servers=20, ttl=60.0, horizon=3000.0, seed=31):
         update_times=np.asarray(content.update_times),
     )
     infos = {}
+    crawls = visit_observations(env.tracer, crawlers)
     for slot, server in enumerate(servers):
         sid = server.node.node_id
-        observations = crawlers.observations_of(slot)
+        observations = crawls[slot]
         times = np.asarray([obs.time for obs in observations])
         versions = np.maximum.accumulate(
             np.asarray([obs.version for obs in observations], dtype=np.int64)
@@ -139,13 +142,14 @@ class TestSection5EndToEnd:
 
 class TestUserLagConsistency:
     def test_user_never_sees_version_before_it_exists(self, smoke_config):
-        deployment = build_system(smoke_config, "push")
-        metrics = deployment.run()
+        tracer = RecordingTracer()
+        deployment = build_system(smoke_config, "push", tracer=tracer)
+        deployment.run()
         content = deployment.content
-        cohort = deployment.cohort
-        assert cohort.total_observations() > 0
-        for slot in range(cohort.n_users):
-            for obs in cohort.observations_of(slot):
+        observations = visit_observations(tracer, deployment.cohort)
+        assert sum(map(len, observations)) > 0
+        for visits in observations:
+            for obs in visits:
                 assert obs.version <= content.version_at(obs.time)
 
     def test_server_apply_log_matches_update_lag_metric(self, smoke_config):

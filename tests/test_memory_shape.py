@@ -1,12 +1,15 @@
 """What each per-run structure keeps: only what the run reads back.
 
 The path memo holds the pairs that carried a message (a latency probe
-stores nothing), a server's apply log is two unboxed columns, and the
-user cohort logs visits in cohort-wide columns.  These tests pin those
-shapes, and that each read-back equals what the old forms returned;
-they assert no memory figure.
+stores nothing), a server's apply log is two unboxed columns, the user
+cohort keeps no visit log and each user's lags are one unboxed column,
+the metrics take the fabric's link table over, and nodes, their points
+and the placement snapshots carry no ``__dict__``.  These tests pin
+those shapes, and that each read-back equals what the old forms
+returned; they assert no memory figure.
 """
 
+import random
 from array import array
 from collections import OrderedDict
 
@@ -14,8 +17,10 @@ import pytest
 
 import repro.experiments.testbed as testbed
 from repro.cdn.cache import CacheEntry
+from repro.cdn.cohort import UserCohort
+from repro.cdn.content import LiveContent
 from repro.experiments.config import smoke_scale
-from repro.obs.tracer import RecordingTracer
+from repro.metrics.incremental import UserObservationTracker, pairwise_mean
 
 
 @pytest.fixture
@@ -74,21 +79,82 @@ def test_apply_log_columns():
     assert all(type(version) is int for _, version in log)
 
 
-def test_observations_of_reads_each_slots_visits_in_order(fresh_placements):
-    config = smoke_scale(seed=2, users_per_server=2)
-    assert config.user_metrics == "per-user"
-    tracer = RecordingTracer()
-    deployment = testbed.build_deployment(config, "ttl", "unicast", tracer=tracer)
-    deployment.run()
+def test_metrics_take_over_the_link_table(fresh_placements):
+    deployment = testbed.build_deployment(smoke_scale(seed=0), "push", "unicast")
+    metrics = deployment.run()
+    link_bytes = deployment.fabric.counters.link_bytes_kb
+    assert link_bytes
+    assert metrics.link_bytes_kb is link_bytes
+    # The JSON form is still a copy.
+    exported = metrics.to_dict()["link_bytes_kb"]
+    assert exported == link_bytes and exported is not link_bytes
+
+
+def test_cohort_keeps_no_visit_log(fresh_placements):
+    assert not hasattr(UserCohort, "observations_of")
+    assert not hasattr(UserCohort, "total_observations")
+    assert [name for name in UserCohort.__slots__ if name.startswith("_obs")] == []
+    deployment = testbed.build_deployment(
+        smoke_scale(seed=2, users_per_server=2), "ttl", "unicast"
+    )
     cohort = deployment.cohort
-    total = 0
-    for slot, node in enumerate(cohort.nodes):
-        visits = [
-            (event.time, event.detail["version"], event.detail["server"])
-            for event in tracer.events(node=node.node_id, kinds=["visit"])
-        ]
-        observations = cohort.observations_of(slot)
-        assert visits
-        assert [(o.time, o.version, o.server_id) for o in observations] == visits
-        total += len(observations)
-    assert cohort.total_observations() == total
+    consumer = cohort.nodes[0].consumer
+    assert consumer == cohort._consume
+    assert all(node.consumer is consumer for node in cohort.nodes)
+
+
+def _list_reference(times, visits, censor_at):
+    """The user tracker's mean lag and stale fraction, kept in a list."""
+    lags, seen, stale = [], -1, 0
+    for now, version in visits:
+        if version < seen:
+            stale += 1
+            continue
+        if version > seen:
+            for index in range(max(seen, 0) + 1, min(version, len(times)) + 1):
+                lags.append(max(0.0, now - times[index - 1]))
+            seen = version
+    covered = min(max(seen, 0), len(times))
+    lags += [
+        max(0.0, censor_at - times[index - 1])
+        for index in range(covered + 1, len(times) + 1)
+    ]
+    mean = pairwise_mean(lags) if lags else 0.0
+    return mean, (stale / len(visits) if visits else 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_user_lags_are_an_unboxed_column(seed):
+    rng = random.Random(seed)
+    times = sorted(rng.uniform(0.0, 500.0) for _ in range(rng.randrange(1, 150)))
+    tracker = UserObservationTracker(LiveContent("game", update_times=times))
+    assert tracker._lags.typecode == "d"
+    visits, now, version = [], 0.0, 0
+    for _ in range(rng.randrange(50, 400)):
+        now += rng.expovariate(0.5)
+        # Mostly forward, sometimes back (a redirection to a stale
+        # server), sometimes past the last update.
+        version = max(0, version + rng.choice((-3, -1, 0, 0, 1, 1, 2, 7)))
+        visits.append((now, version))
+        tracker.on_observe(now, version)
+        if len(visits) == 10:
+            # A read mid-run leaves the column as it was.
+            mean, _ = _list_reference(times, visits, now)
+            assert tracker.mean_lag(now).hex() == mean.hex()
+    assert tracker._stale > 0
+    censor_at = now + 1.0
+    mean, stale = _list_reference(times, visits, censor_at)
+    assert tracker.mean_lag(censor_at).hex() == mean.hex()
+    assert tracker.stale_fraction().hex() == stale.hex()
+
+
+def test_nodes_and_points_are_slotted(fresh_placements):
+    deployment = testbed.build_deployment(smoke_scale(seed=0), "ttl", "unicast")
+    nodes = [deployment.provider.node] + [server.node for server in deployment.servers]
+    nodes += deployment.cohort.nodes
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        assert not hasattr(node.point, "__dict__")
+    (placement,) = testbed._PLACEMENT_CACHE.values()
+    for spec in (placement.provider,) + placement.servers + sum(placement.users, ()):
+        assert not hasattr(spec, "__dict__")

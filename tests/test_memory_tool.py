@@ -41,3 +41,29 @@ def test_measure_counts_the_memo_the_run_left(monkeypatch):
         assert cell.peak_rss_kib > 0
         assert all(size > 0 for size in cell.held.values())
         assert memory.OUTSIDE in cell.held
+
+
+def test_lines_lists_the_largest_src_lines(monkeypatch, capsys):
+    monkeypatch.setattr(testbed, "_PLACEMENT_CACHE", OrderedDict())
+    assert memory.main(["ttl-tree-storm", "0", "--smoke", "--lines", "4"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    start = next(i for i, row in enumerate(rows) if row.split()[1:] == ["total"])
+    columns, *top = rows[start + 1:]
+    assert columns.split() == ["KiB", "held", "allocs", "line"]
+    assert len(top) == 4
+    held = {row.split(None, 1)[1]: float(row.split(None, 1)[0]) for row in rows[2:start]}
+    sizes = []
+    for row in top:
+        size, count, where = row.split()
+        module, line = where.rsplit(":", 1)
+        assert int(line) > 0 and int(count) > 0
+        # A line holds no more than its module.
+        assert float(size) <= held[module]
+        sizes.append(float(size))
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_lines_must_not_be_negative(capsys):
+    with pytest.raises(SystemExit):
+        memory.main(["ttl-tree-storm", "0", "--smoke", "--lines", "-1"])
+    assert "--lines must be >= 0" in capsys.readouterr().err

@@ -18,6 +18,7 @@ import pytest
 from repro.experiments.config import smoke_scale
 from repro.experiments.section4 import fig14_unicast_inconsistency, fig16_traffic_cost
 from repro.experiments.testbed import build_deployment, build_system
+from repro.obs.tracer import RecordingTracer
 from repro.runner import RunSpec
 from repro.runner.spec import DEFAULT_SCENARIO as SPEC_DEFAULT_SCENARIO
 from repro.scenarios import (
@@ -42,6 +43,7 @@ from repro.scenarios import (
     zipf_weights,
 )
 from repro.sim.rng import StreamRegistry
+from tests.test_golden import visit_observations
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "scenarios", "baseline_smoke.json"
@@ -343,18 +345,15 @@ class TestPerturbations:
             Reconfiguration(event_times_s=(10.0,), migrate_fraction=1.5)
 
     def test_flash_crowd_increases_visits(self, smoke_config):
-        baseline = build_deployment(
-            smoke_config, "ttl", "unicast", scenario="paper-baseline"
-        )
-        crowd = build_deployment(
-            smoke_config, "ttl", "unicast", scenario="flash-crowd"
-        )
-        baseline.run()
-        crowd.run()
-        def visits(d):
-            return d.cohort.total_observations()
+        def visits(scenario):
+            tracer = RecordingTracer()
+            deployment = build_deployment(
+                smoke_config, "ttl", "unicast", scenario=scenario, tracer=tracer
+            )
+            deployment.run()
+            return sum(map(len, visit_observations(tracer, deployment.cohort)))
 
-        assert visits(crowd) > visits(baseline)
+        assert visits("flash-crowd") > visits("paper-baseline")
 
     def test_failure_storm_downtime_is_exact(self, smoke_config):
         # smoke scale: 8 servers, fraction 0.25 -> 2 victims per storm;

@@ -17,9 +17,10 @@ from repro.consistency import PushPolicy, UnicastInfrastructure
 from repro.experiments.config import TestbedConfig
 from repro.experiments.testbed import build_deployment
 from repro.network import NetworkFabric, TopologyBuilder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Environment, StreamRegistry
 from repro.sim.timers import CallbackLane
-from tests.test_golden import assert_golden
+from tests.test_golden import assert_golden, visit_observations
 
 
 def _config(seed=0, **overrides):
@@ -35,9 +36,9 @@ def _config(seed=0, **overrides):
     return TestbedConfig(**defaults)
 
 
-def _run(config, method="ttl"):
+def _run(config, method="ttl", tracer=None):
     message_mod._SEQ = 0
-    deployment = build_deployment(config, method)
+    deployment = build_deployment(config, method, tracer=tracer)
     metrics = deployment.run()
     return deployment, metrics
 
@@ -58,14 +59,15 @@ class TestPopulationEdges:
         assert_golden("users/none")
 
     def test_single_user(self):
-        deployment, metrics = _run(_config(n_servers=1, users_per_server=1))
+        tracer = RecordingTracer()
+        deployment, metrics = _run(_config(n_servers=1, users_per_server=1), tracer=tracer)
         cohort = deployment.cohort
         assert cohort.n_users == 1
         assert cohort.visits_started > 0
         assert len(metrics.user_lags) == 1
-        (observations,) = [cohort.observations_of(0)]
+        (observations,) = visit_observations(tracer, cohort)
         assert observations, "single user never observed anything"
-        assert cohort.total_observations() == len(observations)
+        assert cohort.trackers[0]._total == len(observations)
 
     def test_jitter_straddling_one_sweep_batch(self):
         """A tiny start window collapses every first visit into one or
@@ -93,7 +95,8 @@ class TestMidRunFailures:
     def test_failed_visits_accrue_and_polling_resumes(self):
         message_mod._SEQ = 0
         config = _config(n_servers=2, users_per_server=1)
-        deployment = build_deployment(config, "ttl")
+        tracer = RecordingTracer()
+        deployment = build_deployment(config, "ttl", tracer=tracer)
         cohort = deployment.cohort
         victim = deployment.servers[0].node
 
@@ -114,7 +117,7 @@ class TestMidRunFailures:
             for slot, node in enumerate(cohort.nodes)
             if node.node_id.startswith(victim.node_id + "-user-")
         )
-        times = [obs.time for obs in cohort.observations_of(victim_slot)]
+        times = [obs.time for obs in visit_observations(tracer, cohort)[victim_slot]]
         assert any(t > 140.0 for t in times)
 
     def test_mid_run_failure_matches_actor_arm(self):
@@ -138,13 +141,14 @@ class TestCohortViews:
         assert cohort.ttl_of(3) == 5.0
 
     def test_rehome_redirects_later_visits(self):
-        deployment = build_deployment(_config(), "ttl")
+        tracer = RecordingTracer()
+        deployment = build_deployment(_config(), "ttl", tracer=tracer)
         cohort = deployment.cohort
         assert cohort.fixed
         new_home = deployment.servers[-1].node
         cohort.rehome(0, new_home)
         deployment.run()
-        visited = {obs.server_id for obs in cohort.observations_of(0)}
+        visited = {obs.server_id for obs in visit_observations(tracer, cohort)[0]}
         assert visited == {new_home.node_id}
         switch = build_deployment(_config(user_selector="switch"), "ttl").cohort
         assert not switch.fixed
@@ -163,7 +167,7 @@ class TestCohortViews:
             )
 
     def test_late_start_arms_first_visit_after_now(self):
-        env = Environment()
+        env = Environment(tracer=RecordingTracer())
         streams = StreamRegistry(1)
         topology = TopologyBuilder(env, streams).build(
             n_servers=1, users_per_server=1
@@ -184,17 +188,19 @@ class TestCohortViews:
         )
         cohort.start()
         env.run(until=130)
-        times = [obs.time for obs in cohort.observations_of(0)]
+        times = [obs.time for obs in visit_observations(env.tracer, cohort)[0]]
         assert len(times) == 3
         assert times[0] >= 105.0
         assert times == sorted(times)
 
     def test_aggregate_mode_has_no_per_user_observations(self):
-        deployment, _ = _run(_config(user_metrics="aggregate"))
+        tracer = RecordingTracer()
+        deployment, _ = _run(_config(user_metrics="aggregate"), tracer=tracer)
         cohort = deployment.cohort
         assert cohort.aggregate is not None
-        with pytest.raises(RuntimeError, match="aggregate"):
-            cohort.observations_of(0)
+        assert cohort.trackers == []
+        # The slot accumulators counted every traced visit.
+        assert sum(cohort.aggregate._total) == tracer.count("visit") > 0
 
 
 # ----------------------------------------------------------------------
