@@ -134,10 +134,11 @@ planet-scale:
 		--servers 100000 --users-per-server 10 --user-shards 8 \
 		--workers 8 --registry .planet-runs.json
 
-# Cross-run analysis gate: `repro analyze` over the checked-in
-# BENCH_*.json trajectories.  Fails hard (exit 2) on malformed history
-# and renders the self-contained HTML report CI uploads as an artifact
-# (see docs/analysis.md).
+# Trajectory screen: `repro analyze` flags trailing-median outliers and
+# change points in each benchmark's series across the BENCH_*.json
+# trajectories.  Fails hard (exit 2) on malformed history and renders
+# the self-contained HTML report CI uploads as an artifact (see
+# docs/analysis.md).
 analyze-smoke:
 	PYTHONPATH=src python -m repro analyze BENCH_engine.json \
 		BENCH_section4.json BENCH_user_plane.json \

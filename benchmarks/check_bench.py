@@ -2,14 +2,10 @@
 
 Reads benchmark *trajectories* (see ``benchmarks/bench_history.py``;
 the legacy single pytest-benchmark snapshot is still accepted), prints a
-compact table for the latest entry (name, min/mean, any recorded
-throughput extra_info), and enforces three soft gates meant for noisy
-CI runners:
+compact table for the latest entry (name, min/mean), and enforces two
+soft gates meant for noisy CI runners (default 3x: only a gross
+regression fails the job):
 
-- the transport fast path in the latest entry must not regress to worse
-  than ``1 / --max-regression`` of the legacy path's throughput
-  (default 3x: only a gross regression fails the job -- the >= 2x
-  target is asserted at benchmark time and recorded in extra_info);
 - against the *trailing median*: each benchmark's latest min time may
   not exceed ``--max-regression`` times the median min over the earlier
   entries of the trajectory (single-entry trajectories skip this gate
@@ -70,34 +66,9 @@ def report(path, trajectory):
     )
     for name, bench in iter_benchmarks(entry):
         stats = bench["stats"]
-        line = "  %-40s min %8.2f ms  mean %8.2f ms" % (
+        print("  %-40s min %8.2f ms  mean %8.2f ms" % (
             name, stats["min"] * 1e3, stats["mean"] * 1e3
-        )
-        extra = bench.get("extra_info") or {}
-        if "transport_speedup" in extra:
-            line += "  speedup %.2fx (%d msgs, %.0f msg/s fast)" % (
-                extra["transport_speedup"],
-                extra.get("messages", 0),
-                extra.get("fast_msgs_per_s", 0.0),
-            )
-        print(line)
-
-
-def check_transport(entry, max_regression):
-    """Intra-entry gate: fast transport vs its legacy baseline."""
-    failures = []
-    for name, bench in iter_benchmarks(entry):
-        extra = bench.get("extra_info") or {}
-        speedup = extra.get("transport_speedup")
-        if speedup is None:
-            continue
-        floor = 1.0 / max_regression
-        if speedup < floor:
-            failures.append(
-                "%s: fast transport at %.2fx of legacy throughput "
-                "(> %.1fx regression)" % (name, speedup, max_regression)
-            )
-    return failures
+        ))
 
 
 def _median(values):
@@ -178,7 +149,6 @@ def main(argv=None):
             continue
         checked += 1
         report(path, trajectory)
-        failures += check_transport(entry, args.max_regression)
         failures += check_trailing_median(trajectory, args.max_regression)
         if baseline_entry is not None:
             failures += check_baseline(entry, baseline_entry, args.max_regression)

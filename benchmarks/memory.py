@@ -7,7 +7,10 @@ Usage::
 
 For each cell of the e2e benchmark's WORKLOAD (``benchmarks/e2e/
 workloads.py``), this builds the deployment and runs it with
-:mod:`tracemalloc` tracing from just before the build.  Right after
+:mod:`tracemalloc` tracing from just before the build.  The cell's
+scenario is resolved before tracing starts, so the scenario modules
+that resolving imports are charged to no cell, whatever the process
+imported before.  Right after
 ``Deployment.run`` returns, with the deployment and its metrics still
 alive, it prints the bytes still held by the allocations that each
 ``src/repro`` module made during that cell, largest first, then the
@@ -93,14 +96,16 @@ def measure(
     """Run every cell of *workload* under tracing, one after another;
     keep each cell's *lines* largest ``src/repro`` lines."""
     import repro.experiments.testbed as testbed
+    from repro.scenarios.registry import resolve_scenario
 
     package_dir = os.path.dirname(os.path.dirname(os.path.abspath(testbed.__file__)))
     out = []
     for cell in workloads.cells(workload, seed, smoke=smoke):
+        scenario = None if cell.scenario is None else resolve_scenario(cell.scenario)
         tracemalloc.start()
         try:
             deployment = testbed.build_deployment(
-                cell.config, cell.method, cell.infrastructure, scenario=cell.scenario
+                cell.config, cell.method, cell.infrastructure, scenario=scenario
             )
             metrics = deployment.run()
             snapshot = tracemalloc.take_snapshot()

@@ -10,7 +10,7 @@ Thirteen subcommands mirroring the paper's workflow::
     python -m repro report     # regenerate the EXPERIMENTS.md report
     python -m repro trace      # run one traced deployment, dump JSONL events
     python -m repro watch      # tail a running sweep's live progress
-    python -m repro analyze    # cross-run stats over BENCH_*.json + HTML
+    python -m repro analyze    # anomaly screens over BENCH_*.json + HTML
     python -m repro lint       # determinism/purity static analysis (REPxxx)
     python -m repro sanitize   # schedule sanitizer: tie-order perturbation
     python -m repro metrics    # harness-telemetry rollup (JSON / Prometheus)
@@ -359,11 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--out", default="EXPERIMENTS.md")
-    report.add_argument(
-        "--html", default=None, metavar="PATH",
-        help="also write the cross-run HTML analysis report here (the "
-        "repro-analyze renderer over the repo's BENCH_*.json)",
-    )
     _add_runner_arguments(report)
 
     watch = sub.add_parser(
@@ -391,9 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="cross-run statistical analysis of BENCH_*.json "
-        "trajectories: Mann-Whitney U comparisons, bootstrap CIs, "
-        "trajectory anomaly detection, HTML report",
+        help="screen BENCH_*.json benchmark trajectories for "
+        "regressions (trailing-median outliers and change points) and "
+        "render them as text or a self-contained HTML report",
     )
     analyze.add_argument(
         "trajectories", nargs="*", metavar="BENCH_JSON",
@@ -411,14 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--telemetry", default=None, metavar="TELEMETRY_JSON",
         help="also screen a telemetry artifact's wall/RSS trajectories",
-    )
-    analyze.add_argument(
-        "--seed", type=int, default=0,
-        help="bootstrap resampling seed (default: 0)",
-    )
-    analyze.add_argument(
-        "--resamples", type=int, default=2000,
-        help="bootstrap resample count (default: 2000)",
     )
     analyze.add_argument(
         "--window", type=int, default=5,
@@ -571,8 +558,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = base.with_overrides(**size_overrides)
     ttls = args.server_ttls if args.server_ttls else [base.server_ttl_s]
 
-    # No --scenarios keeps the legacy spec shape (default scenario, not
-    # serialized), so existing registry entries still hit the cache.
+    # Without --scenarios, every spec runs the default scenario.
     scenario_cells = [{}]
     if getattr(args, "scenarios", None):
         from .scenarios import resolve_scenario
@@ -1033,8 +1019,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         analysis = analyze_trajectories(
             paths,
-            seed=args.seed,
-            resamples=args.resamples,
             window=args.window,
             threshold=args.threshold,
             telemetry_path=args.telemetry,
@@ -1070,20 +1054,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.out, "w") as handle:
         handle.write(markdown)
     print("wrote %s" % args.out)
-    if args.html:
-        from .experiments.analysis import analyze_trajectories, render_html
-
-        trajectories = _default_trajectories()
-        if trajectories:
-            analysis = analyze_trajectories(trajectories, seed=args.seed)
-            with open(args.html, "w") as handle:
-                handle.write(render_html(analysis))
-            print("wrote %s" % args.html)
-        else:
-            print(
-                "report: no BENCH_*.json trajectories; skipping --html",
-                file=sys.stderr,
-            )
     return 0
 
 

@@ -1,18 +1,9 @@
 """Cross-run statistical analysis of benchmark / telemetry trajectories.
 
-ROADMAP item 4's fuzzbench-shaped layer: the repo accumulates
-evaluation history -- ``BENCH_*.json`` benchmark trajectories (PR 5),
-``<registry>.telemetry.json`` run rollups, ``figures.json`` manifests
--- and this module turns those trajectories into *decisions*:
+The repo accumulates evaluation history -- ``BENCH_*.json`` benchmark
+trajectories and ``<registry>.telemetry.json`` run rollups -- and this
+module screens those trajectories for regressions:
 
-- **method comparisons** with real statistics: paired ``extra_info``
-  series (``fast_events_per_s`` vs ``legacy_events_per_s``, recorded
-  while the benchmarks still timed a legacy arm) are compared across
-  history entries with the
-  Mann-Whitney U rank test (tie-corrected normal approximation, the
-  fuzzbench standard for non-normal perf samples), the Vargha-Delaney
-  A12 effect size, and seeded bootstrap confidence intervals on each
-  side's mean;
 - **trajectory anomaly detection**: every benchmark's per-entry mean
   series is screened by the trailing-median outlier rule (the
   ``check_bench`` gate, applied over the whole history rather than just
@@ -23,13 +14,16 @@ evaluation history -- ``BENCH_*.json`` benchmark trajectories (PR 5),
 - **reports**: one analysis dict, rendered as terse text
   (``repro analyze``) or as a fully self-contained HTML page -- inline
   CSS, inline SVG sparklines, zero external assets or scripts -- that
-  CI uploads as an artifact (``repro report --html`` reuses the same
-  renderer).
+  CI uploads as an artifact.
 
-Everything is seeded and deterministic: the only randomness is the
-bootstrap resampler, which runs on an explicit ``random.Random(seed)``
-(this module is harness-side analysis -- outside the simulation's
-REP001 seeded-stream scope -- and is never imported by simulated code).
+The statistics for comparing two samples -- the Mann-Whitney U rank
+test (tie-corrected normal approximation, the fuzzbench standard for
+non-normal perf samples) with the Vargha-Delaney A12 effect size, and
+seeded bootstrap confidence intervals on a mean -- live here too, for
+cross-commit comparisons of benchmark samples.  The bootstrap runs on an
+explicit ``random.Random(seed)`` (this module is harness-side analysis
+-- outside the simulation's REP001 seeded-stream scope -- and is never
+imported by simulated code).
 """
 
 from __future__ import annotations
@@ -46,17 +40,12 @@ __all__ = [
     "bootstrap_mean_ci",
     "trailing_median_outliers",
     "change_points",
-    "extra_info_series",
     "benchmark_mean_series",
-    "discover_comparisons",
     "analyze_trajectories",
     "render_text",
     "render_html",
     "sparkline_svg",
 ]
-
-#: Two-sided significance threshold for the comparison table.
-ALPHA = 0.05
 
 #: Format tag of a BENCH_*.json trajectory (benchmarks/bench_history.py).
 TRAJECTORY_FORMAT = 1
@@ -98,7 +87,6 @@ def load_bench_trajectory(path: str) -> Dict[str, Any]:
                 {
                     "name": bench.get("name", "?"),
                     "stats": bench.get("stats", {}),
-                    "extra_info": bench.get("extra_info") or {},
                 }
                 for bench in doc["benchmarks"]
             ],
@@ -320,79 +308,21 @@ def benchmark_mean_series(
     return series
 
 
-def extra_info_series(
-    trajectory: Dict[str, Any]
-) -> Dict[str, List[float]]:
-    """Per-``extra_info``-key numeric series across history entries
-    (a key appearing in several benchmarks of one entry contributes
-    its per-entry mean, keeping one sample per run)."""
-    series: Dict[str, List[float]] = {}
-    for entry in trajectory.get("history", []):
-        per_entry: Dict[str, List[float]] = {}
-        for bench in entry.get("benchmarks", []):
-            for key, value in (bench.get("extra_info") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    per_entry.setdefault(str(key), []).append(float(value))
-        for key, values in per_entry.items():
-            series.setdefault(key, []).append(_mean(values))
-    return series
-
-
-def _comparison_suffix(key: str) -> str:
-    """``fast_events_per_s`` -> ``events_per_s``: the metric a key
-    measures, with its method prefix stripped."""
-    head, _, tail = key.partition("_")
-    return tail if tail else head
-
-
-def discover_comparisons(
-    series: Dict[str, List[float]]
-) -> List[Tuple[str, str, str]]:
-    """Method-comparison pairs hiding in ``extra_info`` keys.
-
-    Keys sharing a metric suffix form a group (``fast_events_per_s`` /
-    ``legacy_events_per_s``); only groups
-    containing a ``legacy_``-prefixed member are method comparisons
-    (``transport_speedup`` vs ``kernel_speedup`` share a suffix but
-    measure different things).  Returns ``(suffix, key_a, key_b)``
-    pairs, the legacy side always second.
-    """
-    groups: Dict[str, List[str]] = {}
-    for key in sorted(series):
-        groups.setdefault(_comparison_suffix(key), []).append(key)
-    pairs: List[Tuple[str, str, str]] = []
-    for suffix, keys in sorted(groups.items()):
-        if len(keys) < 2 or not any(k.startswith("legacy_") for k in keys):
-            continue
-        for left in range(len(keys)):
-            for right in range(left + 1, len(keys)):
-                key_a, key_b = keys[left], keys[right]
-                if key_a.startswith("legacy_"):
-                    key_a, key_b = key_b, key_a
-                pairs.append((suffix, key_a, key_b))
-    return pairs
-
-
 # ----------------------------------------------------------------------
 # the analysis driver
 # ----------------------------------------------------------------------
 def analyze_trajectories(
     paths: Sequence[str],
-    seed: int = 0,
-    resamples: int = 2000,
     window: int = 5,
     threshold: float = 1.5,
     telemetry_path: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Load, test and screen every trajectory; returns the analysis
+    """Load and screen every trajectory; returns the analysis
     dict that :func:`render_text` / :func:`render_html` consume.
 
     Raises ``ValueError`` if any trajectory is malformed.
     """
     trajectories: List[Dict[str, Any]] = []
-    comparisons: List[Dict[str, Any]] = []
     anomalies: List[Dict[str, Any]] = []
     for path in paths:
         trajectory = load_bench_trajectory(path)
@@ -420,7 +350,7 @@ def analyze_trajectories(
             changes = change_points(values)
             benchmarks[name] = {
                 "means": values,
-                "latest": values[-1] if values else None,
+                "latest": values[-1],
                 "outliers": outliers,
                 "changes": changes,
             }
@@ -442,42 +372,6 @@ def analyze_trajectories(
                         **change,
                     }
                 )
-        extra = extra_info_series(trajectory)
-        for suffix, key_a, key_b in discover_comparisons(extra):
-            sample_a, sample_b = extra[key_a], extra[key_b]
-            row: Dict[str, Any] = {
-                "trajectory": path,
-                "metric": suffix,
-                "a": key_a,
-                "b": key_b,
-                "n_a": len(sample_a),
-                "n_b": len(sample_b),
-                "mean_a": _mean(sample_a),
-                "mean_b": _mean(sample_b),
-                "ci_a": list(
-                    bootstrap_mean_ci(sample_a, seed=seed, resamples=resamples)
-                ),
-                "ci_b": list(
-                    bootstrap_mean_ci(sample_b, seed=seed, resamples=resamples)
-                ),
-            }
-            if len(sample_a) >= 2 and len(sample_b) >= 2:
-                test = mann_whitney_u(sample_a, sample_b)
-                row.update(
-                    u=test["u"],
-                    p_value=test["p_value"],
-                    a12=test["a12"],
-                    significant=test["p_value"] < ALPHA,
-                )
-            else:
-                row.update(
-                    u=None,
-                    p_value=None,
-                    a12=None,
-                    significant=False,
-                    note="needs >= 2 history entries per side for a rank test",
-                )
-            comparisons.append(row)
         trajectories.append(
             {
                 "path": path,
@@ -485,18 +379,13 @@ def analyze_trajectories(
                 "commits": commits,
                 "hosts": hosts,
                 "benchmarks": benchmarks,
-                "extra_info": extra,
             }
         )
     analysis: Dict[str, Any] = {
         "tool": "repro analyze",
-        "seed": seed,
-        "resamples": resamples,
         "window": window,
         "threshold": threshold,
-        "alpha": ALPHA,
         "trajectories": trajectories,
-        "comparisons": comparisons,
         "anomalies": anomalies,
     }
     if telemetry_path is not None:
@@ -537,14 +426,9 @@ def _analyze_telemetry(
 # ----------------------------------------------------------------------
 # renderers
 # ----------------------------------------------------------------------
-def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    magnitude = abs(value)
-    if magnitude >= 1000:
+def _fmt(value: float) -> str:
+    if abs(value) >= 1000:
         return "{:,.0f}".format(value)
-    if magnitude >= 1:
-        return "%.3g" % value
     return "%.3g" % value
 
 
@@ -570,32 +454,6 @@ def render_text(analysis: Dict[str, Any]) -> List[str]:
                 else "",
             )
         )
-    if analysis["comparisons"]:
-        lines.append("")
-        lines.append(
-            "%-44s %10s %10s %8s %6s  %s"
-            % ("comparison", "mean A", "mean B", "p", "A12", "verdict")
-        )
-        for row in analysis["comparisons"]:
-            if row["p_value"] is None:
-                verdict = row.get("note", "untested")
-            elif row["significant"]:
-                verdict = (
-                    "A wins" if row["a12"] > 0.5 else "B wins"
-                ) + " (p<%.2g)" % analysis["alpha"]
-            else:
-                verdict = "no significant difference"
-            lines.append(
-                "%-44s %10s %10s %8s %6s  %s"
-                % (
-                    "%s vs %s" % (row["a"], row["b"]),
-                    _fmt(row["mean_a"]),
-                    _fmt(row["mean_b"]),
-                    _fmt(row["p_value"]),
-                    _fmt(row["a12"]),
-                    verdict,
-                )
-            )
     for anomaly in analysis["anomalies"]:
         if anomaly["kind"] == "outlier":
             lines.append(
@@ -684,14 +542,12 @@ th, td { border: 1px solid #d4dde4; padding: .35em .6em; text-align: right; }
 th { background: #eef3f7; }
 td.name, th.name { text-align: left; font-family: ui-monospace, monospace;
                    font-size: .92em; }
-tr.sig td { background: #e8f6ee; }
 tr.anom td { background: #fdeeee; }
 .spark polyline { stroke: #2a6f97; stroke-width: 1.5; }
 .spark circle { fill: #c1292e; }
 .muted { color: #687688; font-size: .9em; }
 .badge { display: inline-block; padding: .05em .5em; border-radius: .8em;
          font-size: .85em; background: #eef3f7; }
-.badge.win { background: #2a6f97; color: #fff; }
 .badge.flag { background: #c1292e; color: #fff; }
 """
 
@@ -706,66 +562,9 @@ def render_html(analysis: Dict[str, Any], title: str = "repro analysis") -> str:
         "<title>%s</title>" % esc(title),
         "<style>%s</style></head><body>" % _HTML_STYLE,
         "<h1>%s</h1>" % esc(title),
-        '<p class="muted">seed=%d, %d bootstrap resamples, outlier window '
-        "%d &times; threshold %.2g, &alpha;=%.2g</p>"
-        % (
-            analysis["seed"],
-            analysis["resamples"],
-            analysis["window"],
-            analysis["threshold"],
-            analysis["alpha"],
-        ),
+        '<p class="muted">outlier window %d &times; threshold %.2g</p>'
+        % (analysis["window"], analysis["threshold"]),
     ]
-
-    parts.append("<h2>Method comparisons (Mann&ndash;Whitney U)</h2>")
-    if analysis["comparisons"]:
-        parts.append(
-            "<table><tr><th class=name>comparison</th><th>n</th>"
-            "<th>mean A [95% CI]</th><th>mean B [95% CI]</th>"
-            "<th>U</th><th>p</th><th>A12</th><th>verdict</th></tr>"
-        )
-        for row in analysis["comparisons"]:
-            if row["p_value"] is None:
-                verdict = '<span class="badge">%s</span>' % esc(
-                    row.get("note", "untested")
-                )
-                row_class = ""
-            elif row["significant"]:
-                winner = row["a"] if row["a12"] > 0.5 else row["b"]
-                verdict = '<span class="badge win">%s wins</span>' % esc(
-                    winner
-                )
-                row_class = ' class="sig"'
-            else:
-                verdict = '<span class="badge">not significant</span>'
-                row_class = ""
-            parts.append(
-                "<tr%s><td class=name>%s vs %s</td><td>%d/%d</td>"
-                "<td>%s [%s, %s]</td><td>%s [%s, %s]</td>"
-                "<td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>"
-                % (
-                    row_class,
-                    esc(row["a"]),
-                    esc(row["b"]),
-                    row["n_a"],
-                    row["n_b"],
-                    _fmt(row["mean_a"]),
-                    _fmt(row["ci_a"][0]),
-                    _fmt(row["ci_a"][1]),
-                    _fmt(row["mean_b"]),
-                    _fmt(row["ci_b"][0]),
-                    _fmt(row["ci_b"][1]),
-                    _fmt(row.get("u")),
-                    _fmt(row.get("p_value")),
-                    _fmt(row.get("a12")),
-                    verdict,
-                )
-            )
-        parts.append("</table>")
-    else:
-        parts.append(
-            '<p class="muted">no paired extra_info metrics found.</p>'
-        )
 
     for trajectory in analysis["trajectories"]:
         parts.append(

@@ -14,18 +14,10 @@ runs; ``smoke_scale()`` is minimal.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 __all__ = ["TestbedConfig", "paper_scale", "ci_scale", "smoke_scale", "planet_scale"]
-
-#: Workload-shape knobs whose override-plumbing is deprecated in favour
-#: of scenarios (:mod:`repro.scenarios`): a scenario owns the update
-#: schedule, so tweaking these per-run knobs behind its back is the old
-#: way.  Still honoured for one release; the warning points at the
-#: replacement.
-DEPRECATED_WORKLOAD_KNOBS = ("game_duration_s", "n_updates", "update_start_s")
 
 #: Times (in seconds) that must be finite; ``horizon_s`` only when set.
 _FINITE_TIME_KNOBS = (
@@ -167,17 +159,6 @@ class TestbedConfig:
             raise ValueError(
                 "unknown TestbedConfig knob(s) %s; valid knobs: %s"
                 % (", ".join(hints), ", ".join(sorted(valid)))
-            )
-        deprecated = sorted(set(overrides) & set(DEPRECATED_WORKLOAD_KNOBS))
-        if deprecated:
-            warnings.warn(
-                "overriding workload knob(s) %s via with_overrides is "
-                "deprecated: workload shape now belongs to a scenario "
-                "(see repro.scenarios; register or select one instead). "
-                "The override still applies for now."
-                % ", ".join(repr(name) for name in deprecated),
-                DeprecationWarning,
-                stacklevel=2,
             )
         return replace(self, **overrides)
 

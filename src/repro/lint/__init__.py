@@ -23,19 +23,17 @@ Each rule has a stable ``REPxxx`` code (see :mod:`repro.lint.rules` and
 
     t = time.time()  # repro: noqa REP002 -- wall-clock OK in this shim
 
-Grandfathered findings live in a committed JSON baseline
-(``lint-baseline.json``); only *new* findings fail the build.
+Nothing else silences a finding but a reasoned entry in
+:mod:`repro.lint.exemptions`: every other finding fails the build.
 """
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .engine import LintReport, SourceFile, lint_paths, lint_sources
 from .findings import Finding
 from .rules import RULES, all_codes, rule_for_code
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "RULES",

@@ -12,13 +12,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from .baseline import Baseline
 from .engine import lint_paths
 from .rules import RULES
 
 __all__ = ["main", "build_parser", "run"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,26 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="diagnostic output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline JSON of grandfathered findings "
-        "(default: ./%s if it exists)" % DEFAULT_BASELINE,
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0 "
-        "(fill in each entry's `reason` before committing)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline file from the current findings: "
-        "surviving entries keep their `reason`, stale entries are "
-        "dropped, new findings get a TODO reason; exits 0",
     )
     parser.add_argument(
         "--select", default=None, metavar="CODES",
@@ -84,49 +61,16 @@ def run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.select:
         codes = [code.strip().upper() for code in args.select.split(",") if code.strip()]
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if args.no_baseline:
-        baseline = Baseline.empty()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            err.write("repro.lint: bad baseline %s: %s\n" % (baseline_path, exc))
-            return 2
-
     try:
-        report = lint_paths(args.paths, baseline=baseline, codes=codes)
+        report = lint_paths(args.paths, codes=codes)
     except ValueError as exc:  # unknown --select code
         err.write("repro.lint: %s\n" % exc)
         return 2
 
-    if args.write_baseline or args.update_baseline:
-        findings = report.all_findings
-        # --update-baseline preserves the justifications of entries that
-        # survive the rewrite; --write-baseline starts from scratch.
-        writer = (
-            Baseline.load(baseline_path)
-            if args.update_baseline
-            else Baseline.empty()
-        )
-        writer.write(baseline_path, findings=findings)
-        err.write(
-            "repro.lint: wrote %d entr%s to %s%s\n"
-            % (
-                len(findings),
-                "y" if len(findings) == 1 else "ies",
-                baseline_path,
-                "" if args.update_baseline else " (fill in each `reason`)",
-            )
-        )
-        return 0
-
     if args.format == "json":
         payload = {
             "new": [finding.to_dict() for finding in report.new],
-            "baselined": [finding.to_dict() for finding in report.baselined],
             "suppressed": [finding.to_dict() for finding in report.suppressed],
-            "stale_baseline": [list(key) for key in report.stale_baseline],
             "files_scanned": len(report.files),
             "ok": report.ok,
         }
@@ -134,11 +78,6 @@ def run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     else:
         for finding in report.new:
             out.write(finding.format() + "\n")
-        for code, package_path, text in report.stale_baseline:
-            err.write(
-                "repro.lint: stale baseline entry %s %s %r (matches nothing; "
-                "remove it)\n" % (code, package_path, text)
-            )
         if not args.quiet:
             err.write("repro.lint: %s\n" % report.summary())
     return 0 if report.ok else 1

@@ -1,10 +1,9 @@
 """Scanning engine: file discovery, parsing, noqa, rule dispatch.
 
 The engine walks the given paths for ``*.py`` files, parses each once,
-runs every (selected) rule over the parse trees, drops findings that a
-``# repro: noqa`` directive suppresses, and splits the remainder into
-*new* versus *baselined* using the committed JSON baseline
-(:mod:`repro.lint.baseline`).
+runs every (selected) rule over the parse trees, and splits the
+findings into those a ``# repro: noqa`` directive suppresses and the
+*new* ones that fail the build.
 """
 
 from __future__ import annotations
@@ -13,9 +12,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from .baseline import Baseline
 from .findings import Finding
 from .rules import PARSE_ERROR_CODE, FileRule, ProjectRule, select_rules
 
@@ -50,9 +48,9 @@ def _package_path(path: Path) -> str:
     """*path* rebased to start at the ``repro`` package when possible.
 
     ``src/repro/sim/engine.py`` and ``/tmp/x/repro/sim/engine.py`` both
-    normalise to ``repro/sim/engine.py``, so baseline fingerprints and
-    path-scoped rules are independent of the scan root.  Paths with no
-    ``repro`` segment are returned relative as-is (posix separators).
+    normalise to ``repro/sim/engine.py``, so path-scoped rules are
+    independent of the scan root.  Paths with no ``repro`` segment are
+    returned relative as-is (posix separators).
     """
     parts = path.parts
     for index, part in enumerate(parts):
@@ -77,8 +75,7 @@ class SourceFile:
     def __init__(self, path: Path, source: str) -> None:
         #: Path as discovered -- what diagnostics print.
         self.display_path = path.as_posix()
-        #: Path rebased at the ``repro`` package -- what rules and
-        #: baseline fingerprints use.
+        #: Path rebased at the ``repro`` package -- what rules use.
         self.package_path = _package_path(path)
         self.source = source
         self.lines: List[str] = source.splitlines()
@@ -129,18 +126,10 @@ class LintReport:
     """Outcome of one lint run."""
 
     files: List[SourceFile] = field(default_factory=list)
-    #: Findings that are neither noqa-suppressed nor baselined.
+    #: Findings no ``# repro: noqa`` directive suppresses.
     new: List[Finding] = field(default_factory=list)
-    #: Findings matched (and consumed) by the baseline.
-    baselined: List[Finding] = field(default_factory=list)
     #: Findings silenced by a ``# repro: noqa`` directive.
     suppressed: List[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (stale -- safe to drop).
-    stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def all_findings(self) -> List[Finding]:
-        return sorted(self.new + self.baselined, key=Finding.sort_key)
 
     @property
     def ok(self) -> bool:
@@ -148,17 +137,8 @@ class LintReport:
         return not self.new
 
     def summary(self) -> str:
-        return (
-            "%d file(s) scanned: %d new finding(s), %d baselined, "
-            "%d noqa-suppressed, %d stale baseline entr%s"
-            % (
-                len(self.files),
-                len(self.new),
-                len(self.baselined),
-                len(self.suppressed),
-                len(self.stale_baseline),
-                "y" if len(self.stale_baseline) == 1 else "ies",
-            )
+        return "%d file(s) scanned: %d new finding(s), %d noqa-suppressed" % (
+            len(self.files), len(self.new), len(self.suppressed)
         )
 
 
@@ -178,9 +158,7 @@ def _discover(paths: Iterable[Path]) -> List[Path]:
 
 
 def lint_sources(
-    files: Sequence[SourceFile],
-    baseline: Optional[Baseline] = None,
-    codes: Optional[Iterable[str]] = None,
+    files: Sequence[SourceFile], codes: Optional[Iterable[str]] = None
 ) -> LintReport:
     """Run the (selected) rules over already-parsed *files*."""
     rules = select_rules(codes)
@@ -211,8 +189,6 @@ def lint_sources(
             raw.extend(rule.check_project(files))
 
     raw.sort(key=Finding.sort_key)
-    active_baseline = baseline if baseline is not None else Baseline.empty()
-    matcher = active_baseline.matcher()
     for finding in raw:
         owner = by_path.get(finding.path)
         if (
@@ -221,21 +197,16 @@ def lint_sources(
             and owner.suppresses(finding)
         ):
             report.suppressed.append(finding)
-        elif finding.code != PARSE_ERROR_CODE and matcher.consume(finding):
-            report.baselined.append(finding)
         else:
             report.new.append(finding)
-    report.stale_baseline = matcher.stale()
     return report
 
 
 def lint_paths(
-    paths: Iterable[object],
-    baseline: Optional[Baseline] = None,
-    codes: Optional[Iterable[str]] = None,
+    paths: Iterable[object], codes: Optional[Iterable[str]] = None
 ) -> LintReport:
     """Discover, parse and lint every Python file under *paths*."""
     files = []
     for path in _discover([Path(str(p)) for p in paths]):
         files.append(SourceFile(path, path.read_text(encoding="utf-8")))
-    return lint_sources(files, baseline=baseline, codes=codes)
+    return lint_sources(files, codes=codes)

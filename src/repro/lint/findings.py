@@ -14,11 +14,8 @@ class Finding:
 
     ``path`` is the filesystem path as scanned (what the user clicks);
     ``package_path`` is the path normalised to start at the ``repro``
-    package (e.g. ``repro/sim/engine.py``), so baselines written from
-    one checkout match scans started from another directory.
-    ``text`` is the stripped source line, the third component of the
-    baseline fingerprint -- moving a grandfathered line does not create
-    a "new" finding, editing it does.
+    package (e.g. ``repro/sim/engine.py``), the same from any scan root.
+    ``text`` is the stripped source line.
     """
 
     code: str
@@ -28,11 +25,6 @@ class Finding:
     col: int
     message: str
     text: str = ""
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used for baseline matching."""
-        return (self.code, self.package_path, self.text)
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)

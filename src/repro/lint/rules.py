@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: Pseudo-code attached to files the linter cannot parse; never
-#: baselined or suppressed.
+#: suppressed.
 PARSE_ERROR_CODE = "REP000"
 
 

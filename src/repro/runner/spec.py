@@ -38,9 +38,8 @@ class RunSpec:
     ``scenario`` names the :mod:`repro.scenarios` entry that supplies
     workload, catalog and perturbations; ``scenario_cell`` picks the
     catalog cell (0 for single-object scenarios).  The default is the
-    paper's baseline, and default-valued specs serialize exactly as they
-    did before scenarios existed, so registry keys and stored specs from
-    older runs stay valid.
+    paper's baseline.  :meth:`to_dict` writes every field, defaults
+    included, and :meth:`from_dict` reads them all back.
     """
 
     config: TestbedConfig
@@ -85,38 +84,24 @@ class RunSpec:
         return base
 
     def to_dict(self) -> Dict[str, Any]:
-        config = asdict(self.config)
-        # User-plane knobs serialize only when non-default, for the same
-        # registry-key-stability reason as ``scenario`` below (the knobs
-        # post-date many stored runs; ``from_dict`` restores defaults).
-        if config.get("user_metrics") == "per-user":
-            del config["user_metrics"]
-        if config.get("user_shards") == 1 and config.get("user_shard") == 0:
-            del config["user_shards"]
-            del config["user_shard"]
-        data = {
+        return {
             "kind": self.kind,
             "method": self.method,
             "infrastructure": self.infrastructure,
-            "config": config,
+            "config": asdict(self.config),
+            "scenario": self.scenario,
+            "scenario_cell": self.scenario_cell,
         }
-        # Serialized only when non-default: default-valued specs keep
-        # the pre-scenario canonical form, so existing registry keys
-        # (and their memoized runs) stay valid.
-        if self.scenario != DEFAULT_SCENARIO or self.scenario_cell != 0:
-            data["scenario"] = self.scenario
-            data["scenario_cell"] = self.scenario_cell
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
         return cls(
             config=TestbedConfig(**data["config"]),
             method=data["method"],
-            infrastructure=data.get("infrastructure", "unicast"),
-            kind=data.get("kind", "deployment"),
-            scenario=data.get("scenario", DEFAULT_SCENARIO),
-            scenario_cell=data.get("scenario_cell", 0),
+            infrastructure=data["infrastructure"],
+            kind=data["kind"],
+            scenario=data["scenario"],
+            scenario_cell=data["scenario_cell"],
         )
 
     def key(self) -> str:

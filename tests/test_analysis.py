@@ -5,7 +5,7 @@
 - seeded bootstrap confidence intervals;
 - the trailing-median outlier rule and the YouLighter-style
   windowed-centroid change detector on synthetic series;
-- series extraction and method-comparison discovery from trajectories;
+- series extraction from trajectories;
 - the end-to-end analyze driver, text and self-contained HTML renderers
   over a frozen trajectory committed under tests/fixtures/bench/;
 - the `repro analyze` CLI (defaults, JSON/HTML outputs, exit 2 on
@@ -13,10 +13,9 @@
   exit 0, when there is no history at all).
 
 The frozen trajectory is real `make bench-engine` / `make bench-section4`
-output, limited to a few benchmarks: four engine entries, on which some
-fast-vs-legacy comparisons test significant, and four Section 4
-entries, the first two recorded on the since-retired legacy kernel, so
-the switch to the fast kernel shows up as an anomaly.
+output, limited to a few benchmarks: four engine entries and four
+Section 4 entries, the first two recorded on the since-retired legacy
+kernel, so the switch to the fast kernel shows up as an anomaly.
 """
 
 import json
@@ -27,13 +26,10 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments.analysis import (
-    ALPHA,
     analyze_trajectories,
     benchmark_mean_series,
     bootstrap_mean_ci,
     change_points,
-    discover_comparisons,
-    extra_info_series,
     load_bench_trajectory,
     mann_whitney_u,
     render_html,
@@ -48,18 +44,14 @@ BENCH_SECTION4 = os.path.join(BENCH_DIR, "BENCH_section4.json")
 
 
 def _trajectory(entries):
-    """A trajectory dict from [{bench_name: (mean, extra_info)}] rows."""
+    """A trajectory dict from [{bench_name: mean}] rows."""
     history = []
     for row in entries:
         history.append({
             "recorded": "", "machine": "ci",
             "benchmarks": [
-                {
-                    "name": name,
-                    "stats": {"mean": mean},
-                    "extra_info": extra or {},
-                }
-                for name, (mean, extra) in row.items()
+                {"name": name, "stats": {"mean": mean}}
+                for name, mean in row.items()
             ],
         })
     return {"format": 1, "history": history}
@@ -95,7 +87,7 @@ class TestMannWhitneyU:
 
     def test_interleaved_not_significant(self):
         result = mann_whitney_u([1.0, 3.0, 5.0], [2.0, 4.0, 6.0])
-        assert result["p_value"] > ALPHA
+        assert result["p_value"] > 0.05
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -177,45 +169,12 @@ class TestOutlierDetectors:
 class TestSeriesExtraction:
     def test_benchmark_mean_series(self):
         trajectory = _trajectory([
-            {"bench_a": (1.0, None), "bench_b": (5.0, None)},
-            {"bench_a": (1.1, None)},
-            {"bench_a": (1.2, None), "bench_b": (5.5, None)},
+            {"bench_a": 1.0, "bench_b": 5.0},
+            {"bench_a": 1.1},
+            {"bench_a": 1.2, "bench_b": 5.5},
         ])
         series = benchmark_mean_series(trajectory)
         assert series == {"bench_a": [1.0, 1.1, 1.2], "bench_b": [5.0, 5.5]}
-
-    def test_extra_info_series_per_entry_mean(self):
-        trajectory = _trajectory([
-            {
-                "x": (1.0, {"fast_events_per_s": 100.0, "flag": True}),
-                "y": (1.0, {"fast_events_per_s": 300.0, "note": "text"}),
-            },
-            {"x": (1.0, {"fast_events_per_s": 500.0})},
-        ])
-        series = extra_info_series(trajectory)
-        # One sample per history entry; bools and strings excluded.
-        assert series == {"fast_events_per_s": [200.0, 500.0]}
-
-    def test_discover_comparisons_requires_legacy_member(self):
-        series = {
-            "fast_events_per_s": [1.0],
-            "legacy_events_per_s": [1.0],
-            "transport_speedup": [2.0],
-            "kernel_speedup": [3.0],  # shares 'speedup' but no legacy_
-            "cohort_visits_per_s": [1.0],
-            "actor_visits_per_s": [1.0],
-            "legacy_visits_per_s": [1.0],
-        }
-        pairs = discover_comparisons(series)
-        assert ("events_per_s", "fast_events_per_s",
-                "legacy_events_per_s") in pairs
-        # 3-way group: all pairs, legacy always second.
-        visits = [p for p in pairs if p[0] == "visits_per_s"]
-        assert len(visits) == 3
-        for _, key_a, key_b in pairs:
-            assert not key_a.startswith("legacy_")
-        assert all("speedup" not in p[0] for p in pairs)
-
 
 class TestLoader:
     def test_rejects_malformed(self, tmp_path):
@@ -258,21 +217,15 @@ class TestLoader:
 class TestAnalyzeDriver:
     def test_committed_history_satisfies_acceptance(self):
         # The acceptance bar of the analysis service, asserted as a
-        # regression test: the frozen history must yield at least one
-        # significance-tested method comparison and at least one
-        # trajectory anomaly.
+        # regression test: the frozen history, whose Section 4 series
+        # switch kernels, must yield trajectory anomalies.
         analysis = analyze_trajectories([BENCH_ENGINE, BENCH_SECTION4])
-        tested = [
-            row for row in analysis["comparisons"]
-            if row["p_value"] is not None
-        ]
-        assert tested
-        assert any(row["significant"] for row in tested)
-        assert analysis["anomalies"]
+        flagged = {anomaly["trajectory"] for anomaly in analysis["anomalies"]}
+        assert flagged == {BENCH_SECTION4}
 
     def test_deterministic(self):
-        one = analyze_trajectories([BENCH_ENGINE], seed=3, resamples=200)
-        two = analyze_trajectories([BENCH_ENGINE], seed=3, resamples=200)
+        one = analyze_trajectories([BENCH_ENGINE, BENCH_SECTION4])
+        two = analyze_trajectories([BENCH_ENGINE, BENCH_SECTION4])
         assert one == two
 
     def test_carries_provenance(self, tmp_path):
@@ -280,27 +233,12 @@ class TestAnalyzeDriver:
         with open(path, "w") as handle:
             json.dump({"format": 1, "history": [{
                 "commit": "a" * 40, "host": "box-1", "machine": "box-1",
-                "benchmarks": [{"name": "b", "stats": {"mean": 1.0},
-                                "extra_info": {}}],
+                "benchmarks": [{"name": "b", "stats": {"mean": 1.0}}],
             }]}, handle)
         analysis = analyze_trajectories([path])
         trajectory = analysis["trajectories"][0]
         assert trajectory["commits"] == ["a" * 12]
         assert trajectory["hosts"] == ["box-1"]
-
-    def test_small_samples_noted_not_tested(self, tmp_path):
-        path = str(tmp_path / "BENCH_tiny.json")
-        with open(path, "w") as handle:
-            json.dump(_trajectory([{
-                "b": (1.0, {"fast_x": 10.0, "legacy_x": 5.0}),
-            }]), handle)
-        analysis = analyze_trajectories([path])
-        (row,) = analysis["comparisons"]
-        assert row["p_value"] is None
-        assert not row["significant"]
-        assert "note" in row
-        # Means and CIs still reported for the single entry.
-        assert row["mean_a"] == 10.0 and row["ci_a"] == [10.0, 10.0]
 
     def test_telemetry_rollup_screening(self, tmp_path):
         telemetry = {
@@ -325,19 +263,20 @@ class TestAnalyzeDriver:
 class TestRenderers:
     def test_text_summary(self):
         analysis = analyze_trajectories([BENCH_ENGINE, BENCH_SECTION4])
-        text = "\n".join(render_text(analysis))
-        assert "BENCH_engine.json" in text
-        assert "vs legacy_" in text
-        assert "wins (p<0.05)" in text
-        assert "anomaly:" in text or "change:" in text
+        lines = render_text(analysis)
+        # One line per trajectory, then one per anomaly.
+        assert [line.split(":")[0] for line in lines[:2]] == [
+            BENCH_ENGINE, BENCH_SECTION4,
+        ]
+        assert len(lines) == 2 + len(analysis["anomalies"]) > 2
+        assert all(line.startswith(("anomaly: ", "change: ")) for line in lines[2:])
 
     def test_html_self_contained(self):
         analysis = analyze_trajectories([BENCH_ENGINE, BENCH_SECTION4])
         page = render_html(analysis, title="t < v & w")
         assert page.startswith("<!DOCTYPE html>")
         assert "<style>" in page and "<svg" in page
-        assert "Mann&ndash;Whitney" in page
-        assert "badge win" in page  # a significant verdict rendered
+        assert "badge flag" in page  # an anomaly rendered
         # Self-contained: no scripts, no external fetches.
         assert "<script" not in page
         assert "http://" not in page and "https://" not in page
@@ -365,12 +304,11 @@ class TestAnalyzeCli:
         code = cli_main([
             "analyze", BENCH_ENGINE, BENCH_SECTION4,
             "--json", json_out, "--html", html_out,
-            "--resamples", "200",
         ])
         assert code == 0
         doc = json.load(open(json_out))
         assert doc["tool"] == "repro analyze"
-        assert doc["comparisons"]
+        assert doc["anomalies"]
         page = open(html_out).read()
         assert page.startswith("<!DOCTYPE html>")
         err = capsys.readouterr().err

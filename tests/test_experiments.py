@@ -1,8 +1,6 @@
 """Tests for the experiment configs, testbed builder, and figure drivers
 (at smoke scale -- the benchmarks run them at CI/paper scale)."""
 
-import warnings
-
 import pytest
 
 from repro.experiments import (
@@ -57,10 +55,8 @@ class TestConfig:
         # clock run backwards; an infinite time never ends the run.
         with pytest.raises(ValueError, match=knob):
             TestbedConfig(**{knob: value})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match=knob):
-                smoke_scale().with_overrides(**{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            smoke_scale().with_overrides(**{knob: value})
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("knob", ["update_size_kb", "light_size_kb"])
@@ -69,20 +65,16 @@ class TestConfig:
         # NaN: the run would report a meaningless traffic cost.
         with pytest.raises(ValueError, match=knob):
             TestbedConfig(**{knob: value})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match=knob):
-                smoke_scale().with_overrides(**{knob: value})
+        with pytest.raises(ValueError, match=knob):
+            smoke_scale().with_overrides(**{knob: value})
 
     def test_negative_start_window_rejected(self):
         # Users start at offsets drawn in [0, window]: a negative window
         # would put first visits before the clock starts at 0.
         with pytest.raises(ValueError, match="user_start_window_s"):
             TestbedConfig(user_start_window_s=-50.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="user_start_window_s"):
-                smoke_scale().with_overrides(user_start_window_s=-50.0)
+        with pytest.raises(ValueError, match="user_start_window_s"):
+            smoke_scale().with_overrides(user_start_window_s=-50.0)
         assert TestbedConfig(user_start_window_s=0.0).user_start_window_s == 0.0
 
     def test_with_creates_modified_copy(self):

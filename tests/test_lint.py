@@ -3,22 +3,23 @@
 Layout: each ``tests/fixtures/lint/<case>/`` directory is a miniature
 ``repro`` tree exercising one rule (positive + negative fixtures), so a
 scan of one case directory isolates one rule's behaviour.  The meta
-tests at the bottom pin the live contract: the committed tree is clean
-against the committed baseline, and an injected impurity in
-``repro/obs/`` is caught.
+tests at the bottom pin the live contract: the committed tree has no
+unsuppressed finding, each of its suppressions names its codes and a
+reason, and an injected impurity in ``repro/obs/`` is caught.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
 import unittest
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths
+from repro.lint import SourceFile, lint_paths
 from repro.lint.cli import build_parser, run
 from repro.sim.simtime import TIME_EPS_S, is_zero_duration, times_close, times_equal
 
@@ -27,7 +28,7 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
 
 
 def scan(case: str, codes=None):
-    """Lint one fixture case directory with no baseline."""
+    """Lint one fixture case directory."""
     report = lint_paths([FIXTURES / case], codes=codes)
     return report
 
@@ -134,51 +135,6 @@ class TestNoqaSuppression(unittest.TestCase):
         self.assertEqual(len(report.suppressed), 3)
 
 
-class TestBaseline(unittest.TestCase):
-    def test_round_trip_consumes_grandfathered_findings(self):
-        dirty = scan("rep004")
-        self.assertEqual(len(dirty.new), 3)
-
-        with _tempdir() as tmp:
-            baseline_path = Path(tmp) / "baseline.json"
-            Baseline.empty().write(baseline_path, findings=dirty.new)
-            baseline = Baseline.load(baseline_path)
-        self.assertEqual(len(baseline), 3)
-
-        clean = lint_paths([FIXTURES / "rep004"], baseline=baseline)
-        self.assertTrue(clean.ok)
-        self.assertEqual(len(clean.baselined), 3)
-        self.assertEqual(clean.stale_baseline, [])
-
-    def test_baseline_matching_ignores_line_numbers(self):
-        dirty = scan("rep004")
-        with _tempdir() as tmp:
-            baseline_path = Path(tmp) / "baseline.json"
-            Baseline.empty().write(baseline_path, findings=dirty.new)
-            payload = json.loads(baseline_path.read_text())
-            for entry in payload["entries"]:
-                entry["line"] = entry.get("line", 1) + 500  # a human aid only
-            baseline_path.write_text(json.dumps(payload))
-            baseline = Baseline.load(baseline_path)
-        clean = lint_paths([FIXTURES / "rep004"], baseline=baseline)
-        self.assertTrue(clean.ok)
-
-    def test_new_violation_is_not_masked_by_baseline(self):
-        dirty = scan("rep004")
-        baseline = Baseline.from_findings(dirty.new[:2])  # grandfather only two
-        partial = lint_paths([FIXTURES / "rep004"], baseline=baseline)
-        self.assertFalse(partial.ok)
-        self.assertEqual(len(partial.new), 1)
-        self.assertEqual(len(partial.baselined), 2)
-
-    def test_stale_entries_are_surfaced(self):
-        baseline = Baseline({("REP004", "repro/sim/gone.py", "x == y"): 1})
-        report = lint_paths([FIXTURES / "rep004" ], baseline=baseline)
-        self.assertEqual(
-            report.stale_baseline, [("REP004", "repro/sim/gone.py", "x == y")]
-        )
-
-
 class TestCli(unittest.TestCase):
     def run_cli(self, *argv):
         out, err = io.StringIO(), io.StringIO()
@@ -187,24 +143,27 @@ class TestCli(unittest.TestCase):
         return status, out.getvalue(), err.getvalue()
 
     def test_exit_codes(self):
-        status, _, _ = self.run_cli(str(FIXTURES / "rep004"), "--no-baseline")
+        status, _, _ = self.run_cli(str(FIXTURES / "rep004"))
         self.assertEqual(status, 1)
-        status, _, _ = self.run_cli(str(FIXTURES / "rep005_ok"), "--no-baseline")
+        status, _, _ = self.run_cli(str(FIXTURES / "rep005_ok"))
         self.assertEqual(status, 0)
 
     def test_json_format_is_parseable(self):
         status, out, _ = self.run_cli(
-            str(FIXTURES / "rep004"), "--no-baseline", "--format", "json"
+            str(FIXTURES / "rep004"), "--format", "json"
         )
         payload = json.loads(out)
         self.assertEqual(status, 1)
+        self.assertEqual(
+            sorted(payload), ["files_scanned", "new", "ok", "suppressed"]
+        )
         self.assertFalse(payload["ok"])
         self.assertEqual(len(payload["new"]), 3)
         self.assertEqual({f["code"] for f in payload["new"]}, {"REP004"})
 
     def test_select_restricts_rules(self):
         status, out, _ = self.run_cli(
-            str(FIXTURES / "noqa"), "--no-baseline", "--select", "REP004"
+            str(FIXTURES / "noqa"), "--select", "REP004"
         )
         # The only REP004 violation in the noqa fixture is suppressed.
         self.assertEqual(status, 0)
@@ -212,28 +171,14 @@ class TestCli(unittest.TestCase):
 
     def test_unknown_select_code_is_a_usage_error(self):
         status, _, err = self.run_cli(
-            str(FIXTURES / "rep004"), "--no-baseline", "--select", "REP999"
+            str(FIXTURES / "rep004"), "--select", "REP999"
         )
         self.assertEqual(status, 2)
         self.assertIn("REP999", err)
 
-    def test_write_baseline_then_clean(self):
-        with _tempdir() as tmp:
-            baseline_path = Path(tmp) / "baseline.json"
-            status, _, _ = self.run_cli(
-                str(FIXTURES / "rep004"), "--baseline", str(baseline_path),
-                "--write-baseline",
-            )
-            self.assertEqual(status, 0)
-            status, _, _ = self.run_cli(
-                str(FIXTURES / "rep004"), "--baseline", str(baseline_path)
-            )
-            self.assertEqual(status, 0)
-
     def test_module_entry_point(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(FIXTURES / "rep005_ok"),
-             "--no-baseline"],
+            [sys.executable, "-m", "repro.lint", str(FIXTURES / "rep005_ok")],
             capture_output=True, text=True,
             env=_env_with_src(), cwd=str(REPO_ROOT),
         )
@@ -244,14 +189,34 @@ class TestLiveTree(unittest.TestCase):
     """The contract this PR ships: the committed tree is clean."""
 
     def test_src_is_clean_against_committed_baseline(self):
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        report = lint_paths([REPO_ROOT / "src"], baseline=baseline)
+        """The baseline is zero findings: nothing grandfathers one."""
+        report = lint_paths([REPO_ROOT / "src"])
         self.assertEqual(
             [f.format() for f in report.new], [],
             "new lint findings in src/ -- fix them or (for true false "
-            "positives only) add a justified baseline entry",
+            "positives only) suppress the line with "
+            "`# repro: noqa REPxxx -- reason`",
         )
-        self.assertEqual(report.stale_baseline, [])
+
+    def test_every_suppression_names_its_codes_and_reason(self):
+        """A suppression's reason lives only on its line, so every
+        directive in src/repro names the codes it silences and says why.
+        (repro/lint/ is skipped: its docstrings quote the syntax.)"""
+        package = REPO_ROOT / "src" / "repro"
+        reasoned = re.compile(r"#\s*repro:\s*noqa\b[\sA-Z0-9,:]*--\s*\S", re.I)
+        checked = 0
+        for path in sorted(package.rglob("*.py")):
+            if package / "lint" in path.parents:
+                continue
+            file = SourceFile(path, path.read_text(encoding="utf-8"))
+            for line, codes in file.noqa.items():
+                where = "%s:%d" % (file.package_path, line)
+                self.assertTrue(
+                    all(re.fullmatch(r"REP\d{3}", code) for code in codes), where
+                )
+                self.assertRegex(file.lines[line - 1], reasoned, where)
+                checked += 1
+        self.assertTrue(checked)
 
     def test_injected_schedule_in_obs_is_flagged(self):
         """Acceptance: REP003 provably catches an Environment.schedule
@@ -529,56 +494,6 @@ class TestNoqaOnNewRules(unittest.TestCase):
         multi = [codes for codes in by_line.values() if len(codes) > 1]
         self.assertEqual(len(multi), 1)
         self.assertEqual(sorted(multi[0]), ["REP001", "REP007"])
-
-
-class TestUpdateBaseline(unittest.TestCase):
-    def run_cli(self, *argv):
-        out, err = io.StringIO(), io.StringIO()
-        args = build_parser().parse_args(list(argv))
-        status = run(args, out, err)
-        return status, out.getvalue(), err.getvalue()
-
-    def test_update_preserves_reasons_and_drops_stale(self):
-        with _tempdir() as tmp:
-            baseline_path = Path(tmp) / "baseline.json"
-            status, _, _ = self.run_cli(
-                str(FIXTURES / "rep004"), "--baseline", str(baseline_path),
-                "--write-baseline",
-            )
-            self.assertEqual(status, 0)
-
-            # A human justifies one entry and a stale entry sneaks in.
-            payload = json.loads(baseline_path.read_text())
-            payload["entries"][0]["reason"] = "accepted: fixture tolerance"
-            payload["entries"].append(
-                {
-                    "code": "REP004",
-                    "path": "repro/sim/gone.py",
-                    "text": "x == y",
-                    "reason": "was removed long ago",
-                }
-            )
-            baseline_path.write_text(json.dumps(payload))
-
-            status, _, err = self.run_cli(
-                str(FIXTURES / "rep004"), "--baseline", str(baseline_path),
-                "--update-baseline",
-            )
-            self.assertEqual(status, 0)
-            self.assertIn("wrote 3 entries", err)
-
-            rewritten = json.loads(baseline_path.read_text())
-            reasons = {e["path"] + e["text"]: e["reason"] for e in rewritten["entries"]}
-            self.assertEqual(len(rewritten["entries"]), 3)
-            self.assertIn("accepted: fixture tolerance", reasons.values())
-            self.assertNotIn("repro/sim/gone.pyx == y", reasons)
-
-            # Round-trip: the rewritten file loads and still cleans the scan.
-            baseline = Baseline.load(baseline_path)
-            self.assertEqual(len(baseline), 3)
-            clean = lint_paths([FIXTURES / "rep004"], baseline=baseline)
-            self.assertTrue(clean.ok)
-            self.assertEqual(clean.stale_baseline, [])
 
 
 class TestSimtimeHelpers(unittest.TestCase):

@@ -1,6 +1,8 @@
 """Smoke test of the per-module memory report (benchmarks/memory.py)."""
 
+import json
 import os
+import subprocess
 import sys
 from collections import OrderedDict
 
@@ -67,3 +69,35 @@ def test_lines_must_not_be_negative(capsys):
     with pytest.raises(SystemExit):
         memory.main(["ttl-tree-storm", "0", "--smoke", "--lines", "-1"])
     assert "--lines must be >= 0" in capsys.readouterr().err
+
+
+#: Prints, as JSON, the bytes `ttl-tree-storm`'s smoke cell leaves held
+#: outside src/repro and in each scenarios module, after *prelude*.
+_SCENARIO_ROWS = """
+import json, sys
+sys.path.insert(0, %(bench)r)
+import memory
+%(prelude)s
+(cell,) = memory.measure("ttl-tree-storm", 0, smoke=True)
+print(json.dumps({
+    module: size for module, size in cell.held.items()
+    if module == memory.OUTSIDE or module.startswith("scenarios/")
+}))
+"""
+
+
+def test_a_cell_is_not_charged_for_what_the_process_imported_first():
+    # The cell's scenario is resolved before tracing starts, so a fresh
+    # interpreter and one that already imported the scenario modules
+    # (and difflib) report the same rows.
+    rows = []
+    for prelude in ("", "import difflib, repro.scenarios.library"):
+        script = _SCENARIO_ROWS % {"bench": BENCH_DIR, "prelude": prelude}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+        )
+        rows.append(json.loads(proc.stdout))
+    fresh, preloaded = rows
+    assert memory.OUTSIDE in fresh
+    assert fresh == preloaded

@@ -389,13 +389,6 @@ class TestPerturbations:
 # RunSpec integration (hash stability, round-trip, labels)
 # ----------------------------------------------------------------------
 class TestRunSpecScenario:
-    def test_default_spec_serialization_unchanged(self, smoke_config):
-        spec = RunSpec(config=smoke_config, method="ttl")
-        data = spec.to_dict()
-        assert "scenario" not in data
-        assert "scenario_cell" not in data
-        assert spec.scenario == DEFAULT_SCENARIO
-
     def test_explicit_default_scenario_same_key(self, smoke_config):
         implicit = RunSpec(config=smoke_config, method="ttl")
         explicit = RunSpec(
@@ -521,29 +514,6 @@ class TestRollups:
 # ----------------------------------------------------------------------
 # deprecation of workload-knob plumbing
 # ----------------------------------------------------------------------
-class TestWorkloadKnobDeprecation:
-    def test_with_overrides_warns_for_workload_knobs(self, smoke_config):
-        with pytest.warns(DeprecationWarning, match="n_updates.*scenario"):
-            derived = smoke_config.with_overrides(n_updates=20)
-        assert derived.n_updates == 20  # still honoured
-
-    def test_with_alias_warns_too(self, smoke_config):
-        with pytest.warns(DeprecationWarning, match="game_duration_s"):
-            smoke_config.with_(game_duration_s=100.0)
-
-    def test_non_workload_knobs_stay_silent(self, smoke_config, recwarn):
-        smoke_config.with_overrides(server_ttl_s=30.0, seed=4)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_constructor_path_stays_silent(self, recwarn):
-        smoke_scale(n_updates=20)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
-
-
 # ----------------------------------------------------------------------
 # custom scenario registration end-to-end
 # ----------------------------------------------------------------------

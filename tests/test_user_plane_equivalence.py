@@ -147,14 +147,14 @@ class TestShardedMerge:
         assert shard_user_counts(0, 2) == [0, 0]
 
 
-def test_spec_serialization_drops_default_user_plane_knobs():
-    """Default-valued user-plane knobs stay out of the canonical spec
-    form, so pre-cohort registry keys (and memoized runs) stay valid."""
+def test_spec_serialization_round_trips_user_plane_knobs():
+    """The spec form carries the user-plane knobs, default or not, and
+    reads them back."""
     spec = RunSpec(config=_tiny_config(0), method="ttl")
     data = spec.to_dict()
-    assert "user_metrics" not in data["config"]
-    assert "user_shards" not in data["config"]
-    assert "user_shard" not in data["config"]
+    assert data["config"]["user_metrics"] == "per-user"
+    assert data["config"]["user_shards"] == 1
+    assert data["config"]["user_shard"] == 0
     assert RunSpec.from_dict(data) == spec
     sharded = shard_specs(
         RunSpec(
