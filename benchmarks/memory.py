@@ -7,10 +7,7 @@ Usage::
 
 For each cell of the e2e benchmark's WORKLOAD (``benchmarks/e2e/
 workloads.py``), this builds the deployment and runs it with
-:mod:`tracemalloc` tracing from just before the build.  The cell's
-scenario is resolved before tracing starts, so the scenario modules
-that resolving imports are charged to no cell, whatever the process
-imported before.  Right after
+:mod:`tracemalloc` tracing from just before the build.  Right after
 ``Deployment.run`` returns, with the deployment and its metrics still
 alive, it prints the bytes still held by the allocations that each
 ``src/repro`` module made during that cell, largest first, then the
@@ -20,17 +17,31 @@ with the number of live allocations each made.  Each cell also reports
 the fabric's path-memo entries and the process's peak RSS so far
 (``ru_maxrss``, which includes tracing's own overhead).
 
+Two steps before each cell's tracing keep its rows independent of what
+the process did before.  The cell's scenario is resolved first, so the
+scenario modules that resolving imports are charged to no cell,
+whatever the process imported before.  Then a full collection
+(``gc.collect()``) empties CPython's free lists of built-in types:
+an object served from a free list is no new allocation to
+:mod:`tracemalloc`, while one that missed it is, and stays charged to
+its line after it dies and its block goes back on the list.  What the
+lists hold depends on everything the process ran first (its imports,
+and whether each module was compiled or loaded from bytecode); emptied,
+every cell allocates, and is charged for, the same blocks.
+
 A module is charged for what a line of it allocated, whoever holds it
 now: a tuple appended to a log belongs to the module that appended it.
 Tracing restarts per cell, so state an earlier cell left behind (the
-placement memo, uncollected cycles) counts for none of the later cells.
-Tracing slows a run several-fold; ``--smoke`` runs the workload at test
-size.
+placement memo) counts for none of the later cells, and the collection
+before each cell frees an earlier cell's unreachable cycles before the
+next cell is traced.  Tracing slows a run several-fold; ``--smoke``
+runs the workload at test size.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import resource
 import sys
@@ -102,6 +113,10 @@ def measure(
     out = []
     for cell in workloads.cells(workload, seed, smoke=smoke):
         scenario = None if cell.scenario is None else resolve_scenario(cell.scenario)
+        # A full collection clears the free lists of built-in types
+        # (tuples, floats, dicts, ...), so no block this cell uses was
+        # left on them by what ran before.
+        gc.collect()
         tracemalloc.start()
         try:
             deployment = testbed.build_deployment(
